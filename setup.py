@@ -39,6 +39,10 @@ try:
     else:
         ext_modules = []
 except ImportError:
+    warnings.warn(
+        "Cython is not installed: no compiled kernel is built, "
+        "the pure-Python kernels will be used"
+    )
     ext_modules = []
 
 setup(ext_modules=ext_modules, cmdclass={"build_ext": optional_build_ext})

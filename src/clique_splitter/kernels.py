@@ -1,9 +1,10 @@
 """Kernel selection: compiled extension when available, pure Python otherwise.
 
 Set ``CLIQUE_SPLITTER_KERNEL=pure`` or ``=c`` to force a backend (the
-benchmark and the parity tests use this). The compiled path is limited to
-graphs its stack buffers were sized for; larger inputs silently use the
-pure twin.
+benchmark and the parity tests use this). The compiled path allocates its
+buffers on the heap for each call, sized by n, and is only used for graphs
+of at most ``_C_MAX_N`` (512) vertices; larger inputs use the pure twin
+without telling the caller.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ numbers before it leaves this module.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import logging
 import random
@@ -174,22 +175,32 @@ def _build_checked(g: Graph, parts, quotas, strategy: str,
 
 
 def _dsatur_coloring(g: Graph) -> list[int]:
-    """Deterministic DSatur: highest saturation, then degree, then index."""
+    """Deterministic DSatur: highest saturation, then degree, then index.
+
+    A lazy-deletion heap keyed ``(-saturation, -degree, index)`` picks each
+    vertex in O(log n), so the whole run costs O((n + m) log n). An entry
+    is pushed whenever a vertex's saturation rises. Saturation only grows,
+    so a vertex's freshest entry is also its smallest: it is popped first,
+    and every stale entry surfaces after the vertex is colored and is
+    skipped. The pick order therefore equals a full scan's.
+    """
     n = g.n
     colors = [-1] * n
     seen: list[set[int]] = [set() for _ in range(n)]
-    for _ in range(n):
-        v = min(
-            (u for u in range(n) if colors[u] < 0),
-            key=lambda u: (-len(seen[u]), -g.degree(u), u),
-        )
+    heap = [(0, -g.degree(v), v) for v in range(n)]
+    heapq.heapify(heap)
+    while heap:
+        _, _, v = heapq.heappop(heap)
+        if colors[v] >= 0:
+            continue
         c = 0
         while c in seen[v]:
             c += 1
         colors[v] = c
         for u in g.neighbors(v):
-            if colors[u] < 0:
+            if colors[u] < 0 and c not in seen[u]:
                 seen[u].add(c)
+                heapq.heappush(heap, (-len(seen[u]), -g.degree(u), u))
     return colors
 
 

@@ -87,6 +87,26 @@ def brute_degeneracy(g: Graph) -> int:
     return best
 
 
+def brute_dsatur(g: Graph) -> list[int]:
+    """DSatur by a full scan per step: highest saturation, then degree,
+    then index; each vertex takes the smallest color its neighbors lack."""
+    colors = [-1] * g.n
+    seen: list[set[int]] = [set() for _ in range(g.n)]
+    for _ in range(g.n):
+        v = min(
+            (u for u in range(g.n) if colors[u] < 0),
+            key=lambda u: (-len(seen[u]), -g.degree(u), u),
+        )
+        c = 0
+        while c in seen[v]:
+            c += 1
+        colors[v] = c
+        for u in g.neighbors(v):
+            if colors[u] < 0:
+                seen[u].add(c)
+    return colors
+
+
 def brute_chromatic(g: Graph) -> int:
     if g.n == 0:
         return 0

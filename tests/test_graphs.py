@@ -247,6 +247,32 @@ class TestInducedSubgraph:
         with pytest.raises(ValueError):
             cs.induced_subgraph(cs.Graph(3), {0, 7})
 
+    @staticmethod
+    def _filtered(g, s):
+        """Reference: filter the parent's whole edge list."""
+        back = tuple(sorted(set(s)))
+        pos = {v: i for i, v in enumerate(back)}
+        edges = [(pos[u], pos[v]) for u, v in g.edges() if u in pos and v in pos]
+        return cs.Graph(len(back), edges), back
+
+    @pytest.mark.parametrize("make", [
+        lambda: [9, 3, 14, 0, 7, 2],
+        lambda: [5, 1, 5, 8, 1, 1, 12, 8],
+        lambda: (v for v in range(19, -1, -3)),
+        lambda: [],
+        lambda: range(20),
+    ], ids=["unsorted", "duplicates", "generator", "empty", "full"])
+    def test_matches_filtered_edge_list(self, make):
+        g = cs.generate(cs.GeneratorRecipe("gnp", {"n": 20, "p": 0.35}, seed=11))
+        assert cs.induced_subgraph(g, make()) == self._filtered(g, make())
+
+    @given(small_graphs(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_filtered_edge_list_on_random_subsets(self, g, data):
+        s = data.draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n)
+                      if g.n else st.just([]))
+        assert cs.induced_subgraph(g, s) == self._filtered(g, s)
+
     @given(small_graphs())
     @settings(max_examples=40, deadline=None)
     def test_induced_preserves_adjacency(self, g):

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clique_splitter as cs
-from clique_splitter.partition import CliqueSplitFamily
+from clique_splitter.partition import CliqueSplitFamily, _dsatur_coloring
 from _brute import (
+    brute_dsatur,
     brute_has_transversal,
     brute_omega,
     is_clique,
@@ -14,6 +15,7 @@ from _brute import (
     petersen,
     valid_bipartition_sizes,
 )
+from test_graphs import small_graphs
 
 
 def K(n):
@@ -35,6 +37,38 @@ def strong(length, m):
 
 def regular(n, d, seed):
     return cs.generate(cs.GeneratorRecipe("random_regular", {"n": n, "d": d}, seed=seed))
+
+
+class TestDsaturColoring:
+    """The heap-ordered DSatur picks vertices in the same order as a full
+    scan, so it must return the scan's coloring exactly."""
+
+    @given(small_graphs())
+    @settings(max_examples=200)
+    def test_matches_scan_on_small_graphs(self, g):
+        assert _dsatur_coloring(g) == brute_dsatur(g)
+
+    @pytest.mark.parametrize("n", [0, 1, 9])
+    def test_matches_scan_on_empty_graphs(self, n):
+        g = cs.Graph(n)
+        assert _dsatur_coloring(g) == brute_dsatur(g) == [0] * n
+
+    @pytest.mark.parametrize("text", [
+        "complete:1", "complete:7", "union:3+3+3", "union:1+4+2+4", "union:5+5",
+    ])
+    def test_matches_scan_on_tied_families(self, text):
+        g = cs.generate(cs.parse_recipe(text))
+        assert _dsatur_coloring(g) == brute_dsatur(g)
+
+    @pytest.mark.parametrize("length", [5, 7, 9])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_matches_scan_on_cycle_clique_products(self, length, m):
+        g = strong(length, m)
+        assert _dsatur_coloring(g) == brute_dsatur(g)
+
+    def test_matches_scan_on_large_regular(self):
+        g = regular(1000, 16, seed=3)
+        assert _dsatur_coloring(g) == brute_dsatur(g)
 
 
 class TestPartitionSpec:
