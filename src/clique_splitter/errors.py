@@ -46,9 +46,9 @@ class PreconditionError(CliqueSplitterError, ValueError):
 class AllStrategiesExhausted(CliqueSplitterError, RuntimeError):
     """Every partition strategy failed on a hypothesis-satisfying input.
 
-    ``proven_infeasible`` is True when an exhaustive search established
-    that no valid partition exists (small instances only); otherwise the
-    failure is merely a search failure.
+    ``proven_infeasible`` is True when an exhaustive search completed
+    within its node budget and established that no valid partition
+    exists; otherwise the failure is merely a search failure.
     """
 
     def __init__(self, message: str, diagnostics: dict | None = None,
@@ -68,4 +68,5 @@ class SearchFailureError(CliqueSplitterError, RuntimeError):
 
 
 class BudgetExceededError(CliqueSplitterError, RuntimeError):
-    """An exhaustive routine refused an input beyond its budget."""
+    """An exhaustive routine refused an input beyond its budget, or ran
+    out of its budget part-way."""

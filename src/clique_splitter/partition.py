@@ -3,8 +3,8 @@
 The central operation splits a graph with max degree D and clique number
 at most D-1 into parts V_1..V_k with omega(g[V_i]) <= p_i - 1, where the
 quotas satisfy sum(p_i) = D - 1 + k. Two-part splits run a strategy
-cascade (proper-coloring shortcut, independent-set stripping, clique-split
-exchange search, and an exhaustive fallback at small n); k-way splits
+cascade (proper-coloring shortcut, independent-set stripping, and an
+exact search that stops after EXACT_NODES nodes, at any n); k-way splits
 recurse through two-part splits with greedy migration and star padding.
 
 Every returned partition is re-verified with exact per-part clique
@@ -29,6 +29,7 @@ from .cliques import (
 )
 from .errors import (
     AllStrategiesExhausted,
+    BudgetExceededError,
     PreconditionError,
     SearchFailureError,
 )
@@ -37,7 +38,7 @@ from .graphs import Graph, _mix, induced_subgraph
 log = logging.getLogger("clique_splitter.partition")
 
 EXACT_FALLBACK_N = 14
-EXACT_KWAY_N = 12
+EXACT_NODES = 20_000
 
 
 # ---------------------------------------------------------------------------
@@ -252,37 +253,50 @@ def _independent_set(g: Graph) -> tuple[int, ...]:
 
 def _exact_partition_assignment(g: Graph, quotas) -> list[int] | None:
     """Complete backtracking over vertex assignments with per-part clique
-    pruning; None means no valid partition exists. Small n only."""
+    pruning; None means no valid partition exists.
+
+    Vertices are placed in descending-degree order, each into the first
+    part it can join without completing a clique of that part's quota;
+    of several empty parts with equal quotas only the first is tried,
+    and backtracking resumes at the next part. The search keeps an
+    explicit stack of choices rather than one frame per vertex, so it
+    runs at any n, and raises BudgetExceededError once it has visited
+    EXACT_NODES nodes (the root plus one node per placement).
+    """
     quotas = tuple(quotas)
     k = len(quotas)
+    n = g.n
     adj = g.adjacency_bits
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
     masks = [0] * k
-
-    def place(i: int) -> bool:
-        if i == g.n:
-            return True
-        v = order[i]
-        bit = 1 << v
-        tried_empty: set[int] = set()
-        for j in range(k):
-            if masks[j] == 0:
-                if quotas[j] in tried_empty:
-                    continue
-                tried_empty.add(quotas[j])
-            if not kernels.has_clique_of_size(adj, masks[j] & adj[v], quotas[j] - 1):
-                masks[j] |= bit
-                if place(i + 1):
-                    return True
-                masks[j] &= ~bit
-        return False
-
-    if not place(0):
-        return None
-    assignment = [0] * g.n
-    for j in range(k):
-        for v in kernels.from_mask(masks[j]):
-            assignment[v] = j
+    chosen: list[int] = []  # chosen[i] is the part holding order[i]
+    nodes = 1
+    j = 0  # next part to try for order[len(chosen)]
+    while len(chosen) < n:
+        v = order[len(chosen)]
+        while j < k:
+            empty_twin = masks[j] == 0 and any(
+                masks[h] == 0 and quotas[h] == quotas[j] for h in range(j))
+            if not empty_twin and not kernels.has_clique_of_size(
+                    adj, masks[j] & adj[v], quotas[j] - 1):
+                break
+            j += 1
+        if j < k:
+            nodes += 1
+            if nodes > EXACT_NODES:
+                raise BudgetExceededError(f"stopped after {EXACT_NODES} nodes")
+            masks[j] |= 1 << v
+            chosen.append(j)
+            j = 0
+        elif chosen:
+            j = chosen.pop()
+            masks[j] &= ~(1 << order[len(chosen)])
+            j += 1
+        else:
+            return None
+    assignment = [0] * n
+    for v, j in zip(order, chosen):
+        assignment[v] = j
     return assignment
 
 
@@ -803,23 +817,10 @@ def _stripping_strategy(g: Graph, p: int, q: int, seed: int, diags: dict):
     return _build_checked(g, parts, (p, q), "stripping", diags, "stripping")
 
 
-def _attach_pendant_clique(g: Graph, delta: int) -> Graph:
-    """Join a clique on delta-1 fresh vertices to a minimum-degree vertex
-    by a single edge; raises the clique number to delta-1 while keeping
-    the max degree at delta."""
-    v = min(range(g.n), key=lambda u: (g.degree(u), u))
-    base = g.n
-    extra = delta - 1
-    edges = g.edges()
-    edges += [(base + i, base + j) for i in range(extra) for j in range(i + 1, extra)]
-    edges.append((v, base))
-    return Graph(base + extra, edges)
-
-
 def _partition_free(g: Graph, p: int, q: int, seed: int, depth: int):
     """Best-effort split with omega(V1) <= p-1 and omega(V2) <= q-1, free
-    of any degree arithmetic. Used on remainders inside the exchange
-    strategy."""
+    of any degree arithmetic. Used on clique remainders inside
+    max_kpfree_partition."""
     n = g.n
     if n == 0:
         return [], []
@@ -840,56 +841,22 @@ def _partition_free(g: Graph, p: int, q: int, seed: int, depth: int):
     if parts is not None:
         return parts
     if n <= EXACT_FALLBACK_N:
-        assignment = _exact_partition_assignment(g, (p, q))
+        try:
+            assignment = _exact_partition_assignment(g, (p, q))
+        except BudgetExceededError:
+            assignment = None
         if assignment is not None:
             return ([v for v in range(n) if assignment[v] == 0],
                     [v for v in range(n) if assignment[v] == 1])
     return None
 
 
-def _exchange_strategy(g: Graph, p: int, q: int, seed: int, diags: dict):
-    delta = g.max_degree
-    omega = clique_number(g).omega
-    base = g
-    if omega in (delta - 2, delta - 3) and g.min_degree < delta:
-        base = _attach_pendant_clique(g, delta)
-    real_n = g.n
-    for K in all_maximum_cliques(base)[:8]:
-        t = len(K)
-        if t > (p - 1) + (q - 1):
-            continue
-        rest = [v for v in range(base.n) if v not in set(K)]
-        sub, back = induced_subgraph(base, rest)
-        wsplit = _partition_free(sub, p, q, seed, depth=1)
-        if wsplit is None:
-            diags[f"exchange/K@{K[0]}"] = "no quota-free split of the remainder"
-            continue
-        w1 = [back[v] for v in wsplit[0]]
-        w2 = [back[v] for v in wsplit[1]]
-        try:
-            family = CliqueSplitFamily(base, K, w1, w2, p, q)
-        except PreconditionError as exc:
-            diags[f"exchange/K@{K[0]}"] = str(exc)
-            continue
-        result = exchange_refine(base, family, p, q)
-        if isinstance(result, Partition):
-            parts = [[v for v in side if v < real_n] for side in result.parts]
-            built = _build_checked(g, parts, (p, q), "exchange", diags, f"exchange/K@{K[0]}")
-            if built is not None:
-                return built
-        else:
-            diags[f"exchange/K@{K[0]}"] = (
-                f"stuck on a size-{len(result.offending_clique)} clique "
-                f"at score {result.score} after {result.moves} moves")
-    diags.setdefault("exchange", "every seeded clique split got stuck")
-    return None
-
-
 def _exact_strategy(g: Graph, p: int, q: int, seed: int, diags: dict):
-    if g.n > EXACT_FALLBACK_N:
-        diags["exact"] = f"skipped (n={g.n} above {EXACT_FALLBACK_N})"
+    try:
+        assignment = _exact_partition_assignment(g, (p, q))
+    except BudgetExceededError as exc:
+        diags["exact"] = str(exc)
         return None
-    assignment = _exact_partition_assignment(g, (p, q))
     if assignment is None:
         diags["exact"] = "proved infeasible"
         return None
@@ -902,9 +869,10 @@ def clique_bipartition(g: Graph, p: int, q: int, seed: int = 0) -> Partition:
     clique number at most max degree - 1.
 
     Strategies run in order: proper-coloring shortcut, independent-set
-    stripping, exchange search over clique splits, and an exhaustive
-    search for small graphs. AllStrategiesExhausted carries per-strategy
-    diagnostics; with proven_infeasible set it is a certified negative.
+    stripping, and an exact search that stops after EXACT_NODES nodes.
+    AllStrategiesExhausted carries per-strategy diagnostics; with
+    proven_infeasible set, because the exact search completed without a
+    partition, it is a certified negative.
     """
     delta = g.max_degree
     if q < 2 or p < q:
@@ -918,8 +886,7 @@ def clique_bipartition(g: Graph, p: int, q: int, seed: int = 0) -> Partition:
             f"clique number {cert.omega} exceeds max degree - 1 = {delta - 1}",
             witness=cert.witness)
     diags: dict[str, str] = {}
-    for strategy in (_coloring_strategy, _stripping_strategy,
-                     _exchange_strategy, _exact_strategy):
+    for strategy in (_coloring_strategy, _stripping_strategy, _exact_strategy):
         part = strategy(g, p, q, seed, diags)
         if part is not None:
             log.debug("clique_bipartition(p=%d, q=%d) solved by %s", p, q, part.strategy)
@@ -957,6 +924,9 @@ def _kway_parts(g: Graph, quotas: tuple[int, ...], seed: int, depth: int):
         bip = clique_bipartition(g, p, q, seed=seed)
     except AllStrategiesExhausted as exc:
         exc.depth = depth
+        if depth:
+            # a proof about a padded remainder says nothing about the input
+            exc.proven_infeasible = False
         raise
     v1 = list(bip.parts[0])
     v2 = set(bip.parts[1])
@@ -1013,19 +983,27 @@ def kway_clique_partition(g: Graph, spec, seed: int = 0) -> Partition:
     try:
         parts, strategies = _kway_parts(g, spec.quotas, seed, 0)
     except AllStrategiesExhausted as exc:
-        if g.n <= EXACT_KWAY_N:
-            assignment = _exact_partition_assignment(g, spec.quotas)
-            if assignment is not None:
-                parts = [[v for v in range(g.n) if assignment[v] == i]
-                         for i in range(spec.k)]
-                strategies = ["exact-kway"]
-            else:
-                raise AllStrategiesExhausted(
-                    "exhaustive search proves no valid partition exists",
-                    exc.diagnostics, depth=exc.depth,
-                    proven_infeasible=True) from exc
-        else:
+        # A proof at depth 0 covers the input: merging the first k-1 parts
+        # of any valid k-way partition gives a valid top-level split. For
+        # k = 2 the top-level exact stage has already searched the input.
+        if exc.proven_infeasible:
+            assignment = None
+        elif spec.k == 2:
             raise
+        else:
+            try:
+                assignment = _exact_partition_assignment(g, spec.quotas)
+            except BudgetExceededError as stop:
+                exc.diagnostics["exact-kway"] = str(stop)
+                raise exc from None
+        if assignment is None:
+            raise AllStrategiesExhausted(
+                "exhaustive search proves no valid partition exists",
+                exc.diagnostics, depth=exc.depth,
+                proven_infeasible=True) from exc
+        parts = [[v for v in range(g.n) if assignment[v] == i]
+                 for i in range(spec.k)]
+        strategies = ["exact-kway"]
     part = partition_from_parts(g, parts, strategy=";".join(strategies))
     if not part.satisfies(spec.quotas):
         raise SearchFailureError(

@@ -107,6 +107,47 @@ def brute_dsatur(g: Graph) -> list[int]:
     return colors
 
 
+def brute_first_assignment(g: Graph, quotas) -> tuple[list[int] | None, int]:
+    """The first valid assignment in the exact search's order, found by
+    plain recursion: vertices by descending degree, then index; parts in
+    order, skipping an empty part when an earlier empty part has the same
+    quota. Returns it (None when none exists) with the number of calls
+    made, one per placement plus the root."""
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    parts: list[list[int]] = [[] for _ in quotas]
+    calls = 0
+
+    def joins(v: int, j: int) -> bool:
+        near = [u for u in parts[j] if g.has_edge(u, v)]
+        return not any(is_clique(g, c)
+                       for c in itertools.combinations(near, quotas[j] - 1))
+
+    def place(i: int) -> bool:
+        nonlocal calls
+        calls += 1
+        if i == g.n:
+            return True
+        v = order[i]
+        for j in range(len(quotas)):
+            if not parts[j] and any(not parts[h] and quotas[h] == quotas[j]
+                                    for h in range(j)):
+                continue
+            if joins(v, j):
+                parts[j].append(v)
+                if place(i + 1):
+                    return True
+                parts[j].pop()
+        return False
+
+    if not place(0):
+        return None, calls
+    assignment = [0] * g.n
+    for j, members in enumerate(parts):
+        for v in members:
+            assignment[v] = j
+    return assignment, calls
+
+
 def brute_chromatic(g: Graph) -> int:
     if g.n == 0:
         return 0

@@ -423,3 +423,40 @@ def test_criterion_8_probe_sanity():
     _report("8 probe sanity", ok,
             f"{len(findings)} findings, {contradictions} contradictions")
     assert contradictions == 0
+
+
+def test_criterion_9_hard_instance_regime():
+    # Odd-cycle strong products C_L x K_m: the coloring shortcut and the
+    # stripping stage fail on several pairs, some of which are infeasible,
+    # so the answers rest on the budgeted exact stage. Every answer is a
+    # valid partition or a proof, and matches the oracle either way.
+    started = time.perf_counter()
+    runs = 0
+    unproven = 0
+    disagreements = 0
+    for length in range(5, 22, 2):
+        for m in (2, 3):
+            g = cs.generate(cs.GeneratorRecipe(
+                "strong_product_cycle_clique", {"cycle_len": length, "m": m}))
+            budget = cs.OracleBudget(assignment_cap=g.n)
+            for p, q in feasible_pairs(g):
+                runs += 1
+                spec = cs.PartitionSpec((p, q))
+                feasible, _ = cs.exists_clique_partition(g, spec, budget)
+                try:
+                    part = cs.clique_bipartition(g, p, q)
+                except cs.AllStrategiesExhausted as exc:
+                    if not exc.proven_infeasible:
+                        unproven += 1
+                    elif feasible:
+                        disagreements += 1
+                    continue
+                if not (feasible and cs.verify_partition(g, part, spec).valid):
+                    disagreements += 1
+    elapsed = time.perf_counter() - started
+    ok = unproven == 0 and disagreements == 0
+    _report("9 hard-instance regime", ok,
+            f"18 products, {runs} (p,q) runs, {unproven} unproven give-ups, "
+            f"{disagreements} disagreements, {elapsed:.1f}s")
+    assert unproven == 0
+    assert disagreements == 0

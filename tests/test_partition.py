@@ -1,13 +1,21 @@
 import itertools
+import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clique_splitter as cs
-from clique_splitter.partition import CliqueSplitFamily, _dsatur_coloring
+from clique_splitter import partition
+from clique_splitter.partition import (
+    CliqueSplitFamily,
+    _dsatur_coloring,
+    _exact_partition_assignment,
+)
 from _brute import (
     brute_dsatur,
+    brute_first_assignment,
     brute_has_transversal,
     brute_omega,
     is_clique,
@@ -420,7 +428,7 @@ class TestExchangeRefine:
 class TestAdversarialRegimeInstances:
     # strong products with max degree 14: the coloring shortcut fails on
     # these (they need close to max-degree many colors), forcing the
-    # stripping and exchange machinery to carry the construction
+    # stripping stage or the exact search to carry the construction
     def test_c5_strong_k5_every_pair(self):
         g = strong(5, 5)
         delta = g.max_degree
@@ -429,49 +437,12 @@ class TestAdversarialRegimeInstances:
             p = delta + 1 - q
             part = cs.clique_bipartition(g, p, q)
             assert cs.verify_partition(g, part, cs.PartitionSpec((p, q))).valid
-            assert part.strategy in ("stripping", "exchange")
+            assert part.strategy in ("stripping", "exact")
 
     def test_c7_strong_k5_balanced_pair(self):
         g = strong(7, 5)
         part = cs.clique_bipartition(g, 8, 7)
         assert cs.verify_partition(g, part, cs.PartitionSpec((8, 7))).valid
-
-
-class TestPendantCliqueAugmentation:
-    def _omega_delta_minus_2_instance(self):
-        # K12 plus three outside vertices adjacent to ten clique vertices
-        # each: max degree 14 on the clique side, omega 12, not regular
-        edges = [(u, v) for u in range(12) for v in range(u + 1, 12)]
-        for i, x in enumerate((12, 13, 14)):
-            for t in range(10):
-                edges.append(((t + i) % 12, x))
-        return cs.Graph(15, edges)
-
-    def test_augmented_graph_shape(self):
-        from clique_splitter.partition import _attach_pendant_clique
-        g = self._omega_delta_minus_2_instance()
-        delta = g.max_degree
-        assert delta == 14 and cs.clique_number(g).omega == 12
-        assert g.min_degree < delta
-        aug = _attach_pendant_clique(g, delta)
-        assert aug.n == g.n + delta - 1
-        assert aug.max_degree == delta
-        assert cs.clique_number(aug).omega == delta - 1
-        # exactly one bridge edge into the fresh clique
-        bridge = [(u, v) for u, v in aug.edges() if u < g.n <= v]
-        assert len(bridge) == 1
-
-    def test_exchange_strategy_projects_back(self):
-        from clique_splitter.partition import _exchange_strategy
-        g = self._omega_delta_minus_2_instance()
-        delta = g.max_degree
-        p, q = 8, 7
-        assert p + q == delta + 1
-        diags = {}
-        part = _exchange_strategy(g, p, q, 0, diags)
-        assert part is not None, diags
-        assert len(part.assignment) == g.n
-        assert cs.verify_partition(g, part, cs.PartitionSpec((p, q))).valid
 
 
 class TestCliqueBipartition:
@@ -501,6 +472,20 @@ class TestCliqueBipartition:
         ok, _ = cs.exists_clique_partition(g, cs.PartitionSpec((4, 2)))
         assert not ok
 
+    def test_omega_delta_minus_2_every_pair(self):
+        # K12 plus three outside vertices adjacent to ten clique vertices
+        # each: max degree 14 on the clique side, omega 12, not regular
+        edges = [(u, v) for u in range(12) for v in range(u + 1, 12)]
+        for i, x in enumerate((12, 13, 14)):
+            for t in range(10):
+                edges.append(((t + i) % 12, x))
+        g = cs.Graph(15, edges)
+        assert g.max_degree == 14 and cs.clique_number(g).omega == 12
+        for q in range(2, 8):
+            p = 15 - q
+            part = cs.clique_bipartition(g, p, q)
+            assert cs.verify_partition(g, part, cs.PartitionSpec((p, q))).valid
+
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("n", [9, 11, 12])
     def test_small_corpus_oracle_agreement(self, n, seed):
@@ -521,6 +506,65 @@ class TestCliqueBipartition:
                 assert not ok, f"engine gave up on feasible ({p},{q})"
                 continue
             assert cs.verify_partition(g, part, spec).valid
+
+
+class TestExactSearchBudget:
+    @staticmethod
+    def _matches_reference(g, quotas):
+        # same assignment as a plain recursion, and exactly its node count:
+        # one node fewer stops the search (the root alone is always visited)
+        expected, nodes = brute_first_assignment(g, quotas)
+        with mock.patch.object(partition, "EXACT_NODES", nodes):
+            assert _exact_partition_assignment(g, quotas) == expected
+        if nodes > 1:
+            with mock.patch.object(partition, "EXACT_NODES", nodes - 1):
+                with pytest.raises(cs.BudgetExceededError):
+                    _exact_partition_assignment(g, quotas)
+
+    @given(small_graphs(max_n=9),
+           st.lists(st.integers(2, 4), min_size=1, max_size=3))
+    @settings(max_examples=150)
+    def test_matches_recursive_reference(self, g, quotas):
+        self._matches_reference(g, quotas)
+
+    # dense and infeasible cases, where backtracking and the rule for
+    # empty parts of equal quota decide the answer and the node count
+    @pytest.mark.parametrize("text, quotas", [
+        ("complete:5", (3, 3)),
+        ("complete:5", (2, 2, 2)),
+        ("complete:6", (3, 3, 2)),
+        ("cycle:5", (2, 2)),
+        ("strong:5x2", (3, 3)),
+        ("strong:5x2", (4, 2)),
+        ("strong:5x2", (2, 2, 2, 2)),
+        ("strong:7x2", (3, 2, 2)),
+    ])
+    def test_matches_recursive_reference_on_hard_cases(self, text, quotas):
+        self._matches_reference(cs.generate(cs.parse_recipe(text)), quotas)
+
+    def test_stack_search_runs_past_the_recursion_limit(self):
+        g = regular(1500, 4, 0)
+        assert g.n > sys.getrecursionlimit()
+        assignment = _exact_partition_assignment(g, (3, 2))
+        assert assignment is not None
+        part = cs.partition_from_assignment(g, assignment, 2)
+        assert cs.verify_partition(g, part, cs.PartitionSpec((3, 2))).valid
+
+    def test_proof_within_budget(self):
+        # C9 x K2 at (4, 2) is infeasible, and the proof visits 242 nodes
+        with pytest.raises(cs.AllStrategiesExhausted) as err:
+            cs.clique_bipartition(strong(9, 2), 4, 2)
+        assert err.value.proven_infeasible
+        assert err.value.diagnostics["exact"] == "proved infeasible"
+
+    @pytest.mark.parametrize("nodes, proven", [(50, False), (241, False), (242, True)])
+    def test_small_budget_gives_up_unproven(self, monkeypatch, nodes, proven):
+        monkeypatch.setattr(partition, "EXACT_NODES", nodes)
+        with pytest.raises(cs.AllStrategiesExhausted) as err:
+            cs.clique_bipartition(strong(9, 2), 4, 2)
+        assert err.value.proven_infeasible is proven
+        if not proven:
+            assert err.value.diagnostics["exact"] == f"stopped after {nodes} nodes"
 
 
 class TestKwayCliquePartition:
@@ -567,6 +611,39 @@ class TestKwayCliquePartition:
         except cs.AllStrategiesExhausted:
             ok_bip = None
         assert ok_kway == ok_bip
+
+    def test_k2_proof_is_not_searched_twice(self, monkeypatch):
+        calls = []
+
+        def counted(g, quotas):
+            calls.append(tuple(quotas))
+            return _exact_partition_assignment(g, quotas)
+
+        monkeypatch.setattr(partition, "_exact_partition_assignment", counted)
+        with pytest.raises(cs.AllStrategiesExhausted) as err:
+            cs.kway_clique_partition(strong(9, 2), cs.PartitionSpec((4, 2)))
+        assert err.value.proven_infeasible
+        assert str(err.value) == "exhaustive search proves no valid partition exists"
+        assert calls == [(4, 2)]
+
+    def test_proof_below_the_top_level_is_not_a_proof(self, monkeypatch):
+        # a deeper level works on a padded remainder, so its proof must not
+        # surface as a proof about the input when the k-way search stops
+        g = regular(28, 13, 3)
+        real = cs.clique_bipartition
+
+        def failing_below_top(h, p, q, seed=0):
+            if h is g:
+                return real(h, p, q, seed=seed)
+            raise cs.AllStrategiesExhausted("forced", {}, proven_infeasible=True)
+
+        monkeypatch.setattr(partition, "clique_bipartition", failing_below_top)
+        monkeypatch.setattr(partition, "EXACT_NODES", 1)
+        with pytest.raises(cs.AllStrategiesExhausted) as err:
+            cs.kway_clique_partition(g, cs.PartitionSpec((5, 5, 5)))
+        assert err.value.depth == 1
+        assert not err.value.proven_infeasible
+        assert err.value.diagnostics["exact-kway"] == "stopped after 1 nodes"
 
     def test_dummies_never_leak(self):
         g = regular(28, 13, 3)
