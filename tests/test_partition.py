@@ -445,6 +445,72 @@ class TestAdversarialRegimeInstances:
         assert cs.verify_partition(g, part, cs.PartitionSpec((8, 7))).valid
 
 
+class TestPendantCliqueAugmentation:
+    # A graph with omega = delta - 2 and a vertex below max degree can be
+    # raised to omega = delta - 1 by a pendant K_{delta-1} on one bridge
+    # edge; a split of the augmented graph restricts to one of the original.
+    def _omega_delta_minus_2_instance(self):
+        # K12 plus three outside vertices adjacent to ten clique vertices
+        # each: max degree 14 on the clique side, omega 12, not regular
+        edges = [(u, v) for u in range(12) for v in range(u + 1, 12)]
+        for i, x in enumerate((12, 13, 14)):
+            for t in range(10):
+                edges.append(((t + i) % 12, x))
+        return cs.Graph(15, edges)
+
+    @staticmethod
+    def _attach_pendant_clique(g, delta):
+        v = min(range(g.n), key=lambda u: (g.degree(u), u))
+        extra = delta - 1
+        edges = g.edges()
+        edges += [(g.n + i, g.n + j) for i in range(extra) for j in range(i + 1, extra)]
+        edges.append((v, g.n))
+        return cs.Graph(g.n + extra, edges)
+
+    def test_augmented_graph_shape(self):
+        g = self._omega_delta_minus_2_instance()
+        delta = g.max_degree
+        assert delta == 14 and cs.clique_number(g).omega == 12
+        assert g.min_degree < delta
+        aug = self._attach_pendant_clique(g, delta)
+        assert aug.n == g.n + delta - 1
+        assert aug.max_degree == delta
+        assert cs.clique_number(aug).omega == delta - 1
+        # exactly one bridge edge into the fresh clique
+        bridge = [(u, v) for u, v in aug.edges() if u < g.n <= v]
+        assert len(bridge) == 1
+        # the engine accepts the augmented graph, and its split projects back
+        part = cs.clique_bipartition(aug, 8, 7)
+        assert cs.verify_partition(aug, part, cs.PartitionSpec((8, 7))).valid
+        parts = [[v for v in side if v < g.n] for side in part.parts]
+        back = cs.partition_from_parts(g, parts)
+        assert cs.verify_partition(g, back, cs.PartitionSpec((8, 7))).valid
+
+    def test_exchange_strategy_projects_back(self):
+        from clique_splitter.graphs import induced_subgraph
+        g = self._omega_delta_minus_2_instance()
+        delta = g.max_degree
+        p, q = 8, 7
+        assert p + q == delta + 1
+        aug = self._attach_pendant_clique(g, delta)
+        # seed the exchange with the fresh maximum clique and a quota-free
+        # split of everything else, as in the paper's clique-split argument
+        K = cs.all_maximum_cliques(aug)[0]
+        assert set(K) == set(range(g.n, aug.n))
+        rest = [v for v in range(aug.n) if v not in set(K)]
+        sub, back = induced_subgraph(aug, rest)
+        wsplit = partition._partition_free(sub, p, q, 0, depth=1)
+        assert wsplit is not None
+        family = CliqueSplitFamily(aug, K, [back[v] for v in wsplit[0]],
+                                   [back[v] for v in wsplit[1]], p, q)
+        result = cs.exchange_refine(aug, family, p, q)
+        assert isinstance(result, cs.Partition), result
+        parts = [[v for v in side if v < g.n] for side in result.parts]
+        part = cs.partition_from_parts(g, parts)
+        assert len(part.assignment) == g.n
+        assert cs.verify_partition(g, part, cs.PartitionSpec((p, q))).valid
+
+
 class TestCliqueBipartition:
     def test_wrong_arithmetic_rejected(self):
         with pytest.raises(cs.PreconditionError):
