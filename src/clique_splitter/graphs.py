@@ -47,10 +47,27 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             sets[u].add(v)
             sets[v].add(u)
-        self.n = n
-        self._neighbors = tuple(tuple(sorted(s)) for s in sets)
-        self._bits = tuple(sum(1 << w for w in s) for s in sets)
-        degrees = [len(s) for s in sets]
+        self._fill(tuple(tuple(sorted(s)) for s in sets))
+
+    @classmethod
+    def _from_neighbors(cls, neighbors: tuple[tuple[int, ...], ...]) -> Graph:
+        """Graph whose vertex ``v`` has the neighbor tuple ``neighbors[v]``.
+
+        Nothing is checked: each tuple must be sorted, in range, free of
+        ``v`` itself, and the relation symmetric.
+        """
+        g = object.__new__(cls)
+        g._fill(neighbors)
+        return g
+
+    def _fill(self, neighbors: tuple[tuple[int, ...], ...]) -> None:
+        self.n = len(neighbors)
+        self._neighbors = neighbors
+        # summing distinct powers of two is their union; map() over a
+        # bound method keeps the per-neighbor loop out of the interpreter
+        shift = (1).__lshift__
+        self._bits = tuple(sum(map(shift, s)) for s in neighbors)
+        degrees = list(map(len, neighbors))
         self.edge_count = sum(degrees) // 2
         self.max_degree = max(degrees, default=0)
         self.min_degree = min(degrees, default=0)
@@ -198,9 +215,9 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} out of range for n={g.n}")
     pos = {v: i for i, v in enumerate(vertices)}
-    edges = [(i, pos[u]) for i, v in enumerate(vertices)
-             for u in g.neighbors(v) if u > v and u in pos]
-    return Graph(len(vertices), edges), vertices
+    # pos is increasing, so each mapped neighbor tuple stays sorted
+    neighbors = tuple(tuple([pos[u] for u in g.neighbors(v) if u in pos]) for v in vertices)
+    return Graph._from_neighbors(neighbors), vertices
 
 
 def strong_product(g1: Graph, g2: Graph) -> Graph:

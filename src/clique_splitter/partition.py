@@ -165,16 +165,6 @@ def _mask_omega(g: Graph, mask: int, stop_at: int = 0) -> int:
     return kernels.max_clique_size(g.adjacency_bits, mask, stop_at)
 
 
-def _build_checked(g: Graph, parts, quotas, strategy: str,
-                   diags: dict, key: str) -> Partition | None:
-    adj = g.adjacency_bits
-    for members, quota in zip(parts, quotas):
-        if kernels.has_clique_of_size(adj, kernels.to_mask(members), quota):
-            diags[key] = f"split leaves a clique of size {quota} in a quota-{quota} part"
-            return None
-    return partition_from_parts(g, parts, strategy=strategy)
-
-
 def _dsatur_coloring(g: Graph) -> list[int]:
     """Deterministic DSatur: highest saturation, then degree, then index.
 
@@ -802,19 +792,20 @@ def _coloring_strategy(g: Graph, p: int, q: int, seed: int, diags: dict):
         else:
             diags["coloring"] = f"DSatur used {ncolors} > {delta - 1} classes"
             return None
+    # At most delta-1 = p+q-2 classes: p-1 of them in V1 and at most q-1
+    # in V2, so neither part can hold a clique of its quota.
     classes = _color_classes(colors)
     classes.sort(key=lambda cls: (-len(cls), cls))
     v1 = sorted(v for cls in classes[: p - 1] for v in cls)
     v2 = sorted(v for cls in classes[p - 1:] for v in cls)
-    return _build_checked(g, [v1, v2], (p, q), "coloring", diags, "coloring")
+    return [v1, v2]
 
 
 def _stripping_strategy(g: Graph, p: int, q: int, seed: int, diags: dict):
     parts = _strip_parts(g, p, q)
     if parts is None:
         diags["stripping"] = "peeling left a too-large clique in the remainder"
-        return None
-    return _build_checked(g, parts, (p, q), "stripping", diags, "stripping")
+    return parts
 
 
 def _partition_free(g: Graph, p: int, q: int, seed: int, depth: int):
@@ -860,7 +851,34 @@ def _exact_strategy(g: Graph, p: int, q: int, seed: int, diags: dict):
     if assignment is None:
         diags["exact"] = "proved infeasible"
         return None
-    return partition_from_assignment(g, assignment, 2, strategy="exact")
+    return [[v for v in range(g.n) if assignment[v] == i] for i in range(2)]
+
+
+def _bipartition_parts(g: Graph, p: int, q: int, seed: int):
+    """The strategy cascade alone: ([V1, V2], strategy name), without
+    precondition checks or certificates. The caller vouches for the
+    preconditions and certifies the result."""
+    diags: dict[str, str] = {}
+    for name, strategy in (("coloring", _coloring_strategy),
+                           ("stripping", _stripping_strategy),
+                           ("exact", _exact_strategy)):
+        parts = strategy(g, p, q, seed, diags)
+        if parts is not None:
+            log.debug("clique_bipartition(p=%d, q=%d) solved by %s", p, q, name)
+            return parts, name
+    raise AllStrategiesExhausted(
+        f"no valid ({p},{q}) split found", diags,
+        proven_infeasible=diags.get("exact") == "proved infeasible")
+
+
+def _certified(g: Graph, parts, quotas, strategy: str) -> Partition:
+    """Partition with exact per-part certificates, checked against the quotas."""
+    part = partition_from_parts(g, parts, strategy=strategy)
+    if not part.satisfies(quotas):
+        raise SearchFailureError(
+            "post-verification failed",
+            {"omegas": [c.omega for c in part.certificates], "quotas": tuple(quotas)})
+    return part
 
 
 def clique_bipartition(g: Graph, p: int, q: int, seed: int = 0) -> Partition:
@@ -870,6 +888,8 @@ def clique_bipartition(g: Graph, p: int, q: int, seed: int = 0) -> Partition:
 
     Strategies run in order: proper-coloring shortcut, independent-set
     stripping, and an exact search that stops after EXACT_NODES nodes.
+    The split they return is checked once, with exact clique numbers of
+    both parts, and SearchFailureError is raised if it fails the quotas.
     AllStrategiesExhausted carries per-strategy diagnostics; with
     proven_infeasible set, because the exact search completed without a
     partition, it is a certified negative.
@@ -885,15 +905,8 @@ def clique_bipartition(g: Graph, p: int, q: int, seed: int = 0) -> Partition:
         raise PreconditionError(
             f"clique number {cert.omega} exceeds max degree - 1 = {delta - 1}",
             witness=cert.witness)
-    diags: dict[str, str] = {}
-    for strategy in (_coloring_strategy, _stripping_strategy, _exact_strategy):
-        part = strategy(g, p, q, seed, diags)
-        if part is not None:
-            log.debug("clique_bipartition(p=%d, q=%d) solved by %s", p, q, part.strategy)
-            return part
-    raise AllStrategiesExhausted(
-        f"no valid ({p},{q}) split found", diags,
-        proven_infeasible=diags.get("exact") == "proved infeasible")
+    parts, strategy = _bipartition_parts(g, p, q, seed)
+    return _certified(g, parts, (p, q), strategy)
 
 
 # ---------------------------------------------------------------------------
@@ -911,7 +924,33 @@ def _pad_star(g: Graph, target: int) -> tuple[Graph, int]:
     return Graph(g.n + extra, edges), g.n
 
 
+def _migrate(g: Graph, v1, v2, q: int) -> tuple[list[int], list[int]]:
+    """Move every V1 vertex whose neighbors in V2 hold no K_{q-1} into V2,
+    in ascending order; return both parts sorted.
+
+    Afterwards V2 is a maximal quota-free set, and every remaining V1
+    vertex keeps q-1 neighbors in V2, which caps the internal degree of
+    V1 at p. One pass suffices: V2 only grows and "N(v) & V2 holds a
+    K_{q-1}" is monotone in V2, so a vertex that stays once stays for
+    good, and a second pass would move nothing.
+    """
+    adj = g.adjacency_bits
+    v2 = list(v2)
+    v2mask = kernels.to_mask(v2)
+    stay = []
+    for v in sorted(v1):
+        if kernels.has_clique_of_size(adj, v2mask & adj[v], q - 1):
+            stay.append(v)
+        else:
+            v2.append(v)
+            v2mask |= 1 << v
+    return stay, sorted(v2)
+
+
 def _kway_parts(g: Graph, quotas: tuple[int, ...], seed: int, depth: int):
+    """Uncertified parts and the strategy used at each level. The
+    preconditions at depth 0 are the caller's; below, they follow from
+    it: the remainder is part of a valid V1, padded to max degree p."""
     k = len(quotas)
     if k == 1:
         if kernels.has_clique_of_size(g.adjacency_bits, _full_mask(g.n), quotas[0]):
@@ -921,33 +960,18 @@ def _kway_parts(g: Graph, quotas: tuple[int, ...], seed: int, depth: int):
     p = sum(quotas[:-1]) - (k - 2)
     q = quotas[-1]
     try:
-        bip = clique_bipartition(g, p, q, seed=seed)
+        (v1, v2), strategy = _bipartition_parts(g, p, q, seed)
     except AllStrategiesExhausted as exc:
         exc.depth = depth
         if depth:
             # a proof about a padded remainder says nothing about the input
             exc.proven_infeasible = False
         raise
-    v1 = list(bip.parts[0])
-    v2 = set(bip.parts[1])
-    adj = g.adjacency_bits
-    v2mask = kernels.to_mask(v2)
-    # Migrate greedily until V2 is a maximal quota-free set; afterwards
-    # every remaining V1 vertex keeps q-1 neighbors in V2, which caps the
-    # internal degree of V1 at p.
-    moved = True
-    while moved:
-        moved = False
-        for v in sorted(v1):
-            if not kernels.has_clique_of_size(adj, v2mask & adj[v], q - 1):
-                v1.remove(v)
-                v2.add(v)
-                v2mask |= 1 << v
-                moved = True
+    v1, v2 = _migrate(g, v1, v2, q)
     if k == 2:
-        return [sorted(v1), sorted(v2)], [bip.strategy or "?"]
+        return [v1, v2], [strategy]
     if not v1:
-        return [[] for _ in range(k - 1)] + [sorted(v2)], [bip.strategy or "?"]
+        return [[] for _ in range(k - 1)] + [v2], [strategy]
     sub, back = induced_subgraph(g, v1)
     if sub.max_degree > p:
         raise SearchFailureError(
@@ -955,7 +979,7 @@ def _kway_parts(g: Graph, quotas: tuple[int, ...], seed: int, depth: int):
     padded, real = _pad_star(sub, p)
     sub_parts, sub_strategies = _kway_parts(padded, quotas[:-1], seed, depth + 1)
     mapped = [[back[v] for v in side if v < real] for side in sub_parts]
-    return mapped + [sorted(v2)], [bip.strategy or "?"] + sub_strategies
+    return mapped + [v2], [strategy] + sub_strategies
 
 
 def kway_clique_partition(g: Graph, spec, seed: int = 0) -> Partition:
@@ -967,6 +991,12 @@ def kway_clique_partition(g: Graph, spec, seed: int = 0) -> Partition:
     the exact target degree with star dummies, recurse, and strip the
     dummies. Dummy vertices never appear in the returned partition or its
     certificates.
+
+    The preconditions are checked here, once: they imply those of every
+    level below, so the levels run the two-part cascade without checks
+    or certificates. The final partition is certified once, with exact
+    clique numbers of every part, and SearchFailureError is raised if it
+    fails a quota.
     """
     if not isinstance(spec, PartitionSpec):
         spec = PartitionSpec(tuple(spec))
@@ -1004,12 +1034,7 @@ def kway_clique_partition(g: Graph, spec, seed: int = 0) -> Partition:
         parts = [[v for v in range(g.n) if assignment[v] == i]
                  for i in range(spec.k)]
         strategies = ["exact-kway"]
-    part = partition_from_parts(g, parts, strategy=";".join(strategies))
-    if not part.satisfies(spec.quotas):
-        raise SearchFailureError(
-            "post-verification failed",
-            {"omegas": [c.omega for c in part.certificates], "quotas": spec.quotas})
-    return part
+    return _certified(g, parts, spec.quotas, ";".join(strategies))
 
 
 # ---------------------------------------------------------------------------

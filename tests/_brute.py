@@ -148,6 +148,34 @@ def brute_first_assignment(g: Graph, quotas) -> tuple[list[int] | None, int]:
     return assignment, calls
 
 
+def has_clique_within(g: Graph, cands, t: int) -> bool:
+    """Whether the vertices ``cands`` hold a clique of size ``t``, by
+    extending cliques one larger vertex at a time."""
+    if t <= 0:
+        return True
+    cands = sorted(cands)
+    if len(cands) < t:
+        return False
+    return any(has_clique_within(g, [u for u in cands[i + 1:] if g.has_edge(u, v)], t - 1)
+               for i, v in enumerate(cands))
+
+
+def brute_migrate(g: Graph, v1, v2, q: int) -> tuple[list[int], list[int]]:
+    """The k-way migration as a fixed point: sweep V1 in ascending order,
+    moving every vertex whose neighbors in V2 hold no clique of size
+    q-1, until a whole sweep moves nothing. Returns both parts sorted."""
+    v1, v2 = set(v1), set(v2)
+    moved = True
+    while moved:
+        moved = False
+        for v in sorted(v1):
+            if not has_clique_within(g, [u for u in v2 if g.has_edge(u, v)], q - 1):
+                v1.remove(v)
+                v2.add(v)
+                moved = True
+    return sorted(v1), sorted(v2)
+
+
 def brute_chromatic(g: Graph) -> int:
     if g.n == 0:
         return 0

@@ -255,6 +255,19 @@ class TestInducedSubgraph:
         edges = [(pos[u], pos[v]) for u, v in g.edges() if u in pos and v in pos]
         return cs.Graph(len(back), edges), back
 
+    @staticmethod
+    def _assert_same(got, want):
+        """Equal graphs, and every derived field equal too: induced_subgraph
+        builds its Graph from neighbor tuples, bypassing Graph.__init__."""
+        (sub, back), (ref, ref_back) = got, want
+        assert back == ref_back
+        assert sub == ref and hash(sub) == hash(ref)
+        assert sub._neighbors == ref._neighbors
+        assert sub._bits == ref._bits
+        assert [sub.degree(v) for v in range(sub.n)] == [ref.degree(v) for v in range(ref.n)]
+        assert (sub.n, sub.edge_count, sub.max_degree, sub.min_degree) == \
+            (ref.n, ref.edge_count, ref.max_degree, ref.min_degree)
+
     @pytest.mark.parametrize("make", [
         lambda: [9, 3, 14, 0, 7, 2],
         lambda: [5, 1, 5, 8, 1, 1, 12, 8],
@@ -264,14 +277,14 @@ class TestInducedSubgraph:
     ], ids=["unsorted", "duplicates", "generator", "empty", "full"])
     def test_matches_filtered_edge_list(self, make):
         g = cs.generate(cs.GeneratorRecipe("gnp", {"n": 20, "p": 0.35}, seed=11))
-        assert cs.induced_subgraph(g, make()) == self._filtered(g, make())
+        self._assert_same(cs.induced_subgraph(g, make()), self._filtered(g, make()))
 
     @given(small_graphs(), st.data())
     @settings(max_examples=60, deadline=None)
     def test_matches_filtered_edge_list_on_random_subsets(self, g, data):
         s = data.draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n)
                       if g.n else st.just([]))
-        assert cs.induced_subgraph(g, s) == self._filtered(g, s)
+        self._assert_same(cs.induced_subgraph(g, s), self._filtered(g, s))
 
     @given(small_graphs())
     @settings(max_examples=40, deadline=None)

@@ -1,4 +1,5 @@
 import itertools
+import random
 import sys
 from unittest import mock
 
@@ -10,13 +11,16 @@ import clique_splitter as cs
 from clique_splitter import partition
 from clique_splitter.partition import (
     CliqueSplitFamily,
+    _bipartition_parts,
     _dsatur_coloring,
     _exact_partition_assignment,
+    _migrate,
 )
 from _brute import (
     brute_dsatur,
     brute_first_assignment,
     brute_has_transversal,
+    brute_migrate,
     brute_omega,
     is_clique,
     is_independent,
@@ -552,6 +556,19 @@ class TestCliqueBipartition:
             part = cs.clique_bipartition(g, p, q)
             assert cs.verify_partition(g, part, cs.PartitionSpec((p, q))).valid
 
+    def test_invalid_split_is_never_returned(self, monkeypatch):
+        # the strategies return bare parts; the one exact check at the
+        # top of both public entry points must catch a wrong split
+        edges = [(u, v) for u in range(12) for v in range(u + 1, 12)]
+        edges += [((t + i) % 12, 12 + i) for i in range(3) for t in range(10)]
+        g = cs.Graph(15, edges)
+        monkeypatch.setattr(partition, "_coloring_strategy",
+                            lambda h, p, q, seed, diags: [[], list(range(h.n))])
+        with pytest.raises(cs.SearchFailureError, match="post-verification failed"):
+            cs.clique_bipartition(g, 8, 7)
+        with pytest.raises(cs.SearchFailureError, match="post-verification failed"):
+            cs.kway_clique_partition(g, cs.PartitionSpec((8, 7)))
+
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("n", [9, 11, 12])
     def test_small_corpus_oracle_agreement(self, n, seed):
@@ -633,6 +650,38 @@ class TestExactSearchBudget:
             assert err.value.diagnostics["exact"] == f"stopped after {nodes} nodes"
 
 
+class TestMigrate:
+    """The single migration pass must end where the old sweep-until-stable
+    loop ended."""
+
+    @staticmethod
+    def _random_split(g, seed):
+        rng = random.Random(seed)
+        in2 = [rng.random() < 0.3 for _ in range(g.n)]
+        return ([v for v in range(g.n) if not in2[v]],
+                [v for v in range(g.n) if in2[v]])
+
+    @given(small_graphs(), st.integers(2, 4), st.integers(0, 2**16))
+    @settings(max_examples=200)
+    def test_matches_fixed_point_on_small_graphs(self, g, q, seed):
+        v1, v2 = self._random_split(g, seed)
+        assert _migrate(g, v1, v2, q) == brute_migrate(g, v1, v2, q)
+
+    @pytest.mark.parametrize("g", [strong(7, 2), strong(9, 3), strong(11, 4),
+                                   gnp(60, 0.6, 1)],
+                             ids=["C7xK2", "C9xK3", "C11xK4", "gnp60"])
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_matches_fixed_point_on_cascade_splits(self, g, q):
+        p = g.max_degree + 1 - q
+        splits = [self._random_split(g, q)]
+        try:
+            splits.append(_bipartition_parts(g, p, q, 0)[0])
+        except cs.AllStrategiesExhausted:
+            pass
+        for v1, v2 in splits:
+            assert _migrate(g, v1, v2, q) == brute_migrate(g, v1, v2, q)
+
+
 class TestKwayCliquePartition:
     def test_three_parts_on_degree_13(self):
         g = regular(28, 13, 3)
@@ -696,14 +745,14 @@ class TestKwayCliquePartition:
         # a deeper level works on a padded remainder, so its proof must not
         # surface as a proof about the input when the k-way search stops
         g = regular(28, 13, 3)
-        real = cs.clique_bipartition
+        real = partition._bipartition_parts
 
-        def failing_below_top(h, p, q, seed=0):
+        def failing_below_top(h, p, q, seed):
             if h is g:
-                return real(h, p, q, seed=seed)
+                return real(h, p, q, seed)
             raise cs.AllStrategiesExhausted("forced", {}, proven_infeasible=True)
 
-        monkeypatch.setattr(partition, "clique_bipartition", failing_below_top)
+        monkeypatch.setattr(partition, "_bipartition_parts", failing_below_top)
         monkeypatch.setattr(partition, "EXACT_NODES", 1)
         with pytest.raises(cs.AllStrategiesExhausted) as err:
             cs.kway_clique_partition(g, cs.PartitionSpec((5, 5, 5)))
