@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Benchmark the pure-Python clique kernels against the compiled extension.
 
-Runs the exact max-clique search and full maximal-clique enumeration on a
-spread of instances and prints per-instance timings plus speedups.
+Runs the exact max-clique search, full maximal-clique enumeration and
+the decision query ``has_clique_of_size`` on a spread of instances, and
+prints per-instance timings plus speedups. The decision rows ask for a
+clique of the instance's clique number w (answer "yes") and of w+1
+(answer "no").
 
     python benchmarks/bench_kernels.py [--quick]
 """
@@ -12,9 +15,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 
-from clique_splitter import GeneratorRecipe, generate
-from clique_splitter import _pykernels as pure
+# Import the package from this checkout, with no install needed.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from clique_splitter import GeneratorRecipe, generate  # noqa: E402
+from clique_splitter import _pykernels as pure  # noqa: E402
 
 try:
     from clique_splitter import _ckernels as compiled
@@ -35,6 +42,7 @@ def instances(quick: bool):
         cases += [
             ("gnp n=120 p=0.35", GeneratorRecipe("gnp", {"n": 120, "p": 0.35}, seed=5)),
             ("gnp n=80 p=0.6", GeneratorRecipe("gnp", {"n": 80, "p": 0.6}, seed=6)),
+            ("gnp n=110 p=0.65", GeneratorRecipe("gnp", {"n": 110, "p": 0.65}, seed=7)),
         ]
     for name, recipe in cases:
         yield name, generate(recipe)
@@ -61,15 +69,16 @@ def main() -> int:
     for name, g in instances(args.quick):
         adj = list(g.adjacency_bits)
         mask = (1 << g.n) - 1
-        for task, fn_name in (("max clique", "max_clique_size"),
-                              ("enumerate", "maximal_cliques")):
-            pure_value, pure_time = timed(getattr(pure, fn_name), adj, mask)
+        omega = pure.max_clique_size(adj, mask)
+        for task, fn_name, args_ in (
+                ("max clique", "max_clique_size", (adj, mask)),
+                ("enumerate", "maximal_cliques", (adj, mask)),
+                ("decide w", "has_clique_of_size", (adj, mask, omega)),
+                ("decide w+1", "has_clique_of_size", (adj, mask, omega + 1))):
+            pure_value, pure_time = timed(getattr(pure, fn_name), *args_)
             if compiled is not None:
-                comp_value, comp_time = timed(getattr(compiled, fn_name), adj, mask)
-                if task == "max clique":
-                    assert pure_value == comp_value, (name, pure_value, comp_value)
-                else:
-                    assert pure_value == comp_value, f"{name}: enumeration mismatch"
+                comp_value, comp_time = timed(getattr(compiled, fn_name), *args_)
+                assert pure_value == comp_value, f"{name}: {task} mismatch"
                 ratio = pure_time / comp_time if comp_time > 0 else float("inf")
                 print(f"{name:<22} {task:<12} {pure_time:>8.4f}s {comp_time:>8.4f}s "
                       f"{ratio:>7.1f}x")

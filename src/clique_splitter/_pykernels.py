@@ -14,11 +14,19 @@ def max_clique_size(adj: Sequence[int], mask: int, stop_at: int = 0) -> int:
     """Largest clique size within ``mask`` (branch and bound, greedy
     coloring upper bounds, Tomita-style pivot order).
 
-    With ``stop_at > 0`` the search may stop early once a clique of at
-    least that size is known; the result is then a lower bound that is
-    only guaranteed exact when it is smaller than ``stop_at``.
+    With ``stop_at = 0`` the result is the clique number of ``mask``.
+    With ``stop_at > 0`` the call answers "does ``mask`` hold a clique of
+    ``stop_at`` vertices?": the result is ``>= stop_at`` exactly when it
+    does. The search stops once such a clique is found, and it prunes
+    every branch whose colour bound cannot reach ``stop_at`` (the k-clique
+    decision form of the Tomita-Seki bound), so a result below
+    ``stop_at`` is only the size of a clique found on the way and may be
+    less than the clique number. Either way the result never exceeds it.
     """
     best = 0
+    # A branch is pruned when it cannot beat max(best, floor); floor = -1
+    # never binds, so stop_at = 0 is the plain maximum-clique search.
+    floor = stop_at - 1
 
     def expand(cand: int, size: int) -> None:
         nonlocal best
@@ -45,7 +53,7 @@ def max_clique_size(adj: Sequence[int], mask: int, stop_at: int = 0) -> int:
                 bound.append(color)
         cur = cand
         for i in range(len(order) - 1, -1, -1):
-            if size + bound[i] <= best:
+            if size + bound[i] <= (best if best > floor else floor):
                 return
             v = order[i]
             cur ^= 1 << v

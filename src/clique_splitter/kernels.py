@@ -4,7 +4,10 @@ Set ``CLIQUE_SPLITTER_KERNEL=pure`` or ``=c`` to force a backend (the
 benchmark and the parity tests use this). The compiled path allocates its
 buffers on the heap for each call, sized by n, and is only used for graphs
 of at most ``_C_MAX_N`` (512) vertices; larger inputs use the pure twin
-without telling the caller.
+without telling the caller. With ``stop_at > 0`` the two backends may
+return different values of ``max_clique_size`` below ``stop_at``, but
+they agree on every decision (whether the result reaches ``stop_at``)
+and on every exact clique number (``stop_at = 0``).
 """
 
 from __future__ import annotations

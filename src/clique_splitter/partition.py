@@ -161,8 +161,8 @@ def _full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
-def _mask_omega(g: Graph, mask: int, stop_at: int = 0) -> int:
-    return kernels.max_clique_size(g.adjacency_bits, mask, stop_at)
+def _mask_omega(g: Graph, mask: int) -> int:
+    return kernels.max_clique_size(g.adjacency_bits, mask)
 
 
 def _dsatur_coloring(g: Graph) -> list[int]:

@@ -28,18 +28,29 @@ def is_independent(g: Graph, vs) -> bool:
     return not any(g.has_edge(u, v) for i, u in enumerate(vs) for v in vs[i + 1:])
 
 
+def _omega_within(neighbor_sets, cand: frozenset) -> int:
+    """Max clique size inside ``cand`` by plain include/exclude recursion."""
+    if not cand:
+        return 0
+    v = min(cand)
+    rest = cand - {v}
+    return max(_omega_within(neighbor_sets, rest),
+               1 + _omega_within(neighbor_sets, rest & neighbor_sets[v]))
+
+
 def brute_omega(g: Graph) -> int:
     """Max clique size by plain include/exclude recursion over vertex sets."""
-    neighbor_sets = [frozenset(g.neighbors(v)) for v in range(g.n)]
+    return _omega_within([frozenset(g.neighbors(v)) for v in range(g.n)],
+                         frozenset(range(g.n)))
 
-    def rec(cand: frozenset) -> int:
-        if not cand:
-            return 0
-        v = min(cand)
-        rest = cand - {v}
-        return max(rec(rest), 1 + rec(rest & neighbor_sets[v]))
 
-    return rec(frozenset(range(g.n)))
+def brute_mask_omega(adj, mask: int) -> int:
+    """Max clique size inside the vertex bitset ``mask`` of the neighbour
+    bitsets ``adj``, without the kernels."""
+    def members(bits: int) -> frozenset:
+        return frozenset(v for v in range(len(adj)) if bits >> v & 1)
+
+    return _omega_within([members(row) for row in adj], members(mask))
 
 
 def brute_cliques_of_size(g: Graph, t: int) -> list[tuple[int, ...]]:

@@ -10,6 +10,7 @@ import clique_splitter.kernels as kernels
 from _brute import (
     brute_cliques_of_size,
     brute_max_independent_size,
+    brute_mask_omega,
     brute_maximum_cliques,
     brute_omega,
     is_clique,
@@ -239,6 +240,21 @@ def bitset_graphs(draw, max_n=14):
         if draw(st.booleans()):
             mask |= 1 << v
     return adj, mask
+
+
+class TestDecisionSemantics:
+    @given(bitset_graphs())
+    @settings(max_examples=80, deadline=None)
+    def test_pure_kernel_against_reference(self, case):
+        from clique_splitter import _pykernels as pk
+
+        adj, mask = case
+        omega = brute_mask_omega(adj, mask)
+        for s in range(7):
+            value = pk.max_clique_size(adj, mask, s)
+            assert value == omega if s == 0 else value <= omega, (s, value, omega)
+            assert (value >= s) == (omega >= s), (s, value, omega)
+            assert pk.has_clique_of_size(adj, mask, s) == (omega >= s)
 
 
 class TestKernelParity:
