@@ -53,8 +53,6 @@ from .oracle import (
     verify_partition,
 )
 from .partition import (
-    CliqueSplitFamily,
-    ExchangeStuck,
     HittingSetResult,
     MaxKpfreeResult,
     Partition,
@@ -62,7 +60,6 @@ from .partition import (
     clique_bipartition,
     degree_bounded_bipartition,
     detect_cycle_clique_product,
-    exchange_refine,
     hitting_independent_set,
     kway_clique_partition,
     max_kpfree_partition,

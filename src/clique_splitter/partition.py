@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from . import kernels
 from .cliques import (
     CliqueCertificate,
-    _lex_smallest_clique,
     all_maximum_cliques,
     clique_number,
     maximum_independent_set,
@@ -37,7 +36,7 @@ from .graphs import Graph, _mix, induced_subgraph
 
 log = logging.getLogger("clique_splitter.partition")
 
-EXACT_FALLBACK_N = 14
+EXACT_FALLBACK_N = 14  # n cap: max_kpfree subset scan, exact recolouring, degree-bounded fallback
 EXACT_NODES = 20_000
 
 
@@ -133,16 +132,6 @@ class HittingSetResult:
     m: int | None = None
     omega_before: int | None = None
     omega_after: int | None = None
-
-
-@dataclass(frozen=True)
-class ExchangeStuck:
-    """Exchange search gave up: the clique it could not break and the state."""
-
-    offending_clique: tuple[int, ...]
-    side: int
-    score: int
-    moves: int
 
 
 @dataclass(frozen=True)
@@ -548,198 +537,6 @@ def hitting_independent_set(g: Graph) -> HittingSetResult:
 
 
 # ---------------------------------------------------------------------------
-# Exchange refinement over clique splits
-
-
-class CliqueSplitFamily:
-    """Search state: a distinguished clique K split into (V', V'') against
-    a fixed bipartition (W1, W2) of the remaining vertices.
-
-    The quota window constrains |V'| to [max(0, |K|-q+1), min(|K|, p-1)],
-    so both clique sides always fit their quotas. The cross-edge score
-    |E[W1, V']| + |E[W2, V'']| is maintained incrementally; the invariant
-    check recompute_score() rebuilds it from scratch.
-    """
-
-    def __init__(self, g: Graph, clique, w1, w2, p: int, q: int,
-                 initial_v1=None):
-        self.g = g
-        self.clique = tuple(sorted(set(clique)))
-        t = len(self.clique)
-        adj = g.adjacency_bits
-        kmask = kernels.to_mask(self.clique)
-        for v in self.clique:
-            if (adj[v] & kmask) != kmask ^ (1 << v):
-                raise PreconditionError(f"vertex set is not a clique at vertex {v}")
-        w1 = tuple(sorted(set(w1)))
-        w2 = tuple(sorted(set(w2)))
-        outside = set(range(g.n)) - set(self.clique)
-        if set(w1) | set(w2) != outside or set(w1) & set(w2):
-            raise PreconditionError("W1 and W2 must bipartition the vertices outside K")
-        lo = max(0, t - (q - 1))
-        hi = min(t, p - 1)
-        if lo > hi:
-            raise PreconditionError(
-                f"empty quota window for |K|={t} with p={p}, q={q}")
-        self.p, self.q = p, q
-        self.window = (lo, hi)
-        self.w1_mask = kernels.to_mask(w1)
-        self.w2_mask = kernels.to_mask(w2)
-        self.cross1 = {v: (adj[v] & self.w1_mask).bit_count() for v in self.clique}
-        self.cross2 = {v: (adj[v] & self.w2_mask).bit_count() for v in self.clique}
-        if initial_v1 is None:
-            initial_v1 = self.clique[:hi]
-        initial_v1 = tuple(sorted(set(initial_v1)))
-        if not set(initial_v1) <= set(self.clique) or not lo <= len(initial_v1) <= hi:
-            raise PreconditionError("initial split outside the quota window")
-        self.v1_mask = kernels.to_mask(initial_v1)
-        self.score = self.recompute_score()
-
-    @property
-    def v2_mask(self) -> int:
-        return kernels.to_mask(self.clique) & ~self.v1_mask
-
-    def split(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return kernels.from_mask(self.v1_mask), kernels.from_mask(self.v2_mask)
-
-    def recompute_score(self) -> int:
-        adj = self.g.adjacency_bits
-        total = 0
-        for v in kernels.from_mask(self.v1_mask):
-            total += (adj[v] & self.w1_mask).bit_count()
-        for v in kernels.from_mask(self.v2_mask):
-            total += (adj[v] & self.w2_mask).bit_count()
-        return total
-
-    def move_to_second(self, v: int) -> None:
-        self.v1_mask &= ~(1 << v)
-        self.score += self.cross2[v] - self.cross1[v]
-
-    def move_to_first(self, v: int) -> None:
-        self.v1_mask |= 1 << v
-        self.score += self.cross1[v] - self.cross2[v]
-
-    def swap(self, v_out: int, v_in: int) -> None:
-        """Exchange v_out (leaving V') with v_in (entering V')."""
-        self.move_to_second(v_out)
-        self.move_to_first(v_in)
-
-
-def exchange_refine(g: Graph, family: CliqueSplitFamily, p: int, q: int):
-    """Refine a clique split until both parts meet their quotas.
-
-    Phase one greedily applies strictly score-decreasing single moves and
-    pair swaps inside the quota window (the score never increases across
-    these). Phase two applies targeted repairs: given an offending clique
-    through an outside vertex w, exchange one of its clique vertices for a
-    non-neighbor of w. Returns the valid Partition or ExchangeStuck.
-    """
-    adj = g.adjacency_bits
-    if kernels.has_clique_of_size(adj, family.w1_mask, p):
-        raise PreconditionError("W1 already contains a clique of size p")
-    if kernels.has_clique_of_size(adj, family.w2_mask, q):
-        raise PreconditionError("W2 already contains a clique of size q")
-    t = len(family.clique)
-    budget = 50 * t * t
-    moves = 0
-    lo, hi = family.window
-
-    def descend() -> None:
-        nonlocal moves
-        while moves < budget:
-            size1 = family.v1_mask.bit_count()
-            v1 = kernels.from_mask(family.v1_mask)
-            v2 = kernels.from_mask(family.v2_mask)
-            best = None  # (delta, rank, key, action)
-            if size1 - 1 >= lo:
-                for v in v1:
-                    d = family.cross2[v] - family.cross1[v]
-                    if d < 0:
-                        cand = (d, 0, (v,))
-                        if best is None or cand < best[:3]:
-                            best = cand + (("down", v),)
-            if size1 + 1 <= hi:
-                for v in v2:
-                    d = family.cross1[v] - family.cross2[v]
-                    if d < 0:
-                        cand = (d, 1, (v,))
-                        if best is None or cand < best[:3]:
-                            best = cand + (("up", v),)
-            for v in v1:
-                dv = family.cross2[v] - family.cross1[v]
-                for u in v2:
-                    d = dv + family.cross1[u] - family.cross2[u]
-                    if d < 0:
-                        cand = (d, 2, (v, u))
-                        if best is None or cand < best[:3]:
-                            best = cand + (("swap", v, u),)
-            if best is None:
-                return
-            action = best[3]
-            if action[0] == "down":
-                family.move_to_second(action[1])
-            elif action[0] == "up":
-                family.move_to_first(action[1])
-            else:
-                family.swap(action[1], action[2])
-            moves += 1
-
-    def violation():
-        mask1 = family.w1_mask | family.v1_mask
-        if kernels.has_clique_of_size(adj, mask1, p):
-            return 0, _lex_smallest_clique(adj, mask1, p)
-        mask2 = family.w2_mask | family.v2_mask
-        if kernels.has_clique_of_size(adj, mask2, q):
-            return 1, _lex_smallest_clique(adj, mask2, q)
-        return None
-
-    first_round = True
-    while True:
-        viol = violation()
-        if viol is None:
-            v1, v2 = family.split()
-            parts = [
-                sorted(kernels.from_mask(family.w1_mask) + v1),
-                sorted(kernels.from_mask(family.w2_mask) + v2),
-            ]
-            return partition_from_parts(g, parts, strategy="exchange")
-        if first_round:
-            first_round = False
-            descend()
-            continue
-        side, witness = viol
-        if moves >= budget:
-            return ExchangeStuck(witness, side, family.score, moves)
-        wset = set(witness)
-        if side == 0:
-            outside_mask, inside_mask, other_mask = (
-                family.w1_mask, family.v1_mask, family.v2_mask)
-        else:
-            outside_mask, inside_mask, other_mask = (
-                family.w2_mask, family.v2_mask, family.v1_mask)
-        outside_hits = sorted(wset & set(kernels.from_mask(outside_mask)))
-        inside_hits = sorted(wset & set(kernels.from_mask(inside_mask)))
-        if not inside_hits:
-            raise SearchFailureError(
-                "offending clique avoids the split clique entirely")
-        applied = False
-        for w in outside_hits:
-            for v_in in kernels.from_mask(other_mask & ~adj[w]):
-                v_out = inside_hits[0]
-                if side == 0:
-                    family.swap(v_out, v_in)
-                else:
-                    family.swap(v_in, v_out)
-                moves += 1
-                applied = True
-                break
-            if applied:
-                break
-        if not applied:
-            return ExchangeStuck(witness, side, family.score, moves)
-
-
-# ---------------------------------------------------------------------------
 # Two-part strategy cascade
 
 
@@ -806,40 +603,6 @@ def _stripping_strategy(g: Graph, p: int, q: int, seed: int, diags: dict):
     if parts is None:
         diags["stripping"] = "peeling left a too-large clique in the remainder"
     return parts
-
-
-def _partition_free(g: Graph, p: int, q: int, seed: int, depth: int):
-    """Best-effort split with omega(V1) <= p-1 and omega(V2) <= q-1, free
-    of any degree arithmetic. Used on clique remainders inside
-    max_kpfree_partition."""
-    n = g.n
-    if n == 0:
-        return [], []
-    adj = g.adjacency_bits
-    if not kernels.has_clique_of_size(adj, _full_mask(n), p):
-        return list(range(n)), []
-    colors = _dsatur_coloring(g)
-    ncolors = max(colors) + 1
-    if ncolors <= (p - 1) + (q - 1):
-        classes = _color_classes(colors)
-        classes.sort(key=lambda cls: (-len(cls), cls))
-        v1 = sorted(v for cls in classes[: p - 1] for v in cls)
-        v2 = sorted(v for cls in classes[p - 1:] for v in cls)
-        if not kernels.has_clique_of_size(adj, kernels.to_mask(v1), p) and \
-           not kernels.has_clique_of_size(adj, kernels.to_mask(v2), q):
-            return v1, v2
-    parts = _strip_parts(g, p, q)
-    if parts is not None:
-        return parts
-    if n <= EXACT_FALLBACK_N:
-        try:
-            assignment = _exact_partition_assignment(g, (p, q))
-        except BudgetExceededError:
-            assignment = None
-        if assignment is not None:
-            return ([v for v in range(n) if assignment[v] == 0],
-                    [v for v in range(n) if assignment[v] == 1])
-    return None
 
 
 def _exact_strategy(g: Graph, p: int, q: int, seed: int, diags: dict):
@@ -1090,9 +853,13 @@ def max_kpfree_partition(g: Graph, p: int, q: int, seed: int = 0) -> MaxKpfreeRe
 
     Exhaustive (certificate "exhaustive") up to 14 vertices: subsets are
     scanned by descending size and lexicographic order, so ties match the
-    oracle's tie-break. Beyond that a grow-and-swap heuristic runs from
-    clique-excision seeds (certificate "local": no single or double vertex
-    migration can enlarge V1).
+    oracle's tie-break. Beyond that, a graph with clique number at most
+    p-1 (always so for q = 1) is answered by V1 = V; otherwise the split
+    from clique_bipartition is grown by single and double vertex moves
+    (certificate "local": no single pull or 2-in-1-out exchange enlarges
+    V1 with both sides valid). AllStrategiesExhausted from
+    clique_bipartition is raised unchanged, proof flag and diagnostics
+    included.
     """
     delta = g.max_degree
     if p < 1 or q < 1 or p < q:
@@ -1106,7 +873,6 @@ def max_kpfree_partition(g: Graph, p: int, q: int, seed: int = 0) -> MaxKpfreeRe
             f"clique number {cert.omega} exceeds max degree - 1 = {delta - 1}",
             witness=cert.witness)
     n = g.n
-    adj = g.adjacency_bits
     if n <= EXACT_FALLBACK_N:
         full = _full_mask(n)
         for size in range(n, -1, -1):
@@ -1119,42 +885,10 @@ def max_kpfree_partition(g: Graph, p: int, q: int, seed: int = 0) -> MaxKpfreeRe
                     return MaxKpfreeResult(part, "exhaustive")
         raise AllStrategiesExhausted(
             f"no valid ({p},{q}) split exists", proven_infeasible=True)
-
-    candidates: list[tuple[set[int], set[int]]] = []
-    omega = cert.omega
-    for K in all_maximum_cliques(g)[:20]:
-        t = len(K)
-        rest = [v for v in range(n) if v not in set(K)]
-        sub, back = induced_subgraph(g, rest)
-        padded, real = _pad_star(sub, delta)
-        wsplit = _partition_free(padded, p, q, seed, depth=1)
-        if wsplit is None:
-            continue
-        y1 = {back[v] for v in wsplit[0] if v < real}
-        y2 = {back[v] for v in wsplit[1] if v < real}
-        a = min(p - 1, t)
-        v1 = y1 | set(K[:a])
-        v2 = y2 | set(K[a:])
-        if _parts_valid(g, kernels.to_mask(v1), kernels.to_mask(v2), p, q):
-            candidates.append((v1, v2))
-            continue
-        try:
-            family = CliqueSplitFamily(g, K, sorted(y1), sorted(y2), p, q)
-        except PreconditionError:
-            continue
-        result = exchange_refine(g, family, p, q)
-        if isinstance(result, Partition):
-            candidates.append((set(result.parts[0]), set(result.parts[1])))
-    if q >= 2:
-        try:
-            bip = clique_bipartition(g, p, q, seed=seed)
-            candidates.append((set(bip.parts[0]), set(bip.parts[1])))
-        except AllStrategiesExhausted:
-            pass
-    if not candidates:
-        raise AllStrategiesExhausted(f"no valid ({p},{q}) split found")
-    candidates.sort(key=lambda pair: (-len(pair[0]), sorted(pair[0])))
-    best = candidates[0]
-    v1, v2 = _grow_to_local_max(g, set(best[0]), set(best[1]), p, q)
+    if cert.omega <= p - 1:
+        part = partition_from_parts(g, [list(range(n)), []], strategy="maxfree-local")
+        return MaxKpfreeResult(part, "local")
+    bip = clique_bipartition(g, p, q, seed=seed)
+    v1, v2 = _grow_to_local_max(g, set(bip.parts[0]), set(bip.parts[1]), p, q)
     part = partition_from_parts(g, [sorted(v1), sorted(v2)], strategy="maxfree-local")
     return MaxKpfreeResult(part, "local")

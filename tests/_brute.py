@@ -187,6 +187,25 @@ def brute_migrate(g: Graph, v1, v2, q: int) -> tuple[list[int], list[int]]:
     return sorted(v1), sorted(v2)
 
 
+def brute_improving_move(g: Graph, v1, v2, p: int, q: int):
+    """A move that enlarges V1 and leaves V1 free of K_p and V2 free of
+    K_q: a single pull (v,) from V2, or a 2-in-1-out exchange (a, b, c)
+    of a, b from V2 for c from V1. None when neither kind exists."""
+    v1, v2 = set(v1), set(v2)
+
+    def valid(s1, s2) -> bool:
+        return not has_clique_within(g, s1, p) and not has_clique_within(g, s2, q)
+
+    for v in sorted(v2):
+        if valid(v1 | {v}, v2 - {v}):
+            return (v,)
+    for a, b in itertools.combinations(sorted(v2), 2):
+        for c in sorted(v1):
+            if valid((v1 | {a, b}) - {c}, (v2 - {a, b}) | {c}):
+                return (a, b, c)
+    return None
+
+
 def brute_chromatic(g: Graph) -> int:
     if g.n == 0:
         return 0

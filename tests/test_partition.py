@@ -1,4 +1,3 @@
-import itertools
 import random
 import sys
 from unittest import mock
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 import clique_splitter as cs
 from clique_splitter import partition
 from clique_splitter.partition import (
-    CliqueSplitFamily,
     _bipartition_parts,
     _dsatur_coloring,
     _exact_partition_assignment,
@@ -20,9 +18,9 @@ from _brute import (
     brute_dsatur,
     brute_first_assignment,
     brute_has_transversal,
+    brute_improving_move,
     brute_migrate,
     brute_omega,
-    is_clique,
     is_independent,
     petersen,
     valid_bipartition_sizes,
@@ -288,147 +286,6 @@ class TestDetectCycleCliqueProduct:
         assert cs.detect_cycle_clique_product(g) is None
 
 
-class TestCliqueSplitFamily:
-    def test_window_shrinks_with_clique_size(self):
-        # |K| = p+q-2 pins |V'|; each missing clique vertex widens it by one
-        g = K(8)
-        full_k = tuple(range(8))
-        fam = CliqueSplitFamily(g, full_k, [], [], 5, 5)
-        assert fam.window == (4, 4)
-        g7 = cs.Graph(8, [(u, v) for u, v in K(8).edges() if v != 7] )
-        fam7 = CliqueSplitFamily(g7, tuple(range(7)), [7], [], 5, 5)
-        assert fam7.window == (3, 4)
-
-    def test_empty_window_rejected(self):
-        g = K(8)
-        with pytest.raises(cs.PreconditionError):
-            CliqueSplitFamily(g, tuple(range(8)), [], [], 4, 4)
-
-    def test_requires_clique(self):
-        with pytest.raises(cs.PreconditionError):
-            CliqueSplitFamily(C(5), (0, 1, 2), [3], [4], 3, 2)
-
-    def test_requires_outside_bipartition(self):
-        g = K(6)
-        with pytest.raises(cs.PreconditionError):
-            CliqueSplitFamily(g, (0, 1, 2, 3), [4], [4, 5], 4, 3)
-
-    def test_score_integrity_under_moves(self):
-        edges = [(u, v) for u in range(6) for v in range(u + 1, 6) if (u, v) != (4, 5)]
-        g = cs.Graph(6, edges)
-        fam = CliqueSplitFamily(g, (0, 1, 2, 3, 4), [5], [], 4, 3)
-        assert fam.score == fam.recompute_score()
-        v1, v2 = fam.split()
-        fam.swap(v1[0], v2[0])
-        assert fam.score == fam.recompute_score()
-        v1, v2 = fam.split()
-        fam.swap(v1[1], v2[1])
-        assert fam.score == fam.recompute_score()
-
-    @given(st.integers(0, 10**6), st.lists(st.integers(0, 10**6), min_size=1, max_size=25))
-    @settings(max_examples=60, deadline=None)
-    def test_score_integrity_random_walks(self, graph_seed, move_seeds):
-        g = gnp(12, 0.6, graph_seed % 50)
-        clique = cs.clique_number(g).witness
-        if len(clique) < 3:
-            return
-        outside = [v for v in range(g.n) if v not in set(clique)]
-        w1 = outside[::2]
-        w2 = outside[1::2]
-        p = len(clique)
-        q = len(clique)
-        fam = CliqueSplitFamily(g, clique, w1, w2, p, q)
-        lo, hi = fam.window
-        for pick in move_seeds:
-            v1, v2 = fam.split()
-            options = []
-            if len(v1) - 1 >= lo:
-                options += [("down", v) for v in v1]
-            if len(v1) + 1 <= hi:
-                options += [("up", v) for v in v2]
-            options += [("swap", a, b) for a in v1 for b in v2]
-            if not options:
-                break
-            move = options[pick % len(options)]
-            if move[0] == "down":
-                fam.move_to_second(move[1])
-            elif move[0] == "up":
-                fam.move_to_first(move[1])
-            else:
-                fam.swap(move[1], move[2])
-            assert fam.score == fam.recompute_score()
-            assert lo <= fam.v1_mask.bit_count() <= hi
-
-
-class TestExchangeRefine:
-    def _k6_minus_edge(self):
-        edges = [(u, v) for u in range(6) for v in range(u + 1, 6) if (u, v) != (4, 5)]
-        return cs.Graph(6, edges)
-
-    def test_k6_minus_edge_lands_on_valid_split(self):
-        g = self._k6_minus_edge()
-        clique = (0, 1, 2, 3, 4)
-        # independent window scan: a valid completion exists and all valid
-        # ones put vertex 4 (the endpoint missing the 4-5 edge) into V'
-        valid_splits = []
-        for combo in itertools.combinations(clique, 3):
-            v1 = set(combo) | {5}
-            v2 = set(clique) - set(combo)
-            ok1 = not any(is_clique(g, c) for c in itertools.combinations(sorted(v1), 4))
-            ok2 = not any(is_clique(g, c) for c in itertools.combinations(sorted(v2), 3))
-            if ok1 and ok2:
-                valid_splits.append(combo)
-        assert valid_splits and all(4 in combo for combo in valid_splits)
-
-        fam = CliqueSplitFamily(g, clique, [5], [], 4, 3)
-        result = cs.exchange_refine(g, fam, 4, 3)
-        assert isinstance(result, cs.Partition)
-        report = cs.verify_partition(g, result, cs.PartitionSpec((4, 3)))
-        assert report.valid
-
-    def test_valid_initial_split_returned_unchanged(self):
-        g = self._k6_minus_edge()
-        fam = CliqueSplitFamily(g, (0, 1, 2, 3, 4), [5], [], 4, 3,
-                                initial_v1=(2, 3, 4))
-        before = fam.split()
-        result = cs.exchange_refine(g, fam, 4, 3)
-        assert isinstance(result, cs.Partition)
-        assert fam.split() == before
-
-    def test_infeasible_family_gets_stuck(self):
-        g = K(6)
-        fam = CliqueSplitFamily(g, (0, 1, 2, 3), [4], [5], 3, 3)
-        # oracle-style scan: every window split leaves a triangle somewhere
-        for combo in itertools.combinations(range(4), 2):
-            v1 = set(combo) | {4}
-            assert any(is_clique(g, c) for c in itertools.combinations(sorted(v1), 3))
-        result = cs.exchange_refine(g, fam, 3, 3)
-        assert isinstance(result, cs.ExchangeStuck)
-        assert result.offending_clique
-
-    def test_precondition_on_outside_parts(self):
-        g = K(6)
-        with pytest.raises(cs.PreconditionError):
-            # W1 = {4,5} contains K2; quota p=2 forbids any edge
-            fam = CliqueSplitFamily(g, (0, 1, 2, 3), [4, 5], [], 2, 4)
-            cs.exchange_refine(g, fam, 2, 4)
-
-    def test_targeted_repair_rescues_constant_score_instance(self):
-        # every window split has cross-edge score 3, so the descent phase
-        # is inert; only the targeted repair (swap a witness vertex for a
-        # non-neighbor of the offending outside vertex) can fix the split
-        edges = [(u, v) for u in range(5) for v in range(u + 1, 5)]
-        edges += [(5, 0), (5, 1), (5, 2), (5, 3), (5, 6), (6, 4)]
-        g = cs.Graph(7, edges)
-        fam = CliqueSplitFamily(g, (0, 1, 2, 3, 4), [5, 6], [], 4, 3)
-        assert fam.split()[0] == (0, 1, 2)  # initial split is invalid
-        result = cs.exchange_refine(g, fam, 4, 3)
-        assert isinstance(result, cs.Partition)
-        assert cs.verify_partition(g, result, cs.PartitionSpec((4, 3))).valid
-        assert fam.score == 3  # unchanged: no descent move existed
-        assert fam.split()[0] != (0, 1, 2)  # but the split moved
-
-
 class TestAdversarialRegimeInstances:
     # strong products with max degree 14: the coloring shortcut fails on
     # these (they need close to max-degree many colors), forcing the
@@ -489,30 +346,6 @@ class TestPendantCliqueAugmentation:
         parts = [[v for v in side if v < g.n] for side in part.parts]
         back = cs.partition_from_parts(g, parts)
         assert cs.verify_partition(g, back, cs.PartitionSpec((8, 7))).valid
-
-    def test_exchange_strategy_projects_back(self):
-        from clique_splitter.graphs import induced_subgraph
-        g = self._omega_delta_minus_2_instance()
-        delta = g.max_degree
-        p, q = 8, 7
-        assert p + q == delta + 1
-        aug = self._attach_pendant_clique(g, delta)
-        # seed the exchange with the fresh maximum clique and a quota-free
-        # split of everything else, as in the paper's clique-split argument
-        K = cs.all_maximum_cliques(aug)[0]
-        assert set(K) == set(range(g.n, aug.n))
-        rest = [v for v in range(aug.n) if v not in set(K)]
-        sub, back = induced_subgraph(aug, rest)
-        wsplit = partition._partition_free(sub, p, q, 0, depth=1)
-        assert wsplit is not None
-        family = CliqueSplitFamily(aug, K, [back[v] for v in wsplit[0]],
-                                   [back[v] for v in wsplit[1]], p, q)
-        result = cs.exchange_refine(aug, family, p, q)
-        assert isinstance(result, cs.Partition), result
-        parts = [[v for v in side if v < g.n] for side in result.parts]
-        part = cs.partition_from_parts(g, parts)
-        assert len(part.assignment) == g.n
-        assert cs.verify_partition(g, part, cs.PartitionSpec((p, q))).valid
 
 
 class TestCliqueBipartition:
@@ -812,3 +645,42 @@ class TestMaxKpfreePartition:
             return
         res = cs.max_kpfree_partition(g, p, q)
         assert len(res.partition.parts[0]) == max(sizes)
+
+    @pytest.mark.parametrize("g,q", [(regular(30, 14, 0), 1), (regular(30, 14, 0), 7),
+                                     (strong(7, 3), 1), (strong(7, 3), 2)])
+    def test_large_graph_below_the_quota_takes_everything(self, g, q):
+        p = g.max_degree + 1 - q
+        assert g.n > partition.EXACT_FALLBACK_N
+        assert cs.clique_number(g).omega <= p - 1
+        res = cs.max_kpfree_partition(g, p, q)
+        assert res.certificate == "local"
+        assert res.partition.strategy == "maxfree-local"
+        assert res.partition.parts == (tuple(range(g.n)), ())
+
+    # every feasible pair with p <= omega of C7xK3 and C9xK2 (whose (4,2)
+    # is infeasible), and two splits that the grow step enlarges
+    @pytest.mark.parametrize("g,p,q", [
+        (strong(7, 3), 6, 3), (strong(7, 3), 5, 4), (strong(9, 2), 3, 3),
+        (gnp(15, 0.3, 0), 3, 3), (strong(5, 5), 10, 5),
+    ])
+    def test_large_graph_grows_the_cascade_split(self, g, p, q):
+        assert g.n > partition.EXACT_FALLBACK_N
+        assert cs.clique_number(g).omega >= p
+        bip = cs.clique_bipartition(g, p, q)
+        res = cs.max_kpfree_partition(g, p, q)
+        assert cs.verify_partition(g, res.partition, cs.PartitionSpec((p, q))).valid
+        assert res.certificate == "local"
+        v1, v2 = res.partition.parts
+        assert len(v1) >= len(bip.parts[0])
+        assert brute_improving_move(g, v1, v2, p, q) is None
+
+    def test_proof_of_infeasibility_is_kept(self):
+        g = strong(9, 2)  # (4,2) has no valid split: C9 x K2 is an exception graph
+        assert g.n > partition.EXACT_FALLBACK_N
+        with pytest.raises(cs.AllStrategiesExhausted) as direct:
+            cs.clique_bipartition(g, 4, 2)
+        with pytest.raises(cs.AllStrategiesExhausted) as err:
+            cs.max_kpfree_partition(g, 4, 2)
+        assert err.value.proven_infeasible
+        assert err.value.diagnostics["exact"] == "proved infeasible"
+        assert err.value.diagnostics == direct.value.diagnostics
