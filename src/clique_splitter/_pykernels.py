@@ -36,16 +36,27 @@ def max_clique_size(adj: Sequence[int], mask: int, stop_at: int = 0) -> int:
             return
         # Greedy coloring: classes are independent sets, so a clique inside
         # cand takes at most one vertex per class. bound[i] = class index.
+        # Classes numbered at most `dead` are coloured but not recorded:
+        # best only grows, so the loop below would prune them anyway.
         order: list[int] = []
         bound: list[int] = []
+        dead = (best if best > floor else floor) - size
         uncolored = cand
         color = 0
         while uncolored:
             color += 1
             cls = uncolored
+            if color <= dead:
+                while cls:
+                    bit = cls & -cls
+                    v = bit.bit_length() - 1
+                    cls &= ~adj[v]
+                    cls ^= bit
+                    uncolored ^= bit
+                continue
             while cls:
-                v = (cls & -cls).bit_length() - 1
-                bit = 1 << v
+                bit = cls & -cls
+                v = bit.bit_length() - 1
                 cls &= ~adj[v]
                 cls ^= bit
                 uncolored ^= bit
@@ -71,6 +82,8 @@ def has_clique_of_size(adj: Sequence[int], mask: int, size: int) -> bool:
         return True
     if mask.bit_count() < size:
         return False
+    if size == 1:
+        return True
     return max_clique_size(adj, mask, stop_at=size) >= size
 
 

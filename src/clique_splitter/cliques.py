@@ -2,7 +2,12 @@
 clique-structure diagnostics.
 
 All operations are pure functions of immutable graphs; witnesses are
-deterministic (lexicographically smallest among ties).
+deterministic (lexicographically smallest among ties). Clique numbers of
+vertex subsets are computed on a bitset mask of the graph itself, not on
+an induced subgraph, and ``clique_number_within`` keeps the one cache of
+them, keyed by (graph, mask): the certificates the partition engine
+builds and the per-part checks of ``verify_partition`` read the same
+entries.
 """
 
 from __future__ import annotations
@@ -66,17 +71,30 @@ def _lex_smallest_clique(adj, mask: int, size: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=4096)
+def clique_number_within(g: Graph, mask: int) -> CliqueCertificate:
+    """Exact clique number of the vertex set ``mask`` (a bitset over
+    ``g``'s vertices) with the lexicographically smallest witness, in
+    ``g``'s own labels.
+
+    The result equals ``clique_number`` of the induced subgraph with its
+    witness mapped back: relabelling the members in increasing order
+    keeps both the kernel's bit order and lexicographic order. The empty
+    mask has omega 0 and an empty witness.
+    """
+    if not mask:
+        return CliqueCertificate(0, ())
+    adj = g.adjacency_bits
+    omega = kernels.max_clique_size(adj, mask)
+    return CliqueCertificate(omega, _lex_smallest_clique(adj, mask, omega))
+
+
 def clique_number(g: Graph) -> CliqueCertificate:
     """Exact clique number with the lexicographically smallest witness.
 
-    The empty graph has omega 0 and an empty witness.
+    The full-mask case of ``clique_number_within``, and cached there. The
+    empty graph has omega 0 and an empty witness.
     """
-    if g.n == 0:
-        return CliqueCertificate(0, ())
-    adj = g.adjacency_bits
-    full = (1 << g.n) - 1
-    omega = kernels.max_clique_size(adj, full)
-    return CliqueCertificate(omega, _lex_smallest_clique(adj, full, omega))
+    return clique_number_within(g, (1 << g.n) - 1)
 
 
 @lru_cache(maxsize=1024)

@@ -47,6 +47,8 @@ def has_clique_of_size(adj: Sequence[int], mask: int, size: int) -> bool:
         return True
     if mask.bit_count() < size:
         return False
+    if size == 1:
+        return True
     return max_clique_size(adj, mask, stop_at=size) >= size
 
 

@@ -13,9 +13,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .cliques import clique_number
+from .cliques import clique_number_within
 from .errors import BudgetExceededError, PreconditionError
-from .graphs import Graph, induced_subgraph
+from .graphs import Graph
+from .kernels import to_mask
 from .partition import Partition, PartitionSpec, partition_from_assignment
 
 
@@ -219,7 +220,12 @@ def degeneracy(g: Graph) -> int:
 
 def verify_partition(g: Graph, part: Partition, spec: PartitionSpec) -> VerificationReport:
     """Exact per-part clique numbers (clique engine), the validity flag,
-    and a quota-sized clique witness for every violated part."""
+    and a quota-sized clique witness for every violated part.
+
+    Each part's certificate comes from the engine's (graph, mask) memo,
+    ``clique_number_within``, so a partition the engine has just
+    certified on ``g`` is checked from the same entries, not searched
+    again. Witnesses are in ``g``'s labels."""
     if len(part.assignment) != g.n:
         raise PreconditionError(
             f"assignment covers {len(part.assignment)} vertices, graph has {g.n}")
@@ -231,11 +237,11 @@ def verify_partition(g: Graph, part: Partition, spec: PartitionSpec) -> Verifica
     omegas = []
     violations = []
     for i, members in enumerate(part.parts):
-        sub, back = induced_subgraph(g, members)
-        cert = clique_number(sub)
+        if members and (min(members) < 0 or max(members) >= g.n):
+            raise ValueError(f"part {i} has a vertex out of range for n={g.n}")
+        cert = clique_number_within(g, to_mask(members))
         omegas.append(cert.omega)
         quota = spec.quotas[i]
         if cert.omega > quota - 1:
-            witness = tuple(back[w] for w in cert.witness[:quota])
-            violations.append((i, witness))
+            violations.append((i, cert.witness[:quota]))
     return VerificationReport(tuple(omegas), not violations, tuple(violations))

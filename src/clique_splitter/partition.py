@@ -24,6 +24,7 @@ from .cliques import (
     CliqueCertificate,
     all_maximum_cliques,
     clique_number,
+    clique_number_within,
     maximum_independent_set,
 )
 from .errors import (
@@ -87,7 +88,9 @@ class Partition:
 def partition_from_parts(g: Graph, parts, strategy: str | None = None) -> Partition:
     """Build a Partition from explicit part lists, computing certificates.
 
-    Parts must be disjoint and cover every vertex.
+    Parts must be disjoint and cover every vertex. Each certificate is
+    computed on the part's mask of ``g`` through ``clique_number_within``,
+    so its witness is already in ``g``'s labels.
     """
     assignment = [-1] * g.n
     norm = []
@@ -103,12 +106,8 @@ def partition_from_parts(g: Graph, parts, strategy: str | None = None) -> Partit
     if any(a == -1 for a in assignment):
         missing = [v for v, a in enumerate(assignment) if a == -1]
         raise ValueError(f"vertices {missing[:5]} not assigned to any part")
-    certs = []
-    for members in norm:
-        sub, back = induced_subgraph(g, members)
-        c = clique_number(sub)
-        certs.append(CliqueCertificate(c.omega, tuple(back[w] for w in c.witness)))
-    return Partition(tuple(assignment), tuple(norm), tuple(certs), strategy)
+    certs = tuple(clique_number_within(g, kernels.to_mask(members)) for members in norm)
+    return Partition(tuple(assignment), tuple(norm), certs, strategy)
 
 
 def partition_from_assignment(g: Graph, assignment, k: int | None = None,
@@ -165,22 +164,25 @@ def _dsatur_coloring(g: Graph) -> list[int]:
     skipped. The pick order therefore equals a full scan's.
     """
     n = g.n
+    nbrs = g.adjacency
+    neg_degree = [-len(s) for s in nbrs]
     colors = [-1] * n
     seen: list[set[int]] = [set() for _ in range(n)]
-    heap = [(0, -g.degree(v), v) for v in range(n)]
+    heap = [(0, neg_degree[v], v) for v in range(n)]
     heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
     while heap:
-        _, _, v = heapq.heappop(heap)
+        _, _, v = heappop(heap)
         if colors[v] >= 0:
             continue
         c = 0
         while c in seen[v]:
             c += 1
         colors[v] = c
-        for u in g.neighbors(v):
+        for u in nbrs[v]:
             if colors[u] < 0 and c not in seen[u]:
                 seen[u].add(c)
-                heapq.heappush(heap, (-len(seen[u]), -g.degree(u), u))
+                heappush(heap, (-len(seen[u]), neg_degree[u], u))
     return colors
 
 
@@ -678,13 +680,19 @@ def clique_bipartition(g: Graph, p: int, q: int, seed: int = 0) -> Partition:
 
 def _pad_star(g: Graph, target: int) -> tuple[Graph, int]:
     """Raise the max degree to exactly `target` by starring fresh leaves
-    onto one maximum-degree vertex. Returns (padded, real_vertex_count)."""
-    if g.n == 0 or g.max_degree >= target:
-        return g, g.n
-    v = min(u for u in range(g.n) if g.degree(u) == g.max_degree)
+    onto one maximum-degree vertex. Returns (padded, real_vertex_count).
+
+    The leaves take the indices after g's vertices, so appending them to
+    the hub's sorted neighbour tuple keeps it sorted."""
+    n = g.n
+    if n == 0 or g.max_degree >= target:
+        return g, n
+    nbrs = list(g.adjacency)
+    v = min(u for u in range(n) if len(nbrs[u]) == g.max_degree)
     extra = target - g.max_degree
-    edges = g.edges() + [(v, g.n + i) for i in range(extra)]
-    return Graph(g.n + extra, edges), g.n
+    nbrs[v] += tuple(range(n, n + extra))
+    nbrs += [(v,)] * extra
+    return Graph._from_neighbors(tuple(nbrs)), n
 
 
 def _migrate(g: Graph, v1, v2, q: int) -> tuple[list[int], list[int]]:

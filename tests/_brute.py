@@ -64,6 +64,32 @@ def brute_maximum_cliques(g: Graph) -> list[tuple[int, ...]]:
     return brute_cliques_of_size(g, omega)
 
 
+def brute_clique_within(g: Graph, members) -> tuple[int, tuple[int, ...]]:
+    """(omega, lexicographically smallest maximum clique) of the subgraph
+    induced by ``members``, built from its edge list, with the clique
+    mapped back to ``g``'s labels. The empty set gives (0, ())."""
+    vertices = sorted(set(members))
+    sub = Graph(len(vertices), [(i, j) for i, u in enumerate(vertices)
+                                for j in range(i + 1, len(vertices))
+                                if g.has_edge(u, vertices[j])])
+    for t in range(sub.n, 0, -1):
+        found = brute_cliques_of_size(sub, t)
+        if found:
+            return t, tuple(vertices[i] for i in found[0])
+    return 0, ()
+
+
+def edge_list_pad_star(g: Graph, target: int) -> tuple[Graph, int]:
+    """Star padding rebuilt from the edge list: fresh leaves n, n+1, ...
+    joined to the smallest maximum-degree vertex until it has degree
+    ``target``. Returns (padded, real vertex count)."""
+    if g.n == 0 or g.max_degree >= target:
+        return g, g.n
+    hub = min(u for u in range(g.n) if g.degree(u) == g.max_degree)
+    extra = target - g.max_degree
+    return Graph(g.n + extra, g.edges() + [(hub, g.n + i) for i in range(extra)]), g.n
+
+
 def brute_max_independent_size(g: Graph) -> int:
     best = 0
     for size in range(g.n, -1, -1):

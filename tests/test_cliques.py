@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 import clique_splitter as cs
 import clique_splitter.kernels as kernels
+from clique_splitter.cliques import clique_number_within
 from _brute import (
+    brute_clique_within,
     brute_cliques_of_size,
     brute_max_independent_size,
     brute_mask_omega,
@@ -16,6 +18,7 @@ from _brute import (
     is_clique,
     petersen,
 )
+from test_graphs import small_graphs
 
 
 def K(n):
@@ -72,6 +75,51 @@ class TestCliqueNumber:
         assert cert.omega == brute_omega(g)
         assert len(cert.witness) == cert.omega
         assert is_clique(g, cert.witness)
+
+
+class TestCliqueNumberWithin:
+    """Certificates on a mask of the graph equal the induced subgraph's,
+    with the witness already in the graph's labels."""
+
+    @given(small_graphs(), st.integers(min_value=0))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_induced_reference(self, g, bits):
+        mask = bits & ((1 << g.n) - 1)
+        cert = clique_number_within(g, mask)
+        assert (cert.omega, cert.witness) == brute_clique_within(g, kernels.from_mask(mask))
+
+    @pytest.mark.parametrize("g", SMALL_CORPUS, ids=repr)
+    def test_full_mask_is_clique_number(self, g):
+        assert clique_number_within(g, (1 << g.n) - 1) == cs.clique_number(g)
+
+    @pytest.mark.parametrize("g", [cs.Graph(0), K(4), petersen()], ids=repr)
+    def test_empty_mask(self, g):
+        cert = clique_number_within(g, 0)
+        assert cert.omega == 0 and cert.witness == ()
+
+    def test_witness_in_graph_labels(self):
+        # inside {3,..,8} the triangles are {3,4,5} and {6,7,8}
+        g = cs.Graph(9, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5),
+                         (6, 7), (6, 8), (7, 8), (2, 6)])
+        cert = clique_number_within(g, kernels.to_mask(range(3, 9)))
+        assert cert.omega == 3 and cert.witness == (3, 4, 5)
+        cert = clique_number_within(g, kernels.to_mask([2, 6, 7, 8]))
+        assert cert.omega == 3 and cert.witness == (6, 7, 8)
+
+
+class TestSizeOneQueries:
+    @pytest.mark.parametrize("mask", [0, 1, 0b100, 0b111])
+    def test_answered_from_the_mask_alone(self, mask, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("size-1 query reached max_clique_size")
+
+        adj = [0b110, 0b101, 0b011]
+        from clique_splitter import _pykernels as pk
+
+        monkeypatch.setattr(kernels, "max_clique_size", refuse)
+        monkeypatch.setattr(pk, "max_clique_size", refuse)
+        assert kernels.has_clique_of_size(adj, mask, 1) == (mask != 0)
+        assert pk.has_clique_of_size(adj, mask, 1) == (mask != 0)
 
 
 class TestAllMaximumCliques:

@@ -3,6 +3,7 @@ import pytest
 import clique_splitter as cs
 from _brute import (
     brute_chromatic,
+    brute_clique_within,
     brute_degeneracy,
     brute_omega,
     naive_partition_exists,
@@ -171,6 +172,33 @@ class TestVerifyPartition:
         part_index, witness = report.violations[0]
         assert part_index == 0 and len(witness) == 3
         assert all(g.has_edge(u, v) for i, u in enumerate(witness) for v in witness[i + 1:])
+
+    @pytest.mark.parametrize("quotas", [(4, 2), (3, 3), (2, 2)])
+    def test_violation_witnesses_are_in_graph_labels(self, quotas):
+        # a C5 on 0..4 and a K4 on 5..8; part 1 holds the K4 and vertex 0
+        g = cs.Graph(9, [(i, (i + 1) % 5) for i in range(5)] +
+                     [(u, v) for u in range(5, 9) for v in range(u + 1, 9)])
+        parts = [[1, 2, 3, 4], [0, 5, 6, 7, 8]]
+        part = cs.partition_from_parts(g, parts)
+        report = cs.verify_partition(g, part, cs.PartitionSpec(quotas))
+        expected = []
+        for i, members in enumerate(parts):
+            omega, clique = brute_clique_within(g, members)
+            assert report.part_omegas[i] == omega
+            if omega > quotas[i] - 1:
+                expected.append((i, clique[:quotas[i]]))
+        assert report.violations == tuple(expected)
+        assert report.valid == (not expected)
+        for i, witness in report.violations:
+            assert len(witness) == quotas[i]
+            assert set(witness) <= set(parts[i])
+            assert all(g.has_edge(u, v) for j, u in enumerate(witness) for v in witness[j + 1:])
+
+    def test_out_of_range_member_rejected(self):
+        g = C(4)
+        part = cs.Partition((0, 0, 1, 1), ((0, 1), (2, 3, 4)), (), None)
+        with pytest.raises(ValueError):
+            cs.verify_partition(g, part, cs.PartitionSpec((2, 2)))
 
     def test_partial_assignment_rejected(self):
         g = C(4)

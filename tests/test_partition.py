@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clique_splitter as cs
-from clique_splitter import partition
+from clique_splitter import kernels, partition
+from clique_splitter.cliques import clique_number_within
 from clique_splitter.partition import (
     _bipartition_parts,
     _dsatur_coloring,
     _exact_partition_assignment,
     _migrate,
+    _pad_star,
 )
 from _brute import (
     brute_dsatur,
@@ -21,6 +23,7 @@ from _brute import (
     brute_improving_move,
     brute_migrate,
     brute_omega,
+    edge_list_pad_star,
     is_independent,
     petersen,
     valid_bipartition_sizes,
@@ -515,6 +518,28 @@ class TestMigrate:
             assert _migrate(g, v1, v2, q) == brute_migrate(g, v1, v2, q)
 
 
+class TestPadStar:
+    """Star padding built from neighbour tuples is the same Graph as the
+    edge-list rebuild."""
+
+    @pytest.mark.parametrize("g", [strong(7, 3), regular(30, 14, 0), gnp(40, 0.3, 5)],
+                             ids=["C7xK3", "regular30_14", "gnp40"])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 3, 8])
+    def test_matches_edge_list_rebuild(self, g, extra):
+        target = g.max_degree + extra
+        padded, real = _pad_star(g, target)
+        expected, expected_real = edge_list_pad_star(g, target)
+        assert real == expected_real == g.n
+        assert padded == expected
+        assert padded.adjacency_bits == expected.adjacency_bits
+        assert hash(padded) == hash(expected)
+        assert [padded.degree(v) for v in range(padded.n)] == \
+            [expected.degree(v) for v in range(expected.n)]
+        assert (padded.max_degree, padded.min_degree, padded.edge_count) == \
+            (expected.max_degree, expected.min_degree, expected.edge_count)
+        assert padded.max_degree == max(target, g.max_degree)
+
+
 class TestKwayCliquePartition:
     def test_three_parts_on_degree_13(self):
         g = regular(28, 13, 3)
@@ -599,6 +624,24 @@ class TestKwayCliquePartition:
         part = cs.kway_clique_partition(g, spec)
         assert sorted(v for side in part.parts for v in side) == list(range(28))
         assert cs.verify_partition(g, part, spec).valid
+
+    def test_verification_reads_the_certificates_memo(self, monkeypatch):
+        g = regular(28, 13, 3)
+        spec = cs.PartitionSpec((5, 5, 5))
+        part = cs.kway_clique_partition(g, spec)
+        calls = []
+        search = kernels.max_clique_size
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "max_clique_size", counted)
+        assert cs.verify_partition(g, part, spec).valid
+        assert calls == []
+        clique_number_within.cache_clear()
+        assert cs.verify_partition(g, part, spec).valid
+        assert calls
 
     def test_same_inputs_same_partition(self):
         g = regular(30, 14, 2)
