@@ -15,8 +15,9 @@ of a raised error.
     # run this checkout's package and compare, operation by operation
     python3 benchmarks/compare_outputs.py --workload all --against parent.pkl
 
-With ``--against``, the first differing operation is printed and the
-exit code is 1 on any difference. Only load files this script wrote:
+With ``--against``, a difference prints the number of differing
+operations in each workload and the first differing operation, and the
+exit code is 1. Only load files this script wrote:
 they are pickles.
 """
 
@@ -53,18 +54,28 @@ def record_workload(cs, name: str, seed: int) -> list:
             for gi, quotas in work.ops]
 
 
-def first_difference(ours: dict, theirs: dict) -> str | None:
+def compare(ours: dict, theirs: dict) -> tuple[list[str], str | None]:
+    """One line per workload saying how many operations differ, and the
+    first differing operation, or None when every operation matches."""
+    lines: list[str] = []
+    first = None
     for name in sorted(set(ours) | set(theirs)):
         if name not in ours or name not in theirs:
-            return f"{name}: recorded on one side only"
-        a, b = ours[name], theirs[name]
-        if len(a) != len(b):
-            return f"{name}: {len(a)} operations here, {len(b)} in the recording"
-        for i, (mine, other) in enumerate(zip(a, b)):
-            if mine != other:
-                return (f"{name} operation {i} ({mine[0]} quotas {mine[1]}):\n"
-                        f"  here:      {mine[2]}\n  recording: {other[2]}")
-    return None
+            lines.append(f"{name}: recorded on one side only")
+            first = first or lines[-1]
+        elif len(ours[name]) != len(theirs[name]):
+            lines.append(f"{name}: {len(ours[name])} operations here, "
+                         f"{len(theirs[name])} in the recording")
+            first = first or lines[-1]
+        else:
+            pairs = list(zip(ours[name], theirs[name]))
+            differing = [i for i, (mine, other) in enumerate(pairs) if mine != other]
+            lines.append(f"{name}: {len(differing)} of {len(pairs)} operations differ")
+            if differing and first is None:
+                mine, other = pairs[differing[0]]
+                first = (f"{name} operation {differing[0]} ({mine[0]} quotas {mine[1]}):\n"
+                         f"  here:      {mine[2]}\n  recording: {other[2]}")
+    return lines, first
 
 
 def main(argv=None) -> int:
@@ -95,9 +106,10 @@ def main(argv=None) -> int:
         with open(args.against, "rb") as fh:
             theirs = pickle.load(fh)
         theirs = {name: ops for name, ops in theirs.items() if name in recorded}
-        diff = first_difference(recorded, theirs)
-        if diff is not None:
-            print(f"outputs differ: {diff}")
+        lines, first = compare(recorded, theirs)
+        if first is not None:
+            print("outputs differ:\n" + "\n".join(lines))
+            print(f"first difference: {first}")
             return 1
         print(f"identical outputs on {sum(map(len, recorded.values()))} operations")
     return 0

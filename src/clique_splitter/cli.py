@@ -110,7 +110,8 @@ def main() -> None:
 @click.option("--in", "in_path", type=str, default=None, help="Graph file (DIMACS or JSON).")
 @click.option("--gen", "gen_recipe", type=str, default=None, help="Generator recipe, e.g. regular:28,13.")
 @click.option("--quotas", required=True, help="Comma-separated quota list p1,p2,... (non-increasing).")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=int, default=0, show_default=True,
+              help="Seed for the --gen recipe, echoed in the report; the engine takes none.")
 @click.option("--json", "as_json", is_flag=True, help="Print the machine report to stdout.")
 @click.option("--out", "out_path", type=str, default=None, help="Write the machine report to a file.")
 def cmd_partition(in_path, gen_recipe, quotas, seed, as_json, out_path):
@@ -119,7 +120,7 @@ def cmd_partition(in_path, gen_recipe, quotas, seed, as_json, out_path):
     spec = _parse_quotas(quotas)
     started = time.perf_counter()
     try:
-        part = kway_clique_partition(g, spec, seed=seed)
+        part = kway_clique_partition(g, spec)
     except PreconditionError as exc:
         _fail(EXIT_PRECONDITION, str(exc))
     except AllStrategiesExhausted as exc:
@@ -300,7 +301,7 @@ def cmd_probe(n_min, n_max, samples, seed, quota_policy, budget_n, out_path):
                     "phenomenon": "oracle_infeasible"})
             engine_failed = False
             try:
-                kway_clique_partition(g, spec, seed=seed)
+                kway_clique_partition(g, spec)
             except AllStrategiesExhausted:
                 engine_failed = True
             except PreconditionError:

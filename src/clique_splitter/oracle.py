@@ -225,7 +225,13 @@ def verify_partition(g: Graph, part: Partition, spec: PartitionSpec) -> Verifica
     Each part's certificate comes from the engine's (graph, mask) memo,
     ``clique_number_within``, so a partition the engine has just
     certified on ``g`` is checked from the same entries, not searched
-    again. Witnesses are in ``g``'s labels."""
+    again. Witnesses are in ``g``'s labels.
+
+    The parts must hold exactly the vertices the assignment puts in them:
+    each member's assignment is its part's index, no part repeats a
+    vertex, and the part sizes sum to n. Together these make the parts
+    disjoint and covering, so no vertex is placed by the assignment in a
+    part that lacks it."""
     if len(part.assignment) != g.n:
         raise PreconditionError(
             f"assignment covers {len(part.assignment)} vertices, graph has {g.n}")
@@ -234,12 +240,23 @@ def verify_partition(g: Graph, part: Partition, spec: PartitionSpec) -> Verifica
             f"partition has {len(part.parts)} parts, spec wants {spec.k}")
     if any(not (0 <= j < spec.k) for j in part.assignment):
         raise PreconditionError("part index out of range")
-    omegas = []
-    violations = []
+    masks = []
     for i, members in enumerate(part.parts):
         if members and (min(members) < 0 or max(members) >= g.n):
             raise ValueError(f"part {i} has a vertex out of range for n={g.n}")
-        cert = clique_number_within(g, to_mask(members))
+        mask = to_mask(members)
+        if mask.bit_count() != len(members):
+            raise PreconditionError(f"part {i} repeats a vertex")
+        if any(part.assignment[v] != i for v in members):
+            raise PreconditionError(f"part {i} holds a vertex the assignment puts elsewhere")
+        masks.append(mask)
+    placed = sum(map(len, part.parts))
+    if placed != g.n:
+        raise PreconditionError(f"parts hold {placed} vertices, graph has {g.n}")
+    omegas = []
+    violations = []
+    for i, mask in enumerate(masks):
+        cert = clique_number_within(g, mask)
         omegas.append(cert.omega)
         quota = spec.quotas[i]
         if cert.omega > quota - 1:

@@ -8,7 +8,8 @@ exact search that stops after EXACT_NODES nodes, at any n); k-way splits
 recurse through two-part splits with greedy migration and star padding.
 
 Every returned partition is re-verified with exact per-part clique
-numbers before it leaves this module.
+numbers before it leaves this module. The engines are deterministic and
+take no seed: equal inputs give equal partitions.
 """
 
 from __future__ import annotations
@@ -117,8 +118,7 @@ def partition_from_assignment(g: Graph, assignment, k: int | None = None,
         raise ValueError(f"assignment covers {len(assignment)} of {g.n} vertices")
     if k is None:
         k = max(assignment, default=-1) + 1
-    parts = [[v for v, a in enumerate(assignment) if a == i] for i in range(k)]
-    return partition_from_parts(g, parts, strategy)
+    return partition_from_parts(g, _parts_of(assignment, k), strategy)
 
 
 @dataclass(frozen=True)
@@ -149,8 +149,21 @@ def _full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
-def _mask_omega(g: Graph, mask: int) -> int:
-    return kernels.max_clique_size(g.adjacency_bits, mask)
+def _parts_of(assignment, k: int) -> list[list[int]]:
+    """Part i holds the vertices that ``assignment`` puts in i, ascending."""
+    return [[v for v, a in enumerate(assignment) if a == i] for i in range(k)]
+
+
+def _check_omega(g: Graph) -> CliqueCertificate:
+    """The exact clique number of g; PreconditionError, with a maximum
+    clique as witness, when it exceeds max degree - 1."""
+    delta = g.max_degree
+    cert = clique_number(g)
+    if cert.omega > delta - 1:
+        raise PreconditionError(
+            f"clique number {cert.omega} exceeds max degree - 1 = {delta - 1}",
+            witness=cert.witness)
+    return cert
 
 
 def _dsatur_coloring(g: Graph) -> list[int]:
@@ -195,10 +208,9 @@ def _color_classes(colors: list[int]) -> list[list[int]]:
 
 
 def _independent_set(g: Graph) -> tuple[int, ...]:
-    """Exact maximum independent set up to 40 vertices, greedy plus
-    (1,2)-swap local search beyond."""
-    if g.n == 0:
-        return ()
+    """Exact maximum independent set up to 40 vertices; beyond, a greedy
+    maximal one that always takes an available vertex with the fewest
+    available neighbors (lowest index on ties)."""
     if g.n <= 40:
         return maximum_independent_set(g)
     adj = g.adjacency_bits
@@ -208,27 +220,6 @@ def _independent_set(g: Graph) -> tuple[int, ...]:
         v = min(kernels.from_mask(avail), key=lambda u: ((adj[u] & avail).bit_count(), u))
         chosen |= 1 << v
         avail &= ~(adj[v] | (1 << v))
-    for _ in range(100):
-        improved = False
-        for v in kernels.from_mask(chosen):
-            without = chosen & ~(1 << v)
-            blocked = 0
-            for u in kernels.from_mask(without):
-                blocked |= adj[u] | (1 << u)
-            free = _full_mask(g.n) & ~blocked & ~(1 << v)
-            pairs = [
-                (a, b)
-                for a in kernels.from_mask(free)
-                for b in kernels.from_mask(free & ~adj[a])
-                if b > a
-            ]
-            if pairs:
-                a, b = pairs[0]
-                chosen = without | (1 << a) | (1 << b)
-                improved = True
-                break
-        if not improved:
-            break
     return kernels.from_mask(chosen)
 
 
@@ -487,12 +478,12 @@ def hitting_independent_set(g: Graph) -> HittingSetResult:
     recognized odd-cycle strong product, not_found when the complete
     search proves no transversal exists.
     """
-    cert = clique_number(g)
-    omega = cert.omega
-    if omega == 0:
+    cliques = all_maximum_cliques(g)
+    if not cliques:
         return HittingSetResult("not_found")
+    omega = len(cliques[0])
     adj = g.adjacency_bits
-    clique_masks = [kernels.to_mask(c) for c in all_maximum_cliques(g)]
+    clique_masks = [kernels.to_mask(c) for c in cliques]
 
     found: list[int | None] = [None]
 
@@ -546,36 +537,29 @@ def _strip_parts(g: Graph, p: int, q: int):
     """Peel up to q-1 independent layers until the remainder has clique
     number below p. The layer union induces a (q-1)-colorable graph, so
     its clique number is automatically below q."""
-    rest = list(range(g.n))
-    layers: list[list[int]] = []
-    while len(layers) < q - 1:
-        sub, back = induced_subgraph(g, rest)
-        if sub.n == 0:
-            break
-        omega = _mask_omega(sub, _full_mask(sub.n))
+    adj = g.adjacency_bits
+    rest = _full_mask(g.n)
+    layers = 0
+    while rest:
+        omega = kernels.max_clique_size(adj, rest)
         if omega <= p - 1:
             break
-        use_hitting = sub.n <= 20 or 4 * omega >= 3 * (sub.max_degree + 1)
+        if layers == q - 1:
+            return None
+        sub, back = induced_subgraph(g, kernels.from_mask(rest))
         local: tuple[int, ...] = ()
-        if use_hitting:
+        if sub.n <= 20 or 4 * omega >= 3 * (sub.max_degree + 1):
             hit = hitting_independent_set(sub)
             if hit.outcome == "found":
                 local = hit.independent_set
         if not local:
             local = _independent_set(sub)
-        if not local:
-            break
-        chosen = {back[v] for v in local}
-        layers.append(sorted(chosen))
-        rest = [v for v in rest if v not in chosen]
-    sub, _ = induced_subgraph(g, rest)
-    if sub.n and _mask_omega(sub, _full_mask(sub.n)) > p - 1:
-        return None
-    v2 = sorted(v for layer in layers for v in layer)
-    return rest, v2
+        rest &= ~kernels.to_mask(back[v] for v in local)
+        layers += 1
+    return list(kernels.from_mask(rest)), list(kernels.from_mask(_full_mask(g.n) & ~rest))
 
 
-def _coloring_strategy(g: Graph, p: int, q: int, seed: int, diags: dict):
+def _coloring_strategy(g: Graph, p: int, q: int, diags: dict):
     delta = g.max_degree
     colors = _dsatur_coloring(g)
     ncolors = max(colors, default=-1) + 1
@@ -600,40 +584,32 @@ def _coloring_strategy(g: Graph, p: int, q: int, seed: int, diags: dict):
     return [v1, v2]
 
 
-def _stripping_strategy(g: Graph, p: int, q: int, seed: int, diags: dict):
-    parts = _strip_parts(g, p, q)
+def _bipartition_parts(g: Graph, p: int, q: int):
+    """The two-part cascade alone: ([V1, V2], strategy name), without
+    precondition checks or certificates. The caller vouches for the
+    preconditions and certifies the result.
+
+    Coloring, then stripping, then the exact search; the first answer
+    wins. AllStrategiesExhausted carries one diagnostic per failed
+    stage, and is a proof when the exact search completed."""
+    diags: dict[str, str] = {}
+    parts, strategy = _coloring_strategy(g, p, q, diags), "coloring"
+    if parts is None:
+        parts, strategy = _strip_parts(g, p, q), "stripping"
     if parts is None:
         diags["stripping"] = "peeling left a too-large clique in the remainder"
-    return parts
-
-
-def _exact_strategy(g: Graph, p: int, q: int, seed: int, diags: dict):
-    try:
-        assignment = _exact_partition_assignment(g, (p, q))
-    except BudgetExceededError as exc:
-        diags["exact"] = str(exc)
-        return None
-    if assignment is None:
-        diags["exact"] = "proved infeasible"
-        return None
-    return [[v for v in range(g.n) if assignment[v] == i] for i in range(2)]
-
-
-def _bipartition_parts(g: Graph, p: int, q: int, seed: int):
-    """The strategy cascade alone: ([V1, V2], strategy name), without
-    precondition checks or certificates. The caller vouches for the
-    preconditions and certifies the result."""
-    diags: dict[str, str] = {}
-    for name, strategy in (("coloring", _coloring_strategy),
-                           ("stripping", _stripping_strategy),
-                           ("exact", _exact_strategy)):
-        parts = strategy(g, p, q, seed, diags)
-        if parts is not None:
-            log.debug("clique_bipartition(p=%d, q=%d) solved by %s", p, q, name)
-            return parts, name
-    raise AllStrategiesExhausted(
-        f"no valid ({p},{q}) split found", diags,
-        proven_infeasible=diags.get("exact") == "proved infeasible")
+        try:
+            assignment = _exact_partition_assignment(g, (p, q))
+        except BudgetExceededError as exc:
+            diags["exact"] = str(exc)
+            raise AllStrategiesExhausted(f"no valid ({p},{q}) split found", diags) from None
+        if assignment is None:
+            diags["exact"] = "proved infeasible"
+            raise AllStrategiesExhausted(
+                f"no valid ({p},{q}) split found", diags, proven_infeasible=True)
+        parts, strategy = _parts_of(assignment, 2), "exact"
+    log.debug("clique_bipartition(p=%d, q=%d) solved by %s", p, q, strategy)
+    return parts, strategy
 
 
 def _certified(g: Graph, parts, quotas, strategy: str) -> Partition:
@@ -646,31 +622,27 @@ def _certified(g: Graph, parts, quotas, strategy: str) -> Partition:
     return part
 
 
-def clique_bipartition(g: Graph, p: int, q: int, seed: int = 0) -> Partition:
+def clique_bipartition(g: Graph, p: int, q: int) -> Partition:
     """Split V(g) into (V1, V2) with omega(g[V1]) <= p-1 and
     omega(g[V2]) <= q-1, for p + q = max degree + 1, p >= q >= 2, and
     clique number at most max degree - 1.
 
     Strategies run in order: proper-coloring shortcut, independent-set
     stripping, and an exact search that stops after EXACT_NODES nodes.
+    None is randomized, so the split depends on g, p and q alone.
     The split they return is checked once, with exact clique numbers of
     both parts, and SearchFailureError is raised if it fails the quotas.
     AllStrategiesExhausted carries per-strategy diagnostics; with
     proven_infeasible set, because the exact search completed without a
     partition, it is a certified negative.
     """
-    delta = g.max_degree
     if q < 2 or p < q:
         raise PreconditionError(f"need p >= q >= 2, got p={p}, q={q}")
-    if p + q != delta + 1:
+    if p + q != g.max_degree + 1:
         raise PreconditionError(
-            f"p+q={p + q} differs from max degree + 1 = {delta + 1}")
-    cert = clique_number(g)
-    if cert.omega > delta - 1:
-        raise PreconditionError(
-            f"clique number {cert.omega} exceeds max degree - 1 = {delta - 1}",
-            witness=cert.witness)
-    parts, strategy = _bipartition_parts(g, p, q, seed)
+            f"p+q={p + q} differs from max degree + 1 = {g.max_degree + 1}")
+    _check_omega(g)
+    parts, strategy = _bipartition_parts(g, p, q)
     return _certified(g, parts, (p, q), strategy)
 
 
@@ -718,20 +690,15 @@ def _migrate(g: Graph, v1, v2, q: int) -> tuple[list[int], list[int]]:
     return stay, sorted(v2)
 
 
-def _kway_parts(g: Graph, quotas: tuple[int, ...], seed: int, depth: int):
-    """Uncertified parts and the strategy used at each level. The
-    preconditions at depth 0 are the caller's; below, they follow from
-    it: the remainder is part of a valid V1, padded to max degree p."""
+def _kway_parts(g: Graph, quotas: tuple[int, ...], depth: int):
+    """Uncertified parts and the strategy used at each level, for k >= 2.
+    The preconditions at depth 0 are the caller's; below, they follow
+    from it: the remainder is part of a valid V1, padded to max degree p."""
     k = len(quotas)
-    if k == 1:
-        if kernels.has_clique_of_size(g.adjacency_bits, _full_mask(g.n), quotas[0]):
-            raise AllStrategiesExhausted(
-                f"single part contains a clique of size {quotas[0]}", depth=depth)
-        return [list(range(g.n))], ["verify"]
     p = sum(quotas[:-1]) - (k - 2)
     q = quotas[-1]
     try:
-        (v1, v2), strategy = _bipartition_parts(g, p, q, seed)
+        (v1, v2), strategy = _bipartition_parts(g, p, q)
     except AllStrategiesExhausted as exc:
         exc.depth = depth
         if depth:
@@ -748,16 +715,19 @@ def _kway_parts(g: Graph, quotas: tuple[int, ...], seed: int, depth: int):
         raise SearchFailureError(
             f"migrated remainder has degree {sub.max_degree} above {p}")
     padded, real = _pad_star(sub, p)
-    sub_parts, sub_strategies = _kway_parts(padded, quotas[:-1], seed, depth + 1)
+    sub_parts, sub_strategies = _kway_parts(padded, quotas[:-1], depth + 1)
     mapped = [[back[v] for v in side if v < real] for side in sub_parts]
     return mapped + [v2], [strategy] + sub_strategies
 
 
-def kway_clique_partition(g: Graph, spec, seed: int = 0) -> Partition:
+def kway_clique_partition(g: Graph, spec) -> Partition:
     """Split V(g) into k parts meeting every quota, for quota lists with
     sum(p_i) = max degree - 1 + k and clique number at most max degree - 1.
+    The result depends on g and the quotas alone: no stage is randomized.
 
-    Recursion: bundle the first k-1 quotas into one side of a two-part
+    For k = 1 the preconditions already give omega <= p_1 - 1, so the
+    whole vertex set is the answer (strategy "verify"). Otherwise,
+    recursion: bundle the first k-1 quotas into one side of a two-part
     split, make the last part maximal by greedy migration, pad the rest to
     the exact target degree with star dummies, recurse, and strip the
     dummies. Dummy vertices never appear in the returned partition or its
@@ -771,18 +741,15 @@ def kway_clique_partition(g: Graph, spec, seed: int = 0) -> Partition:
     """
     if not isinstance(spec, PartitionSpec):
         spec = PartitionSpec(tuple(spec))
-    delta = g.max_degree
-    total = sum(spec.quotas)
-    if total != delta - 1 + spec.k:
+    if not spec.feasible_for(g):
         raise PreconditionError(
-            f"quota sum {total} differs from max degree - 1 + k = {delta - 1 + spec.k}")
-    cert = clique_number(g)
-    if cert.omega > delta - 1:
-        raise PreconditionError(
-            f"clique number {cert.omega} exceeds max degree - 1 = {delta - 1}",
-            witness=cert.witness)
+            f"quota sum {sum(spec.quotas)} differs from max degree - 1 + k = "
+            f"{g.max_degree - 1 + spec.k}")
+    _check_omega(g)
+    if spec.k == 1:
+        return _certified(g, [range(g.n)], spec.quotas, "verify")
     try:
-        parts, strategies = _kway_parts(g, spec.quotas, seed, 0)
+        parts, strategies = _kway_parts(g, spec.quotas, 0)
     except AllStrategiesExhausted as exc:
         # A proof at depth 0 covers the input: merging the first k-1 parts
         # of any valid k-way partition gives a valid top-level split. For
@@ -802,8 +769,7 @@ def kway_clique_partition(g: Graph, spec, seed: int = 0) -> Partition:
                 "exhaustive search proves no valid partition exists",
                 exc.diagnostics, depth=exc.depth,
                 proven_infeasible=True) from exc
-        parts = [[v for v in range(g.n) if assignment[v] == i]
-                 for i in range(spec.k)]
+        parts = _parts_of(assignment, spec.k)
         strategies = ["exact-kway"]
     return _certified(g, parts, spec.quotas, ";".join(strategies))
 
@@ -856,8 +822,9 @@ def _grow_to_local_max(g: Graph, v1: set[int], v2: set[int], p: int, q: int):
     return v1, v2
 
 
-def max_kpfree_partition(g: Graph, p: int, q: int, seed: int = 0) -> MaxKpfreeResult:
+def max_kpfree_partition(g: Graph, p: int, q: int) -> MaxKpfreeResult:
     """Valid bipartition maximizing |V1| among all valid bipartitions.
+    Deterministic: the result depends on g, p and q alone.
 
     Exhaustive (certificate "exhaustive") up to 14 vertices: subsets are
     scanned by descending size and lexicographic order, so ties match the
@@ -869,17 +836,12 @@ def max_kpfree_partition(g: Graph, p: int, q: int, seed: int = 0) -> MaxKpfreeRe
     clique_bipartition is raised unchanged, proof flag and diagnostics
     included.
     """
-    delta = g.max_degree
     if p < 1 or q < 1 or p < q:
         raise PreconditionError(f"need p >= q >= 1, got p={p}, q={q}")
-    if p + q != delta + 1:
+    if p + q != g.max_degree + 1:
         raise PreconditionError(
-            f"p+q={p + q} differs from max degree + 1 = {delta + 1}")
-    cert = clique_number(g)
-    if cert.omega > delta - 1:
-        raise PreconditionError(
-            f"clique number {cert.omega} exceeds max degree - 1 = {delta - 1}",
-            witness=cert.witness)
+            f"p+q={p + q} differs from max degree + 1 = {g.max_degree + 1}")
+    cert = _check_omega(g)
     n = g.n
     if n <= EXACT_FALLBACK_N:
         full = _full_mask(n)
@@ -896,7 +858,7 @@ def max_kpfree_partition(g: Graph, p: int, q: int, seed: int = 0) -> MaxKpfreeRe
     if cert.omega <= p - 1:
         part = partition_from_parts(g, [list(range(n)), []], strategy="maxfree-local")
         return MaxKpfreeResult(part, "local")
-    bip = clique_bipartition(g, p, q, seed=seed)
+    bip = clique_bipartition(g, p, q)
     v1, v2 = _grow_to_local_max(g, set(bip.parts[0]), set(bip.parts[1]), p, q)
     part = partition_from_parts(g, [sorted(v1), sorted(v2)], strategy="maxfree-local")
     return MaxKpfreeResult(part, "local")

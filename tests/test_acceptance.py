@@ -198,7 +198,7 @@ def test_criterion_3_kway_regime():
         drawn += 1
         spec = cs.PartitionSpec(quotas)
         try:
-            part = cs.kway_clique_partition(g, spec, seed=drawn)
+            part = cs.kway_clique_partition(g, spec)
         except cs.AllStrategiesExhausted:
             failures += 1
             continue

@@ -211,3 +211,22 @@ class TestVerifyPartition:
         part = cs.partition_from_parts(g, [[0, 1], [2, 3]])
         with pytest.raises(cs.PreconditionError):
             cs.verify_partition(g, part, cs.PartitionSpec((2, 2, 2)))
+
+    def test_parts_missing_assigned_vertices_rejected(self):
+        # the assignment puts the edge 0-1 in part 0, whose part list
+        # leaves vertex 1 out; on parts alone the split would look valid
+        g = K(4)
+        part = cs.Partition((0, 0, 1, 1), ((0,), (2,)), (), None)
+        with pytest.raises(cs.PreconditionError, match="parts hold 2 vertices"):
+            cs.verify_partition(g, part, cs.PartitionSpec((2, 2)))
+
+    @pytest.mark.parametrize("parts,message", [
+        (((0, 1, 1), (2, 3)), "part 0 repeats a vertex"),
+        (((0, 1, 2), (3,)), "part 0 holds a vertex the assignment puts elsewhere"),
+        (((0, 1), (1, 2, 3)), "part 1 holds a vertex the assignment puts elsewhere"),
+    ], ids=["repeat", "misplaced", "two-parts"])
+    def test_parts_disagreeing_with_assignment_rejected(self, parts, message):
+        g = C(4)
+        part = cs.Partition((0, 0, 1, 1), parts, (), None)
+        with pytest.raises(cs.PreconditionError, match=message):
+            cs.verify_partition(g, part, cs.PartitionSpec((2, 2)))

@@ -13,6 +13,7 @@ from clique_splitter.partition import (
     _bipartition_parts,
     _dsatur_coloring,
     _exact_partition_assignment,
+    _independent_set,
     _migrate,
     _pad_star,
 )
@@ -260,6 +261,22 @@ class TestHittingIndependentSet:
         assert res.outcome == "not_found"
 
 
+class TestIndependentSet:
+    """Beyond 40 vertices the stripping stage's fallback layer is greedy:
+    it must still be independent and admit no further vertex."""
+
+    @pytest.mark.parametrize("g", [strong(13, 4), regular(60, 14, 0), gnp(50, 0.3, 2)],
+                             ids=["C13xK4", "regular60_14", "gnp50"])
+    def test_greedy_set_is_maximal_independent(self, g):
+        assert g.n > 40
+        found = _independent_set(g)
+        assert list(found) == sorted(set(found))
+        assert found and is_independent(g, found)
+        chosen = set(found)
+        assert all(any(u in chosen for u in g.neighbors(v))
+                   for v in range(g.n) if v not in chosen)
+
+
 class TestDetectCycleCliqueProduct:
     @pytest.mark.parametrize("length,m", [(5, 1), (5, 2), (7, 3), (9, 2)])
     def test_recognizes_products(self, length, m):
@@ -399,7 +416,7 @@ class TestCliqueBipartition:
         edges += [((t + i) % 12, 12 + i) for i in range(3) for t in range(10)]
         g = cs.Graph(15, edges)
         monkeypatch.setattr(partition, "_coloring_strategy",
-                            lambda h, p, q, seed, diags: [[], list(range(h.n))])
+                            lambda h, p, q, diags: [[], list(range(h.n))])
         with pytest.raises(cs.SearchFailureError, match="post-verification failed"):
             cs.clique_bipartition(g, 8, 7)
         with pytest.raises(cs.SearchFailureError, match="post-verification failed"):
@@ -511,7 +528,7 @@ class TestMigrate:
         p = g.max_degree + 1 - q
         splits = [self._random_split(g, q)]
         try:
-            splits.append(_bipartition_parts(g, p, q, 0)[0])
+            splits.append(_bipartition_parts(g, p, q)[0])
         except cs.AllStrategiesExhausted:
             pass
         for v1, v2 in splits:
@@ -556,6 +573,9 @@ class TestKwayCliquePartition:
             pytest.skip("conditioning failed")
         part = cs.kway_clique_partition(g, cs.PartitionSpec((5,)))
         assert part.parts[0] == tuple(range(12))
+        assert part.strategy == "verify"
+        assert len(part.certificates) == 1
+        assert part.certificates[0].omega <= 5 - 1
 
     def test_wrong_sum_rejected(self):
         g = regular(28, 12, 0)
@@ -605,9 +625,9 @@ class TestKwayCliquePartition:
         g = regular(28, 13, 3)
         real = partition._bipartition_parts
 
-        def failing_below_top(h, p, q, seed):
+        def failing_below_top(h, p, q):
             if h is g:
-                return real(h, p, q, seed)
+                return real(h, p, q)
             raise cs.AllStrategiesExhausted("forced", {}, proven_infeasible=True)
 
         monkeypatch.setattr(partition, "_bipartition_parts", failing_below_top)
@@ -646,8 +666,8 @@ class TestKwayCliquePartition:
     def test_same_inputs_same_partition(self):
         g = regular(30, 14, 2)
         spec = cs.PartitionSpec((7, 5, 4))
-        first = cs.kway_clique_partition(g, spec, seed=9)
-        second = cs.kway_clique_partition(g, spec, seed=9)
+        first = cs.kway_clique_partition(g, spec)
+        second = cs.kway_clique_partition(g, spec)
         assert first.assignment == second.assignment
         assert first.strategy == second.strategy
 
