@@ -15,10 +15,19 @@ of a raised error.
     # run this checkout's package and compare, operation by operation
     python3 benchmarks/compare_outputs.py --workload all --against parent.pkl
 
-With ``--against``, a difference prints the number of differing
-operations in each workload and the first differing operation, and the
-exit code is 1. Only load files this script wrote:
-they are pickles.
+With ``--against``, a difference prints, for each workload, the number
+of differing operations split into three kinds, gravest first:
+
+- verdict: one side answered and the other raised, or the proof flag of
+  a raised error differs;
+- answer: the same verdict, but the assignment, parts, certificates or
+  verification report of an answer, or the class, message or depth of an
+  error, differ;
+- strategy or diagnostics only: nothing differs but an answer's strategy
+  string or an error's diagnostics.
+
+It also prints the first operation of the gravest kind found, and the
+exit code is 1. Only load files this script wrote: they are pickles.
 """
 
 from __future__ import annotations
@@ -54,11 +63,26 @@ def record_workload(cs, name: str, seed: int) -> list:
             for gi, quotas in work.ops]
 
 
+KINDS = ("verdict", "answer", "strategy or diagnostics only")
+
+
+def difference_kind(mine: tuple, other: tuple) -> str:
+    """The gravest kind of difference between two unequal records."""
+    if mine[0] != other[0] or (mine[0] == "raised" and mine[5] != other[5]):
+        return KINDS[0]
+    # field 3 is an answer's strategy string, or an error's diagnostics
+    if mine[:3] + mine[4:] != other[:3] + other[4:]:
+        return KINDS[1]
+    return KINDS[2]
+
+
 def compare(ours: dict, theirs: dict) -> tuple[list[str], str | None]:
-    """One line per workload saying how many operations differ, and the
-    first differing operation, or None when every operation matches."""
+    """One line per workload saying how many operations differ, of each
+    kind, and the first differing operation of the gravest kind found,
+    or None when every operation matches."""
     lines: list[str] = []
     first = None
+    first_rank = len(KINDS)
     for name in sorted(set(ours) | set(theirs)):
         if name not in ours or name not in theirs:
             lines.append(f"{name}: recorded on one side only")
@@ -69,12 +93,21 @@ def compare(ours: dict, theirs: dict) -> tuple[list[str], str | None]:
             first = first or lines[-1]
         else:
             pairs = list(zip(ours[name], theirs[name]))
-            differing = [i for i, (mine, other) in enumerate(pairs) if mine != other]
-            lines.append(f"{name}: {len(differing)} of {len(pairs)} operations differ")
-            if differing and first is None:
-                mine, other = pairs[differing[0]]
-                first = (f"{name} operation {differing[0]} ({mine[0]} quotas {mine[1]}):\n"
-                         f"  here:      {mine[2]}\n  recording: {other[2]}")
+            by_kind: dict[str, list[int]] = {kind: [] for kind in KINDS}
+            for i, (mine, other) in enumerate(pairs):
+                if mine != other:
+                    by_kind[difference_kind(mine[2], other[2])].append(i)
+            differing = sum(map(len, by_kind.values()))
+            counts = ", ".join(f"{len(by_kind[kind])} {kind}" for kind in KINDS)
+            lines.append(f"{name}: {differing} of {len(pairs)} operations differ ({counts})")
+            for rank, kind in enumerate(KINDS[:first_rank]):
+                if by_kind[kind]:
+                    i = by_kind[kind][0]
+                    mine, other = pairs[i]
+                    first = (f"{name} operation {i} ({mine[0]} quotas {mine[1]}), {kind}:\n"
+                             f"  here:      {mine[2]}\n  recording: {other[2]}")
+                    first_rank = rank
+                    break
     return lines, first
 
 

@@ -5,7 +5,8 @@ at most D-1 into parts V_1..V_k with omega(g[V_i]) <= p_i - 1, where the
 quotas satisfy sum(p_i) = D - 1 + k. Two-part splits run a strategy
 cascade (proper-coloring shortcut, independent-set stripping, and an
 exact search that stops after EXACT_NODES nodes, at any n); k-way splits
-recurse through two-part splits with greedy migration and star padding.
+recurse through two-part splits with greedy migration, each level on the
+induced remainder of the one above.
 
 Every returned partition is re-verified with exact per-part clique
 numbers before it leaves this module. The engines are deterministic and
@@ -38,7 +39,7 @@ from .graphs import Graph, _mix, induced_subgraph
 
 log = logging.getLogger("clique_splitter.partition")
 
-EXACT_FALLBACK_N = 14  # n cap: max_kpfree subset scan, exact recolouring, degree-bounded fallback
+MAXFREE_EXHAUSTIVE_N = 14  # n cap of max_kpfree_partition's subset scan
 EXACT_NODES = 20_000
 
 
@@ -406,12 +407,6 @@ def degree_bounded_bipartition(g: Graph, p: int, q: int) -> Partition:
         res = _descend_and_repair(g, p, q, list(split0))
         if res is not None and _bounds_hold(g, res[0], res[1], p, q):
             return partition_from_parts(g, res, strategy="degree-local-search")
-    if g.n <= EXACT_FALLBACK_N:
-        for mask in range(1 << g.n):
-            v1 = [v for v in range(g.n) if (mask >> v) & 1]
-            v2 = [v for v in range(g.n) if not (mask >> v) & 1]
-            if _bounds_hold(g, v1, v2, p, q):
-                return partition_from_parts(g, [v1, v2], strategy="degree-exhaustive")
     raise SearchFailureError(
         "degree-bounded local search failed on every seed",
         {"n": g.n, "p": p, "q": q, "max_degree": delta})
@@ -535,48 +530,31 @@ def hitting_independent_set(g: Graph) -> HittingSetResult:
 
 def _strip_parts(g: Graph, p: int, q: int):
     """Peel up to q-1 independent layers until the remainder has clique
-    number below p. The layer union induces a (q-1)-colorable graph, so
-    its clique number is automatically below q."""
+    number below p; each layer is a maximum independent set of the
+    remainder (greedy above 40 vertices). The layer union induces a
+    (q-1)-colorable graph, so its clique number is automatically below q."""
     adj = g.adjacency_bits
     rest = _full_mask(g.n)
     layers = 0
     while rest:
-        omega = kernels.max_clique_size(adj, rest)
-        if omega <= p - 1:
+        if kernels.max_clique_size(adj, rest) <= p - 1:
             break
         if layers == q - 1:
             return None
         sub, back = induced_subgraph(g, kernels.from_mask(rest))
-        local: tuple[int, ...] = ()
-        if sub.n <= 20 or 4 * omega >= 3 * (sub.max_degree + 1):
-            hit = hitting_independent_set(sub)
-            if hit.outcome == "found":
-                local = hit.independent_set
-        if not local:
-            local = _independent_set(sub)
-        rest &= ~kernels.to_mask(back[v] for v in local)
+        rest &= ~kernels.to_mask(back[v] for v in _independent_set(sub))
         layers += 1
     return list(kernels.from_mask(rest)), list(kernels.from_mask(_full_mask(g.n) & ~rest))
 
 
 def _coloring_strategy(g: Graph, p: int, q: int, diags: dict):
-    delta = g.max_degree
     colors = _dsatur_coloring(g)
     ncolors = max(colors, default=-1) + 1
-    if ncolors > delta - 1:
-        if g.n <= EXACT_FALLBACK_N:
-            from .oracle import find_coloring
-
-            exact = find_coloring(g, delta - 1)
-            if exact is None:
-                diags["coloring"] = f"no proper coloring with {delta - 1} colors exists"
-                return None
-            colors = exact
-        else:
-            diags["coloring"] = f"DSatur used {ncolors} > {delta - 1} classes"
-            return None
-    # At most delta-1 = p+q-2 classes: p-1 of them in V1 and at most q-1
-    # in V2, so neither part can hold a clique of its quota.
+    if ncolors > p + q - 2:
+        diags["coloring"] = f"DSatur used {ncolors} > {p + q - 2} classes"
+        return None
+    # At most p+q-2 classes: p-1 of them in V1 and at most q-1 in V2, so
+    # neither part can hold a clique of its quota.
     classes = _color_classes(colors)
     classes.sort(key=lambda cls: (-len(cls), cls))
     v1 = sorted(v for cls in classes[: p - 1] for v in cls)
@@ -650,23 +628,6 @@ def clique_bipartition(g: Graph, p: int, q: int) -> Partition:
 # k-way partition via recursive bipartition
 
 
-def _pad_star(g: Graph, target: int) -> tuple[Graph, int]:
-    """Raise the max degree to exactly `target` by starring fresh leaves
-    onto one maximum-degree vertex. Returns (padded, real_vertex_count).
-
-    The leaves take the indices after g's vertices, so appending them to
-    the hub's sorted neighbour tuple keeps it sorted."""
-    n = g.n
-    if n == 0 or g.max_degree >= target:
-        return g, n
-    nbrs = list(g.adjacency)
-    v = min(u for u in range(n) if len(nbrs[u]) == g.max_degree)
-    extra = target - g.max_degree
-    nbrs[v] += tuple(range(n, n + extra))
-    nbrs += [(v,)] * extra
-    return Graph._from_neighbors(tuple(nbrs)), n
-
-
 def _migrate(g: Graph, v1, v2, q: int) -> tuple[list[int], list[int]]:
     """Move every V1 vertex whose neighbors in V2 hold no K_{q-1} into V2,
     in ascending order; return both parts sorted.
@@ -692,8 +653,14 @@ def _migrate(g: Graph, v1, v2, q: int) -> tuple[list[int], list[int]]:
 
 def _kway_parts(g: Graph, quotas: tuple[int, ...], depth: int):
     """Uncertified parts and the strategy used at each level, for k >= 2.
-    The preconditions at depth 0 are the caller's; below, they follow
-    from it: the remainder is part of a valid V1, padded to max degree p."""
+
+    A level works to the quotas (p, q) with p = sum of all but the last
+    quota minus (k - 2), so its degree bound is p + q - 1. The
+    preconditions at depth 0 are the caller's; below, they follow from
+    it: the remainder is the migrated V1 of a valid split, so its clique
+    number is at most p - 1, its max degree is at most p, and the
+    remaining quotas sum to p - 1 + (k - 1). No level needs its graph's
+    max degree to meet the bound exactly."""
     k = len(quotas)
     p = sum(quotas[:-1]) - (k - 2)
     q = quotas[-1]
@@ -702,7 +669,8 @@ def _kway_parts(g: Graph, quotas: tuple[int, ...], depth: int):
     except AllStrategiesExhausted as exc:
         exc.depth = depth
         if depth:
-            # a proof about a padded remainder says nothing about the input
+            # a proof about one remainder says nothing about the input,
+            # which other top-level splits might still divide
             exc.proven_infeasible = False
         raise
     v1, v2 = _migrate(g, v1, v2, q)
@@ -714,9 +682,8 @@ def _kway_parts(g: Graph, quotas: tuple[int, ...], depth: int):
     if sub.max_degree > p:
         raise SearchFailureError(
             f"migrated remainder has degree {sub.max_degree} above {p}")
-    padded, real = _pad_star(sub, p)
-    sub_parts, sub_strategies = _kway_parts(padded, quotas[:-1], depth + 1)
-    mapped = [[back[v] for v in side if v < real] for side in sub_parts]
+    sub_parts, sub_strategies = _kway_parts(sub, quotas[:-1], depth + 1)
+    mapped = [[back[v] for v in side] for side in sub_parts]
     return mapped + [v2], [strategy] + sub_strategies
 
 
@@ -728,10 +695,10 @@ def kway_clique_partition(g: Graph, spec) -> Partition:
     For k = 1 the preconditions already give omega <= p_1 - 1, so the
     whole vertex set is the answer (strategy "verify"). Otherwise,
     recursion: bundle the first k-1 quotas into one side of a two-part
-    split, make the last part maximal by greedy migration, pad the rest to
-    the exact target degree with star dummies, recurse, and strip the
-    dummies. Dummy vertices never appear in the returned partition or its
-    certificates.
+    split, make the last part maximal by greedy migration, and recurse on
+    the subgraph induced by the rest. The strategy string names one
+    strategy per level that ran; a level whose remainder is empty leaves
+    the parts before it empty and runs no deeper level.
 
     The preconditions are checked here, once: they imply those of every
     level below, so the levels run the two-part cascade without checks
@@ -843,7 +810,7 @@ def max_kpfree_partition(g: Graph, p: int, q: int) -> MaxKpfreeResult:
             f"p+q={p + q} differs from max degree + 1 = {g.max_degree + 1}")
     cert = _check_omega(g)
     n = g.n
-    if n <= EXACT_FALLBACK_N:
+    if n <= MAXFREE_EXHAUSTIVE_N:
         full = _full_mask(n)
         for size in range(n, -1, -1):
             for combo in itertools.combinations(range(n), size):

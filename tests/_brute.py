@@ -79,17 +79,6 @@ def brute_clique_within(g: Graph, members) -> tuple[int, tuple[int, ...]]:
     return 0, ()
 
 
-def edge_list_pad_star(g: Graph, target: int) -> tuple[Graph, int]:
-    """Star padding rebuilt from the edge list: fresh leaves n, n+1, ...
-    joined to the smallest maximum-degree vertex until it has degree
-    ``target``. Returns (padded, real vertex count)."""
-    if g.n == 0 or g.max_degree >= target:
-        return g, g.n
-    hub = min(u for u in range(g.n) if g.degree(u) == g.max_degree)
-    extra = target - g.max_degree
-    return Graph(g.n + extra, g.edges() + [(hub, g.n + i) for i in range(extra)]), g.n
-
-
 def brute_max_independent_size(g: Graph) -> int:
     best = 0
     for size in range(g.n, -1, -1):

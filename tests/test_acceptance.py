@@ -460,3 +460,97 @@ def test_criterion_9_hard_instance_regime():
             f"{disagreements} disagreements, {elapsed:.1f}s")
     assert unproven == 0
     assert disagreements == 0
+
+
+def _quota_lists(total: int, k: int, top: int | None = None):
+    """Every non-increasing list of k quotas, each at least 2, summing to total."""
+    if k == 0:
+        if total == 0:
+            yield ()
+        return
+    top = total if top is None else top
+    for first in range(min(top, total - 2 * (k - 1)), 1, -1):
+        for rest in _quota_lists(total - first, k - 1, first):
+            yield (first,) + rest
+
+
+def test_criterion_10_kway_hard_instance_gate():
+    # The k-way recursion on odd-cycle products C_L x K_m: every k = 3 and
+    # k = 4 quota list, plus the all-2 lists at max degree 8, where the
+    # paper allows "no". Every answer verifies; every give-up is a proof
+    # that the kernel-free oracle confirms.
+    started = time.perf_counter()
+    cases = []
+    for length in (5, 7, 9, 11, 13):
+        for m in (2, 3, 4, 5):
+            g = cs.generate(cs.GeneratorRecipe(
+                "strong_product_cycle_clique", {"cycle_len": length, "m": m}))
+            for k in (3, 4):
+                cases += [(g, quotas) for quotas in _quota_lists(g.max_degree - 1 + k, k)]
+    for length in (5, 7, 9):
+        g = cs.generate(cs.GeneratorRecipe(
+            "strong_product_cycle_clique", {"cycle_len": length, "m": 3}))
+        assert g.max_degree == 8
+        cases.append((g, (2,) * 7))
+    answers = proofs = invalid = unproven = disagreements = 0
+    for g, quotas in cases:
+        spec = cs.PartitionSpec(quotas)
+        assert spec.feasible_for(g)
+        try:
+            part = cs.kway_clique_partition(g, spec)
+        except cs.AllStrategiesExhausted as exc:
+            if not exc.proven_infeasible:
+                unproven += 1
+                continue
+            proofs += 1
+            feasible, _ = cs.exists_clique_partition(
+                g, spec, cs.OracleBudget(assignment_cap=g.n))
+            if feasible:
+                disagreements += 1
+            continue
+        answers += 1
+        if not cs.verify_partition(g, part, spec).valid:
+            invalid += 1
+    elapsed = time.perf_counter() - started
+    ok = invalid == unproven == disagreements == 0
+    _report("10 k-way hard-instance gate", ok,
+            f"{len(cases)} quota lists, {answers} answers, {proofs} proofs, "
+            f"{invalid} invalid, {unproven} unproven give-ups, "
+            f"{disagreements} disagreements, {elapsed:.1f}s")
+    assert len(cases) == 293
+    assert invalid == 0
+    assert unproven == 0
+    assert disagreements == 0
+
+
+def test_criterion_11_paper_regime_never_gives_up():
+    # The paper's theorem: max degree >= 13 always admits a valid
+    # partition, so a give-up here is an engine fault or a counterexample.
+    # C_L x K_5 (max degree 14) for odd L <= 21, every (p, q) pair and six
+    # seeded quota lists for each k = 3, 4, 5.
+    rng = random.Random(_mix(95))
+    calls = 0
+    give_ups = []
+    invalid = 0
+    for length in range(5, 22, 2):
+        g = cs.generate(cs.GeneratorRecipe(
+            "strong_product_cycle_clique", {"cycle_len": length, "m": 5}))
+        assert g.max_degree == 14
+        lists = list(feasible_pairs(g))
+        lists += [_draw_quota_list(rng, g.max_degree, k) for k in (3, 4, 5) for _ in range(6)]
+        for quotas in lists:
+            calls += 1
+            spec = cs.PartitionSpec(quotas)
+            try:
+                part = cs.kway_clique_partition(g, spec)
+            except cs.AllStrategiesExhausted:
+                give_ups.append((length, quotas))
+                continue
+            if not cs.verify_partition(g, part, spec).valid:
+                invalid += 1
+    ok = not give_ups and invalid == 0
+    _report("11 paper regime", ok,
+            f"{calls} calls, {len(give_ups)} give-ups, {invalid} invalid")
+    assert calls == 216
+    assert give_ups == []
+    assert invalid == 0

@@ -15,7 +15,6 @@ from clique_splitter.partition import (
     _exact_partition_assignment,
     _independent_set,
     _migrate,
-    _pad_star,
 )
 from _brute import (
     brute_dsatur,
@@ -24,7 +23,6 @@ from _brute import (
     brute_improving_move,
     brute_migrate,
     brute_omega,
-    edge_list_pad_star,
     is_independent,
     petersen,
     valid_bipartition_sizes,
@@ -535,28 +533,6 @@ class TestMigrate:
             assert _migrate(g, v1, v2, q) == brute_migrate(g, v1, v2, q)
 
 
-class TestPadStar:
-    """Star padding built from neighbour tuples is the same Graph as the
-    edge-list rebuild."""
-
-    @pytest.mark.parametrize("g", [strong(7, 3), regular(30, 14, 0), gnp(40, 0.3, 5)],
-                             ids=["C7xK3", "regular30_14", "gnp40"])
-    @pytest.mark.parametrize("extra", [-1, 0, 1, 3, 8])
-    def test_matches_edge_list_rebuild(self, g, extra):
-        target = g.max_degree + extra
-        padded, real = _pad_star(g, target)
-        expected, expected_real = edge_list_pad_star(g, target)
-        assert real == expected_real == g.n
-        assert padded == expected
-        assert padded.adjacency_bits == expected.adjacency_bits
-        assert hash(padded) == hash(expected)
-        assert [padded.degree(v) for v in range(padded.n)] == \
-            [expected.degree(v) for v in range(expected.n)]
-        assert (padded.max_degree, padded.min_degree, padded.edge_count) == \
-            (expected.max_degree, expected.min_degree, expected.edge_count)
-        assert padded.max_degree == max(target, g.max_degree)
-
-
 class TestKwayCliquePartition:
     def test_three_parts_on_degree_13(self):
         g = regular(28, 13, 3)
@@ -620,8 +596,9 @@ class TestKwayCliquePartition:
         assert calls == [(4, 2)]
 
     def test_proof_below_the_top_level_is_not_a_proof(self, monkeypatch):
-        # a deeper level works on a padded remainder, so its proof must not
-        # surface as a proof about the input when the k-way search stops
+        # a deeper level works on one remainder of the input, so its proof
+        # must not surface as a proof about the input when the k-way search
+        # stops
         g = regular(28, 13, 3)
         real = partition._bipartition_parts
 
@@ -662,6 +639,20 @@ class TestKwayCliquePartition:
         clique_number_within.cache_clear()
         assert cs.verify_partition(g, part, spec).valid
         assert calls
+
+    @pytest.mark.parametrize("n,d", [(48, 16), (28, 13), (40, 14)])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("shape", ["all-2", "even-3"])
+    def test_strategy_names_one_level_per_split_off_part(self, n, d, seed, shape):
+        # each level of the recursion splits off one non-empty last part
+        # and names one strategy; a level never runs on an empty remainder
+        g = regular(n, d, seed)
+        total, k = (2 * (d - 1), d - 1) if shape == "all-2" else (d + 2, 3)
+        base, extra = divmod(total, k)
+        spec = cs.PartitionSpec([base + 1] * extra + [base] * (k - extra))
+        part = cs.kway_clique_partition(g, spec)
+        assert cs.verify_partition(g, part, spec).valid
+        assert len(part.strategy.split(";")) == sum(1 for side in part.parts[1:] if side)
 
     def test_same_inputs_same_partition(self):
         g = regular(30, 14, 2)
@@ -713,7 +704,7 @@ class TestMaxKpfreePartition:
                                      (strong(7, 3), 1), (strong(7, 3), 2)])
     def test_large_graph_below_the_quota_takes_everything(self, g, q):
         p = g.max_degree + 1 - q
-        assert g.n > partition.EXACT_FALLBACK_N
+        assert g.n > partition.MAXFREE_EXHAUSTIVE_N
         assert cs.clique_number(g).omega <= p - 1
         res = cs.max_kpfree_partition(g, p, q)
         assert res.certificate == "local"
@@ -727,7 +718,7 @@ class TestMaxKpfreePartition:
         (gnp(15, 0.3, 0), 3, 3), (strong(5, 5), 10, 5),
     ])
     def test_large_graph_grows_the_cascade_split(self, g, p, q):
-        assert g.n > partition.EXACT_FALLBACK_N
+        assert g.n > partition.MAXFREE_EXHAUSTIVE_N
         assert cs.clique_number(g).omega >= p
         bip = cs.clique_bipartition(g, p, q)
         res = cs.max_kpfree_partition(g, p, q)
@@ -739,7 +730,7 @@ class TestMaxKpfreePartition:
 
     def test_proof_of_infeasibility_is_kept(self):
         g = strong(9, 2)  # (4,2) has no valid split: C9 x K2 is an exception graph
-        assert g.n > partition.EXACT_FALLBACK_N
+        assert g.n > partition.MAXFREE_EXHAUSTIVE_N
         with pytest.raises(cs.AllStrategiesExhausted) as direct:
             cs.clique_bipartition(g, 4, 2)
         with pytest.raises(cs.AllStrategiesExhausted) as err:
