@@ -82,32 +82,36 @@ def compare(ours: dict, theirs: dict) -> tuple[list[str], str | None]:
     or None when every operation matches."""
     lines: list[str] = []
     first = None
-    first_rank = len(KINDS)
+    first_rank = len(KINDS)  # a structural mismatch ranks -1, above every kind
     for name in sorted(set(ours) | set(theirs)):
         if name not in ours or name not in theirs:
-            lines.append(f"{name}: recorded on one side only")
-            first = first or lines[-1]
+            mismatch = f"{name}: recorded on one side only"
         elif len(ours[name]) != len(theirs[name]):
-            lines.append(f"{name}: {len(ours[name])} operations here, "
-                         f"{len(theirs[name])} in the recording")
-            first = first or lines[-1]
+            mismatch = (f"{name}: {len(ours[name])} operations here, "
+                        f"{len(theirs[name])} in the recording")
         else:
-            pairs = list(zip(ours[name], theirs[name]))
-            by_kind: dict[str, list[int]] = {kind: [] for kind in KINDS}
-            for i, (mine, other) in enumerate(pairs):
-                if mine != other:
-                    by_kind[difference_kind(mine[2], other[2])].append(i)
-            differing = sum(map(len, by_kind.values()))
-            counts = ", ".join(f"{len(by_kind[kind])} {kind}" for kind in KINDS)
-            lines.append(f"{name}: {differing} of {len(pairs)} operations differ ({counts})")
-            for rank, kind in enumerate(KINDS[:first_rank]):
-                if by_kind[kind]:
-                    i = by_kind[kind][0]
-                    mine, other = pairs[i]
-                    first = (f"{name} operation {i} ({mine[0]} quotas {mine[1]}), {kind}:\n"
-                             f"  here:      {mine[2]}\n  recording: {other[2]}")
-                    first_rank = rank
-                    break
+            mismatch = None
+        if mismatch is not None:
+            lines.append(mismatch)
+            if first_rank >= 0:
+                first, first_rank = mismatch, -1
+            continue
+        pairs = list(zip(ours[name], theirs[name]))
+        by_kind: dict[str, list[int]] = {kind: [] for kind in KINDS}
+        for i, (mine, other) in enumerate(pairs):
+            if mine != other:
+                by_kind[difference_kind(mine[2], other[2])].append(i)
+        differing = sum(map(len, by_kind.values()))
+        counts = ", ".join(f"{len(by_kind[kind])} {kind}" for kind in KINDS)
+        lines.append(f"{name}: {differing} of {len(pairs)} operations differ ({counts})")
+        for rank, kind in enumerate(KINDS[:max(first_rank, 0)]):
+            if by_kind[kind]:
+                i = by_kind[kind][0]
+                mine, other = pairs[i]
+                first = (f"{name} operation {i} ({mine[0]} quotas {mine[1]}), {kind}:\n"
+                         f"  here:      {mine[2]}\n  recording: {other[2]}")
+                first_rank = rank
+                break
     return lines, first
 
 

@@ -260,8 +260,8 @@ class TestHittingIndependentSet:
 
 
 class TestIndependentSet:
-    """Beyond 40 vertices the stripping stage's fallback layer is greedy:
-    it must still be independent and admit no further vertex."""
+    """Beyond 40 vertices the stripping stage's layer is greedy: it must
+    still be independent and admit no further vertex."""
 
     @pytest.mark.parametrize("g", [strong(13, 4), regular(60, 14, 0), gnp(50, 0.3, 2)],
                              ids=["C13xK4", "regular60_14", "gnp50"])
@@ -364,6 +364,60 @@ class TestPendantCliqueAugmentation:
         parts = [[v for v in side if v < g.n] for side in part.parts]
         back = cs.partition_from_parts(g, parts)
         assert cs.verify_partition(g, back, cs.PartitionSpec((8, 7))).valid
+
+
+class TestKingRegime:
+    """Clique number at least 3(D+1)/4 and more than 40 vertices: King's
+    theorem gives an independent set meeting every maximum clique, while
+    the stripping stage peels greedy layers. Every two-part pair and every
+    three-part list is still answered."""
+
+    @staticmethod
+    def _cycle_of_cliques(length, s):
+        # C_length box K_s: vertex j of copy i is joined to vertex j of
+        # copy i+1, so omega = s and max degree s + 1 for length >= 4
+        edges = [(i * s + u, i * s + v)
+                 for i in range(length) for u in range(s) for v in range(u + 1, s)]
+        edges += [(i * s + j, (i + 1) % length * s + j) for i in range(length) for j in range(s)]
+        return cs.Graph(length * s, edges)
+
+    @staticmethod
+    def _with_pendant_cliques(g, count):
+        # a K_D on one bridge edge at each of `count` vertices
+        s = g.max_degree
+        edges, n = g.edges(), g.n
+        for v in range(count):
+            edges += [(n + i, n + j) for i in range(s) for j in range(i + 1, s)]
+            edges.append((v * 7 % g.n, n))
+            n += s
+        return cs.Graph(n, edges)
+
+    def _graphs(self):
+        # the C_L x K_3 components need more than D - 1 colors, so on the
+        # unions the coloring stage fails and stripping or exact decides
+        for length in (5, 6, 7):
+            yield cs.disjoint_union(strong(5, 3), self._cycle_of_cliques(length, 7))
+            yield cs.disjoint_union(strong(7, 3), self._cycle_of_cliques(length, 7))
+        for s in (6, 8, 10):
+            yield self._cycle_of_cliques(7, s)
+        for length, m in ((9, 3), (11, 3), (11, 4), (13, 4)):
+            yield self._with_pendant_cliques(strong(length, m), 2)
+
+    def test_every_pair_and_three_part_list_is_answered(self):
+        strategies = set()
+        for g in self._graphs():
+            d = g.max_degree
+            omega = cs.clique_number(g).omega
+            assert g.n > 40 and omega == d - 1 and 4 * omega >= 3 * (d + 1)
+            lists = [(d + 1 - q, q) for q in range(2, (d + 1) // 2 + 1)]
+            lists += [(a, b, d + 2 - a - b) for a in range(2, d) for b in range(2, a + 1)
+                      if 2 <= d + 2 - a - b <= b]
+            for quotas in lists:
+                spec = cs.PartitionSpec(quotas)
+                part = cs.kway_clique_partition(g, spec)
+                assert cs.verify_partition(g, part, spec).valid
+                strategies.add(part.strategy.split(";")[0])
+        assert "stripping" in strategies
 
 
 class TestCliqueBipartition:
