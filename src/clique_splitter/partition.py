@@ -4,9 +4,11 @@ The central operation splits a graph with max degree D and clique number
 at most D-1 into parts V_1..V_k with omega(g[V_i]) <= p_i - 1, where the
 quotas satisfy sum(p_i) = D - 1 + k. Two-part splits run a strategy
 cascade (proper-coloring shortcut, independent-set stripping, and an
-exact search that stops after EXACT_NODES nodes, at any n); k-way splits
-recurse through two-part splits with greedy migration, each level on the
-induced remainder of the one above.
+exact search that stops after EXACT_NODES nodes, at any n). A k-way
+split is answered in one shot when DSatur colors the input with at most
+D - 1 classes, since the quotas leave sum(p_i - 1) = D - 1 classes of
+room; otherwise it recurses through two-part splits with greedy
+migration, each level on the induced remainder of the one above.
 
 Every returned partition is re-verified with exact per-part clique
 numbers before it leaves this module. The engines are deterministic and
@@ -20,6 +22,7 @@ import itertools
 import logging
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import kernels
 from .cliques import (
@@ -200,12 +203,19 @@ def _dsatur_coloring(g: Graph) -> list[int]:
     return colors
 
 
-def _color_classes(colors: list[int]) -> list[list[int]]:
-    k = max(colors, default=-1) + 1
-    classes = [[] for _ in range(k)]
+@lru_cache(maxsize=1024)
+def _dsatur_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """DSatur's color classes of g, largest first, ties broken by members.
+
+    Cached by graph, like ``cliques.clique_number_within``, so every
+    quota list on one graph reads one coloring.
+    """
+    colors = _dsatur_coloring(g)
+    classes = [[] for _ in range(max(colors, default=-1) + 1)]
     for v, c in enumerate(colors):
         classes[c].append(v)
-    return classes
+    classes.sort(key=lambda cls: (-len(cls), cls))
+    return tuple(map(tuple, classes))
 
 
 def _independent_set(g: Graph) -> tuple[int, ...]:
@@ -469,10 +479,18 @@ def hitting_independent_set(g: Graph) -> HittingSetResult:
     """Search exhaustively for an independent set meeting every maximum
     clique (removal then drops the clique number by exactly one).
 
-    Outcomes: found (with certificate), exception when the graph is a
-    recognized odd-cycle strong product, not_found when the complete
-    search proves no transversal exists.
+    Outcomes: exception when the graph is a recognized odd-cycle strong
+    product, which has no transversal (checked first, before any search);
+    found (with certificate); not_found when the complete search proves
+    no transversal exists.
     """
+    det = detect_cycle_clique_product(g)
+    if det is not None:
+        # The maximum cliques of C_L x K_m are the pairs of consecutive
+        # fibres. An independent set takes at most one vertex per fibre
+        # from pairwise non-consecutive fibres, so a transversal would be
+        # an independent vertex cover of the odd cycle C_L: none exists.
+        return HittingSetResult("exception", cycle_len=det[0], m=det[1])
     cliques = all_maximum_cliques(g)
     if not cliques:
         return HittingSetResult("not_found")
@@ -518,9 +536,6 @@ def hitting_independent_set(g: Graph) -> HittingSetResult:
                 f"transversal removal left clique number {after}, expected {omega - 1}")
         return HittingSetResult(
             "found", kernels.from_mask(mask), omega_before=omega, omega_after=after)
-    det = detect_cycle_clique_product(g)
-    if det is not None:
-        return HittingSetResult("exception", cycle_len=det[0], m=det[1])
     return HittingSetResult("not_found")
 
 
@@ -547,19 +562,22 @@ def _strip_parts(g: Graph, p: int, q: int):
     return list(kernels.from_mask(rest)), list(kernels.from_mask(_full_mask(g.n) & ~rest))
 
 
-def _coloring_strategy(g: Graph, p: int, q: int, diags: dict):
-    colors = _dsatur_coloring(g)
-    ncolors = max(colors, default=-1) + 1
-    if ncolors > p + q - 2:
-        diags["coloring"] = f"DSatur used {ncolors} > {p + q - 2} classes"
+def _coloring_strategy(g: Graph, quotas, diags: dict):
+    classes = _dsatur_classes(g)
+    room = sum(quotas) - len(quotas)
+    if len(classes) > room:
+        diags["coloring"] = f"DSatur used {len(classes)} > {room} classes"
         return None
-    # At most p+q-2 classes: p-1 of them in V1 and at most q-1 in V2, so
-    # neither part can hold a clique of its quota.
-    classes = _color_classes(colors)
-    classes.sort(key=lambda cls: (-len(cls), cls))
-    v1 = sorted(v for cls in classes[: p - 1] for v in cls)
-    v2 = sorted(v for cls in classes[p - 1:] for v in cls)
-    return [v1, v2]
+    # Part i takes the next p_i - 1 classes, so it is p_i - 1 colorable
+    # and holds no K_{p_i}. The quotas leave sum(p_i - 1) classes of room,
+    # which is max degree - 1 on the input of a k-way split and p + q - 2
+    # at a two-part level, so every class is placed.
+    parts = []
+    start = 0
+    for p in quotas:
+        parts.append(sorted(v for cls in classes[start:start + p - 1] for v in cls))
+        start += p - 1
+    return parts
 
 
 def _bipartition_parts(g: Graph, p: int, q: int):
@@ -571,7 +589,7 @@ def _bipartition_parts(g: Graph, p: int, q: int):
     wins. AllStrategiesExhausted carries one diagnostic per failed
     stage, and is a proof when the exact search completed."""
     diags: dict[str, str] = {}
-    parts, strategy = _coloring_strategy(g, p, q, diags), "coloring"
+    parts, strategy = _coloring_strategy(g, (p, q), diags), "coloring"
     if parts is None:
         parts, strategy = _strip_parts(g, p, q), "stripping"
     if parts is None:
@@ -693,12 +711,16 @@ def kway_clique_partition(g: Graph, spec) -> Partition:
     The result depends on g and the quotas alone: no stage is randomized.
 
     For k = 1 the preconditions already give omega <= p_1 - 1, so the
-    whole vertex set is the answer (strategy "verify"). Otherwise,
-    recursion: bundle the first k-1 quotas into one side of a two-part
-    split, make the last part maximal by greedy migration, and recurse on
-    the subgraph induced by the rest. The strategy string names one
-    strategy per level that ran; a level whose remainder is empty leaves
-    the parts before it empty and runs no deeper level.
+    whole vertex set is the answer (strategy "verify"). For k >= 2, one
+    DSatur coloring of the input answers every quota list at once when it
+    uses at most max degree - 1 = sum(p_i - 1) classes: part i takes the
+    next p_i - 1 classes, largest first (strategy "coloring"). No part is
+    then promised to be maximal. Otherwise, recursion: bundle the first
+    k-1 quotas into one side of a two-part split, make the last part
+    maximal by greedy migration, and recurse on the subgraph induced by
+    the rest. The strategy string names one strategy per level that ran;
+    a level whose remainder is empty leaves the parts before it empty and
+    runs no deeper level.
 
     The preconditions are checked here, once: they imply those of every
     level below, so the levels run the two-part cascade without checks
@@ -715,6 +737,9 @@ def kway_clique_partition(g: Graph, spec) -> Partition:
     _check_omega(g)
     if spec.k == 1:
         return _certified(g, [range(g.n)], spec.quotas, "verify")
+    parts = _coloring_strategy(g, spec.quotas, {})
+    if parts is not None:
+        return _certified(g, parts, spec.quotas, "coloring")
     try:
         parts, strategies = _kway_parts(g, spec.quotas, 0)
     except AllStrategiesExhausted as exc:

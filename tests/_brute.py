@@ -133,6 +133,20 @@ def brute_dsatur(g: Graph) -> list[int]:
     return colors
 
 
+def is_proper_coloring(g: Graph, colors) -> bool:
+    """Whether ``colors`` gives every vertex a color and the two ends of
+    every edge different colors."""
+    return len(colors) == g.n and all(colors[u] != colors[v] for u, v in g.edges())
+
+
+def is_union_of_classes(colors, part, limit: int) -> bool:
+    """Whether ``part`` is exactly the union of at most ``limit`` color
+    classes of ``colors``: it holds every vertex of each color it uses."""
+    used = {colors[v] for v in part}
+    return (len(used) <= limit
+            and sorted(part) == [v for v, c in enumerate(colors) if c in used])
+
+
 def brute_first_assignment(g: Graph, quotas) -> tuple[list[int] | None, int]:
     """The first valid assignment in the exact search's order, found by
     plain recursion: vertices by descending degree, then index; parts in

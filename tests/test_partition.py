@@ -11,6 +11,8 @@ from clique_splitter import kernels, partition
 from clique_splitter.cliques import clique_number_within
 from clique_splitter.partition import (
     _bipartition_parts,
+    _coloring_strategy,
+    _dsatur_classes,
     _dsatur_coloring,
     _exact_partition_assignment,
     _independent_set,
@@ -24,6 +26,8 @@ from _brute import (
     brute_migrate,
     brute_omega,
     is_independent,
+    is_proper_coloring,
+    is_union_of_classes,
     petersen,
     valid_bipartition_sizes,
 )
@@ -250,6 +254,17 @@ class TestHittingIndependentSet:
             res = cs.hitting_independent_set(g)
             assert (res.outcome == "found") == brute_has_transversal(g)
 
+    def test_c21_strong_k5_exception_without_search(self, monkeypatch):
+        # no transversal exists on a recognised odd-cycle product; the
+        # exhaustive search would take tens of seconds here
+        def no_search(g):
+            raise AssertionError("the transversal search ran")
+
+        monkeypatch.setattr(partition, "all_maximum_cliques", no_search)
+        res = cs.hitting_independent_set(strong(21, 5))
+        assert res.outcome == "exception"
+        assert (res.cycle_len, res.m) == (21, 5)
+
     def test_not_found_on_transversal_free_non_product(self):
         # the exception graph plus one isolated vertex: still no
         # transversal of the five maximum cliques, but no longer a product
@@ -468,7 +483,7 @@ class TestCliqueBipartition:
         edges += [((t + i) % 12, 12 + i) for i in range(3) for t in range(10)]
         g = cs.Graph(15, edges)
         monkeypatch.setattr(partition, "_coloring_strategy",
-                            lambda h, p, q, diags: [[], list(range(h.n))])
+                            lambda h, quotas, diags: [[], list(range(h.n))])
         with pytest.raises(cs.SearchFailureError, match="post-verification failed"):
             cs.clique_bipartition(g, 8, 7)
         with pytest.raises(cs.SearchFailureError, match="post-verification failed"):
@@ -652,8 +667,9 @@ class TestKwayCliquePartition:
     def test_proof_below_the_top_level_is_not_a_proof(self, monkeypatch):
         # a deeper level works on one remainder of the input, so its proof
         # must not surface as a proof about the input when the k-way search
-        # stops
-        g = regular(28, 13, 3)
+        # stops. DSatur needs 12 classes on C5xK4 against 10 of room, so
+        # the recursion runs, and its top level answers by stripping.
+        g = strong(5, 4)
         real = partition._bipartition_parts
 
         def failing_below_top(h, p, q):
@@ -664,7 +680,7 @@ class TestKwayCliquePartition:
         monkeypatch.setattr(partition, "_bipartition_parts", failing_below_top)
         monkeypatch.setattr(partition, "EXACT_NODES", 1)
         with pytest.raises(cs.AllStrategiesExhausted) as err:
-            cs.kway_clique_partition(g, cs.PartitionSpec((5, 5, 5)))
+            cs.kway_clique_partition(g, cs.PartitionSpec((7, 3, 3)))
         assert err.value.depth == 1
         assert not err.value.proven_infeasible
         assert err.value.diagnostics["exact-kway"] == "stopped after 1 nodes"
@@ -694,19 +710,34 @@ class TestKwayCliquePartition:
         assert cs.verify_partition(g, part, spec).valid
         assert calls
 
-    @pytest.mark.parametrize("n,d", [(48, 16), (28, 13), (40, 14)])
-    @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("shape", ["all-2", "even-3"])
-    def test_strategy_names_one_level_per_split_off_part(self, n, d, seed, shape):
-        # each level of the recursion splits off one non-empty last part
-        # and names one strategy; a level never runs on an empty remainder
-        g = regular(n, d, seed)
+    @staticmethod
+    def _spec(d, shape):
         total, k = (2 * (d - 1), d - 1) if shape == "all-2" else (d + 2, 3)
         base, extra = divmod(total, k)
-        spec = cs.PartitionSpec([base + 1] * extra + [base] * (k - extra))
+        return cs.PartitionSpec([base + 1] * extra + [base] * (k - extra))
+
+    @pytest.mark.parametrize("length,m", [(7, 3), (9, 3), (11, 3), (5, 4), (9, 5)])
+    @pytest.mark.parametrize("shape", ["all-2", "even-3"])
+    def test_strategy_names_one_level_per_split_off_part(self, length, m, shape):
+        # DSatur needs 3m classes on C_L x K_m, two more than the room, so
+        # the recursion runs: each level splits off one non-empty last
+        # part and names one strategy; a level never runs on an empty
+        # remainder
+        g = strong(length, m)
+        spec = self._spec(g.max_degree, shape)
         part = cs.kway_clique_partition(g, spec)
         assert cs.verify_partition(g, part, spec).valid
         assert len(part.strategy.split(";")) == sum(1 for side in part.parts[1:] if side)
+
+    @pytest.mark.parametrize("n,d", [(48, 16), (28, 13), (40, 14)])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("shape", ["all-2", "even-3"])
+    def test_regular_graphs_answer_in_one_coloring(self, n, d, seed, shape):
+        g = regular(n, d, seed)
+        spec = self._spec(d, shape)
+        part = cs.kway_clique_partition(g, spec)
+        assert cs.verify_partition(g, part, spec).valid
+        assert part.strategy == "coloring"
 
     def test_same_inputs_same_partition(self):
         g = regular(30, 14, 2)
@@ -715,6 +746,87 @@ class TestKwayCliquePartition:
         second = cs.kway_clique_partition(g, spec)
         assert first.assignment == second.assignment
         assert first.strategy == second.strategy
+
+
+class TestOneShotColoring:
+    """A k-way split answered by one coloring of the input deals whole
+    classes of a proper coloring: part i gets at most p_i - 1 of them."""
+
+    @staticmethod
+    def _quota_lists(delta):
+        lists = [(delta + 1 - q, q) for q in range(2, (delta + 1) // 2 + 1)]
+        if delta >= 3:
+            lists.append((2,) * (delta - 1))
+        return lists
+
+    def _check(self, g):
+        colors = brute_dsatur(g)
+        assert is_proper_coloring(g, colors)
+        ncolors = max(colors, default=-1) + 1
+        for quotas in self._quota_lists(g.max_degree):
+            fits = ncolors <= sum(quotas) - len(quotas)
+            try:
+                part = cs.kway_clique_partition(g, quotas)
+            except cs.AllStrategiesExhausted:
+                assert not fits
+                continue
+            assert (part.strategy == "coloring") == fits
+            if fits:
+                for side, p in zip(part.parts, quotas):
+                    assert is_union_of_classes(colors, side, p - 1)
+
+    @given(small_graphs())
+    @settings(max_examples=200)
+    def test_parts_are_unions_of_classes_on_small_graphs(self, g):
+        if g.max_degree < 3 or brute_omega(g) > g.max_degree - 1:
+            return
+        self._check(g)
+
+    @pytest.mark.parametrize("n,d", [(28, 13), (30, 14), (32, 15), (34, 16)])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_parts_are_unions_of_classes_on_regular_graphs(self, n, d, seed):
+        self._check(regular(n, d, seed))
+
+    def test_one_dsatur_run_per_graph(self, monkeypatch):
+        g = regular(28, 13, 3)
+        calls = []
+
+        def counted(h):
+            calls.append(h)
+            return _dsatur_coloring(h)
+
+        monkeypatch.setattr(partition, "_dsatur_coloring", counted)
+        _dsatur_classes.cache_clear()
+        lists = self._quota_lists(g.max_degree)
+        for quotas in lists:
+            assert cs.kway_clique_partition(g, quotas).strategy == "coloring"
+        for p, q in lists[:-1]:
+            assert cs.clique_bipartition(g, p, q).strategy == "coloring"
+        assert len(calls) == 1
+        _dsatur_classes.cache_clear()
+        for quotas in lists:
+            cs.kway_clique_partition(g, quotas)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_recursion_runs_on_cycle_clique_products(self, m):
+        # max degree 3m - 1 leaves 3m - 2 classes of room, and DSatur
+        # needs 3m on every product
+        for length in range(5, 42, 2):
+            g = strong(length, m)
+            diags = {}
+            quotas = TestKwayCliquePartition._spec(g.max_degree, "even-3").quotas
+            assert len(_dsatur_classes(g)) == 3 * m
+            assert _coloring_strategy(g, quotas, diags) is None
+            assert diags["coloring"] == f"DSatur used {3 * m} > {3 * m - 2} classes"
+            try:
+                part = cs.kway_clique_partition(g, quotas)
+            except cs.AllStrategiesExhausted as exc:
+                # the cascade's first level ran and refused the coloring too
+                assert exc.diagnostics["coloring"] == diags["coloring"]
+                continue
+            assert part.strategy != "coloring"
+            assert cs.verify_partition(g, part, cs.PartitionSpec(quotas)).valid
 
 
 class TestMaxKpfreePartition:
