@@ -2,12 +2,17 @@
 
 Drop-in twin of the compiled extension ``_ckernels``; ``kernels`` picks one
 at import time. ``adj`` is a sequence of per-vertex neighbor bitsets and
-``mask`` restricts the search to a vertex subset.
+``mask`` restricts the search to a vertex subset. ``max_clique`` has no
+compiled twin yet.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
+
+# max_clique searches every tie with the best clique until more than this
+# many largest cliques have turned up; see its docstring.
+TIE_LIMIT = 16
 
 
 def max_clique_size(adj: Sequence[int], mask: int, stop_at: int = 0) -> int:
@@ -74,6 +79,109 @@ def max_clique_size(adj: Sequence[int], mask: int, stop_at: int = 0) -> int:
 
     expand(mask, 0)
     return best
+
+
+def max_clique(adj: Sequence[int], mask: int,
+               labels: Sequence[int] | None = None) -> tuple[int, ...]:
+    """The largest clique within ``mask`` whose sorted labels come first
+    in lexicographic order, as that sorted tuple of labels; vertex i has
+    the label ``labels[i]``, or i when ``labels`` is None. The empty mask
+    gives the empty tuple.
+
+    The branch and bound of ``max_clique_size``, except that a branch
+    that can at best tie the largest clique found so far is searched too,
+    as long as no more than ``TIE_LIMIT`` ties have turned up. A graph
+    with that few largest cliques is thus searched through all of them,
+    and the nodes visited, and the cost, depend on the numbering of
+    ``adj`` alone, not on the labels. Past the limit ties are pruned, the
+    search only settles the clique number, and the clique is then built
+    in label order by decision queries, as many largest cliques make the
+    first one quick to reach.
+    """
+    label = range(len(adj)) if labels is None else labels
+    best: list[int] = []
+    chosen: list[int] = []
+    ties = 0
+
+    def expand(cand: int) -> None:
+        nonlocal best, ties
+        size = len(chosen)
+        if size > len(best):
+            best = sorted(chosen)
+            ties = 0
+        # Classes numbered at most `dead` cannot reach a tie with best.
+        dead = len(best) - size - 1
+        order: list[int] = []
+        bound: list[int] = []
+        uncolored = cand
+        color = 0
+        while uncolored:
+            color += 1
+            cls = uncolored
+            if color <= dead:
+                while cls:
+                    v = cls.bit_length() - 1
+                    bit = 1 << v
+                    cls &= ~adj[v]
+                    cls ^= bit
+                    uncolored ^= bit
+                continue
+            while cls:
+                v = cls.bit_length() - 1
+                bit = 1 << v
+                cls &= ~adj[v]
+                cls ^= bit
+                uncolored ^= bit
+                order.append(v)
+                bound.append(color)
+        cur = cand
+        for i in range(len(order) - 1, -1, -1):
+            reach = size + bound[i]
+            if reach < len(best) or (reach == len(best) and ties > TIE_LIMIT):
+                return
+            v = order[i]
+            cur ^= 1 << v
+            sub = cur & adj[v]
+            chosen.append(label[v])
+            if sub:
+                expand(sub)
+            elif size + 1 > len(best):
+                best = sorted(chosen)
+                ties = 0
+            elif size + 1 == len(best):
+                # Another maximal clique as large as best.
+                ties += 1
+                best = min(best, sorted(chosen))
+            chosen.pop()
+
+    expand(mask)
+    if ties <= TIE_LIMIT:
+        return tuple(best)
+    # Ties were pruned: take the lowest label whose neighbourhood still
+    # holds a clique of the remaining size, level by level.
+    members = []
+    rest = mask
+    while rest:
+        bit = rest & -rest
+        members.append(bit.bit_length() - 1)
+        rest ^= bit
+    members.sort(key=label.__getitem__)
+    found = []
+    cand = mask
+    for v in members:
+        if not cand >> v & 1:
+            continue
+        need = len(best) - len(found) - 1
+        sub = cand & adj[v]
+        if need == 0 or max_clique_size(adj, sub, stop_at=need) >= need:
+            found.append(label[v])
+            if need == 0:
+                break
+            cand = sub
+        else:
+            # v is in no clique of the size wanted; drop it.
+            cand ^= 1 << v
+    return tuple(found)
 
 
 def has_clique_of_size(adj: Sequence[int], mask: int, size: int) -> bool:

@@ -7,7 +7,8 @@ vertex subsets are computed on a bitset mask of the graph itself, not on
 an induced subgraph, and ``clique_number_within`` keeps the one cache of
 them, keyed by (graph, mask): the certificates the partition engine
 builds and the per-part checks of ``verify_partition`` read the same
-entries.
+entries. Each search runs in a numbering of the graph's vertices drawn
+from its structure, not from its labels.
 """
 
 from __future__ import annotations
@@ -45,31 +46,6 @@ class CliqueIntersectionReport:
     flagged_pairs: tuple[tuple[int, int], ...]
 
 
-def _lex_smallest_clique(adj, mask: int, size: int) -> tuple[int, ...]:
-    """Lexicographically smallest clique of exactly ``size`` inside ``mask``.
-
-    Greedy: commit the smallest vertex whose neighborhood still supports a
-    completion, then restrict. Assumes such a clique exists.
-    """
-    chosen: list[int] = []
-    cand = mask
-    need = size
-    while need > 0:
-        rest = cand
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            sub = cand & adj[v]
-            if need == 1 or kernels.max_clique_size(adj, sub, stop_at=need - 1) >= need - 1:
-                chosen.append(v)
-                cand = sub
-                need -= 1
-                break
-        else:
-            raise AssertionError("no clique of the requested size in mask")
-    return tuple(chosen)
-
-
 @lru_cache(maxsize=4096)
 def clique_number_within(g: Graph, mask: int) -> CliqueCertificate:
     """Exact clique number of the vertex set ``mask`` (a bitset over
@@ -77,15 +53,42 @@ def clique_number_within(g: Graph, mask: int) -> CliqueCertificate:
     ``g``'s own labels.
 
     The result equals ``clique_number`` of the induced subgraph with its
-    witness mapped back: relabelling the members in increasing order
-    keeps both the kernel's bit order and lexicographic order. The empty
-    mask has omega 0 and an empty witness.
+    witness mapped back. The empty mask has omega 0 and an empty witness.
+    The search runs in ``_search_numbering(g)``, so its cost does not
+    depend on how g's vertices happen to be labelled.
     """
-    if not mask:
-        return CliqueCertificate(0, ())
-    adj = g.adjacency_bits
-    omega = kernels.max_clique_size(adj, mask)
-    return CliqueCertificate(omega, _lex_smallest_clique(adj, mask, omega))
+    labels, adj, number = _search_numbering(g)
+    if number is not None and mask != (1 << g.n) - 1:
+        mask = sum(map((1).__lshift__, map(number.__getitem__, kernels.from_mask(mask))))
+    witness = kernels.max_clique(adj, mask, labels)
+    return CliqueCertificate(len(witness), witness)
+
+
+@lru_cache(maxsize=1024)
+def _search_numbering(g: Graph):
+    """The numbering the clique searches of g run in: its vertices in
+    increasing (degree, sum of the neighbours' degrees, label), their
+    adjacency bitsets with vertex ``labels[i]`` numbered i, and each
+    vertex's number; ``(None, g.adjacency_bits, None)`` when that order
+    is the labels' own, as on regular graphs.
+
+    Degree and the neighbours' degree sum do not depend on the labels,
+    and on graphs like G(n, p) they tell nearly every vertex apart, so
+    relabelling such a graph leaves the searches, and their cost, as they
+    were. The label only breaks the ties left.
+    """
+    nbrs = g.adjacency
+    degree = list(map(len, nbrs))
+    key = [(degree[v], sum(map(degree.__getitem__, nbrs[v])), v) for v in range(g.n)]
+    labels = sorted(range(g.n), key=key.__getitem__)
+    if labels == list(range(g.n)):
+        return None, g.adjacency_bits, None
+    number = [0] * g.n
+    for i, v in enumerate(labels):
+        number[v] = i
+    shift = (1).__lshift__
+    adj = tuple(sum(map(shift, map(number.__getitem__, nbrs[v]))) for v in labels)
+    return labels, adj, number
 
 
 def clique_number(g: Graph) -> CliqueCertificate:
@@ -200,5 +203,4 @@ def maximum_independent_set(g: Graph) -> tuple[int, ...]:
         return ()
     full = (1 << g.n) - 1
     comp = tuple((full & ~bits) & ~(1 << v) for v, bits in enumerate(g.adjacency_bits))
-    size = kernels.max_clique_size(comp, full)
-    return _lex_smallest_clique(comp, full, size)
+    return kernels.max_clique(comp, full)

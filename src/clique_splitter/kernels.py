@@ -42,6 +42,12 @@ def max_clique_size(adj: Sequence[int], mask: int, stop_at: int = 0) -> int:
     return _py.max_clique_size(adj, mask, stop_at)
 
 
+def max_clique(adj: Sequence[int], mask: int,
+               labels: Sequence[int] | None = None) -> tuple[int, ...]:
+    # No compiled twin yet: the pure search runs under either backend.
+    return _py.max_clique(adj, mask, labels)
+
+
 def has_clique_of_size(adj: Sequence[int], mask: int, size: int) -> bool:
     if size <= 0:
         return True

@@ -171,25 +171,33 @@ def _check_omega(g: Graph) -> CliqueCertificate:
 
 
 def _dsatur_coloring(g: Graph) -> list[int]:
-    """Deterministic DSatur: highest saturation, then degree, then index.
+    """Deterministic DSatur: highest saturation, then degree, then sum of
+    the neighbours' degrees, then index.
 
-    A lazy-deletion heap keyed ``(-saturation, -degree, index)`` picks each
-    vertex in O(log n), so the whole run costs O((n + m) log n). An entry
-    is pushed whenever a vertex's saturation rises. Saturation only grows,
-    so a vertex's freshest entry is also its smallest: it is popped first,
-    and every stale entry surfaces after the vertex is colored and is
-    skipped. The pick order therefore equals a full scan's.
+    The neighbours' degree sum breaks most ties of degree without reading
+    the labels, so on graphs like G(n, p) the classes are the same vertex
+    sets however the graph is numbered, and so is the cost of searching
+    the parts built from them.
+
+    A lazy-deletion heap keyed ``(-saturation, -degree, -degree sum,
+    index)`` picks each vertex in O(log n), so the whole run costs
+    O((n + m) log n). An entry is pushed whenever a vertex's saturation
+    rises. Saturation only grows, so a vertex's freshest entry is also its
+    smallest: it is popped first, and every stale entry surfaces after the
+    vertex is colored and is skipped. The pick order therefore equals a
+    full scan's.
     """
     n = g.n
     nbrs = g.adjacency
     neg_degree = [-len(s) for s in nbrs]
+    neg_sum = [sum(map(neg_degree.__getitem__, s)) for s in nbrs]
     colors = [-1] * n
     seen: list[set[int]] = [set() for _ in range(n)]
-    heap = [(0, neg_degree[v], v) for v in range(n)]
+    heap = [(0, neg_degree[v], neg_sum[v], v) for v in range(n)]
     heapq.heapify(heap)
     heappop, heappush = heapq.heappop, heapq.heappush
     while heap:
-        _, _, v = heappop(heap)
+        v = heappop(heap)[3]
         if colors[v] >= 0:
             continue
         c = 0
@@ -199,7 +207,7 @@ def _dsatur_coloring(g: Graph) -> list[int]:
         for u in nbrs[v]:
             if colors[u] < 0 and c not in seen[u]:
                 seen[u].add(c)
-                heappush(heap, (-len(seen[u]), neg_degree[u], u))
+                heappush(heap, (-len(seen[u]), neg_degree[u], neg_sum[u], u))
     return colors
 
 

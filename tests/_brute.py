@@ -115,13 +115,15 @@ def brute_degeneracy(g: Graph) -> int:
 
 def brute_dsatur(g: Graph) -> list[int]:
     """DSatur by a full scan per step: highest saturation, then degree,
-    then index; each vertex takes the smallest color its neighbors lack."""
+    then sum of the neighbours' degrees, then index; each vertex takes the
+    smallest color its neighbors lack."""
     colors = [-1] * g.n
     seen: list[set[int]] = [set() for _ in range(g.n)]
+    degree_sum = [sum(g.degree(w) for w in g.neighbors(u)) for u in range(g.n)]
     for _ in range(g.n):
         v = min(
             (u for u in range(g.n) if colors[u] < 0),
-            key=lambda u: (-len(seen[u]), -g.degree(u), u),
+            key=lambda u: (-len(seen[u]), -g.degree(u), -degree_sum[u], u),
         )
         c = 0
         while c in seen[v]:

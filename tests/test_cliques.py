@@ -305,6 +305,77 @@ class TestDecisionSemantics:
             assert pk.has_clique_of_size(adj, mask, s) == (omega >= s)
 
 
+def _label_reference(adj, mask, labels) -> tuple[int, ...]:
+    """The largest clique within mask whose sorted labels come first, by
+    enumerating every vertex subset of mask from the largest size down."""
+    members = kernels.from_mask(mask)
+    for t in range(len(members), 0, -1):
+        found = [tuple(sorted(labels[v] for v in c))
+                 for c in itertools.combinations(members, t)
+                 if all(adj[a] >> b & 1 for a, b in itertools.combinations(c, 2))]
+        if found:
+            return min(found)
+    return ()
+
+
+class TestMaxClique:
+    """``max_clique`` returns the largest clique whose sorted labels come
+    first, whatever numbering the search runs in."""
+
+    @given(bitset_graphs(max_n=11), st.randoms(use_true_random=False))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_reference_under_any_labels(self, case, rnd):
+        from clique_splitter import _pykernels as pk
+
+        adj, mask = case
+        labels = list(range(len(adj)))
+        rnd.shuffle(labels)
+        assert pk.max_clique(adj, mask, labels) == _label_reference(adj, mask, labels)
+        assert pk.max_clique(adj, mask) == _label_reference(adj, mask, range(len(adj)))
+
+    @given(bitset_graphs(max_n=11))
+    @settings(max_examples=60, deadline=None)
+    def test_tie_limit_leaves_the_answer(self, case):
+        from clique_splitter import _pykernels as pk
+
+        adj, mask = case
+        answers = set()
+        saved = pk.TIE_LIMIT
+        try:
+            for limit in (0, 1, 10**9):
+                pk.TIE_LIMIT = limit
+                answers.add(pk.max_clique(adj, mask))
+        finally:
+            pk.TIE_LIMIT = saved
+        assert len(answers) == 1
+
+    def test_many_largest_cliques(self):
+        # The complement of a perfect matching on 60 vertices has 2^30
+        # largest cliques; past TIE_LIMIT ties the lexicographic bound
+        # prunes them, so the search ends at once.
+        n = 60
+        g = cs.Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if v != u ^ 1])
+        assert cs.clique_number(g).witness == tuple(range(0, n, 2))
+
+    def test_search_numbering_ignores_the_labels(self):
+        # In this G(60, 0.5) no two vertices share both their degree and
+        # their neighbours' degree sum, so a relabelled copy is searched
+        # in exactly the same numbering, at the same cost.
+        from clique_splitter.cliques import _search_numbering
+
+        g = random_graph(60, 0.5, 0)
+        keys = {(g.degree(v), sum(g.degree(u) for u in g.neighbors(v))) for v in range(g.n)}
+        assert len(keys) == g.n
+        perm = list(range(g.n))
+        random.Random(1).shuffle(perm)
+        h = cs.Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        g_labels, g_adj, _ = _search_numbering(g)
+        h_labels, h_adj, _ = _search_numbering(h)
+        assert h_adj == g_adj
+        assert h_labels == [perm[v] for v in g_labels]
+        assert cs.clique_number(h).omega == cs.clique_number(g).omega
+
+
 class TestKernelParity:
     @given(bitset_graphs())
     @settings(max_examples=80, deadline=None)

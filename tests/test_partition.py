@@ -86,6 +86,19 @@ class TestDsaturColoring:
         g = regular(1000, 16, seed=3)
         assert _dsatur_coloring(g) == brute_dsatur(g)
 
+    def test_coloring_follows_the_structure_not_the_labels(self):
+        # No two vertices of this G(60, 0.5) share both their degree and
+        # their neighbours' degree sum, so the index never breaks a tie
+        # and a relabelled copy is colored vertex for vertex the same way.
+        g = cs.generate(cs.GeneratorRecipe("gnp", {"n": 60, "p": 0.5}, seed=0))
+        keys = {(g.degree(v), sum(g.degree(u) for u in g.neighbors(v))) for v in range(g.n)}
+        assert len(keys) == g.n
+        perm = list(range(g.n))
+        random.Random(2).shuffle(perm)
+        h = cs.Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        colors, relabelled = _dsatur_coloring(g), _dsatur_coloring(h)
+        assert [relabelled[perm[v]] for v in range(g.n)] == colors
+
 
 class TestPartitionSpec:
     def test_accepts_non_increasing(self):
@@ -697,13 +710,13 @@ class TestKwayCliquePartition:
         spec = cs.PartitionSpec((5, 5, 5))
         part = cs.kway_clique_partition(g, spec)
         calls = []
-        search = kernels.max_clique_size
+        search = kernels.max_clique
 
         def counted(*args, **kwargs):
             calls.append(args)
             return search(*args, **kwargs)
 
-        monkeypatch.setattr(kernels, "max_clique_size", counted)
+        monkeypatch.setattr(kernels, "max_clique", counted)
         assert cs.verify_partition(g, part, spec).valid
         assert calls == []
         clique_number_within.cache_clear()
