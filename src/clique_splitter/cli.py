@@ -174,6 +174,9 @@ def cmd_verify(in_path, gen_recipe, report_path, seed):
         quotas = tuple(payload["quotas"])
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         _fail(EXIT_IO, f"{report_path}: {exc}")
+    if not isinstance(assignment, list):
+        _fail(EXIT_IO, f"{report_path}: assignment must be a list, "
+                       f"got {type(assignment).__name__}")
     if len(assignment) != g.n:
         _fail(EXIT_IO, f"assignment covers {len(assignment)} vertices, graph has {g.n}")
     try:

@@ -235,10 +235,11 @@ def verify_partition(g: Graph, part: Partition, spec: PartitionSpec) -> Verifica
     if len(part.assignment) != g.n:
         raise PreconditionError(
             f"assignment covers {len(part.assignment)} vertices, graph has {g.n}")
-    if spec.k != len(part.parts):
+    k = spec.k
+    if k != len(part.parts):
         raise PreconditionError(
-            f"partition has {len(part.parts)} parts, spec wants {spec.k}")
-    if any(not (0 <= j < spec.k) for j in part.assignment):
+            f"partition has {len(part.parts)} parts, spec wants {k}")
+    if any(not (0 <= j < k) for j in part.assignment):
         raise PreconditionError("part index out of range")
     masks = []
     for i, members in enumerate(part.parts):

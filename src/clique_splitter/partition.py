@@ -7,8 +7,11 @@ cascade (proper-coloring shortcut, independent-set stripping, and an
 exact search that stops after EXACT_NODES nodes, at any n). A k-way
 split is answered in one shot when DSatur colors the input with at most
 D - 1 classes, since the quotas leave sum(p_i - 1) = D - 1 classes of
-room; otherwise it recurses through two-part splits with greedy
-migration, each level on the induced remainder of the one above.
+room: V_1 takes every class when p_1 - 1 of them suffice, and otherwise
+the classes are dealt round-robin, largest first, to parts that still
+have room, so that no part's certificate searches most of V. Otherwise
+a k-way split recurses through two-part splits with greedy migration,
+each level on the induced remainder of the one above.
 
 Every returned partition is re-verified with exact per-part clique
 numbers before it leaves this module. The engines are deterministic and
@@ -576,16 +579,24 @@ def _coloring_strategy(g: Graph, quotas, diags: dict):
     if len(classes) > room:
         diags["coloring"] = f"DSatur used {len(classes)} > {room} classes"
         return None
-    # Part i takes the next p_i - 1 classes, so it is p_i - 1 colorable
-    # and holds no K_{p_i}. The quotas leave sum(p_i - 1) classes of room,
-    # which is max degree - 1 on the input of a k-way split and p + q - 2
-    # at a two-part level, so every class is placed.
-    parts = []
-    start = 0
-    for p in quotas:
-        parts.append(sorted(v for cls in classes[start:start + p - 1] for v in cls))
-        start += p - 1
-    return parts
+    # A part of at most p_i - 1 classes is p_i - 1 colorable and holds no
+    # K_{p_i}. The quotas leave sum(p_i - 1) classes of room, which is max
+    # degree - 1 on the input of a k-way split and p + q - 2 at a two-part
+    # level, so every class is placed.
+    if len(classes) <= quotas[0] - 1:
+        # V is then the one part to certify, and its entry is the one
+        # the precondition check has already filled.
+        return [list(range(g.n))] + [[] for _ in quotas[1:]]
+    # Otherwise the classes are dealt round-robin, largest first, skipping
+    # a part once it is full: slot (t, i) is part i's (t+1)-th class. A
+    # part's certificate costs about as much as a clique search of its
+    # size, so k parts of about r/k classes each cost far less than a
+    # first part holding most of V.
+    slots = sorted((t, i) for i, p in enumerate(quotas) for t in range(p - 1))
+    parts = [[] for _ in quotas]
+    for cls, (_, i) in zip(classes, slots):
+        parts[i].extend(cls)
+    return [sorted(side) for side in parts]
 
 
 def _bipartition_parts(g: Graph, p: int, q: int):
@@ -633,6 +644,10 @@ def clique_bipartition(g: Graph, p: int, q: int) -> Partition:
 
     Strategies run in order: proper-coloring shortcut, independent-set
     stripping, and an exact search that stops after EXACT_NODES nodes.
+    The coloring shortcut applies when DSatur uses at most p + q - 2
+    classes: V1 takes every class when p - 1 suffice; otherwise the
+    classes alternate between the sides, largest first, and once V2
+    holds q - 1 of them the rest go to V1.
     None is randomized, so the split depends on g, p and q alone.
     The split they return is checked once, with exact clique numbers of
     both parts, and SearchFailureError is raised if it fails the quotas.
@@ -721,8 +736,10 @@ def kway_clique_partition(g: Graph, spec) -> Partition:
     For k = 1 the preconditions already give omega <= p_1 - 1, so the
     whole vertex set is the answer (strategy "verify"). For k >= 2, one
     DSatur coloring of the input answers every quota list at once when it
-    uses at most max degree - 1 = sum(p_i - 1) classes: part i takes the
-    next p_i - 1 classes, largest first (strategy "coloring"). No part is
+    uses at most max degree - 1 = sum(p_i - 1) classes (strategy
+    "coloring"). Part 1 takes the whole vertex set when p_1 - 1 classes
+    suffice; otherwise the classes are dealt round-robin, largest first,
+    and a part stops taking classes once it holds p_i - 1. No part is
     then promised to be maximal. Otherwise, recursion: bundle the first
     k-1 quotas into one side of a two-part split, make the last part
     maximal by greedy migration, and recurse on the subgraph induced by

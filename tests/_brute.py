@@ -149,6 +149,32 @@ def is_union_of_classes(colors, part, limit: int) -> bool:
             and sorted(part) == [v for v, c in enumerate(colors) if c in used])
 
 
+def brute_deal(colors, quotas) -> list[list[int]] | None:
+    """The parts the one-shot coloring makes from ``colors``: its classes,
+    largest first with ties broken by members, all go to the first part
+    when it has room for every one of them (p_1 - 1 classes); otherwise
+    they are handed out one at a time to the parts in turn, passing over
+    any part that already holds p_i - 1. Each part comes back sorted;
+    None when the classes outnumber the room, sum(p_i - 1)."""
+    k = len(quotas)
+    classes = sorted(([v for v, c in enumerate(colors) if c == color] for color in set(colors)),
+                     key=lambda cls: (-len(cls), cls))
+    if len(classes) > sum(quotas) - k:
+        return None
+    if len(classes) <= quotas[0] - 1:
+        return [list(range(len(colors)))] + [[] for _ in range(k - 1)]
+    parts: list[list[int]] = [[] for _ in range(k)]
+    held = [0] * k
+    turn = 0
+    for cls in classes:
+        while held[turn] == quotas[turn] - 1:
+            turn = (turn + 1) % k
+        parts[turn] += cls
+        held[turn] += 1
+        turn = (turn + 1) % k
+    return [sorted(side) for side in parts]
+
+
 def brute_first_assignment(g: Graph, quotas) -> tuple[list[int] | None, int]:
     """The first valid assignment in the exact search's order, found by
     plain recursion: vertices by descending degree, then index; parts in

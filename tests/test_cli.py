@@ -139,6 +139,19 @@ class TestVerifyCommand:
             "verify", "--in", str(graph_path), "--report", str(report_path)])
         assert verify.exit_code == 1
 
+    @pytest.mark.parametrize("assignment", [5, None, {"0": 0}, "01"])
+    def test_assignment_that_is_not_a_list_exits_1(self, runner, tmp_path, assignment):
+        graph_path = tmp_path / "g.dimacs"
+        report_path = tmp_path / "report.json"
+        graph_path.write_text("p edge 2 1\ne 1 2\n")
+        report_path.write_text(json.dumps({"quotas": [2, 2], "assignment": assignment}))
+        verify = runner.invoke(main, [
+            "verify", "--in", str(graph_path), "--report", str(report_path)])
+        assert verify.exit_code == 1
+        assert verify.exception is None or isinstance(verify.exception, SystemExit)
+        assert "error: " in verify.output
+        assert "assignment must be a list" in verify.output
+
     def test_json_graph_input(self, runner, tmp_path):
         graph_path = tmp_path / "g.json"
         report_path = tmp_path / "report.json"

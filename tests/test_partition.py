@@ -19,6 +19,7 @@ from clique_splitter.partition import (
     _migrate,
 )
 from _brute import (
+    brute_deal,
     brute_dsatur,
     brute_first_assignment,
     brute_has_transversal,
@@ -763,11 +764,19 @@ class TestKwayCliquePartition:
 
 class TestOneShotColoring:
     """A k-way split answered by one coloring of the input deals whole
-    classes of a proper coloring: part i gets at most p_i - 1 of them."""
+    classes of a proper coloring: part i gets at most p_i - 1 of them.
+    Part 1 takes V when it has room for every class; otherwise the
+    classes go round-robin, largest first, over the parts with room."""
 
     @staticmethod
-    def _quota_lists(delta):
+    def _balanced(delta, k):
+        base, extra = divmod(delta - 1 + k, k)
+        return (base + 1,) * extra + (base,) * (k - extra)
+
+    @classmethod
+    def _quota_lists(cls, delta):
         lists = [(delta + 1 - q, q) for q in range(2, (delta + 1) // 2 + 1)]
+        lists += [cls._balanced(delta, k) for k in (3, 4) if delta >= k + 1]
         if delta >= 3:
             lists.append((2,) * (delta - 1))
         return lists
@@ -787,6 +796,8 @@ class TestOneShotColoring:
             if fits:
                 for side, p in zip(part.parts, quotas):
                     assert is_union_of_classes(colors, side, p - 1)
+                assert [list(side) for side in part.parts] == brute_deal(colors, quotas)
+                assert (part.parts[0] == tuple(range(g.n))) == (ncolors <= quotas[0] - 1)
 
     @given(small_graphs())
     @settings(max_examples=200)
@@ -813,13 +824,38 @@ class TestOneShotColoring:
         lists = self._quota_lists(g.max_degree)
         for quotas in lists:
             assert cs.kway_clique_partition(g, quotas).strategy == "coloring"
-        for p, q in lists[:-1]:
+        for p, q in (quotas for quotas in lists if len(quotas) == 2):
             assert cs.clique_bipartition(g, p, q).strategy == "coloring"
         assert len(calls) == 1
         _dsatur_classes.cache_clear()
         for quotas in lists:
             cs.kway_clique_partition(g, quotas)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_only_the_precondition_searches_the_whole_vertex_set(self, monkeypatch, seed):
+        # G(60, 0.5) has max degree about 40 and needs about 13 classes,
+        # more than the 9-10 that p_1 - 1 leaves for k >= 4, so the
+        # classes are dealt and no part's certificate is near-whole-graph
+        g = gnp(60, 0.5, seed)
+        sizes = []
+        search = kernels.max_clique
+
+        def counted(adj, mask, *args):
+            sizes.append(mask.bit_count())
+            return search(adj, mask, *args)
+
+        monkeypatch.setattr(kernels, "max_clique", counted)
+        clique_number_within.cache_clear()
+        ncolors = len(_dsatur_classes(g))
+        for k in range(4, 9):
+            quotas = self._balanced(g.max_degree, k)
+            assert ncolors > quotas[0] - 1
+            part = cs.kway_clique_partition(g, quotas)
+            assert part.strategy == "coloring"
+            assert cs.verify_partition(g, part, cs.PartitionSpec(quotas)).valid
+        assert sizes.count(g.n) == 1 and sizes[0] == g.n
+        assert max(sizes[1:]) <= g.n // 2
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_recursion_runs_on_cycle_clique_products(self, m):
