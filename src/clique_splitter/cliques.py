@@ -77,6 +77,9 @@ def _search_numbering(g: Graph):
     relabelling such a graph leaves the searches, and their cost, as they
     were. The label only breaks the ties left.
     """
+    if g.min_degree == g.max_degree:
+        # every key ties up to the label
+        return None, g.adjacency_bits, None
     nbrs = g.adjacency
     degree = list(map(len, nbrs))
     key = [(degree[v], sum(map(degree.__getitem__, nbrs[v])), v) for v in range(g.n)]

@@ -375,6 +375,15 @@ class TestMaxClique:
         assert h_labels == [perm[v] for v in g_labels]
         assert cs.clique_number(h).omega == cs.clique_number(g).omega
 
+    @pytest.mark.parametrize("n, d", [(1, 0), (12, 3), (40, 13), (200, 16)])
+    def test_search_numbering_of_a_regular_graph_is_the_labels(self, n, d):
+        # Every vertex ties on degree and neighbours' degree sum, so the
+        # labels order them and the graph's own bitsets are searched.
+        from clique_splitter.cliques import _search_numbering
+
+        g = cs.generate(cs.GeneratorRecipe("random_regular", {"n": n, "d": d}, seed=4))
+        assert _search_numbering(g) == (None, g.adjacency_bits, None)
+
 
 class TestKernelParity:
     @given(bitset_graphs())

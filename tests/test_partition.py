@@ -87,6 +87,14 @@ class TestDsaturColoring:
         g = regular(1000, 16, seed=3)
         assert _dsatur_coloring(g) == brute_dsatur(g)
 
+    @pytest.mark.parametrize("n, d", [(10, 3), (21, 4), (30, 13), (40, 16), (60, 7)])
+    def test_matches_scan_on_small_regular(self, n, d):
+        # On a regular graph every vertex ties on degree and degree sum,
+        # so the index alone orders them.
+        for seed in range(3):
+            g = regular(n, d, seed)
+            assert _dsatur_coloring(g) == brute_dsatur(g)
+
     def test_coloring_follows_the_structure_not_the_labels(self):
         # No two vertices of this G(60, 0.5) share both their degree and
         # their neighbours' degree sum, so the index never breaks a tie
