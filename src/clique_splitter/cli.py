@@ -13,6 +13,7 @@ import os
 import random
 import sys
 import time
+from typing import Callable
 
 import click
 
@@ -87,11 +88,14 @@ def _load_graph(in_path: str | None, gen_recipe: str | None, seed: int) -> tuple
     raise AssertionError("unreachable")
 
 
-def _parse_quotas(text: str) -> PartitionSpec:
+def _quota_ints(text: str, option: str) -> tuple[int, ...]:
     try:
-        quotas = tuple(int(tok) for tok in text.split(","))
+        return tuple(int(tok) for tok in text.split(","))
     except ValueError:
-        _fail(EXIT_IO, f"--quotas must be comma-separated integers, got {text!r}")
+        _fail(EXIT_IO, f"{option} must be comma-separated integers, got {text!r}")
+
+
+def _check_quotas(quotas: tuple[int, ...]) -> PartitionSpec:
     if any(p < 2 for p in quotas):
         _fail(EXIT_PRECONDITION, "every quota must be at least 2")
     if any(a < b for a, b in zip(quotas, quotas[1:])):
@@ -117,7 +121,7 @@ def main() -> None:
 def cmd_partition(in_path, gen_recipe, quotas, seed, as_json, out_path):
     """Split the graph so part i has no clique of size p_i."""
     g, descriptor = _load_graph(in_path, gen_recipe, seed)
-    spec = _parse_quotas(quotas)
+    spec = _check_quotas(_quota_ints(quotas, "--quotas"))
     started = time.perf_counter()
     try:
         part = kway_clique_partition(g, spec)
@@ -171,12 +175,18 @@ def cmd_verify(in_path, gen_recipe, report_path, seed):
         with open(report_path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         assignment = payload["assignment"]
-        quotas = tuple(payload["quotas"])
+        quotas = payload["quotas"]
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         _fail(EXIT_IO, f"{report_path}: {exc}")
-    if not isinstance(assignment, list):
-        _fail(EXIT_IO, f"{report_path}: assignment must be a list, "
-                       f"got {type(assignment).__name__}")
+    for name, values in (("quotas", quotas), ("assignment", assignment)):
+        if not isinstance(values, list):
+            _fail(EXIT_IO, f"{report_path}: {name} must be a list, "
+                           f"got {type(values).__name__}")
+        # bool is a subclass of int, but true is not a JSON integer.
+        bad = [x for x in values if type(x) is not int]
+        if bad:
+            _fail(EXIT_IO, f"{report_path}: {name} must hold integers, "
+                           f"got {json.dumps(bad[0])}")
     if len(assignment) != g.n:
         _fail(EXIT_IO, f"assignment covers {len(assignment)} vertices, graph has {g.n}")
     try:
@@ -222,31 +232,22 @@ def cmd_gen(recipe, seed, out_path, fmt):
     sys.exit(EXIT_OK)
 
 
-def _probe_quota_lists(policy: str, delta: int) -> list[tuple[int, ...]]:
+def _probe_quota_lists(policy: str) -> Callable[[int], list[tuple[int, ...]]]:
+    """The quota lists to try on a sampled graph, as a function of its max
+    degree. A ``list:`` policy is parsed and checked here, once."""
     if policy == "none":
-        return []
+        return lambda delta: []
     if policy == "all2":
-        k = delta - 1
-        return [tuple([2] * k)] if k >= 1 else []
+        return lambda delta: [tuple([2] * (delta - 1))] if delta >= 2 else []
     if policy == "pairs":
-        out = []
-        for q in range(2, delta + 1):
-            p = delta + 1 - q
-            if p < q:
-                break
-            out.append((p, q))
-        return out
+        return lambda delta: [(delta + 1 - q, q) for q in range(2, delta + 1)
+                              if delta + 1 - q >= q]
     if policy.startswith("list:"):
-        body = policy[len("list:"):]
-        lists = []
-        for chunk in body.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            quotas = tuple(int(tok) for tok in chunk.split(","))
-            if sum(quotas) == delta - 1 + len(quotas):
-                lists.append(quotas)
-        return lists
+        lists = [_quota_ints(chunk.strip(), "--quota-policy")
+                 for chunk in policy[len("list:"):].split(";") if chunk.strip()]
+        for quotas in lists:
+            _check_quotas(quotas)
+        return lambda delta: [q for q in lists if sum(q) == delta - 1 + len(q)]
     raise click.BadParameter(f"unknown quota policy {policy!r}")
 
 
@@ -266,6 +267,7 @@ def cmd_probe(n_min, n_max, samples, seed, quota_policy, budget_n, out_path):
     engine mismatches, and chromatic-tight graphs."""
     if n_min < 1 or n_max < n_min:
         _fail(EXIT_IO, "need 1 <= n-min <= n-max")
+    quota_lists_for = _probe_quota_lists(quota_policy)
     budget = oracle.OracleBudget(assignment_cap=budget_n, enumeration_cap=budget_n)
     findings: list[dict] = []
     densities = (0.3, 0.5, 0.7)
@@ -278,7 +280,7 @@ def cmd_probe(n_min, n_max, samples, seed, quota_policy, budget_n, out_path):
         omega = clique_number(g).omega
         if delta < 2 or omega > delta - 1:
             continue
-        quota_lists = _probe_quota_lists(quota_policy, delta)
+        quota_lists = quota_lists_for(delta)
         if not quota_lists:
             continue
         canonical = serialize_dimacs(g)

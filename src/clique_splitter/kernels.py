@@ -1,54 +1,194 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""Clique kernels over integer bitsets, in pure Python.
 
-Set ``CLIQUE_SPLITTER_KERNEL=pure`` or ``=c`` to force a backend (the
-benchmark and the parity tests use this). The compiled path allocates its
-buffers on the heap for each call, sized by n, and is only used for graphs
-of at most ``_C_MAX_N`` (512) vertices; larger inputs use the pure twin
-without telling the caller. With ``stop_at > 0`` the two backends may
-return different values of ``max_clique_size`` below ``stop_at``, but
-they agree on every decision (whether the result reaches ``stop_at``)
-and on every exact clique number (``stop_at = 0``).
+``adj`` is a sequence of per-vertex neighbour bitsets (bit u of
+``adj[v]`` is set when uv is an edge) and ``mask`` restricts a search to
+a vertex subset. ``max_clique_size`` is the clique number, or with
+``stop_at > 0`` a decision query; ``has_clique_of_size`` asks that query;
+``max_clique`` returns the certificate's clique, the one whose sorted
+labels come first; ``maximal_cliques`` enumerates the maximal cliques.
+Every result is deterministic: it depends on the arguments alone.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Sequence
 
-from . import _pykernels as _py
-
-_C_MAX_N = 512
-
-_forced = os.environ.get("CLIQUE_SPLITTER_KERNEL", "").strip().lower()
-if _forced == "pure":
-    _c = None
-elif _forced == "c":
-    from . import _ckernels as _c  # noqa: F401  (ImportError is intentional here)
-else:
-    try:
-        from . import _ckernels as _c  # type: ignore[no-redef]
-    except ImportError:
-        _c = None
-
-
-def backend() -> str:
-    """Name of the active kernel backend: 'c' or 'pure'."""
-    return "c" if _c is not None else "pure"
+# max_clique searches every tie with the best clique until more than this
+# many largest cliques have turned up; see its docstring.
+TIE_LIMIT = 16
 
 
 def max_clique_size(adj: Sequence[int], mask: int, stop_at: int = 0) -> int:
-    if _c is not None and len(adj) <= _C_MAX_N:
-        return _c.max_clique_size(list(adj), mask, stop_at)
-    return _py.max_clique_size(adj, mask, stop_at)
+    """Largest clique size within ``mask`` (branch and bound, greedy
+    coloring upper bounds, Tomita-style pivot order).
+
+    With ``stop_at = 0`` the result is the clique number of ``mask``.
+    With ``stop_at > 0`` the call answers "does ``mask`` hold a clique of
+    ``stop_at`` vertices?": the result is ``>= stop_at`` exactly when it
+    does. The search stops once such a clique is found, and it prunes
+    every branch whose colour bound cannot reach ``stop_at`` (the k-clique
+    decision form of the Tomita-Seki bound), so a result below
+    ``stop_at`` is only the size of a clique found on the way and may be
+    less than the clique number. Either way the result never exceeds it.
+    """
+    best = 0
+    # A branch is pruned when it cannot beat max(best, floor); floor = -1
+    # never binds, so stop_at = 0 is the plain maximum-clique search.
+    floor = stop_at - 1
+
+    def expand(cand: int, size: int) -> None:
+        nonlocal best
+        if size > best:
+            best = size
+        if not cand or (stop_at and best >= stop_at):
+            return
+        # Greedy coloring: classes are independent sets, so a clique inside
+        # cand takes at most one vertex per class. bound[i] = class index.
+        # Classes numbered at most `dead` are coloured but not recorded:
+        # best only grows, so the loop below would prune them anyway.
+        order: list[int] = []
+        bound: list[int] = []
+        dead = (best if best > floor else floor) - size
+        uncolored = cand
+        color = 0
+        while uncolored:
+            color += 1
+            cls = uncolored
+            if color <= dead:
+                while cls:
+                    bit = cls & -cls
+                    v = bit.bit_length() - 1
+                    cls &= ~adj[v]
+                    cls ^= bit
+                    uncolored ^= bit
+                continue
+            while cls:
+                bit = cls & -cls
+                v = bit.bit_length() - 1
+                cls &= ~adj[v]
+                cls ^= bit
+                uncolored ^= bit
+                order.append(v)
+                bound.append(color)
+        cur = cand
+        for i in range(len(order) - 1, -1, -1):
+            if size + bound[i] <= (best if best > floor else floor):
+                return
+            v = order[i]
+            cur ^= 1 << v
+            expand(cur & adj[v], size + 1)
+            if stop_at and best >= stop_at:
+                return
+
+    expand(mask, 0)
+    return best
 
 
 def max_clique(adj: Sequence[int], mask: int,
                labels: Sequence[int] | None = None) -> tuple[int, ...]:
-    # No compiled twin yet: the pure search runs under either backend.
-    return _py.max_clique(adj, mask, labels)
+    """The largest clique within ``mask`` whose sorted labels come first
+    in lexicographic order, as that sorted tuple of labels; vertex i has
+    the label ``labels[i]``, or i when ``labels`` is None. The empty mask
+    gives the empty tuple.
+
+    The branch and bound of ``max_clique_size``, except that a branch
+    that can at best tie the largest clique found so far is searched too,
+    as long as no more than ``TIE_LIMIT`` ties have turned up. A graph
+    with that few largest cliques is thus searched through all of them,
+    and the nodes visited, and the cost, depend on the numbering of
+    ``adj`` alone, not on the labels. Past the limit ties are pruned, the
+    search only settles the clique number, and the clique is then built
+    in label order by decision queries, as many largest cliques make the
+    first one quick to reach.
+    """
+    label = range(len(adj)) if labels is None else labels
+    best: list[int] = []
+    chosen: list[int] = []
+    ties = 0
+
+    def expand(cand: int) -> None:
+        nonlocal best, ties
+        size = len(chosen)
+        if size > len(best):
+            best = sorted(chosen)
+            ties = 0
+        # Classes numbered at most `dead` cannot reach a tie with best.
+        dead = len(best) - size - 1
+        order: list[int] = []
+        bound: list[int] = []
+        uncolored = cand
+        color = 0
+        while uncolored:
+            color += 1
+            cls = uncolored
+            if color <= dead:
+                while cls:
+                    v = cls.bit_length() - 1
+                    bit = 1 << v
+                    cls &= ~adj[v]
+                    cls ^= bit
+                    uncolored ^= bit
+                continue
+            while cls:
+                v = cls.bit_length() - 1
+                bit = 1 << v
+                cls &= ~adj[v]
+                cls ^= bit
+                uncolored ^= bit
+                order.append(v)
+                bound.append(color)
+        cur = cand
+        for i in range(len(order) - 1, -1, -1):
+            reach = size + bound[i]
+            if reach < len(best) or (reach == len(best) and ties > TIE_LIMIT):
+                return
+            v = order[i]
+            cur ^= 1 << v
+            sub = cur & adj[v]
+            chosen.append(label[v])
+            if sub:
+                expand(sub)
+            elif size + 1 > len(best):
+                best = sorted(chosen)
+                ties = 0
+            elif size + 1 == len(best):
+                # Another maximal clique as large as best.
+                ties += 1
+                best = min(best, sorted(chosen))
+            chosen.pop()
+
+    expand(mask)
+    if ties <= TIE_LIMIT:
+        return tuple(best)
+    # Ties were pruned: take the lowest label whose neighbourhood still
+    # holds a clique of the remaining size, level by level.
+    members = []
+    rest = mask
+    while rest:
+        bit = rest & -rest
+        members.append(bit.bit_length() - 1)
+        rest ^= bit
+    members.sort(key=label.__getitem__)
+    found = []
+    cand = mask
+    for v in members:
+        if not cand >> v & 1:
+            continue
+        need = len(best) - len(found) - 1
+        sub = cand & adj[v]
+        if need == 0 or max_clique_size(adj, sub, stop_at=need) >= need:
+            found.append(label[v])
+            if need == 0:
+                break
+            cand = sub
+        else:
+            # v is in no clique of the size wanted; drop it.
+            cand ^= 1 << v
+    return tuple(found)
 
 
 def has_clique_of_size(adj: Sequence[int], mask: int, size: int) -> bool:
+    """True iff ``mask`` contains a clique with at least ``size`` vertices."""
     if size <= 0:
         return True
     if mask.bit_count() < size:
@@ -59,9 +199,37 @@ def has_clique_of_size(adj: Sequence[int], mask: int, size: int) -> bool:
 
 
 def maximal_cliques(adj: Sequence[int], mask: int) -> list[int]:
-    if _c is not None and len(adj) <= _C_MAX_N:
-        return _c.maximal_cliques(list(adj), mask)
-    return _py.maximal_cliques(adj, mask)
+    """All maximal cliques within ``mask`` as bitsets (Bron-Kerbosch with
+    the max-degree pivot), in a deterministic order."""
+    out: list[int] = []
+
+    def bk(r: int, p: int, x: int) -> None:
+        if not p and not x:
+            out.append(r)
+            return
+        pux = p | x
+        pivot = -1
+        pivot_cnt = -1
+        t = pux
+        while t:
+            u = (t & -t).bit_length() - 1
+            t &= t - 1
+            c = (p & adj[u]).bit_count()
+            if c > pivot_cnt:
+                pivot_cnt = c
+                pivot = u
+        ext = p & ~adj[pivot]
+        while ext:
+            v = (ext & -ext).bit_length() - 1
+            bit = 1 << v
+            ext &= ext - 1
+            bk(r | bit, p & adj[v], x & adj[v])
+            p &= ~bit
+            x |= bit
+
+    if mask:
+        bk(0, mask, 0)
+    return out
 
 
 def to_mask(vertices) -> int:
@@ -77,3 +245,8 @@ def from_mask(mask: int) -> tuple[int, ...]:
         out.append((mask & -mask).bit_length() - 1)
         mask &= mask - 1
     return tuple(out)
+
+
+def backend() -> str:
+    """Name of the kernel implementation, recorded in benchmark runs."""
+    return "pure"

@@ -125,6 +125,9 @@ def partition_from_assignment(g: Graph, assignment, k: int | None = None,
         raise ValueError(f"assignment covers {len(assignment)} of {g.n} vertices")
     if k is None:
         k = max(assignment, default=-1) + 1
+    for v, a in enumerate(assignment):
+        if not 0 <= a < k:
+            raise ValueError(f"vertex {v} has part index {a}, outside 0..{k - 1}")
     return partition_from_parts(g, _parts_of(assignment, k), strategy)
 
 

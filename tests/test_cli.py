@@ -152,6 +152,30 @@ class TestVerifyCommand:
         assert "error: " in verify.output
         assert "assignment must be a list" in verify.output
 
+    @pytest.mark.parametrize("report, message", [
+        ({"quotas": [2.9, "2"], "assignment": [0, 1]}, "quotas must hold integers, got 2.9"),
+        ({"quotas": [2, 2.0], "assignment": [0, 1]}, "quotas must hold integers, got 2.0"),
+        ({"quotas": [True, 2], "assignment": [0, 1]}, "quotas must hold integers, got true"),
+        ({"quotas": "22", "assignment": [0, 1]}, "quotas must be a list, got str"),
+        ({"quotas": [2, 2], "assignment": [0.0, True]}, "assignment must hold integers, got 0.0"),
+        ({"quotas": [2, 2], "assignment": [0, True]}, "assignment must hold integers, got true"),
+        ({"quotas": [2, 2], "assignment": [0, "1"]}, 'assignment must hold integers, got "1"'),
+        ({"quotas": [2, 2], "assignment": [0, 5]}, "vertex 1 has part index 5, outside 0..1"),
+        ({"quotas": [2, 2], "assignment": [-1, 0]}, "vertex 0 has part index -1, outside 0..1"),
+    ])
+    def test_malformed_entries_exit_1(self, runner, tmp_path, report, message):
+        graph_path = tmp_path / "g.dimacs"
+        report_path = tmp_path / "report.json"
+        graph_path.write_text("p edge 2 1\ne 1 2\n")
+        report_path.write_text(json.dumps(report))
+        verify = runner.invoke(main, [
+            "verify", "--in", str(graph_path), "--report", str(report_path)])
+        assert verify.exit_code == 1
+        assert verify.exception is None or isinstance(verify.exception, SystemExit)
+        assert "error: " in verify.output
+        assert message in verify.output
+        assert "valid:" not in verify.output
+
     def test_json_graph_input(self, runner, tmp_path):
         graph_path = tmp_path / "g.json"
         report_path = tmp_path / "report.json"
@@ -191,6 +215,18 @@ class TestProbeCommand:
                                             "engine_exhausted"}
             reparsed = cs.parse_dimacs(record["graph"])
             assert reparsed.n >= 1
+
+    @pytest.mark.parametrize("policy, code, message", [
+        ("list:2,3", 2, "quotas must be sorted in non-increasing order"),
+        ("list:3,1,1", 2, "every quota must be at least 2"),
+        ("list:2,3;x", 1, "--quota-policy must be comma-separated integers, got 'x'"),
+    ])
+    def test_bad_quota_list_rejected_before_sampling(self, runner, policy, code, message):
+        # No sample is drawn, so only an up-front check can reject the list.
+        result = runner.invoke(main, ["probe", "--samples", "0", "--quota-policy", policy])
+        assert result.exit_code == code
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: {message}" in result.output
 
 
 class TestStatsCommand:

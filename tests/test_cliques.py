@@ -114,12 +114,8 @@ class TestSizeOneQueries:
             raise AssertionError("size-1 query reached max_clique_size")
 
         adj = [0b110, 0b101, 0b011]
-        from clique_splitter import _pykernels as pk
-
         monkeypatch.setattr(kernels, "max_clique_size", refuse)
-        monkeypatch.setattr(pk, "max_clique_size", refuse)
         assert kernels.has_clique_of_size(adj, mask, 1) == (mask != 0)
-        assert pk.has_clique_of_size(adj, mask, 1) == (mask != 0)
 
 
 class TestAllMaximumCliques:
@@ -294,15 +290,13 @@ class TestDecisionSemantics:
     @given(bitset_graphs())
     @settings(max_examples=80, deadline=None)
     def test_pure_kernel_against_reference(self, case):
-        from clique_splitter import _pykernels as pk
-
         adj, mask = case
         omega = brute_mask_omega(adj, mask)
         for s in range(7):
-            value = pk.max_clique_size(adj, mask, s)
+            value = kernels.max_clique_size(adj, mask, s)
             assert value == omega if s == 0 else value <= omega, (s, value, omega)
             assert (value >= s) == (omega >= s), (s, value, omega)
-            assert pk.has_clique_of_size(adj, mask, s) == (omega >= s)
+            assert kernels.has_clique_of_size(adj, mask, s) == (omega >= s)
 
 
 def _label_reference(adj, mask, labels) -> tuple[int, ...]:
@@ -325,28 +319,24 @@ class TestMaxClique:
     @given(bitset_graphs(max_n=11), st.randoms(use_true_random=False))
     @settings(max_examples=120, deadline=None)
     def test_matches_reference_under_any_labels(self, case, rnd):
-        from clique_splitter import _pykernels as pk
-
         adj, mask = case
         labels = list(range(len(adj)))
         rnd.shuffle(labels)
-        assert pk.max_clique(adj, mask, labels) == _label_reference(adj, mask, labels)
-        assert pk.max_clique(adj, mask) == _label_reference(adj, mask, range(len(adj)))
+        assert kernels.max_clique(adj, mask, labels) == _label_reference(adj, mask, labels)
+        assert kernels.max_clique(adj, mask) == _label_reference(adj, mask, range(len(adj)))
 
     @given(bitset_graphs(max_n=11))
     @settings(max_examples=60, deadline=None)
     def test_tie_limit_leaves_the_answer(self, case):
-        from clique_splitter import _pykernels as pk
-
         adj, mask = case
         answers = set()
-        saved = pk.TIE_LIMIT
+        saved = kernels.TIE_LIMIT
         try:
             for limit in (0, 1, 10**9):
-                pk.TIE_LIMIT = limit
-                answers.add(pk.max_clique(adj, mask))
+                kernels.TIE_LIMIT = limit
+                answers.add(kernels.max_clique(adj, mask))
         finally:
-            pk.TIE_LIMIT = saved
+            kernels.TIE_LIMIT = saved
         assert len(answers) == 1
 
     def test_many_largest_cliques(self):
@@ -385,59 +375,6 @@ class TestMaxClique:
         assert _search_numbering(g) == (None, g.adjacency_bits, None)
 
 
-class TestKernelParity:
-    @given(bitset_graphs())
-    @settings(max_examples=80, deadline=None)
-    def test_pure_and_compiled_agree(self, case):
-        try:
-            from clique_splitter import _ckernels as ck
-        except ImportError:
-            pytest.skip("compiled kernels unavailable")
-        from clique_splitter import _pykernels as pk
-
-        adj, mask = case
-        assert pk.max_clique_size(adj, mask) == ck.max_clique_size(adj, mask)
-        assert pk.maximal_cliques(adj, mask) == ck.maximal_cliques(adj, mask)
-        for t in (1, 2, 3):
-            assert (pk.has_clique_of_size(adj, mask, t)
-                    == ck.has_clique_of_size(adj, mask, t))
-
-    def test_large_vertex_indices(self):
-        try:
-            from clique_splitter import _ckernels as ck
-        except ImportError:
-            pytest.skip("compiled kernels unavailable")
-        from clique_splitter import _pykernels as pk
-
-        rng = random.Random(5)
-        n = 140
-        adj = [0] * n
-        for u in range(n):
-            for v in range(u + 1, n):
-                if rng.random() < 0.25:
-                    adj[u] |= 1 << v
-                    adj[v] |= 1 << u
-        mask = (1 << n) - 1
-        assert pk.max_clique_size(adj, mask) == ck.max_clique_size(adj, mask)
-        assert pk.maximal_cliques(adj, mask) == ck.maximal_cliques(adj, mask)
-
+class TestKernelBackend:
     def test_backend_reports_a_name(self):
-        assert kernels.backend() in ("c", "pure")
-
-    def test_env_override_forces_pure(self):
-        import os
-        import subprocess
-        import sys
-
-        # The child must import the same copy of the package as this
-        # process, whether it is installed or found through PYTHONPATH.
-        pkg_root = os.path.dirname(os.path.dirname(cs.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (pkg_root, env.get("PYTHONPATH")) if p)
-        env["CLIQUE_SPLITTER_KERNEL"] = "pure"
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import clique_splitter.kernels as k; print(k.backend())"],
-            capture_output=True, text=True, env=env)
-        assert out.stdout.strip() == "pure", out.stderr
+        assert kernels.backend() == "pure"

@@ -148,6 +148,16 @@ class TestPartitionBuilders:
         part = cs.partition_from_parts(g, [[2, 3, 4], [0, 1]])
         assert part.certificates[0].witness == (2, 3, 4)
 
+    @pytest.mark.parametrize("assignment, k, message", [
+        ([0, 5, 0], 2, "vertex 1 has part index 5, outside 0..1"),
+        ([0, 1, -1], 2, "vertex 2 has part index -1, outside 0..1"),
+        ([-2, 0, 0], None, "vertex 0 has part index -2, outside 0..0"),
+    ])
+    def test_part_index_out_of_range_named(self, assignment, k, message):
+        with pytest.raises(ValueError) as err:
+            cs.partition_from_assignment(cs.Graph(3), assignment, k)
+        assert str(err.value) == message
+
 
 class TestDegreeBoundedBipartition:
     def _assert_bounds(self, g, part, p, q):
