@@ -248,7 +248,7 @@ def _probe_quota_lists(policy: str) -> Callable[[int], list[tuple[int, ...]]]:
         for quotas in lists:
             _check_quotas(quotas)
         return lambda delta: [q for q in lists if sum(q) == delta - 1 + len(q)]
-    raise click.BadParameter(f"unknown quota policy {policy!r}")
+    _fail(EXIT_IO, f"unknown quota policy {policy!r}")
 
 
 @main.command("probe")

@@ -108,10 +108,9 @@ def all_maximum_cliques(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Every clique of maximum size, each sorted, listed in lexicographic order."""
     if g.n == 0:
         return ()
-    adj = g.adjacency_bits
     full = (1 << g.n) - 1
-    omega = kernels.max_clique_size(adj, full)
-    found = [kernels.from_mask(m) for m in kernels.maximal_cliques(adj, full)
+    omega = clique_number(g).omega
+    found = [kernels.from_mask(m) for m in kernels.maximal_cliques(g.adjacency_bits, full)
              if m.bit_count() == omega]
     return tuple(sorted(found))
 

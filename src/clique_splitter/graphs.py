@@ -182,17 +182,23 @@ def to_adjacency_json(g: Graph) -> dict:
 
 
 def from_adjacency_json(data: dict) -> Graph:
+    """Inverse of ``to_adjacency_json``. ``n`` and every edge endpoint must
+    be JSON integers: a float, string or boolean is rejected, not truncated."""
     try:
         n = data["n"]
         edges = data["edges"]
     except (KeyError, TypeError):
         raise GraphFormatError("adjacency JSON must contain 'n' and 'edges'") from None
-    if not isinstance(n, int):
-        raise GraphFormatError("'n' must be an integer")
+    # bool is a subclass of int, but true is not a JSON integer.
+    if type(n) is not int:
+        raise GraphFormatError(f"'n' must be an integer, got {n!r}")
     try:
-        pairs = [(int(u), int(v)) for u, v in edges]
+        pairs = [(u, v) for u, v in edges]
     except (TypeError, ValueError):
         raise GraphFormatError("'edges' must be a list of [u, v] pairs") from None
+    for pair in pairs:
+        if type(pair[0]) is not int or type(pair[1]) is not int:
+            raise GraphFormatError(f"edge endpoints must be integers, got {list(pair)!r}")
     try:
         return Graph(n, pairs)
     except ValueError as exc:

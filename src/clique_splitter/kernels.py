@@ -2,10 +2,10 @@
 
 ``adj`` is a sequence of per-vertex neighbour bitsets (bit u of
 ``adj[v]`` is set when uv is an edge) and ``mask`` restricts a search to
-a vertex subset. ``max_clique_size`` is the clique number, or with
-``stop_at > 0`` a decision query; ``has_clique_of_size`` asks that query;
-``max_clique`` returns the certificate's clique, the one whose sorted
-labels come first; ``maximal_cliques`` enumerates the maximal cliques.
+a vertex subset. ``has_clique_of_size`` decides whether a mask holds a
+clique of a given size; ``max_clique`` returns the certificate's clique,
+the one whose sorted labels come first, and so the clique number;
+``maximal_cliques`` enumerates the maximal cliques.
 Every result is deterministic: it depends on the arguments alone.
 """
 
@@ -18,72 +18,6 @@ from typing import Sequence
 TIE_LIMIT = 16
 
 
-def max_clique_size(adj: Sequence[int], mask: int, stop_at: int = 0) -> int:
-    """Largest clique size within ``mask`` (branch and bound, greedy
-    coloring upper bounds, Tomita-style pivot order).
-
-    With ``stop_at = 0`` the result is the clique number of ``mask``.
-    With ``stop_at > 0`` the call answers "does ``mask`` hold a clique of
-    ``stop_at`` vertices?": the result is ``>= stop_at`` exactly when it
-    does. The search stops once such a clique is found, and it prunes
-    every branch whose colour bound cannot reach ``stop_at`` (the k-clique
-    decision form of the Tomita-Seki bound), so a result below
-    ``stop_at`` is only the size of a clique found on the way and may be
-    less than the clique number. Either way the result never exceeds it.
-    """
-    best = 0
-    # A branch is pruned when it cannot beat max(best, floor); floor = -1
-    # never binds, so stop_at = 0 is the plain maximum-clique search.
-    floor = stop_at - 1
-
-    def expand(cand: int, size: int) -> None:
-        nonlocal best
-        if size > best:
-            best = size
-        if not cand or (stop_at and best >= stop_at):
-            return
-        # Greedy coloring: classes are independent sets, so a clique inside
-        # cand takes at most one vertex per class. bound[i] = class index.
-        # Classes numbered at most `dead` are coloured but not recorded:
-        # best only grows, so the loop below would prune them anyway.
-        order: list[int] = []
-        bound: list[int] = []
-        dead = (best if best > floor else floor) - size
-        uncolored = cand
-        color = 0
-        while uncolored:
-            color += 1
-            cls = uncolored
-            if color <= dead:
-                while cls:
-                    bit = cls & -cls
-                    v = bit.bit_length() - 1
-                    cls &= ~adj[v]
-                    cls ^= bit
-                    uncolored ^= bit
-                continue
-            while cls:
-                bit = cls & -cls
-                v = bit.bit_length() - 1
-                cls &= ~adj[v]
-                cls ^= bit
-                uncolored ^= bit
-                order.append(v)
-                bound.append(color)
-        cur = cand
-        for i in range(len(order) - 1, -1, -1):
-            if size + bound[i] <= (best if best > floor else floor):
-                return
-            v = order[i]
-            cur ^= 1 << v
-            expand(cur & adj[v], size + 1)
-            if stop_at and best >= stop_at:
-                return
-
-    expand(mask, 0)
-    return best
-
-
 def max_clique(adj: Sequence[int], mask: int,
                labels: Sequence[int] | None = None) -> tuple[int, ...]:
     """The largest clique within ``mask`` whose sorted labels come first
@@ -91,7 +25,7 @@ def max_clique(adj: Sequence[int], mask: int,
     the label ``labels[i]``, or i when ``labels`` is None. The empty mask
     gives the empty tuple.
 
-    The branch and bound of ``max_clique_size``, except that a branch
+    The branch and bound of ``has_clique_of_size``, except that a branch
     that can at best tie the largest clique found so far is searched too,
     as long as no more than ``TIE_LIMIT`` ties have turned up. A graph
     with that few largest cliques is thus searched through all of them,
@@ -176,7 +110,7 @@ def max_clique(adj: Sequence[int], mask: int,
             continue
         need = len(best) - len(found) - 1
         sub = cand & adj[v]
-        if need == 0 or max_clique_size(adj, sub, stop_at=need) >= need:
+        if need == 0 or has_clique_of_size(adj, sub, need):
             found.append(label[v])
             if need == 0:
                 break
@@ -188,14 +122,58 @@ def max_clique(adj: Sequence[int], mask: int,
 
 
 def has_clique_of_size(adj: Sequence[int], mask: int, size: int) -> bool:
-    """True iff ``mask`` contains a clique with at least ``size`` vertices."""
+    """True iff ``mask`` contains a clique with at least ``size`` vertices.
+
+    Sizes up to 1, and masks with fewer than ``size`` vertices, are
+    answered from the mask alone. Otherwise a branch and bound with greedy
+    coloring upper bounds, Tomita-style pivot order, prunes every branch
+    whose colour bound cannot reach ``size`` (the k-clique decision form
+    of the Tomita-Seki bound) and stops at the first clique of ``size``
+    vertices.
+    """
     if size <= 0:
         return True
     if mask.bit_count() < size:
         return False
     if size == 1:
         return True
-    return max_clique_size(adj, mask, stop_at=size) >= size
+
+    def expand(cand: int, need: int) -> bool:
+        # Does cand hold a clique of need >= 2 vertices? Greedy coloring:
+        # classes are independent sets, so a clique takes at most one vertex
+        # per class, and one whose last vertex (in `order`) is in class c
+        # has at most c vertices. Classes numbered below `need` are coloured
+        # but not recorded: no clique of `need` vertices ends there.
+        order: list[int] = []
+        uncolored = cand
+        color = 0
+        while uncolored:
+            color += 1
+            cls = uncolored
+            if color < need:
+                while cls:
+                    bit = cls & -cls
+                    v = bit.bit_length() - 1
+                    cls &= ~adj[v]
+                    cls ^= bit
+                    uncolored ^= bit
+                continue
+            while cls:
+                bit = cls & -cls
+                v = bit.bit_length() - 1
+                cls &= ~adj[v]
+                cls ^= bit
+                uncolored ^= bit
+                order.append(v)
+        cur = cand
+        for v in reversed(order):
+            cur ^= 1 << v
+            sub = cur & adj[v]
+            if sub and (need == 2 or expand(sub, need - 1)):
+                return True
+        return False
+
+    return expand(mask, size)
 
 
 def maximal_cliques(adj: Sequence[int], mask: int) -> list[int]:

@@ -10,8 +10,10 @@ D - 1 classes, since the quotas leave sum(p_i - 1) = D - 1 classes of
 room: V_1 takes every class when p_1 - 1 of them suffice, and otherwise
 the classes are dealt round-robin, largest first, to parts that still
 have room, so that no part's certificate searches most of V. Otherwise
-a k-way split recurses through two-part splits with greedy migration,
-each level on the induced remainder of the one above.
+a k-way split recurses through two-part splits, each level on the
+remainder of the one above, induced once greedy migration has capped
+its degree; the last split is not migrated. ``clique_bipartition`` is
+the two-part case of ``kway_clique_partition``.
 
 Every returned partition is re-verified with exact per-part clique
 numbers before it leaves this module. The engines are deterministic and
@@ -23,6 +25,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import logging
+import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -60,7 +63,12 @@ class PartitionSpec:
     quotas: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "quotas", tuple(int(p) for p in self.quotas))
+        quotas = tuple(self.quotas)
+        try:
+            quotas = tuple(map(operator.index, quotas))
+        except TypeError:
+            raise ValueError("every quota must be an integer") from None
+        object.__setattr__(self, "quotas", quotas)
         if not self.quotas:
             raise ValueError("at least one quota required")
         if any(p < 2 for p in self.quotas):
@@ -557,8 +565,7 @@ def hitting_independent_set(g: Graph) -> HittingSetResult:
 
     if search(0, 0):
         mask = found[0]
-        rest = _full_mask(g.n) & ~mask
-        after = kernels.max_clique_size(adj, rest)
+        after = clique_number_within(g, _full_mask(g.n) & ~mask).omega
         if after != omega - 1:
             raise SearchFailureError(
                 f"transversal removal left clique number {after}, expected {omega - 1}")
@@ -580,7 +587,7 @@ def _strip_parts(g: Graph, p: int, q: int):
     rest = _full_mask(g.n)
     layers = 0
     while rest:
-        if kernels.max_clique_size(adj, rest) <= p - 1:
+        if not kernels.has_clique_of_size(adj, rest, p):
             break
         if layers == q - 1:
             return None
@@ -654,34 +661,6 @@ def _certified(g: Graph, parts, quotas, strategy: str) -> Partition:
     return part
 
 
-def clique_bipartition(g: Graph, p: int, q: int) -> Partition:
-    """Split V(g) into (V1, V2) with omega(g[V1]) <= p-1 and
-    omega(g[V2]) <= q-1, for p + q = max degree + 1, p >= q >= 2, and
-    clique number at most max degree - 1.
-
-    Strategies run in order: proper-coloring shortcut, independent-set
-    stripping, and an exact search that stops after EXACT_NODES nodes.
-    The coloring shortcut applies when DSatur uses at most p + q - 2
-    classes: V1 takes every class when p - 1 suffice; otherwise the
-    classes alternate between the sides, largest first, and once V2
-    holds q - 1 of them the rest go to V1.
-    None is randomized, so the split depends on g, p and q alone.
-    The split they return is checked once, with exact clique numbers of
-    both parts, and SearchFailureError is raised if it fails the quotas.
-    AllStrategiesExhausted carries per-strategy diagnostics; with
-    proven_infeasible set, because the exact search completed without a
-    partition, it is a certified negative.
-    """
-    if q < 2 or p < q:
-        raise PreconditionError(f"need p >= q >= 2, got p={p}, q={q}")
-    if p + q != g.max_degree + 1:
-        raise PreconditionError(
-            f"p+q={p + q} differs from max degree + 1 = {g.max_degree + 1}")
-    _check_omega(g)
-    parts, strategy = _bipartition_parts(g, p, q)
-    return _certified(g, parts, (p, q), strategy)
-
-
 # ---------------------------------------------------------------------------
 # k-way partition via recursive bipartition
 
@@ -692,7 +671,9 @@ def _migrate(g: Graph, v1, v2, q: int) -> tuple[list[int], list[int]]:
 
     Afterwards V2 is a maximal quota-free set, and every remaining V1
     vertex keeps q-1 neighbors in V2, which caps the internal degree of
-    V1 at p. One pass suffices: V2 only grows and "N(v) & V2 holds a
+    V1 at p: the degree bound of the level that splits V1 next. The k-way
+    recursion runs it between levels only, never on the last split. One
+    pass suffices: V2 only grows and "N(v) & V2 holds a
     K_{q-1}" is monotone in V2, so a vertex that stays once stays for
     good, and a second pass would move nothing.
     """
@@ -718,7 +699,8 @@ def _kway_parts(g: Graph, quotas: tuple[int, ...], depth: int):
     it: the remainder is the migrated V1 of a valid split, so its clique
     number is at most p - 1, its max degree is at most p, and the
     remaining quotas sum to p - 1 + (k - 1). No level needs its graph's
-    max degree to meet the bound exactly."""
+    max degree to meet the bound exactly. At k = 2 the split is returned
+    as the cascade gave it: no level follows, so nothing is migrated."""
     k = len(quotas)
     p = sum(quotas[:-1]) - (k - 2)
     q = quotas[-1]
@@ -731,9 +713,9 @@ def _kway_parts(g: Graph, quotas: tuple[int, ...], depth: int):
             # which other top-level splits might still divide
             exc.proven_infeasible = False
         raise
-    v1, v2 = _migrate(g, v1, v2, q)
     if k == 2:
         return [v1, v2], [strategy]
+    v1, v2 = _migrate(g, v1, v2, q)
     if not v1:
         return [[] for _ in range(k - 1)] + [v2], [strategy]
     sub, back = induced_subgraph(g, v1)
@@ -756,19 +738,25 @@ def kway_clique_partition(g: Graph, spec) -> Partition:
     uses at most max degree - 1 = sum(p_i - 1) classes (strategy
     "coloring"). Part 1 takes the whole vertex set when p_1 - 1 classes
     suffice; otherwise the classes are dealt round-robin, largest first,
-    and a part stops taking classes once it holds p_i - 1. No part is
-    then promised to be maximal. Otherwise, recursion: bundle the first
-    k-1 quotas into one side of a two-part split, make the last part
-    maximal by greedy migration, and recurse on the subgraph induced by
-    the rest. The strategy string names one strategy per level that ran;
-    a level whose remainder is empty leaves the parts before it empty and
-    runs no deeper level.
+    and a part stops taking classes once it holds p_i - 1. Otherwise,
+    recursion: each level bundles the first k-1 quotas into one side of
+    a two-part split, found by the cascade of coloring, independent-set
+    stripping and an exact search that stops after EXACT_NODES nodes.
+    Between levels, greedy migration moves vertices from the bundled side
+    into the part just split off until that part is maximal, which caps
+    the degree of the rest, and the next level splits the subgraph
+    induced by the rest. The last split is not migrated, so no part is
+    promised to be maximal. The strategy string names one strategy per
+    level that ran; a level whose remainder is empty leaves the parts
+    before it empty and runs no deeper level.
 
     The preconditions are checked here, once: they imply those of every
     level below, so the levels run the two-part cascade without checks
     or certificates. The final partition is certified once, with exact
     clique numbers of every part, and SearchFailureError is raised if it
-    fails a quota.
+    fails a quota. AllStrategiesExhausted carries one diagnostic per
+    failed stage; with proven_infeasible set it is a certified negative,
+    backed by an exact search of the input.
     """
     if not isinstance(spec, PartitionSpec):
         spec = PartitionSpec(tuple(spec))
@@ -806,6 +794,19 @@ def kway_clique_partition(g: Graph, spec) -> Partition:
         parts = _parts_of(assignment, spec.k)
         strategies = ["exact-kway"]
     return _certified(g, parts, spec.quotas, ";".join(strategies))
+
+
+def clique_bipartition(g: Graph, p: int, q: int) -> Partition:
+    """The two-part case of ``kway_clique_partition``: split V(g) into
+    (V1, V2) with omega(g[V1]) <= p-1 and omega(g[V2]) <= q-1, for
+    p >= q >= 2, p + q = max degree + 1 and clique number at most max
+    degree - 1."""
+    if q < 2 or p < q:
+        raise PreconditionError(f"need p >= q >= 2, got p={p}, q={q}")
+    if p + q != g.max_degree + 1:
+        raise PreconditionError(
+            f"p+q={p + q} differs from max degree + 1 = {g.max_degree + 1}")
+    return kway_clique_partition(g, PartitionSpec((p, q)))
 
 
 # ---------------------------------------------------------------------------
@@ -864,7 +865,8 @@ def max_kpfree_partition(g: Graph, p: int, q: int) -> MaxKpfreeResult:
     scanned by descending size and lexicographic order, so ties match the
     oracle's tie-break. Beyond that, a graph with clique number at most
     p-1 (always so for q = 1) is answered by V1 = V; otherwise the split
-    from clique_bipartition is grown by single and double vertex moves
+    from clique_bipartition, the two-part case of kway_clique_partition,
+    is grown by single and double vertex moves
     (certificate "local": no single pull or 2-in-1-out exchange enlarges
     V1 with both sides valid). AllStrategiesExhausted from
     clique_bipartition is raised unchanged, proof flag and diagnostics

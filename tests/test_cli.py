@@ -220,6 +220,7 @@ class TestProbeCommand:
         ("list:2,3", 2, "quotas must be sorted in non-increasing order"),
         ("list:3,1,1", 2, "every quota must be at least 2"),
         ("list:2,3;x", 1, "--quota-policy must be comma-separated integers, got 'x'"),
+        ("bogus", 1, "unknown quota policy 'bogus'"),
     ])
     def test_bad_quota_list_rejected_before_sampling(self, runner, policy, code, message):
         # No sample is drawn, so only an up-front check can reject the list.
@@ -230,6 +231,19 @@ class TestProbeCommand:
 
 
 class TestStatsCommand:
+    @pytest.mark.parametrize("payload, message", [
+        ({"n": True, "edges": []}, "'n' must be an integer, got True"),
+        ({"n": 3, "edges": [[1.7, 0], ["2", True]]},
+         "edge endpoints must be integers, got [1.7, 0]"),
+    ])
+    def test_non_integer_json_graph_exits_1(self, runner, tmp_path, payload, message):
+        graph_path = tmp_path / "g.json"
+        graph_path.write_text(json.dumps(payload))
+        result = runner.invoke(main, ["stats", "--in", str(graph_path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: {graph_path}: {message}" in result.output
+
     def test_json_payload(self, runner):
         result = runner.invoke(main, ["stats", "--gen", "strong:7x2", "--json"])
         assert result.exit_code == 0

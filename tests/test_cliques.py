@@ -107,15 +107,26 @@ class TestCliqueNumberWithin:
         assert cert.omega == 3 and cert.witness == (6, 7, 8)
 
 
-class TestSizeOneQueries:
-    @pytest.mark.parametrize("mask", [0, 1, 0b100, 0b111])
-    def test_answered_from_the_mask_alone(self, mask, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("size-1 query reached max_clique_size")
+class _Unreadable:
+    """An ``adj`` whose bitsets must not be read."""
 
-        adj = [0b110, 0b101, 0b011]
-        monkeypatch.setattr(kernels, "max_clique_size", refuse)
-        assert kernels.has_clique_of_size(adj, mask, 1) == (mask != 0)
+    def __getitem__(self, v):
+        raise AssertionError(f"query read adj[{v}]")
+
+
+class TestSizeOneQueries:
+    """Sizes up to 1, and masks with fewer than ``size`` vertices, are
+    answered from the mask alone."""
+
+    @pytest.mark.parametrize("mask", [0, 1, 0b100, 0b111])
+    def test_answered_from_the_mask_alone(self, mask):
+        assert kernels.has_clique_of_size(_Unreadable(), mask, 1) == (mask != 0)
+        assert kernels.has_clique_of_size(_Unreadable(), mask, 0)
+        assert kernels.has_clique_of_size(_Unreadable(), mask, -1)
+
+    @pytest.mark.parametrize("mask, size", [(0, 2), (0b100, 2), (0b101, 3), (0b111, 4)])
+    def test_too_few_vertices(self, mask, size):
+        assert not kernels.has_clique_of_size(_Unreadable(), mask, size)
 
 
 class TestAllMaximumCliques:
@@ -293,10 +304,7 @@ class TestDecisionSemantics:
         adj, mask = case
         omega = brute_mask_omega(adj, mask)
         for s in range(7):
-            value = kernels.max_clique_size(adj, mask, s)
-            assert value == omega if s == 0 else value <= omega, (s, value, omega)
-            assert (value >= s) == (omega >= s), (s, value, omega)
-            assert kernels.has_clique_of_size(adj, mask, s) == (omega >= s)
+            assert kernels.has_clique_of_size(adj, mask, s) == (omega >= s), (s, omega)
 
 
 def _label_reference(adj, mask, labels) -> tuple[int, ...]:

@@ -103,6 +103,26 @@ class TestRoundTrip:
         g = cs.generate(recipe)
         assert cs.from_adjacency_json(cs.to_adjacency_json(g)) == g
 
+    @pytest.mark.parametrize("data", [
+        {"n": True, "edges": []},
+        {"n": 3.0, "edges": []},
+        {"n": "3", "edges": []},
+    ])
+    def test_json_rejects_non_integer_n(self, data):
+        with pytest.raises(cs.GraphFormatError, match="'n' must be an integer"):
+            cs.from_adjacency_json(data)
+
+    @pytest.mark.parametrize("edges", [
+        [[1.7, 0]],
+        [[0, 1], ["2", 1]],
+        [[1, True]],
+        [[0, 1.0]],
+        [[None, 1]],
+    ])
+    def test_json_rejects_non_integer_endpoints(self, edges):
+        with pytest.raises(cs.GraphFormatError, match="edge endpoints must be integers"):
+            cs.from_adjacency_json({"n": 3, "edges": edges})
+
     @given(small_graphs())
     @settings(max_examples=60, deadline=None)
     def test_dimacs_round_trip_random(self, g):

@@ -122,6 +122,21 @@ class TestPartitionSpec:
         with pytest.raises(ValueError):
             cs.PartitionSpec((3, 1))
 
+    @pytest.mark.parametrize("quotas", [(3.9, 2.2), (5.0, 2), ("3", 2), (3, None)])
+    def test_rejects_non_integer_quota(self, quotas):
+        with pytest.raises(ValueError, match="every quota must be an integer"):
+            cs.PartitionSpec(quotas)
+
+    def test_rejects_boolean_quota(self):
+        # True is an integer index, 1, and so fails the lower bound
+        with pytest.raises(ValueError, match="at least 2"):
+            cs.PartitionSpec((3, True))
+
+    def test_engine_rejects_float_quota(self):
+        g = regular(28, 13, 3)
+        with pytest.raises(ValueError, match="every quota must be an integer"):
+            cs.kway_clique_partition(g, [5.5, 5, 5])
+
     def test_feasibility_tag(self):
         g = regular(10, 5, 0)  # max degree 5
         assert cs.PartitionSpec((4, 2)).feasible_for(g)  # 6 == 5 - 1 + 2
@@ -659,28 +674,35 @@ class TestKwayCliquePartition:
         with pytest.raises(cs.PreconditionError):
             cs.kway_clique_partition(g, cs.PartitionSpec((5, 5, 5)))
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_k2_matches_bipartition_validity(self, seed):
-        g = gnp(9, 0.5, seed + 30)
+    @staticmethod
+    def _outcome(call):
+        """The Partition (assignment, parts, certificates and strategy),
+        or the error's class, proof flag and diagnostics."""
+        try:
+            return call()
+        except cs.CliqueSplitterError as exc:
+            return (type(exc), getattr(exc, "proven_infeasible", None),
+                    getattr(exc, "diagnostics", None))
+
+    def _assert_k2_is_clique_bipartition(self, g):
         delta = g.max_degree
-        if delta < 3 or cs.clique_number(g).omega > delta - 1:
-            pytest.skip("no feasible pair")
-        q = 2
-        p = delta + 1 - q
-        if p < q:
-            pytest.skip("no feasible pair")
-        spec = cs.PartitionSpec((p, q))
-        try:
-            two = cs.kway_clique_partition(g, spec)
-            ok_kway = cs.verify_partition(g, two, spec).valid
-        except cs.AllStrategiesExhausted:
-            ok_kway = None
-        try:
-            bip = cs.clique_bipartition(g, p, q)
-            ok_bip = cs.verify_partition(g, bip, spec).valid
-        except cs.AllStrategiesExhausted:
-            ok_bip = None
-        assert ok_kway == ok_bip
+        pairs = [(delta + 1 - q, q) for q in range(2, (delta + 1) // 2 + 1)]
+        assert pairs
+        for p, q in pairs:
+            spec = cs.PartitionSpec((p, q))
+            kway = self._outcome(lambda: cs.kway_clique_partition(g, spec))
+            assert self._outcome(lambda: cs.clique_bipartition(g, p, q)) == kway, (p, q)
+            if isinstance(kway, cs.Partition):
+                assert cs.verify_partition(g, kway, spec).valid
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_k2_is_clique_bipartition(self, seed):
+        self._assert_k2_is_clique_bipartition(gnp(9, 0.5, seed + 30))
+
+    @pytest.mark.parametrize("length", [5, 7, 9, 11, 13])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_k2_is_clique_bipartition_on_products(self, length, m):
+        self._assert_k2_is_clique_bipartition(strong(length, m))
 
     def test_k2_proof_is_not_searched_twice(self, monkeypatch):
         calls = []
