@@ -13,7 +13,6 @@ from .cliques import (
     clique_number,
     cliques_of_size,
     intersection_report,
-    maximum_independent_set,
     non_neighbor_witness,
 )
 from .errors import (

@@ -197,12 +197,3 @@ def non_neighbor_witness(g: Graph, k, v: int, v2: int) -> tuple[int, int]:
         f"no non-neighbor pair exists; clique of size {len(witness)} found",
         witness)
 
-
-def maximum_independent_set(g: Graph) -> tuple[int, ...]:
-    """Lexicographically smallest maximum independent set (clique search on
-    the complement)."""
-    if g.n == 0:
-        return ()
-    full = (1 << g.n) - 1
-    comp = tuple((full & ~bits) & ~(1 << v) for v, bits in enumerate(g.adjacency_bits))
-    return kernels.max_clique(comp, full)

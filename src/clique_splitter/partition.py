@@ -3,15 +3,15 @@
 The central operation splits a graph with max degree D and clique number
 at most D-1 into parts V_1..V_k with omega(g[V_i]) <= p_i - 1, where the
 quotas satisfy sum(p_i) = D - 1 + k. Two-part splits run a strategy
-cascade (proper-coloring shortcut, independent-set stripping, and an
-exact search that stops after EXACT_NODES nodes, at any n). A k-way
-split is answered in one shot when DSatur colors the input with at most
-D - 1 classes, since the quotas leave sum(p_i - 1) = D - 1 classes of
-room: V_1 takes every class when p_1 - 1 of them suffice, and otherwise
-the classes are dealt round-robin, largest first, to parts that still
-have room, so that no part's certificate searches most of V. Otherwise
-a k-way split recurses through two-part splits, each level on the
-remainder of the one above, induced once greedy migration has capped
+cascade: a proper-coloring shortcut, then an exact search, one connected
+component at a time, that stops after EXACT_NODES nodes in all, at any
+n. A k-way split is answered in one shot when DSatur colors the input
+with at most D - 1 classes, since the quotas leave sum(p_i - 1) = D - 1
+classes of room: V_1 takes every class when p_1 - 1 of them suffice, and
+otherwise the classes are dealt round-robin, largest first, to parts
+that still have room, so that no part's certificate searches most of V.
+Otherwise a k-way split recurses through two-part splits, each level on
+the remainder of the one above, induced once greedy migration has capped
 its degree; the last split is not migrated. ``clique_bipartition`` is
 the two-part case of ``kway_clique_partition``.
 
@@ -36,7 +36,6 @@ from .cliques import (
     all_maximum_cliques,
     clique_number,
     clique_number_within,
-    maximum_independent_set,
 )
 from .errors import (
     AllStrategiesExhausted,
@@ -254,68 +253,92 @@ def _dsatur_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, classes))
 
 
-def _independent_set(g: Graph) -> tuple[int, ...]:
-    """Exact maximum independent set up to 40 vertices; beyond, a greedy
-    maximal one that always takes an available vertex with the fewest
-    available neighbors (lowest index on ties)."""
-    if g.n <= 40:
-        return maximum_independent_set(g)
-    adj = g.adjacency_bits
-    chosen = 0
-    avail = _full_mask(g.n)
-    while avail:
-        v = min(kernels.from_mask(avail), key=lambda u: ((adj[u] & avail).bit_count(), u))
-        chosen |= 1 << v
-        avail &= ~(adj[v] | (1 << v))
-    return kernels.from_mask(chosen)
+def _component_mask(adj, v: int) -> int:
+    """Bitset of v's connected component, by one breadth-first sweep."""
+    comp = frontier = 1 << v
+    while frontier:
+        reach = 0
+        for u in kernels.from_mask(frontier):
+            reach |= adj[u]
+        frontier = reach & ~comp
+        comp |= frontier
+    return comp
+
+
+def _component_orders(adj, order: list[int]) -> list[list[int]]:
+    """``order`` split into the vertices of each connected component,
+    each list in ``order``'s sequence and the components by their first
+    vertex in ``order``. A connected graph costs one sweep and is
+    returned as ``[order]``."""
+    if not order or _component_mask(adj, order[0]).bit_count() == len(order):
+        return [order]
+    label = [-1] * len(order)
+    orders: list[list[int]] = []
+    for v in order:
+        if label[v] < 0:
+            for u in kernels.from_mask(_component_mask(adj, v)):
+                label[u] = len(orders)
+            orders.append([])
+        orders[label[v]].append(v)
+    return orders
 
 
 def _exact_partition_assignment(g: Graph, quotas) -> list[int] | None:
     """Complete backtracking over vertex assignments with per-part clique
     pruning; None means no valid partition exists.
 
-    Vertices are placed in descending-degree order, each into the first
-    part it can join without completing a clique of that part's quota;
-    of several empty parts with equal quotas only the first is tried,
-    and backtracking resumes at the next part. The search keeps an
-    explicit stack of choices rather than one frame per vertex, so it
-    runs at any n, and raises BudgetExceededError once it has visited
-    EXACT_NODES nodes (the root plus one node per placement).
+    Each connected component is searched on its own, the components taken
+    by their first vertex in the order below, and None is returned as
+    soon as one of them has no valid assignment. A placement in one
+    component cannot affect another, so backtracking into an earlier
+    component would only retry placements that cannot help. Within a
+    component, vertices are placed in descending-degree order, then by
+    index, each into the first part it can join without completing a
+    clique of that part's quota; of several parts with equal quotas that
+    are empty within the component only the first is tried, and
+    backtracking resumes at the next part. The answer is the
+    lexicographically first valid assignment in that order, the one a
+    search of the whole graph finds: validity splits over the
+    components, and swapping two equal-quota parts within one component
+    keeps an assignment valid. The search keeps an explicit stack of
+    choices rather than one frame per vertex, so it runs at any n, and
+    raises BudgetExceededError once it has visited EXACT_NODES nodes in
+    all: the root plus one node per placement, over every component.
     """
     quotas = tuple(quotas)
     k = len(quotas)
-    n = g.n
     adj = g.adjacency_bits
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    masks = [0] * k
-    chosen: list[int] = []  # chosen[i] is the part holding order[i]
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    assignment = [0] * g.n
     nodes = 1
-    j = 0  # next part to try for order[len(chosen)]
-    while len(chosen) < n:
-        v = order[len(chosen)]
-        while j < k:
-            empty_twin = masks[j] == 0 and any(
-                masks[h] == 0 and quotas[h] == quotas[j] for h in range(j))
-            if not empty_twin and not kernels.has_clique_of_size(
-                    adj, masks[j] & adj[v], quotas[j] - 1):
-                break
-            j += 1
-        if j < k:
-            nodes += 1
-            if nodes > EXACT_NODES:
-                raise BudgetExceededError(f"stopped after {EXACT_NODES} nodes")
-            masks[j] |= 1 << v
-            chosen.append(j)
-            j = 0
-        elif chosen:
-            j = chosen.pop()
-            masks[j] &= ~(1 << order[len(chosen)])
-            j += 1
-        else:
-            return None
-    assignment = [0] * n
-    for v, j in zip(order, chosen):
-        assignment[v] = j
+    for component in _component_orders(adj, order):
+        masks = [0] * k
+        chosen: list[int] = []  # chosen[i] is the part holding component[i]
+        j = 0  # next part to try for component[len(chosen)]
+        while len(chosen) < len(component):
+            v = component[len(chosen)]
+            while j < k:
+                empty_twin = masks[j] == 0 and any(
+                    masks[h] == 0 and quotas[h] == quotas[j] for h in range(j))
+                if not empty_twin and not kernels.has_clique_of_size(
+                        adj, masks[j] & adj[v], quotas[j] - 1):
+                    break
+                j += 1
+            if j < k:
+                nodes += 1
+                if nodes > EXACT_NODES:
+                    raise BudgetExceededError(f"stopped after {EXACT_NODES} nodes")
+                masks[j] |= 1 << v
+                chosen.append(j)
+                j = 0
+            elif chosen:
+                j = chosen.pop()
+                masks[j] &= ~(1 << component[len(chosen)])
+                j += 1
+            else:
+                return None
+        for v, j in zip(component, chosen):
+            assignment[v] = j
     return assignment
 
 
@@ -578,25 +601,6 @@ def hitting_independent_set(g: Graph) -> HittingSetResult:
 # Two-part strategy cascade
 
 
-def _strip_parts(g: Graph, p: int, q: int):
-    """Peel up to q-1 independent layers until the remainder has clique
-    number below p; each layer is a maximum independent set of the
-    remainder (greedy above 40 vertices). The layer union induces a
-    (q-1)-colorable graph, so its clique number is automatically below q."""
-    adj = g.adjacency_bits
-    rest = _full_mask(g.n)
-    layers = 0
-    while rest:
-        if not kernels.has_clique_of_size(adj, rest, p):
-            break
-        if layers == q - 1:
-            return None
-        sub, back = induced_subgraph(g, kernels.from_mask(rest))
-        rest &= ~kernels.to_mask(back[v] for v in _independent_set(sub))
-        layers += 1
-    return list(kernels.from_mask(rest)), list(kernels.from_mask(_full_mask(g.n) & ~rest))
-
-
 def _coloring_strategy(g: Graph, quotas, diags: dict):
     classes = _dsatur_classes(g)
     room = sum(quotas) - len(quotas)
@@ -628,15 +632,12 @@ def _bipartition_parts(g: Graph, p: int, q: int):
     precondition checks or certificates. The caller vouches for the
     preconditions and certifies the result.
 
-    Coloring, then stripping, then the exact search; the first answer
-    wins. AllStrategiesExhausted carries one diagnostic per failed
-    stage, and is a proof when the exact search completed."""
+    Coloring, then the exact search; the first answer wins.
+    AllStrategiesExhausted carries one diagnostic per failed stage, and
+    is a proof when the exact search completed."""
     diags: dict[str, str] = {}
     parts, strategy = _coloring_strategy(g, (p, q), diags), "coloring"
     if parts is None:
-        parts, strategy = _strip_parts(g, p, q), "stripping"
-    if parts is None:
-        diags["stripping"] = "peeling left a too-large clique in the remainder"
         try:
             assignment = _exact_partition_assignment(g, (p, q))
         except BudgetExceededError as exc:
@@ -740,8 +741,8 @@ def kway_clique_partition(g: Graph, spec) -> Partition:
     suffice; otherwise the classes are dealt round-robin, largest first,
     and a part stops taking classes once it holds p_i - 1. Otherwise,
     recursion: each level bundles the first k-1 quotas into one side of
-    a two-part split, found by the cascade of coloring, independent-set
-    stripping and an exact search that stops after EXACT_NODES nodes.
+    a two-part split, found by the cascade of coloring, then an exact
+    search that stops after EXACT_NODES nodes.
     Between levels, greedy migration moves vertices from the bundled side
     into the part just split off until that part is maximal, which caps
     the degree of the rest, and the next level splits the subgraph

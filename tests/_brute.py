@@ -79,14 +79,6 @@ def brute_clique_within(g: Graph, members) -> tuple[int, tuple[int, ...]]:
     return 0, ()
 
 
-def brute_max_independent_size(g: Graph) -> int:
-    best = 0
-    for size in range(g.n, -1, -1):
-        if any(is_independent(g, c) for c in itertools.combinations(range(g.n), size)):
-            return size
-    return best
-
-
 def brute_has_transversal(g: Graph) -> bool:
     """Exists an independent set meeting every maximum clique (tiny n only)."""
     maxes = brute_maximum_cliques(g)
@@ -175,44 +167,71 @@ def brute_deal(colors, quotas) -> list[list[int]] | None:
     return [sorted(side) for side in parts]
 
 
-def brute_first_assignment(g: Graph, quotas) -> tuple[list[int] | None, int]:
+def brute_components(g: Graph) -> list[set[int]]:
+    """The vertex sets of g's connected components, by depth-first search."""
+    seen: set[int] = set()
+    comps = []
+    for s in range(g.n):
+        if s in seen:
+            continue
+        comp, stack = {s}, [s]
+        while stack:
+            for u in g.neighbors(stack.pop()):
+                if u not in comp:
+                    comp.add(u)
+                    stack.append(u)
+        seen |= comp
+        comps.append(comp)
+    return comps
+
+
+def brute_first_assignment(g: Graph, quotas, by_component: bool = True
+                           ) -> tuple[list[int] | None, int]:
     """The first valid assignment in the exact search's order, found by
     plain recursion: vertices by descending degree, then index; parts in
-    order, skipping an empty part when an earlier empty part has the same
-    quota. Returns it (None when none exists) with the number of calls
-    made, one per placement plus the root."""
+    order, skipping a part that is empty when an earlier empty part has
+    the same quota. With ``by_component``, each connected component is
+    searched on its own, components by their first vertex in that order,
+    "empty" meaning empty within the component, and the search stops at
+    the first component with no valid assignment; otherwise the whole
+    graph is one search. Returns the assignment (None when none exists)
+    with the number of nodes visited: the root plus one per placement."""
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    parts: list[list[int]] = [[] for _ in quotas]
-    calls = 0
+    if by_component:
+        comps = brute_components(g)
+        groups = sorted(([v for v in order if v in c] for c in comps),
+                        key=lambda vs: order.index(vs[0]))
+    else:
+        groups = [order]
+    assignment = [0] * g.n
+    calls = 1
 
-    def joins(v: int, j: int) -> bool:
-        near = [u for u in parts[j] if g.has_edge(u, v)]
-        return not any(is_clique(g, c)
-                       for c in itertools.combinations(near, quotas[j] - 1))
-
-    def place(i: int) -> bool:
+    def place(vs, parts, i: int) -> bool:
         nonlocal calls
-        calls += 1
-        if i == g.n:
+        if i == len(vs):
             return True
-        v = order[i]
+        v = vs[i]
         for j in range(len(quotas)):
             if not parts[j] and any(not parts[h] and quotas[h] == quotas[j]
                                     for h in range(j)):
                 continue
-            if joins(v, j):
-                parts[j].append(v)
-                if place(i + 1):
-                    return True
-                parts[j].pop()
+            near = [u for u in parts[j] if g.has_edge(u, v)]
+            if any(is_clique(g, c) for c in itertools.combinations(near, quotas[j] - 1)):
+                continue
+            calls += 1
+            parts[j].append(v)
+            if place(vs, parts, i + 1):
+                return True
+            parts[j].pop()
         return False
 
-    if not place(0):
-        return None, calls
-    assignment = [0] * g.n
-    for j, members in enumerate(parts):
-        for v in members:
-            assignment[v] = j
+    for vs in groups:
+        parts: list[list[int]] = [[] for _ in quotas]
+        if not place(vs, parts, 0):
+            return None, calls
+        for j, members in enumerate(parts):
+            for v in members:
+                assignment[v] = j
     return assignment, calls
 
 

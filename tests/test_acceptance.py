@@ -426,10 +426,10 @@ def test_criterion_8_probe_sanity():
 
 
 def test_criterion_9_hard_instance_regime():
-    # Odd-cycle strong products C_L x K_m: the coloring shortcut and the
-    # stripping stage fail on several pairs, some of which are infeasible,
-    # so the answers rest on the budgeted exact stage. Every answer is a
-    # valid partition or a proof, and matches the oracle either way.
+    # Odd-cycle strong products C_L x K_m: the coloring shortcut fails on
+    # every one of them, and some pairs are infeasible, so the answers
+    # rest on the budgeted exact stage. Every answer is a valid partition
+    # or a proof, and matches the oracle either way.
     started = time.perf_counter()
     runs = 0
     unproven = 0

@@ -11,7 +11,6 @@ from clique_splitter.cliques import clique_number_within
 from _brute import (
     brute_clique_within,
     brute_cliques_of_size,
-    brute_max_independent_size,
     brute_mask_omega,
     brute_maximum_cliques,
     brute_omega,
@@ -264,21 +263,6 @@ class TestNonNeighborWitness:
             cs.non_neighbor_witness(g, (0, 1, 2, 3), 4, 6)
         with pytest.raises(ValueError):
             cs.non_neighbor_witness(g, (0, 1, 2, 3), 4, 4)
-
-
-class TestMaximumIndependentSet:
-    def test_petersen(self):
-        found = cs.maximum_independent_set(petersen())
-        assert len(found) == 4 == brute_max_independent_size(petersen())
-
-    def test_c5(self):
-        assert cs.maximum_independent_set(C(5)) == (0, 2)
-
-    @pytest.mark.parametrize("g", SMALL_CORPUS[:16], ids=repr)
-    def test_matches_brute(self, g):
-        found = cs.maximum_independent_set(g)
-        assert len(found) == brute_max_independent_size(g)
-        assert not any(g.has_edge(u, v) for u, v in itertools.combinations(found, 2))
 
 
 @st.composite

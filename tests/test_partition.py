@@ -15,7 +15,6 @@ from clique_splitter.partition import (
     _dsatur_classes,
     _dsatur_coloring,
     _exact_partition_assignment,
-    _independent_set,
     _migrate,
 )
 from _brute import (
@@ -321,22 +320,6 @@ class TestHittingIndependentSet:
         assert res.outcome == "not_found"
 
 
-class TestIndependentSet:
-    """Beyond 40 vertices the stripping stage's layer is greedy: it must
-    still be independent and admit no further vertex."""
-
-    @pytest.mark.parametrize("g", [strong(13, 4), regular(60, 14, 0), gnp(50, 0.3, 2)],
-                             ids=["C13xK4", "regular60_14", "gnp50"])
-    def test_greedy_set_is_maximal_independent(self, g):
-        assert g.n > 40
-        found = _independent_set(g)
-        assert list(found) == sorted(set(found))
-        assert found and is_independent(g, found)
-        chosen = set(found)
-        assert all(any(u in chosen for u in g.neighbors(v))
-                   for v in range(g.n) if v not in chosen)
-
-
 class TestDetectCycleCliqueProduct:
     @pytest.mark.parametrize("length,m", [(5, 1), (5, 2), (7, 3), (9, 2)])
     def test_recognizes_products(self, length, m):
@@ -369,7 +352,7 @@ class TestDetectCycleCliqueProduct:
 class TestAdversarialRegimeInstances:
     # strong products with max degree 14: the coloring shortcut fails on
     # these (they need close to max-degree many colors), forcing the
-    # stripping stage or the exact search to carry the construction
+    # exact search to carry the construction
     def test_c5_strong_k5_every_pair(self):
         g = strong(5, 5)
         delta = g.max_degree
@@ -378,7 +361,24 @@ class TestAdversarialRegimeInstances:
             p = delta + 1 - q
             part = cs.clique_bipartition(g, p, q)
             assert cs.verify_partition(g, part, cs.PartitionSpec((p, q))).valid
-            assert part.strategy in ("stripping", "exact")
+            assert part.strategy == "exact"
+
+    @pytest.mark.parametrize("length", [5, 7, 9, 11, 13, 15])
+    @pytest.mark.parametrize("m", [6, 7])
+    def test_every_pair_and_some_three_part_lists_above_k5(self, length, m):
+        # max degree 17 and 20, where the paper promises an answer: the
+        # exact search alone, behind the coloring, must answer every
+        # two-part pair and the three-part lists (D + 2 - 2q, q, q) within
+        # its node budget. Criterion 11 covers m = 5.
+        g = strong(length, m)
+        d = g.max_degree
+        lists = [(d + 1 - q, q) for q in range(2, (d + 1) // 2 + 1)]
+        lists += [(d + 2 - 2 * q, q, q) for q in (2, 3, 4)]
+        for quotas in lists:
+            spec = cs.PartitionSpec(quotas)
+            part = cs.kway_clique_partition(g, spec)
+            assert cs.verify_partition(g, part, spec).valid
+            assert part.strategy.split(";")[0] == "exact"
 
     def test_c7_strong_k5_balanced_pair(self):
         g = strong(7, 5)
@@ -430,9 +430,10 @@ class TestPendantCliqueAugmentation:
 
 class TestKingRegime:
     """Clique number at least 3(D+1)/4 and more than 40 vertices: King's
-    theorem gives an independent set meeting every maximum clique, while
-    the stripping stage peels greedy layers. Every two-part pair and every
-    three-part list is still answered."""
+    theorem gives an independent set meeting every maximum clique. The
+    coloring stage fails on these graphs, so the exact search answers:
+    every two-part pair and every three-part list, on unions one
+    component at a time."""
 
     @staticmethod
     def _cycle_of_cliques(length, s):
@@ -456,7 +457,7 @@ class TestKingRegime:
 
     def _graphs(self):
         # the C_L x K_3 components need more than D - 1 colors, so on the
-        # unions the coloring stage fails and stripping or exact decides
+        # unions the coloring stage fails and the exact search decides
         for length in (5, 6, 7):
             yield cs.disjoint_union(strong(5, 3), self._cycle_of_cliques(length, 7))
             yield cs.disjoint_union(strong(7, 3), self._cycle_of_cliques(length, 7))
@@ -479,7 +480,7 @@ class TestKingRegime:
                 part = cs.kway_clique_partition(g, spec)
                 assert cs.verify_partition(g, part, spec).valid
                 strategies.add(part.strategy.split(";")[0])
-        assert "stripping" in strategies
+        assert "exact" in strategies
 
 
 class TestCliqueBipartition:
@@ -617,6 +618,71 @@ class TestExactSearchBudget:
             assert err.value.diagnostics["exact"] == f"stopped after {nodes} nodes"
 
 
+class TestExactSearchComponents:
+    """The exact search takes each connected component on its own, with
+    one node budget for all of them, and returns the assignment a search
+    of the whole graph returns."""
+
+    @staticmethod
+    def _unions(rest, product):
+        return [cs.disjoint_union(rest, product), cs.disjoint_union(product, rest)]
+
+    @given(small_graphs(max_n=9),
+           st.lists(st.integers(2, 4), min_size=1, max_size=3))
+    @settings(max_examples=150)
+    def test_same_assignment_as_the_whole_graph_search(self, g, quotas):
+        expected, _ = brute_first_assignment(g, quotas, by_component=False)
+        with mock.patch.object(partition, "EXACT_NODES", 10**6):
+            assert _exact_partition_assignment(g, quotas) == expected
+
+    @pytest.mark.parametrize("order", [0, 1], ids=["product-last", "product-first"])
+    @pytest.mark.parametrize("rest, product, quotas", [
+        (regular(200, 5, 0), strong(5, 2), (3, 3)),
+        (regular(200, 5, 1), strong(9, 2), (3, 3)),
+        (strong(7, 2), strong(5, 2), (3, 3)),
+        (strong(5, 3), strong(7, 3), (6, 3)),
+    ], ids=["regular200+C5xK2", "regular200+C9xK2", "C7xK2+C5xK2", "C5xK3+C7xK3"])
+    def test_same_assignment_as_the_whole_graph_search_on_unions(
+            self, monkeypatch, rest, product, quotas, order):
+        g = self._unions(rest, product)[order]
+        split = _exact_partition_assignment(g, quotas)
+        assert split is not None
+        monkeypatch.setattr(partition, "_component_orders", lambda adj, vertices: [vertices])
+        assert _exact_partition_assignment(g, quotas) == split
+
+    @pytest.mark.parametrize("order", [0, 1], ids=["product-last", "product-first"])
+    @pytest.mark.parametrize("quotas", [(4, 2), (3, 3)])
+    def test_matches_recursive_reference_on_unions(self, quotas, order):
+        g = self._unions(regular(12, 5, 0), strong(5, 2))[order]
+        TestExactSearchBudget._matches_reference(g, quotas)
+
+    @pytest.mark.parametrize("length", [5, 7, 9, 13])
+    def test_union_is_proven_in_either_order(self, length):
+        # a search of the whole graph, product last, kept retrying the
+        # random component and stopped unproven at EXACT_NODES; the
+        # (3, 2, 2) proof is the top level's (4, 2) proof
+        for g in self._unions(regular(200, 5, 0), strong(length, 2)):
+            assert _exact_partition_assignment(g, (4, 2)) is None
+            for quotas in ((4, 2), (3, 2, 2)):
+                with pytest.raises(cs.AllStrategiesExhausted) as err:
+                    cs.kway_clique_partition(g, cs.PartitionSpec(quotas))
+                assert err.value.proven_infeasible
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_small_unions_agree_with_the_oracle(self, seed):
+        for g in self._unions(regular(12, 5, seed), strong(5, 2)):
+            for quotas in ((4, 2), (3, 3), (3, 2, 2)):
+                spec = cs.PartitionSpec(quotas)
+                feasible, _ = cs.exists_clique_partition(
+                    g, spec, cs.OracleBudget(assignment_cap=g.n))
+                try:
+                    part = cs.kway_clique_partition(g, spec)
+                except cs.AllStrategiesExhausted as exc:
+                    assert exc.proven_infeasible and not feasible, quotas
+                    continue
+                assert feasible and cs.verify_partition(g, part, spec).valid
+
+
 class TestMigrate:
     """The single migration pass must end where the old sweep-until-stable
     loop ended."""
@@ -722,13 +788,14 @@ class TestKwayCliquePartition:
         # a deeper level works on one remainder of the input, so its proof
         # must not surface as a proof about the input when the k-way search
         # stops. DSatur needs 12 classes on C5xK4 against 10 of room, so
-        # the recursion runs, and its top level answers by stripping.
+        # the recursion runs. Its top-level (9, 3) split is found before
+        # the node budget is cut to 1, and handed back for the input.
         g = strong(5, 4)
-        real = partition._bipartition_parts
+        top = partition._bipartition_parts(g, 9, 3)
 
         def failing_below_top(h, p, q):
             if h is g:
-                return real(h, p, q)
+                return top
             raise cs.AllStrategiesExhausted("forced", {}, proven_infeasible=True)
 
         monkeypatch.setattr(partition, "_bipartition_parts", failing_below_top)
