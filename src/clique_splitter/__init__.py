@@ -8,18 +8,12 @@ that double-check every claim, deterministic generators, and a CLI.
 
 from .cliques import (
     CliqueCertificate,
-    CliqueIntersectionReport,
     all_maximum_cliques,
     clique_number,
-    cliques_of_size,
-    intersection_report,
-    non_neighbor_witness,
 )
 from .errors import (
     AllStrategiesExhausted,
     BudgetExceededError,
-    CliqueContradictionError,
-    CliqueOverflowError,
     CliqueSplitterError,
     GenerationError,
     GraphFormatError,

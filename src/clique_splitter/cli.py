@@ -334,6 +334,10 @@ def cmd_stats(in_path, gen_recipe, seed, as_json):
     """Basic structural numbers: n, m, degrees, clique number, degeneracy."""
     g, descriptor = _load_graph(in_path, gen_recipe, seed)
     cert = clique_number(g)
+    try:
+        chromatic = oracle.chromatic_number(g)
+    except BudgetExceededError:
+        chromatic = None
     payload = {
         "input": descriptor,
         "n": g.n,
@@ -342,7 +346,7 @@ def cmd_stats(in_path, gen_recipe, seed, as_json):
         "min_degree": g.min_degree,
         "omega": cert.omega,
         "degeneracy": oracle.degeneracy(g),
-        "chromatic": oracle.chromatic_number(g) if g.n <= 14 else None,
+        "chromatic": chromatic,
     }
     if as_json:
         click.echo(json.dumps(payload, sort_keys=True, indent=2))

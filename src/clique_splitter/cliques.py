@@ -1,5 +1,4 @@
-"""Exact clique-number computation, maximum-clique enumeration, and
-clique-structure diagnostics.
+"""Exact clique-number computation and maximum-clique enumeration.
 
 All operations are pure functions of immutable graphs; witnesses are
 deterministic (lexicographically smallest among ties). Clique numbers of
@@ -13,15 +12,11 @@ from its structure, not from its labels.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 from . import kernels
-from .errors import CliqueContradictionError, CliqueOverflowError
 from .graphs import Graph
-
-EMISSION_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -30,20 +25,6 @@ class CliqueCertificate:
 
     omega: int
     witness: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class CliqueIntersectionReport:
-    """Pairwise intersection sizes of all cliques of a fixed size.
-
-    ``flagged_pairs`` lists index pairs (i < j) whose intersection has
-    ``target_size - 1`` or ``target_size - 2`` vertices.
-    """
-
-    target_size: int
-    cliques: tuple[tuple[int, ...], ...]
-    pairwise_intersections: tuple[tuple[int, ...], ...]
-    flagged_pairs: tuple[tuple[int, int], ...]
 
 
 @lru_cache(maxsize=4096)
@@ -113,87 +94,3 @@ def all_maximum_cliques(g: Graph) -> tuple[tuple[int, ...], ...]:
     found = [kernels.from_mask(m) for m in kernels.maximal_cliques(g.adjacency_bits, full)
              if m.bit_count() == omega]
     return tuple(sorted(found))
-
-
-def cliques_of_size(g: Graph, t: int) -> list[tuple[int, ...]]:
-    """All cliques on exactly ``t`` vertices (not necessarily maximal).
-
-    Enumerates t-subsets of maximal cliques and deduplicates. Raises
-    CliqueOverflowError past 10^6 emitted subsets.
-    """
-    if not (1 <= t <= g.n):
-        raise ValueError(f"clique size {t} outside [1..{g.n}]")
-    adj = g.adjacency_bits
-    full = (1 << g.n) - 1
-    seen: set[tuple[int, ...]] = set()
-    emitted = 0
-    for m in kernels.maximal_cliques(adj, full):
-        verts = kernels.from_mask(m)
-        if len(verts) < t:
-            continue
-        for combo in itertools.combinations(verts, t):
-            emitted += 1
-            if emitted > EMISSION_CAP:
-                raise CliqueOverflowError(
-                    f"more than {EMISSION_CAP} cliques of size {t} emitted")
-            seen.add(combo)
-    return sorted(seen)
-
-
-def intersection_report(g: Graph, t: int) -> CliqueIntersectionReport:
-    """Pairwise intersections of all t-cliques, flagging pairs that share
-    t-1 or t-2 vertices."""
-    if t < 2:
-        raise ValueError("intersection report needs t >= 2")
-    cliques = tuple(cliques_of_size(g, t))
-    sets = [frozenset(c) for c in cliques]
-    k = len(cliques)
-    matrix = tuple(
-        tuple(len(sets[i] & sets[j]) for j in range(k)) for i in range(k)
-    )
-    flagged = tuple(
-        (i, j)
-        for i in range(k)
-        for j in range(i + 1, k)
-        if matrix[i][j] in (t - 1, t - 2)
-    )
-    return CliqueIntersectionReport(t, cliques, matrix, flagged)
-
-
-def non_neighbor_witness(g: Graph, k, v: int, v2: int) -> tuple[int, int]:
-    """For a maximum clique ``k`` and an edge v-v2 outside it, return
-    distinct clique members w, w2 with v-w and v2-w2 both non-edges.
-
-    If no such pair exists the input clique cannot be maximum: the proof
-    object is a strictly larger clique, raised as CliqueContradictionError.
-    """
-    kset = tuple(sorted(set(k)))
-    for u in kset:
-        if not (0 <= u < g.n):
-            raise ValueError(f"clique vertex {u} out of range")
-    for a, b in itertools.combinations(kset, 2):
-        if not g.has_edge(a, b):
-            raise ValueError(f"input set is not a clique: {a}-{b} missing")
-    if v in kset or v2 in kset or v == v2:
-        raise ValueError("v and v2 must be distinct vertices outside the clique")
-    if not g.has_edge(v, v2):
-        raise ValueError(f"required edge {v}-{v2} missing")
-
-    a_side = [w for w in kset if not g.has_edge(v, w)]
-    b_side = [w for w in kset if not g.has_edge(v2, w)]
-    for w in a_side:
-        for w2 in b_side:
-            if w != w2:
-                return (w, w2)
-    # No valid pair: exhibit a clique of size omega + 1.
-    if not a_side:
-        witness = tuple(sorted(kset + (v,)))
-    elif not b_side:
-        witness = tuple(sorted(kset + (v2,)))
-    else:
-        shared = a_side[0]
-        witness = tuple(sorted([u for u in kset if u != shared] + [v, v2]))
-    raise CliqueContradictionError(
-        f"no non-neighbor pair exists; clique of size {len(witness)} found",
-        witness)
-

@@ -19,22 +19,6 @@ class GenerationError(CliqueSplitterError, ValueError):
     """Generator parameters are infeasible for the requested family."""
 
 
-class CliqueOverflowError(CliqueSplitterError, RuntimeError):
-    """Clique enumeration exceeded its emission cap."""
-
-
-class CliqueContradictionError(CliqueSplitterError, RuntimeError):
-    """A caller-supplied clique was not maximum: carries an oversized clique.
-
-    Raised when an operation that requires a maximum clique as input can
-    exhibit a strictly larger clique, proving the precondition false.
-    """
-
-    def __init__(self, message: str, witness: tuple[int, ...]):
-        super().__init__(message)
-        self.witness = witness
-
-
 class PreconditionError(CliqueSplitterError, ValueError):
     """An operation's stated precondition does not hold for the input."""
 

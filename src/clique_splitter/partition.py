@@ -2,18 +2,19 @@
 
 The central operation splits a graph with max degree D and clique number
 at most D-1 into parts V_1..V_k with omega(g[V_i]) <= p_i - 1, where the
-quotas satisfy sum(p_i) = D - 1 + k. Two-part splits run a strategy
-cascade: a proper-coloring shortcut, then an exact search, one connected
-component at a time, that stops after EXACT_NODES nodes in all, at any
-n. A k-way split is answered in one shot when DSatur colors the input
-with at most D - 1 classes, since the quotas leave sum(p_i - 1) = D - 1
-classes of room: V_1 takes every class when p_1 - 1 of them suffice, and
-otherwise the classes are dealt round-robin, largest first, to parts
-that still have room, so that no part's certificate searches most of V.
-Otherwise a k-way split recurses through two-part splits, each level on
-the remainder of the one above, induced once greedy migration has capped
-its degree; the last split is not migrated. ``clique_bipartition`` is
-the two-part case of ``kway_clique_partition``.
+quotas satisfy sum(p_i) = D - 1 + k. The parts are split off one level
+at a time, each level on the remainder of the one above, induced once
+greedy migration has capped its degree; the last split is not migrated.
+Each level asks the coloring question once, with its whole remaining
+quota list: when DSatur colors its graph with at most sum(p_i - 1)
+classes, D - 1 on the input, the level deals every remaining part and
+is the last. V_1 then takes every class when p_1 - 1 of them suffice,
+and otherwise the classes are dealt round-robin, largest first, to
+parts that still have room, so that no part's certificate searches most
+of V. Otherwise an exact search, one connected component at a time,
+that stops after EXACT_NODES nodes in all, at any n, splits off the
+level's last part. ``clique_bipartition`` is the two-part case of
+``kway_clique_partition``.
 
 Every returned partition is re-verified with exact per-part clique
 numbers before it leaves this module. The engines are deterministic and
@@ -169,6 +170,14 @@ def _full_mask(n: int) -> int:
 def _parts_of(assignment, k: int) -> list[list[int]]:
     """Part i holds the vertices that ``assignment`` puts in i, ascending."""
     return [[v for v, a in enumerate(assignment) if a == i] for i in range(k)]
+
+
+def _integer_pair(p, q) -> tuple[int, int]:
+    """p and q read as PartitionSpec reads quotas, or PreconditionError."""
+    try:
+        return operator.index(p), operator.index(q)
+    except TypeError:
+        raise PreconditionError(f"p and q must be integers, got p={p!r}, q={q!r}") from None
 
 
 def _check_omega(g: Graph) -> CliqueCertificate:
@@ -459,6 +468,7 @@ def degree_bounded_bipartition(g: Graph, p: int, q: int) -> Partition:
     p + q equal to the max degree, and clique number at most the max
     degree. All four bounds are verified before returning.
     """
+    p, q = _integer_pair(p, q)
     delta = g.max_degree
     if delta < 3:
         raise PreconditionError(f"max degree {delta} is below 3")
@@ -598,7 +608,7 @@ def hitting_independent_set(g: Graph) -> HittingSetResult:
 
 
 # ---------------------------------------------------------------------------
-# Two-part strategy cascade
+# k-way partition, one part per level
 
 
 def _coloring_strategy(g: Graph, quotas, diags: dict):
@@ -608,9 +618,8 @@ def _coloring_strategy(g: Graph, quotas, diags: dict):
         diags["coloring"] = f"DSatur used {len(classes)} > {room} classes"
         return None
     # A part of at most p_i - 1 classes is p_i - 1 colorable and holds no
-    # K_{p_i}. The quotas leave sum(p_i - 1) classes of room, which is max
-    # degree - 1 on the input of a k-way split and p + q - 2 at a two-part
-    # level, so every class is placed.
+    # K_{p_i}. The quotas leave sum(p_i - 1) classes of room at every
+    # level, max degree - 1 on the input, so every class is placed.
     if len(classes) <= quotas[0] - 1:
         # V is then the one part to certify, and its entry is the one
         # the precondition check has already filled.
@@ -627,31 +636,6 @@ def _coloring_strategy(g: Graph, quotas, diags: dict):
     return [sorted(side) for side in parts]
 
 
-def _bipartition_parts(g: Graph, p: int, q: int):
-    """The two-part cascade alone: ([V1, V2], strategy name), without
-    precondition checks or certificates. The caller vouches for the
-    preconditions and certifies the result.
-
-    Coloring, then the exact search; the first answer wins.
-    AllStrategiesExhausted carries one diagnostic per failed stage, and
-    is a proof when the exact search completed."""
-    diags: dict[str, str] = {}
-    parts, strategy = _coloring_strategy(g, (p, q), diags), "coloring"
-    if parts is None:
-        try:
-            assignment = _exact_partition_assignment(g, (p, q))
-        except BudgetExceededError as exc:
-            diags["exact"] = str(exc)
-            raise AllStrategiesExhausted(f"no valid ({p},{q}) split found", diags) from None
-        if assignment is None:
-            diags["exact"] = "proved infeasible"
-            raise AllStrategiesExhausted(
-                f"no valid ({p},{q}) split found", diags, proven_infeasible=True)
-        parts, strategy = _parts_of(assignment, 2), "exact"
-    log.debug("clique_bipartition(p=%d, q=%d) solved by %s", p, q, strategy)
-    return parts, strategy
-
-
 def _certified(g: Graph, parts, quotas, strategy: str) -> Partition:
     """Partition with exact per-part certificates, checked against the quotas."""
     part = partition_from_parts(g, parts, strategy=strategy)
@@ -660,10 +644,6 @@ def _certified(g: Graph, parts, quotas, strategy: str) -> Partition:
             "post-verification failed",
             {"omegas": [c.omega for c in part.certificates], "quotas": tuple(quotas)})
     return part
-
-
-# ---------------------------------------------------------------------------
-# k-way partition via recursive bipartition
 
 
 def _migrate(g: Graph, v1, v2, q: int) -> tuple[list[int], list[int]]:
@@ -694,38 +674,54 @@ def _migrate(g: Graph, v1, v2, q: int) -> tuple[list[int], list[int]]:
 def _kway_parts(g: Graph, quotas: tuple[int, ...], depth: int):
     """Uncertified parts and the strategy used at each level, for k >= 2.
 
-    A level works to the quotas (p, q) with p = sum of all but the last
-    quota minus (k - 2), so its degree bound is p + q - 1. The
+    A level first asks the coloring stage with its whole quota list:
+    when DSatur fits in its sum(p_i - 1) classes of room, the level deals
+    every part and is the last (strategy "coloring"). Otherwise the exact
+    search splits off the last part to the quotas (p, q) with p = sum of
+    all but the last quota minus (k - 2), so its degree bound is p + q - 1
+    and its room p + q - 2 is the room the coloring just missed. The
     preconditions at depth 0 are the caller's; below, they follow from
     it: the remainder is the migrated V1 of a valid split, so its clique
     number is at most p - 1, its max degree is at most p, and the
     remaining quotas sum to p - 1 + (k - 1). No level needs its graph's
     max degree to meet the bound exactly. At k = 2 the split is returned
-    as the cascade gave it: no level follows, so nothing is migrated."""
+    as the search gave it: no level follows, so nothing is migrated.
+    A give-up is a proof only at depth 0: a proof about one remainder
+    says nothing about the input, which other top-level splits might
+    still divide."""
     k = len(quotas)
     p = sum(quotas[:-1]) - (k - 2)
     q = quotas[-1]
+    diags: dict[str, str] = {}
+    parts = _coloring_strategy(g, quotas, diags)
+    if parts is not None:
+        log.debug("level %d (p=%d, q=%d) solved by coloring", depth, p, q)
+        return parts, ["coloring"]
     try:
-        (v1, v2), strategy = _bipartition_parts(g, p, q)
-    except AllStrategiesExhausted as exc:
-        exc.depth = depth
-        if depth:
-            # a proof about one remainder says nothing about the input,
-            # which other top-level splits might still divide
-            exc.proven_infeasible = False
-        raise
+        assignment = _exact_partition_assignment(g, (p, q))
+    except BudgetExceededError as exc:
+        diags["exact"] = str(exc)
+        raise AllStrategiesExhausted(
+            f"no valid ({p},{q}) split found", diags, depth=depth) from None
+    if assignment is None:
+        diags["exact"] = "proved infeasible"
+        raise AllStrategiesExhausted(
+            f"no valid ({p},{q}) split found", diags, depth=depth,
+            proven_infeasible=not depth)
+    log.debug("level %d (p=%d, q=%d) solved by exact", depth, p, q)
+    v1, v2 = _parts_of(assignment, 2)
     if k == 2:
-        return [v1, v2], [strategy]
+        return [v1, v2], ["exact"]
     v1, v2 = _migrate(g, v1, v2, q)
     if not v1:
-        return [[] for _ in range(k - 1)] + [v2], [strategy]
+        return [[] for _ in range(k - 1)] + [v2], ["exact"]
     sub, back = induced_subgraph(g, v1)
     if sub.max_degree > p:
         raise SearchFailureError(
             f"migrated remainder has degree {sub.max_degree} above {p}")
     sub_parts, sub_strategies = _kway_parts(sub, quotas[:-1], depth + 1)
     mapped = [[back[v] for v in side] for side in sub_parts]
-    return mapped + [v2], [strategy] + sub_strategies
+    return mapped + [v2], ["exact"] + sub_strategies
 
 
 def kway_clique_partition(g: Graph, spec) -> Partition:
@@ -734,30 +730,35 @@ def kway_clique_partition(g: Graph, spec) -> Partition:
     The result depends on g and the quotas alone: no stage is randomized.
 
     For k = 1 the preconditions already give omega <= p_1 - 1, so the
-    whole vertex set is the answer (strategy "verify"). For k >= 2, one
-    DSatur coloring of the input answers every quota list at once when it
-    uses at most max degree - 1 = sum(p_i - 1) classes (strategy
-    "coloring"). Part 1 takes the whole vertex set when p_1 - 1 classes
+    whole vertex set is the answer (strategy "verify"). For k >= 2 the
+    parts are split off one level at a time, each level on the remainder
+    of the one above, and each asks one question first: does a DSatur
+    coloring of its graph use at most sum(p_i - 1) classes over its
+    remaining quotas? That room is max degree - 1 at the top. If so, the
+    level answers every remaining part at once (strategy "coloring"):
+    part 1 takes the level's whole vertex set when p_1 - 1 classes
     suffice; otherwise the classes are dealt round-robin, largest first,
-    and a part stops taking classes once it holds p_i - 1. Otherwise,
-    recursion: each level bundles the first k-1 quotas into one side of
-    a two-part split, found by the cascade of coloring, then an exact
-    search that stops after EXACT_NODES nodes.
+    and a part stops taking classes once it holds p_i - 1. If not, an
+    exact search that stops after EXACT_NODES nodes splits off the last
+    part, the rest bundling the other quotas (strategy "exact").
     Between levels, greedy migration moves vertices from the bundled side
     into the part just split off until that part is maximal, which caps
     the degree of the rest, and the next level splits the subgraph
     induced by the rest. The last split is not migrated, so no part is
     promised to be maximal. The strategy string names one strategy per
-    level that ran; a level whose remainder is empty leaves the parts
-    before it empty and runs no deeper level.
+    level that ran: every name but the last is "exact". A level whose
+    remainder is empty leaves the parts before it empty and runs no
+    deeper level.
 
     The preconditions are checked here, once: they imply those of every
-    level below, so the levels run the two-part cascade without checks
-    or certificates. The final partition is certified once, with exact
-    clique numbers of every part, and SearchFailureError is raised if it
-    fails a quota. AllStrategiesExhausted carries one diagnostic per
-    failed stage; with proven_infeasible set it is a certified negative,
-    backed by an exact search of the input.
+    level below, so the levels run without checks or certificates. When
+    the levels give up without a proof and k >= 3, one exact search of
+    the whole quota list follows (strategy "exact-kway"). The final
+    partition is certified once, with exact clique numbers of every
+    part, and SearchFailureError is raised if it fails a quota.
+    AllStrategiesExhausted carries one diagnostic per failed stage; with
+    proven_infeasible set it is a certified negative, backed by an exact
+    search of the input.
     """
     if not isinstance(spec, PartitionSpec):
         spec = PartitionSpec(tuple(spec))
@@ -768,9 +769,6 @@ def kway_clique_partition(g: Graph, spec) -> Partition:
     _check_omega(g)
     if spec.k == 1:
         return _certified(g, [range(g.n)], spec.quotas, "verify")
-    parts = _coloring_strategy(g, spec.quotas, {})
-    if parts is not None:
-        return _certified(g, parts, spec.quotas, "coloring")
     try:
         parts, strategies = _kway_parts(g, spec.quotas, 0)
     except AllStrategiesExhausted as exc:
@@ -873,6 +871,7 @@ def max_kpfree_partition(g: Graph, p: int, q: int) -> MaxKpfreeResult:
     clique_bipartition is raised unchanged, proof flag and diagnostics
     included.
     """
+    p, q = _integer_pair(p, q)
     if p < 1 or q < 1 or p < q:
         raise PreconditionError(f"need p >= q >= 1, got p={p}, q={q}")
     if p + q != g.max_degree + 1:

@@ -252,6 +252,13 @@ class TestStatsCommand:
         assert payload["chromatic"] == 5
         assert payload["degeneracy"] == 5
 
+    def test_chromatic_beyond_the_oracle_budget_is_null(self, runner):
+        result = runner.invoke(main, ["stats", "--gen", "cycle:15", "--json"])
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert payload["n"] == 15 and payload["omega"] == 2
+        assert payload["chromatic"] is None
+
     def test_human_output(self, runner):
         result = runner.invoke(main, ["stats", "--gen", "complete:4"])
         assert result.exit_code == 0

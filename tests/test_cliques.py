@@ -10,7 +10,6 @@ import clique_splitter.kernels as kernels
 from clique_splitter.cliques import clique_number_within
 from _brute import (
     brute_clique_within,
-    brute_cliques_of_size,
     brute_mask_omega,
     brute_maximum_cliques,
     brute_omega,
@@ -150,119 +149,6 @@ class TestAllMaximumCliques:
     @pytest.mark.parametrize("g", SMALL_CORPUS, ids=repr)
     def test_matches_brute_enumeration(self, g):
         assert list(cs.all_maximum_cliques(g)) == brute_maximum_cliques(g)
-
-
-class TestCliquesOfSize:
-    def test_k4_triangles(self):
-        assert len(cs.cliques_of_size(K(4), 3)) == 4
-
-    def test_c5_no_triangles(self):
-        assert cs.cliques_of_size(C(5), 3) == []
-
-    def test_petersen_edges(self):
-        assert len(cs.cliques_of_size(petersen(), 2)) == 15
-
-    def test_size_bounds_checked(self):
-        with pytest.raises(ValueError):
-            cs.cliques_of_size(K(4), 0)
-        with pytest.raises(ValueError):
-            cs.cliques_of_size(K(4), 5)
-
-    def test_overflow_guard(self):
-        # C(23, 11) = 1352078 subsets of the single maximal clique
-        with pytest.raises(cs.CliqueOverflowError):
-            cs.cliques_of_size(K(23), 11)
-
-    @pytest.mark.parametrize("g", SMALL_CORPUS[:14], ids=repr)
-    def test_matches_brute_for_all_sizes(self, g):
-        for t in range(1, min(g.n, 6) + 1):
-            assert cs.cliques_of_size(g, t) == brute_cliques_of_size(g, t)
-
-
-class TestIntersectionReport:
-    def test_disjoint_k4s(self):
-        g = cs.generate(cs.GeneratorRecipe("disjoint_union", {"sizes": (4, 4)}))
-        rep = cs.intersection_report(g, 4)
-        assert rep.pairwise_intersections[0][1] == 0
-        assert rep.flagged_pairs == ()
-
-    def test_k5_subsets_all_flagged(self):
-        rep = cs.intersection_report(K(5), 4)
-        assert len(rep.cliques) == 5
-        for i in range(5):
-            assert rep.pairwise_intersections[i][i] == 4
-            for j in range(i + 1, 5):
-                assert rep.pairwise_intersections[i][j] == 3
-        assert len(rep.flagged_pairs) == 10
-
-    def test_c5_strong_k2_adjacent_fibers(self):
-        g = strong(5, 2)
-        rep = cs.intersection_report(g, 4)
-        values = {rep.pairwise_intersections[i][j]
-                  for i in range(5) for j in range(5) if i != j}
-        assert values == {0, 2}
-        assert rep.flagged_pairs == tuple(
-            (i, j) for i in range(5) for j in range(i + 1, 5)
-            if rep.pairwise_intersections[i][j] == 2)
-
-    def test_matrix_symmetric_with_diagonal_t(self):
-        g = random_graph(10, 0.6, 3)
-        t = 3
-        rep = cs.intersection_report(g, t)
-        n = len(rep.cliques)
-        for i in range(n):
-            assert rep.pairwise_intersections[i][i] == t
-            for j in range(n):
-                assert rep.pairwise_intersections[i][j] == rep.pairwise_intersections[j][i]
-
-    def test_needs_t_at_least_two(self):
-        with pytest.raises(ValueError):
-            cs.intersection_report(K(3), 1)
-
-
-class TestNonNeighborWitness:
-    def test_disjoint_component_edge(self):
-        # K4 on 0..3 plus an isolated edge 4-5
-        g = cs.Graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 5)])
-        w, w2 = cs.non_neighbor_witness(g, (0, 1, 2, 3), 4, 5)
-        assert w != w2 and not g.has_edge(4, w) and not g.has_edge(5, w2)
-
-    def test_forced_by_degrees(self):
-        # v=4 adjacent to clique vertices 0,1,2 (missing 3); v2=5 adjacent to v only
-        g = cs.Graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
-                         (4, 0), (4, 1), (4, 2), (4, 5)])
-        w, w2 = cs.non_neighbor_witness(g, (0, 1, 2, 3), 4, 5)
-        assert w == 3
-        assert not g.has_edge(5, w2) and w2 != w
-
-    def test_contradiction_reports_bigger_clique(self):
-        # caller passes 4 vertices of a K5 claiming maximality; v completes K5
-        g = cs.Graph(6, [(u, v) for u in range(5) for v in range(u + 1, 5)] + [(4, 5)])
-        with pytest.raises(cs.CliqueContradictionError) as err:
-            cs.non_neighbor_witness(g, (0, 1, 2, 3), 4, 5)
-        witness = err.value.witness
-        assert len(witness) == 5 and is_clique(g, witness)
-
-    def test_shared_single_non_neighbor_contradiction(self):
-        # v and v2 adjacent to all of k except the same vertex 3, and to each other
-        edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
-        edges += [(4, 0), (4, 1), (4, 2), (5, 0), (5, 1), (5, 2), (4, 5)]
-        g = cs.Graph(6, edges)
-        with pytest.raises(cs.CliqueContradictionError) as err:
-            cs.non_neighbor_witness(g, (0, 1, 2, 3), 4, 5)
-        assert len(err.value.witness) == 5 and is_clique(g, err.value.witness)
-
-    def test_requires_clique_input(self):
-        g = C(5)
-        with pytest.raises(ValueError, match="not a clique"):
-            cs.non_neighbor_witness(g, (0, 1, 2), 3, 4)
-
-    def test_requires_edge_between_outside_pair(self):
-        g = cs.Graph(7, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 5)])
-        with pytest.raises(ValueError, match="missing"):
-            cs.non_neighbor_witness(g, (0, 1, 2, 3), 4, 6)
-        with pytest.raises(ValueError):
-            cs.non_neighbor_witness(g, (0, 1, 2, 3), 4, 4)
 
 
 @st.composite

@@ -10,11 +10,11 @@ import clique_splitter as cs
 from clique_splitter import kernels, partition
 from clique_splitter.cliques import clique_number_within
 from clique_splitter.partition import (
-    _bipartition_parts,
     _coloring_strategy,
     _dsatur_classes,
     _dsatur_coloring,
     _exact_partition_assignment,
+    _kway_parts,
     _migrate,
 )
 from _brute import (
@@ -223,6 +223,13 @@ class TestDegreeBoundedBipartition:
     def test_wrong_sum_rejected(self):
         with pytest.raises(cs.PreconditionError):
             cs.degree_bounded_bipartition(petersen(), 2, 2)
+
+    def test_non_integer_pair_rejected_before_any_search(self, monkeypatch):
+        # 6.5 + 6.5 meets the max degree 13, so only the type is wrong
+        g = regular(28, 13, 3)
+        monkeypatch.setattr(partition, "clique_number", None)
+        with pytest.raises(cs.PreconditionError, match="must be integers"):
+            cs.degree_bounded_bipartition(g, 6.5, 6.5)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_graphs_all_bounds(self, seed):
@@ -708,7 +715,8 @@ class TestMigrate:
         p = g.max_degree + 1 - q
         splits = [self._random_split(g, q)]
         try:
-            splits.append(_bipartition_parts(g, p, q)[0])
+            # the engine's two-part level, which also takes p < q
+            splits.append(_kway_parts(g, (p, q), 0)[0])
         except cs.AllStrategiesExhausted:
             pass
         for v1, v2 in splits:
@@ -789,16 +797,24 @@ class TestKwayCliquePartition:
         # must not surface as a proof about the input when the k-way search
         # stops. DSatur needs 12 classes on C5xK4 against 10 of room, so
         # the recursion runs. Its top-level (9, 3) split is found before
-        # the node budget is cut to 1, and handed back for the input.
+        # the node budget is cut to 1, and handed back for the input; the
+        # remainder, which DSatur would color, is refused the coloring and
+        # "proved" infeasible instead.
         g = strong(5, 4)
-        top = partition._bipartition_parts(g, 9, 3)
+        top = _exact_partition_assignment(g, (9, 3))
 
-        def failing_below_top(h, p, q):
-            if h is g:
+        def proving_below_top(h, quotas):
+            if h is not g:
+                return None
+            if tuple(quotas) == (9, 3):
                 return top
-            raise cs.AllStrategiesExhausted("forced", {}, proven_infeasible=True)
+            return _exact_partition_assignment(h, quotas)
 
-        monkeypatch.setattr(partition, "_bipartition_parts", failing_below_top)
+        def refusing_below_top(h, quotas, diags):
+            return _coloring_strategy(h, quotas, diags) if h is g else None
+
+        monkeypatch.setattr(partition, "_exact_partition_assignment", proving_below_top)
+        monkeypatch.setattr(partition, "_coloring_strategy", refusing_below_top)
         monkeypatch.setattr(partition, "EXACT_NODES", 1)
         with pytest.raises(cs.AllStrategiesExhausted) as err:
             cs.kway_clique_partition(g, cs.PartitionSpec((7, 3, 3)))
@@ -841,14 +857,58 @@ class TestKwayCliquePartition:
     @pytest.mark.parametrize("shape", ["all-2", "even-3"])
     def test_strategy_names_one_level_per_split_off_part(self, length, m, shape):
         # DSatur needs 3m classes on C_L x K_m, two more than the room, so
-        # the recursion runs: each level splits off one non-empty last
-        # part and names one strategy; a level never runs on an empty
-        # remainder
+        # the recursion runs. Each level names one strategy: every level
+        # but the last is exact and splits off one last part, non-empty
+        # while three or more quotas remain; a coloring level deals every
+        # remaining part, so it is the last
         g = strong(length, m)
         spec = self._spec(g.max_degree, shape)
         part = cs.kway_clique_partition(g, spec)
         assert cs.verify_partition(g, part, spec).valid
-        assert len(part.strategy.split(";")) == sum(1 for side in part.parts[1:] if side)
+        names = part.strategy.split(";")
+        assert names[0] == "exact"
+        assert all(name == "exact" for name in names[:-1])
+        assert names[-1] in ("exact", "coloring")
+        levels = len(names) if names[-1] == "exact" else len(names) - 1
+        for depth in range(levels):
+            if spec.k - depth >= 3:
+                assert part.parts[spec.k - 1 - depth]
+
+    def test_coloring_is_asked_once_for_a_two_part_split(self, monkeypatch):
+        # DSatur needs 6 classes on C9xK2 against 4 of room at (3, 3)
+        calls = []
+
+        def counted(h, quotas, diags):
+            calls.append(tuple(quotas))
+            return _coloring_strategy(h, quotas, diags)
+
+        monkeypatch.setattr(partition, "_coloring_strategy", counted)
+        assert cs.clique_bipartition(strong(9, 2), 3, 3).strategy == "exact"
+        assert calls == [(3, 3)]
+
+    def test_a_colored_remainder_deals_every_remaining_part(self, monkeypatch):
+        # the top level of C5xK4 at (5, 3, 3, 3) misses the coloring, and
+        # its remainder is colored once, for all three remaining quotas
+        g = strong(5, 4)
+        spec = cs.PartitionSpec((5, 3, 3, 3))
+        graphs = []
+
+        def counted(h):
+            graphs.append(h)
+            return _dsatur_coloring(h)
+
+        monkeypatch.setattr(partition, "_dsatur_coloring", counted)
+        _dsatur_classes.cache_clear()
+        part = cs.kway_clique_partition(g, spec)
+        assert part.strategy == "exact;coloring"
+        assert cs.verify_partition(g, part, spec).valid
+        assert len(graphs) == 2 and graphs[0] is g
+        sub, back = cs.induced_subgraph(g, [v for side in part.parts[:3] for v in side])
+        assert graphs[1] == sub
+        colors = brute_dsatur(sub)
+        number = {v: i for i, v in enumerate(back)}
+        for side, p in zip(part.parts[:3], spec.quotas):
+            assert is_union_of_classes(colors, [number[v] for v in side], p - 1)
 
     @pytest.mark.parametrize("n,d", [(48, 16), (28, 13), (40, 14)])
     @pytest.mark.parametrize("seed", range(3))
@@ -978,7 +1038,7 @@ class TestOneShotColoring:
             try:
                 part = cs.kway_clique_partition(g, quotas)
             except cs.AllStrategiesExhausted as exc:
-                # the cascade's first level ran and refused the coloring too
+                # the top level asked the same coloring question and was refused
                 assert exc.diagnostics["coloring"] == diags["coloring"]
                 continue
             assert part.strategy != "coloring"
@@ -1003,6 +1063,13 @@ class TestMaxKpfreePartition:
         c4 = C(4)  # omega 2 = max degree, hypothesis fails
         with pytest.raises(cs.PreconditionError):
             cs.max_kpfree_partition(c4, 2, 1)
+
+    def test_non_integer_pair_rejected_before_any_search(self, monkeypatch):
+        # 7.5 + 6.5 meets max degree + 1 = 14, so only the type is wrong
+        g = regular(28, 13, 3)
+        monkeypatch.setattr(partition, "_check_omega", None)
+        with pytest.raises(cs.PreconditionError, match="must be integers"):
+            cs.max_kpfree_partition(g, 7.5, 6.5)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_exact_regime_matches_oracle(self, seed):
