@@ -259,6 +259,16 @@ class TestStatsCommand:
         assert payload["n"] == 15 and payload["omega"] == 2
         assert payload["chromatic"] is None
 
+    @pytest.mark.parametrize("spec, chromatic", [
+        ("cycle:13", 3), ("cycle:14", 2), ("cycle:16", None), ("complete:15", None),
+    ])
+    def test_chromatic_is_reported_up_to_the_oracle_budget(self, runner, spec, chromatic):
+        # the oracle answers up to its 14-vertex assignment cap, and
+        # beyond it the field is null rather than an error
+        result = runner.invoke(main, ["stats", "--gen", spec, "--json"])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["chromatic"] == chromatic
+
     def test_human_output(self, runner):
         result = runner.invoke(main, ["stats", "--gen", "complete:4"])
         assert result.exit_code == 0

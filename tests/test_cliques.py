@@ -10,6 +10,7 @@ import clique_splitter.kernels as kernels
 from clique_splitter.cliques import clique_number_within
 from _brute import (
     brute_clique_within,
+    brute_cliques_of_size,
     brute_mask_omega,
     brute_maximum_cliques,
     brute_omega,
@@ -149,6 +150,43 @@ class TestAllMaximumCliques:
     @pytest.mark.parametrize("g", SMALL_CORPUS, ids=repr)
     def test_matches_brute_enumeration(self, g):
         assert list(cs.all_maximum_cliques(g)) == brute_maximum_cliques(g)
+
+
+class TestCliquesBySize:
+    """Every t-clique of the exhaustive enumeration, as the search
+    routines see it: the decision search finds a t-clique exactly when
+    one exists, each t-clique is its own largest clique, and each lies
+    inside some maximal clique."""
+
+    @pytest.mark.parametrize("g", SMALL_CORPUS[:14], ids=repr)
+    def test_matches_brute_for_all_sizes(self, g):
+        adj = g.adjacency_bits
+        full = (1 << g.n) - 1
+        maximal = kernels.maximal_cliques(adj, full)
+        for t in range(1, min(g.n, 6) + 1):
+            found = brute_cliques_of_size(g, t)
+            assert kernels.has_clique_of_size(adj, full, t) == bool(found)
+            assert kernels.has_clique_of_size(adj, full, t + 1) == bool(
+                brute_cliques_of_size(g, t + 1))
+            for c in found:
+                mask = kernels.to_mask(c)
+                cert = clique_number_within(g, mask)
+                assert cert.omega == t and cert.witness == c
+                assert any(mask & m == mask for m in maximal)
+
+    @pytest.mark.parametrize("length,m", [(5, 2), (5, 3), (7, 2), (7, 3), (9, 2), (11, 2)])
+    def test_cycle_clique_product_maximum_cliques_are_adjacent_fiber_pairs(self, length, m):
+        # On C_L x K_m (odd L >= 5) the maximum cliques are the L unions of two
+        # adjacent K_m fibers: two of them meet in one fiber or not at all,
+        # and each meets exactly its two neighbors around the cycle
+        g = strong(length, m)
+        found = cs.all_maximum_cliques(g)
+        assert list(found) == brute_cliques_of_size(g, 2 * m)
+        assert len(found) == length
+        sets = [set(c) for c in found]
+        assert {len(a & b) for a, b in itertools.combinations(sets, 2)} == {0, m}
+        for a in sets:
+            assert sum(len(a & b) == m for b in sets if b is not a) == 2
 
 
 @st.composite

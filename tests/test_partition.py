@@ -1,5 +1,7 @@
+import logging
 import random
 import sys
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -230,6 +232,13 @@ class TestDegreeBoundedBipartition:
         monkeypatch.setattr(partition, "clique_number", None)
         with pytest.raises(cs.PreconditionError, match="must be integers"):
             cs.degree_bounded_bipartition(g, 6.5, 6.5)
+
+    @pytest.mark.parametrize("p, q", [(6.0, 7.0), ("6", 7), (6, None), (Fraction(13, 2), 6.5)])
+    def test_every_non_integer_type_rejected(self, p, q):
+        # each pair sums to the max degree 13, or fails to sum at all
+        with pytest.raises(cs.PreconditionError) as err:
+            cs.degree_bounded_bipartition(regular(28, 13, 3), p, q)
+        assert str(err.value) == f"p and q must be integers, got p={p!r}, q={q!r}"
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_graphs_all_bounds(self, seed):
@@ -886,6 +895,38 @@ class TestKwayCliquePartition:
         assert cs.clique_bipartition(strong(9, 2), 3, 3).strategy == "exact"
         assert calls == [(3, 3)]
 
+    @pytest.mark.parametrize("length, m, quotas, strategy", [
+        (9, 2, (3, 3), "exact"),
+        (13, 2, (3, 3), "exact"),
+        (5, 4, (5, 3, 3, 3), "exact;coloring"),
+        (5, 4, (4, 3, 3, 3, 2), "exact;exact;coloring"),
+        (7, 3, (3, 3, 3, 2), "exact;exact;coloring"),
+        (7, 3, (2,) * 7, "exact;exact;exact;coloring"),
+    ])
+    def test_one_coloring_question_and_one_log_line_per_level(
+            self, monkeypatch, caplog, length, m, quotas, strategy):
+        # level i asks the coloring stage once, with the quotas left after
+        # the i parts split off above it, and logs one line naming its
+        # strategy
+        calls = []
+
+        def counted(h, level_quotas, diags):
+            calls.append(tuple(level_quotas))
+            return _coloring_strategy(h, level_quotas, diags)
+
+        monkeypatch.setattr(partition, "_coloring_strategy", counted)
+        g = strong(length, m)
+        with caplog.at_level(logging.DEBUG, logger="clique_splitter.partition"):
+            part = cs.kway_clique_partition(g, quotas)
+        assert cs.verify_partition(g, part, cs.PartitionSpec(quotas)).valid
+        names = part.strategy.split(";")
+        assert part.strategy == strategy
+        assert calls == [quotas[:len(quotas) - i] for i in range(len(names))]
+        levels = [r.getMessage() for r in caplog.records if r.getMessage().startswith("level ")]
+        assert len(levels) == len(names)
+        for i, (line, name) in enumerate(zip(levels, names)):
+            assert line.startswith(f"level {i} (") and line.endswith(f"solved by {name}")
+
     def test_a_colored_remainder_deals_every_remaining_part(self, monkeypatch):
         # the top level of C5xK4 at (5, 3, 3, 3) misses the coloring, and
         # its remainder is colored once, for all three remaining quotas
@@ -1070,6 +1111,13 @@ class TestMaxKpfreePartition:
         monkeypatch.setattr(partition, "_check_omega", None)
         with pytest.raises(cs.PreconditionError, match="must be integers"):
             cs.max_kpfree_partition(g, 7.5, 6.5)
+
+    @pytest.mark.parametrize("p, q", [(7.0, 7.0), ("7", 7), (7, None), (Fraction(15, 2), 6.5)])
+    def test_every_non_integer_type_rejected(self, p, q):
+        # each pair sums to max degree + 1 = 14, or fails to sum at all
+        with pytest.raises(cs.PreconditionError) as err:
+            cs.max_kpfree_partition(regular(28, 13, 3), p, q)
+        assert str(err.value) == f"p and q must be integers, got p={p!r}, q={q!r}"
 
     @pytest.mark.parametrize("seed", range(6))
     def test_exact_regime_matches_oracle(self, seed):
