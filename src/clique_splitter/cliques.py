@@ -41,7 +41,7 @@ def clique_number_within(g: Graph, mask: int) -> CliqueCertificate:
     labels, adj, number = _search_numbering(g)
     if number is not None and mask != (1 << g.n) - 1:
         mask = sum(map((1).__lshift__, map(number.__getitem__, kernels.from_mask(mask))))
-    witness = kernels.max_clique(adj, mask, labels)
+    witness = kernels.max_clique(adj, mask, labels, _apart(g))
     return CliqueCertificate(len(witness), witness)
 
 
@@ -73,6 +73,15 @@ def _search_numbering(g: Graph):
     shift = (1).__lshift__
     adj = tuple(sum(map(shift, map(number.__getitem__, nbrs[v]))) for v in labels)
     return labels, adj, number
+
+
+@lru_cache(maxsize=1024)
+def _apart(g: Graph) -> list[int]:
+    """For each vertex i of ``_search_numbering(g)``, the bitset of the
+    vertices other than i and its neighbours, in that numbering."""
+    adj = _search_numbering(g)[1]
+    full = (1 << g.n) - 1
+    return [full ^ (a | 1 << i) for i, a in enumerate(adj)]
 
 
 def clique_number(g: Graph) -> CliqueCertificate:

@@ -5,7 +5,11 @@
 a vertex subset. ``has_clique_of_size`` decides whether a mask holds a
 clique of a given size; ``max_clique`` returns the certificate's clique,
 the one whose sorted labels come first, and so the clique number;
-``maximal_cliques`` enumerates the maximal cliques.
+``maximal_cliques`` enumerates the maximal cliques. The first two bound
+each branch by a greedy colouring (Tomita & Seki, DMTCS 2003);
+``max_clique`` takes each colouring step from a table of per-vertex
+non-neighbour bitsets built once per graph, as BBMC does (San Segundo,
+Rodriguez-Losada & Jimenez, Comput. Oper. Res. 2011).
 Every result is deterministic: it depends on the arguments alone.
 """
 
@@ -19,7 +23,8 @@ TIE_LIMIT = 16
 
 
 def max_clique(adj: Sequence[int], mask: int,
-               labels: Sequence[int] | None = None) -> tuple[int, ...]:
+               labels: Sequence[int] | None = None,
+               apart: Sequence[int] | None = None) -> tuple[int, ...]:
     """The largest clique within ``mask`` whose sorted labels come first
     in lexicographic order, as that sorted tuple of labels; vertex i has
     the label ``labels[i]``, or i when ``labels`` is None. The empty mask
@@ -34,8 +39,18 @@ def max_clique(adj: Sequence[int], mask: int,
     search only settles the clique number, and the clique is then built
     in label order by decision queries, as many largest cliques make the
     first one quick to reach.
+
+    Each node colours its candidates greedily, highest vertex first, keeps
+    each colour class as one bitset, and branches class by class from the
+    highest colour down, lowest vertex first. A colouring step is one AND
+    with ``apart[v]``: the vertices that are neither v nor its neighbours,
+    of which only those in ``mask`` matter. A caller that searches one
+    graph many times passes the table it keeps for it; without one, it is
+    built for the vertices of ``mask``.
     """
     label = range(len(adj)) if labels is None else labels
+    if apart is None:
+        apart = {v: mask & ~(adj[v] | 1 << v) for v in from_mask(mask)}
     best: list[int] = []
     chosen: list[int] = []
     ties = 0
@@ -48,48 +63,42 @@ def max_clique(adj: Sequence[int], mask: int,
             ties = 0
         # Classes numbered at most `dead` cannot reach a tie with best.
         dead = len(best) - size - 1
-        order: list[int] = []
-        bound: list[int] = []
+        classes: list[int] = []
         uncolored = cand
         color = 0
         while uncolored:
             color += 1
-            cls = uncolored
-            if color <= dead:
-                while cls:
-                    v = cls.bit_length() - 1
-                    bit = 1 << v
-                    cls &= ~adj[v]
-                    cls ^= bit
-                    uncolored ^= bit
-                continue
+            cls = before = uncolored
             while cls:
                 v = cls.bit_length() - 1
-                bit = 1 << v
-                cls &= ~adj[v]
-                cls ^= bit
-                uncolored ^= bit
-                order.append(v)
-                bound.append(color)
+                cls &= apart[v]
+                uncolored ^= 1 << v
+            if color > dead:
+                classes.append(before ^ uncolored)
         cur = cand
-        for i in range(len(order) - 1, -1, -1):
-            reach = size + bound[i]
-            if reach < len(best) or (reach == len(best) and ties > TIE_LIMIT):
-                return
-            v = order[i]
-            cur ^= 1 << v
-            sub = cur & adj[v]
-            chosen.append(label[v])
-            if sub:
-                expand(sub)
-            elif size + 1 > len(best):
-                best = sorted(chosen)
-                ties = 0
-            elif size + 1 == len(best):
-                # Another maximal clique as large as best.
-                ties += 1
-                best = min(best, sorted(chosen))
-            chosen.pop()
+        # The largest clique a branch on a vertex of the class can reach.
+        reach = size + color
+        for cls in reversed(classes):
+            while cls:
+                if reach < len(best) or (reach == len(best) and ties > TIE_LIMIT):
+                    return
+                bit = cls & -cls
+                cls ^= bit
+                cur ^= bit
+                v = bit.bit_length() - 1
+                sub = cur & adj[v]
+                chosen.append(label[v])
+                if sub:
+                    expand(sub)
+                elif size + 1 > len(best):
+                    best = sorted(chosen)
+                    ties = 0
+                elif size + 1 == len(best):
+                    # Another maximal clique as large as best.
+                    ties += 1
+                    best = min(best, sorted(chosen))
+                chosen.pop()
+            reach -= 1
 
     expand(mask)
     if ties <= TIE_LIMIT:

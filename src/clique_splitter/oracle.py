@@ -239,7 +239,13 @@ def verify_partition(g: Graph, part: Partition, spec: PartitionSpec) -> Verifica
     if k != len(part.parts):
         raise PreconditionError(
             f"partition has {len(part.parts)} parts, spec wants {k}")
-    if any(not (0 <= j < k) for j in part.assignment):
+    assignment = part.assignment
+    try:
+        in_range = not assignment or (0 <= min(assignment) and max(assignment) < k)
+    except TypeError:
+        in_range = False
+    # min and max settle the usual case; the scan words the error.
+    if not in_range and any(not (0 <= j < k) for j in assignment):
         raise PreconditionError("part index out of range")
     masks = []
     for i, members in enumerate(part.parts):
@@ -248,7 +254,7 @@ def verify_partition(g: Graph, part: Partition, spec: PartitionSpec) -> Verifica
         mask = to_mask(members)
         if mask.bit_count() != len(members):
             raise PreconditionError(f"part {i} repeats a vertex")
-        if any(part.assignment[v] != i for v in members):
+        if [assignment[v] for v in members].count(i) != len(members):
             raise PreconditionError(f"part {i} holds a vertex the assignment puts elsewhere")
         masks.append(mask)
     placed = sum(map(len, part.parts))

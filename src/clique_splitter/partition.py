@@ -108,6 +108,39 @@ def partition_from_parts(g: Graph, parts, strategy: str | None = None) -> Partit
     computed on the part's mask of ``g`` through ``clique_number_within``,
     so its witness is already in ``g``'s labels.
     """
+    full = (1 << g.n) - 1
+    norm = []
+    masks = []
+    placed = 0
+    parts = iter(parts)
+    for members in parts:
+        members = tuple(sorted(set(members)))
+        norm.append(members)
+        try:
+            mask = kernels.to_mask(members)
+        except (TypeError, ValueError):  # a vertex that is no int, or negative
+            break
+        if mask > full or mask & placed:
+            break
+        placed |= mask
+        masks.append(mask)
+    if len(masks) < len(norm) or placed != full:
+        # A vertex out of range, in two parts or in none: the per-vertex
+        # checks word the error.
+        assignment, norm = _assign_vertex_by_vertex(g, itertools.chain(norm, parts))
+        masks = list(map(kernels.to_mask, norm))
+    else:
+        assignment = [0] * g.n
+        for i, members in enumerate(norm):
+            for v in members:
+                assignment[v] = i
+    certs = tuple(clique_number_within(g, mask) for mask in masks)
+    return Partition(tuple(assignment), tuple(norm), certs, strategy)
+
+
+def _assign_vertex_by_vertex(g: Graph, parts) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The assignment and the sorted parts, checked one vertex at a time,
+    which names the first vertex out of range, in two parts or in none."""
     assignment = [-1] * g.n
     norm = []
     for i, members in enumerate(parts):
@@ -122,8 +155,7 @@ def partition_from_parts(g: Graph, parts, strategy: str | None = None) -> Partit
     if any(a == -1 for a in assignment):
         missing = [v for v, a in enumerate(assignment) if a == -1]
         raise ValueError(f"vertices {missing[:5]} not assigned to any part")
-    certs = tuple(clique_number_within(g, kernels.to_mask(members)) for members in norm)
-    return Partition(tuple(assignment), tuple(norm), certs, strategy)
+    return assignment, norm
 
 
 def partition_from_assignment(g: Graph, assignment, k: int | None = None,
@@ -800,6 +832,7 @@ def clique_bipartition(g: Graph, p: int, q: int) -> Partition:
     (V1, V2) with omega(g[V1]) <= p-1 and omega(g[V2]) <= q-1, for
     p >= q >= 2, p + q = max degree + 1 and clique number at most max
     degree - 1."""
+    p, q = _integer_pair(p, q)
     if q < 2 or p < q:
         raise PreconditionError(f"need p >= q >= 2, got p={p}, q={q}")
     if p + q != g.max_degree + 1:

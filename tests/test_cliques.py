@@ -1,5 +1,6 @@
 import itertools
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import clique_splitter as cs
 import clique_splitter.kernels as kernels
-from clique_splitter.cliques import clique_number_within
+from clique_splitter.cliques import _apart, _search_numbering, clique_number_within
 from _brute import (
     brute_clique_within,
     brute_cliques_of_size,
@@ -289,6 +290,89 @@ class TestMaxClique:
 
         g = cs.generate(cs.GeneratorRecipe("random_regular", {"n": n, "d": d}, seed=4))
         assert _search_numbering(g) == (None, g.adjacency_bits, None)
+
+
+def _reference_clique(adj, mask, labels) -> tuple[int, ...]:
+    """The largest clique within mask whose sorted labels come first, from
+    ``kernels.maximal_cliques``: in label order, the first vertex whose
+    neighbours of larger label hold a clique of omega - 1 vertices, joined
+    to the least such clique by sorted labels. Omega comes from the
+    decision search, which keeps no table of non-neighbours."""
+    omega = 0
+    while kernels.has_clique_of_size(adj, mask, omega + 1):
+        omega += 1
+    for v in sorted(kernels.from_mask(mask), key=labels.__getitem__):
+        if omega == 1:
+            return (labels[v],)
+        later = kernels.to_mask(u for u in kernels.from_mask(mask & adj[v]) if labels[u] > labels[v])
+        found = [tuple(sorted(labels[u] for u in kernels.from_mask(c)))
+                 for c in kernels.maximal_cliques(adj, later) if c.bit_count() == omega - 1]
+        if found:
+            return (labels[v],) + min(found)
+    return ()
+
+
+@pytest.fixture
+def deadline():
+    """Fail a search that loops instead of hanging the suite: a colouring
+    step whose table leaves its own vertex in the class picks it forever."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError("max_clique ran for more than 20 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(20)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+LARGE_GRAPHS = [(65, 0.6, 0), (100, 0.45, 1), (150, 0.35, 2), (200, 0.3, 3)]
+
+
+@pytest.mark.usefixtures("deadline")
+class TestMaxCliqueLarge:
+    """``max_clique`` on 65 to 200 vertices, whose bitsets span several
+    machine words, against the reference from the maximal cliques; with
+    the per-graph table of ``cliques._apart`` and with the one the kernel
+    builds for the mask when none is passed."""
+
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["own-labels", "shuffled-labels"])
+    @pytest.mark.parametrize("n, p, seed", LARGE_GRAPHS)
+    def test_every_tie_limit_with_and_without_the_table(self, n, p, seed, shuffled):
+        g = random_graph(n, p, seed)
+        _, adj, _ = _search_numbering(g)
+        rnd = random.Random(seed)
+        labels = list(range(n))
+        if shuffled:
+            rnd.shuffle(labels)
+        masks = ((1 << n) - 1, kernels.to_mask(rnd.sample(range(n), n // 2)))
+        expected = {mask: _reference_clique(adj, mask, labels) for mask in masks}
+        saved = kernels.TIE_LIMIT
+        try:
+            for limit in (0, 1, saved):
+                kernels.TIE_LIMIT = limit
+                for mask in masks:
+                    assert kernels.max_clique(adj, mask, labels) == expected[mask], limit
+                    assert kernels.max_clique(adj, mask, labels, _apart(g)) == expected[mask], limit
+        finally:
+            kernels.TIE_LIMIT = saved
+
+    def test_dense_whole_graph(self):
+        # shaped like the graphs of perfbench's dense workload; its 47
+        # largest cliques are more than TIE_LIMIT, so the clique is built by
+        # decision queries once the search has settled the clique number
+        g = random_graph(120, 0.7, 0)
+        full = (1 << g.n) - 1
+        expected = _reference_clique(g.adjacency_bits, full, range(g.n))
+        assert len(expected) == 15
+        assert cs.clique_number(g).witness == expected
+        assert kernels.max_clique(g.adjacency_bits, full) == expected
 
 
 class TestKernelBackend:

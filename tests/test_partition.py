@@ -504,6 +504,20 @@ class TestCliqueBipartition:
         with pytest.raises(cs.PreconditionError):
             cs.clique_bipartition(C(5), 2, 2)
 
+    def test_non_integer_pair_rejected_before_any_search(self, monkeypatch):
+        # 7.5 + 6.5 meets max degree + 1 = 14, so only the type is wrong
+        g = regular(28, 13, 3)
+        monkeypatch.setattr(partition, "kway_clique_partition", None)
+        with pytest.raises(cs.PreconditionError, match="must be integers"):
+            cs.clique_bipartition(g, 7.5, 6.5)
+
+    @pytest.mark.parametrize("p, q", [(7.0, 7.0), ("8", 6), (7, None), (Fraction(15, 2), 6.5)])
+    def test_every_non_integer_type_rejected(self, p, q):
+        # each pair sums to max degree + 1 = 14, or fails to sum at all
+        with pytest.raises(cs.PreconditionError) as err:
+            cs.clique_bipartition(regular(28, 13, 3), p, q)
+        assert str(err.value) == f"p and q must be integers, got p={p!r}, q={q!r}"
+
     def test_omega_equal_delta_rejected_with_witness(self):
         g = cs.generate(cs.GeneratorRecipe(
             "join_pendant_clique", {"base_len": 4, "clique": 13, "attach": 0}))
