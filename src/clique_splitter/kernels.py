@@ -46,11 +46,11 @@ def max_clique(adj: Sequence[int], mask: int,
     with ``apart[v]``: the vertices that are neither v nor its neighbours,
     of which only those in ``mask`` matter. A caller that searches one
     graph many times passes the table it keeps for it; without one, it is
-    built for the vertices of ``mask``.
+    built for ``mask``.
     """
     label = range(len(adj)) if labels is None else labels
     if apart is None:
-        apart = {v: mask & ~(adj[v] | 1 << v) for v in from_mask(mask)}
+        apart = [mask & ~(a | 1 << v) for v, a in enumerate(adj)]
     best: list[int] = []
     chosen: list[int] = []
     ties = 0
