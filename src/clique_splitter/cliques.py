@@ -6,25 +6,76 @@ vertex subsets are computed on a bitset mask of the graph itself, not on
 an induced subgraph, and ``clique_number_within`` keeps the one cache of
 them, keyed by (graph, mask): the certificates the partition engine
 builds and the per-part checks of ``verify_partition`` read the same
-entries. Each search runs in a numbering of the graph's vertices drawn
-from its structure, not from its labels.
+entries. A certificate's clique number is searched for at once and its
+witness only when it is first read, since the callers check clique
+numbers and read a witness only to report a violation. Each search runs
+in a numbering of the graph's vertices drawn from its structure, not
+from its labels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from functools import lru_cache
 
 from . import kernels
 from .graphs import Graph
 
 
-@dataclass(frozen=True)
 class CliqueCertificate:
-    """Exact clique number together with one witnessing vertex set."""
+    """Exact clique number together with one witnessing vertex set.
 
-    omega: int
-    witness: tuple[int, ...]
+    It compares, hashes and prints as the pair (omega, witness), as a
+    frozen dataclass of those two fields would. A certificate of
+    ``clique_number_within`` holds its omega at once and searches for
+    its witness when ``witness`` is first read, then keeps it.
+    """
+
+    __slots__ = ("omega", "_witness", "_graph", "_mask")
+
+    def __init__(self, omega: int, witness: tuple[int, ...]):
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "_witness", witness)
+        object.__setattr__(self, "_graph", None)
+
+    @classmethod
+    def _deferred(cls, omega: int, g: Graph, mask: int) -> CliqueCertificate:
+        """A certificate whose witness is searched for within ``mask`` of
+        ``g`` when first read. It keeps only ``g`` and ``mask``, which the
+        memo's key holds anyway."""
+        cert = cls(omega, ())
+        object.__setattr__(cert, "_graph", g)
+        object.__setattr__(cert, "_mask", mask)
+        return cert
+
+    @property
+    def witness(self) -> tuple[int, ...]:
+        g = self._graph
+        if g is not None:
+            labels, adj, mask = _numbered(g, self._mask)
+            object.__setattr__(self, "_witness", kernels.max_clique(adj, mask, labels, _apart(g)))
+            object.__setattr__(self, "_graph", None)
+        return self._witness
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.omega, self.witness) == (other.omega, other.witness)
+
+    def __hash__(self):
+        return hash((self.omega, self.witness))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(omega={self.omega!r}, witness={self.witness!r})"
+
+    def __reduce__(self):
+        return type(self), (self.omega, self.witness)
 
 
 @lru_cache(maxsize=4096)
@@ -35,14 +86,22 @@ def clique_number_within(g: Graph, mask: int) -> CliqueCertificate:
 
     The result equals ``clique_number`` of the induced subgraph with its
     witness mapped back. The empty mask has omega 0 and an empty witness.
-    The search runs in ``_search_numbering(g)``, so its cost does not
-    depend on how g's vertices happen to be labelled.
+    Omega comes from ``kernels.max_clique_size``, which follows no tie;
+    the witness, from ``kernels.max_clique``, is searched for only when
+    it is first read. Both run in ``_search_numbering(g)``, so their
+    cost does not depend on how g's vertices happen to be labelled.
     """
+    _, adj, numbered = _numbered(g, mask)
+    return CliqueCertificate._deferred(kernels.max_clique_size(adj, numbered, _apart(g)), g, mask)
+
+
+def _numbered(g: Graph, mask: int):
+    """``_search_numbering(g)``'s labels and adjacency, and ``mask`` in
+    that numbering."""
     labels, adj, number = _search_numbering(g)
     if number is not None and mask != (1 << g.n) - 1:
         mask = sum(map((1).__lshift__, map(number.__getitem__, kernels.from_mask(mask))))
-    witness = kernels.max_clique(adj, mask, labels, _apart(g))
-    return CliqueCertificate(len(witness), witness)
+    return labels, adj, mask
 
 
 @lru_cache(maxsize=1024)

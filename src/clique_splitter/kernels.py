@@ -3,13 +3,15 @@
 ``adj`` is a sequence of per-vertex neighbour bitsets (bit u of
 ``adj[v]`` is set when uv is an edge) and ``mask`` restricts a search to
 a vertex subset. ``has_clique_of_size`` decides whether a mask holds a
-clique of a given size; ``max_clique`` returns the certificate's clique,
-the one whose sorted labels come first, and so the clique number;
-``maximal_cliques`` enumerates the maximal cliques. The first two bound
-each branch by a greedy colouring (Tomita & Seki, DMTCS 2003);
-``max_clique`` takes each colouring step from a table of per-vertex
-non-neighbour bitsets built once per graph, as BBMC does (San Segundo,
-Rodriguez-Losada & Jimenez, Comput. Oper. Res. 2011).
+clique of a given size; ``max_clique_size`` finds the clique number, the
+one number a certificate is checked by; ``max_clique`` returns the
+certificate's witness, the largest clique whose sorted labels come
+first; ``maximal_cliques`` enumerates the maximal cliques. The first
+three bound each branch by a greedy colouring (Tomita & Seki, DMTCS
+2003); ``max_clique_size`` and ``max_clique`` take each colouring step
+from a table of per-vertex non-neighbour bitsets built once per graph,
+as BBMC does (San Segundo, Rodriguez-Losada & Jimenez, Comput. Oper.
+Res. 2011).
 Every result is deterministic: it depends on the arguments alone.
 """
 
@@ -22,15 +24,72 @@ from typing import Sequence
 TIE_LIMIT = 16
 
 
+def max_clique_size(adj: Sequence[int], mask: int,
+                    apart: Sequence[int] | None = None) -> int:
+    """The number of vertices of the largest clique within ``mask``; 0
+    for the empty mask.
+
+    The colouring and branching of ``max_clique`` with strict pruning: a
+    branch is searched only when its colour bound exceeds the largest
+    clique found so far, so no tie is followed. No labels are read, and
+    the nodes visited depend on the numbering of ``adj`` alone. ``apart``
+    is the table of non-neighbour bitsets ``max_clique`` takes; without
+    one, it is built for ``mask``.
+    """
+    if apart is None:
+        apart = [mask & ~(a | 1 << v) for v, a in enumerate(adj)]
+    best = 0
+
+    def expand(cand: int, size: int) -> None:
+        nonlocal best
+        if size > best:
+            best = size
+        # Classes numbered at most `dead` cannot beat best.
+        dead = best - size
+        classes: list[int] = []
+        uncolored = cand
+        color = 0
+        while uncolored:
+            color += 1
+            cls = before = uncolored
+            while cls:
+                v = cls.bit_length() - 1
+                cls &= apart[v]
+                uncolored ^= 1 << v
+            if color > dead:
+                classes.append(before ^ uncolored)
+        cur = cand
+        # The largest clique a branch on a vertex of the class can reach.
+        reach = size + color
+        for cls in reversed(classes):
+            while cls:
+                if reach <= best:
+                    return
+                bit = cls & -cls
+                cls ^= bit
+                cur ^= bit
+                sub = cur & adj[bit.bit_length() - 1]
+                if sub:
+                    expand(sub, size + 1)
+                elif size + 1 > best:
+                    best = size + 1
+            reach -= 1
+
+    expand(mask, 0)
+    return best
+
+
 def max_clique(adj: Sequence[int], mask: int,
                labels: Sequence[int] | None = None,
                apart: Sequence[int] | None = None) -> tuple[int, ...]:
     """The largest clique within ``mask`` whose sorted labels come first
     in lexicographic order, as that sorted tuple of labels; vertex i has
     the label ``labels[i]``, or i when ``labels`` is None. The empty mask
-    gives the empty tuple.
+    gives the empty tuple. This is a certificate's witness, searched for
+    only when it is read; its length is ``max_clique_size``, which
+    certificates take their clique number from.
 
-    The branch and bound of ``has_clique_of_size``, except that a branch
+    The branch and bound of ``max_clique_size``, except that a branch
     that can at best tie the largest clique found so far is searched too,
     as long as no more than ``TIE_LIMIT`` ties have turned up. A graph
     with that few largest cliques is thus searched through all of them,

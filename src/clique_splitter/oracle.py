@@ -250,7 +250,7 @@ def verify_partition(g: Graph, part: Partition, spec: PartitionSpec) -> Verifica
     masks = []
     for i, members in enumerate(part.parts):
         if members and (min(members) < 0 or max(members) >= g.n):
-            raise ValueError(f"part {i} has a vertex out of range for n={g.n}")
+            raise PreconditionError(f"part {i} has a vertex out of range for n={g.n}")
         mask = to_mask(members)
         if mask.bit_count() != len(members):
             raise PreconditionError(f"part {i} repeats a vertex")

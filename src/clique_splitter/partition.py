@@ -106,7 +106,7 @@ def partition_from_parts(g: Graph, parts, strategy: str | None = None) -> Partit
 
     Parts must be disjoint and cover every vertex. Each certificate is
     computed on the part's mask of ``g`` through ``clique_number_within``,
-    so its witness is already in ``g``'s labels.
+    so its witness, searched for when first read, is in ``g``'s labels.
     """
     full = (1 << g.n) - 1
     norm = []
@@ -213,8 +213,9 @@ def _integer_pair(p, q) -> tuple[int, int]:
 
 
 def _check_omega(g: Graph) -> CliqueCertificate:
-    """The exact clique number of g; PreconditionError, with a maximum
-    clique as witness, when it exceeds max degree - 1."""
+    """The certificate of g's exact clique number; PreconditionError,
+    with a maximum clique as witness, when it exceeds max degree - 1.
+    Only that error reads the witness, so only then is it searched for."""
     delta = g.max_degree
     cert = clique_number(g)
     if cert.omega > delta - 1:

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
 import signal
 
@@ -229,6 +232,7 @@ def _label_reference(adj, mask, labels) -> tuple[int, ...]:
     return ()
 
 
+@pytest.mark.usefixtures("deadline")
 class TestMaxClique:
     """``max_clique`` returns the largest clique whose sorted labels come
     first, whatever numbering the search runs in."""
@@ -312,16 +316,23 @@ def _reference_clique(adj, mask, labels) -> tuple[int, ...]:
     return ()
 
 
+class SearchTimeout(BaseException):
+    """A test ran past its deadline. Not an Exception, so that Hypothesis
+    does not take it for a failing example and replay that example, with
+    no alarm left, to shrink it."""
+
+
 @pytest.fixture
 def deadline():
     """Fail a search that loops instead of hanging the suite: a colouring
-    step whose table leaves its own vertex in the class picks it forever."""
+    step whose table leaves its own vertex in the class picks it forever.
+    The alarm spans the whole test, every Hypothesis example included."""
     if not hasattr(signal, "SIGALRM"):
         yield
         return
 
     def expire(signum, frame):
-        raise TimeoutError("max_clique ran for more than 20 s")
+        raise SearchTimeout("a clique search ran for more than 20 s")
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(20)
@@ -373,6 +384,103 @@ class TestMaxCliqueLarge:
         assert len(expected) == 15
         assert cs.clique_number(g).witness == expected
         assert kernels.max_clique(g.adjacency_bits, full) == expected
+
+
+@pytest.mark.usefixtures("deadline")
+class TestMaxCliqueSize:
+    """``max_clique_size``, the search behind every certificate's clique
+    number, against the include/exclude recursion of ``_brute``, with the
+    table of non-neighbours and without."""
+
+    @given(bitset_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_small_graphs(self, case):
+        adj, mask = case
+        full = (1 << len(adj)) - 1
+        apart = [full ^ (a | 1 << v) for v, a in enumerate(adj)]
+        omega = brute_mask_omega(adj, mask)
+        assert kernels.max_clique_size(adj, mask) == omega
+        assert kernels.max_clique_size(adj, mask, apart) == omega
+
+    @pytest.mark.parametrize("n, p, seed", LARGE_GRAPHS)
+    def test_masks_across_word_boundaries(self, n, p, seed):
+        g = random_graph(n, p, seed)
+        _, adj, _ = _search_numbering(g)
+        rnd = random.Random(seed)
+        full = (1 << n) - 1
+        masks = [full, 0, full ^ 1 << 63, full >> 64 << 64]
+        # windows that straddle each 64-bit word boundary below n
+        masks += [((1 << 24) - 1) << (w - 12) & full for w in range(64, n, 64)]
+        masks += [kernels.to_mask(rnd.sample(range(n), n // 2)) for _ in range(3)]
+        for mask in masks:
+            omega = brute_mask_omega(adj, mask)
+            assert kernels.max_clique_size(adj, mask) == omega, mask
+            assert kernels.max_clique_size(adj, mask, _apart(g)) == omega, mask
+        assert kernels.max_clique_size(adj, 0) == kernels.max_clique_size(adj, 0, _apart(g)) == 0
+
+    def test_dense_whole_graph(self):
+        # the shape of perfbench's dense workload; too dense for _brute,
+        # so the decision search bounds omega from both sides
+        g = random_graph(120, 0.7, 0)
+        _, adj, _ = _search_numbering(g)
+        full = (1 << g.n) - 1
+        omega = kernels.max_clique_size(adj, full, _apart(g))
+        assert omega == kernels.max_clique_size(adj, full) == 15
+        assert kernels.has_clique_of_size(adj, full, omega)
+        assert not kernels.has_clique_of_size(adj, full, omega + 1)
+
+
+def _old_certificate(omega, witness):
+    """The frozen dataclass CliqueCertificate used to be."""
+    cls = dataclasses.make_dataclass(
+        "CliqueCertificate", [("omega", int), ("witness", tuple)], frozen=True)
+    return cls(omega, witness)
+
+
+class TestCliqueCertificate:
+    """A certificate computes its witness when first read, and otherwise
+    behaves as the frozen dataclass of (omega, witness) it replaced."""
+
+    def test_repr_from_the_readme(self):
+        g = cs.generate(cs.GeneratorRecipe("random_regular", {"n": 28, "d": 13}, seed=3))
+        clique_number_within.cache_clear()
+        assert repr(cs.clique_number(g)) == "CliqueCertificate(omega=5, witness=(0, 1, 5, 19, 22))"
+
+    @pytest.mark.parametrize("g", SMALL_CORPUS, ids=repr)
+    def test_equality_hash_and_repr_match_the_dataclass(self, g):
+        clique_number_within.cache_clear()
+        cert = cs.clique_number(g)
+        plain = cs.CliqueCertificate(cert.omega, cert.witness)
+        old = _old_certificate(cert.omega, cert.witness)
+        assert repr(cert) == repr(plain) == repr(old)
+        assert hash(cert) == hash(plain) == hash(old)
+        assert cert == plain and not cert != plain
+        assert {cert, plain} == {plain}
+        assert cert != old and cert != (cert.omega, cert.witness)
+        assert cert != cs.CliqueCertificate(cert.omega + 1, cert.witness)
+        assert cert != cs.CliqueCertificate(cert.omega, cert.witness + (g.n,))
+
+    def test_a_certificate_compared_before_its_witness_is_read(self):
+        g = random_graph(12, 0.6, 1)
+        clique_number_within.cache_clear()
+        first = clique_number_within(g, (1 << g.n) - 1)
+        clique_number_within.cache_clear()
+        second = clique_number_within(g, (1 << g.n) - 1)
+        assert first is not second and first == second
+        assert second.witness == brute_clique_within(g, range(g.n))[1]
+
+    def test_frozen_and_picklable(self):
+        cert = clique_number_within(K(4), 0b1110)
+        for name in ("omega", "witness"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cert, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(cert, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(_old_certificate(3, (1, 2, 3)), "omega", None)
+        restored = pickle.loads(pickle.dumps(cert))
+        assert restored == cert and restored.witness == (1, 2, 3)
+        assert copy.copy(cert) == cert
 
 
 class TestKernelBackend:

@@ -16,7 +16,8 @@ from clique_splitter import kernels
 LAYERS = ("graphs", "kernels", "cliques", "partition", "oracle")
 
 
-@pytest.mark.parametrize("name", ["has_clique_of_size", "max_clique", "maximal_cliques"])
+@pytest.mark.parametrize(
+    "name", ["has_clique_of_size", "max_clique", "max_clique_size", "maximal_cliques"])
 def test_kernels_are_defined_in_kernels(name):
     assert getattr(kernels, name).__module__ == "clique_splitter.kernels"
 

@@ -200,6 +200,19 @@ class TestVerifyPartition:
         with pytest.raises(ValueError):
             cs.verify_partition(g, part, cs.PartitionSpec((2, 2)))
 
+    @pytest.mark.parametrize("parts", [((0, 1), (2, 3, 4)), ((-1, 0, 1), (2, 3))],
+                             ids=["past-n", "negative"])
+    def test_out_of_range_member_is_a_precondition_error(self, parts):
+        # like every sibling check, and still a ValueError
+        g = C(4)
+        part = cs.Partition((0, 0, 1, 1), parts, (), None)
+        with pytest.raises(cs.CliqueSplitterError) as err:
+            cs.verify_partition(g, part, cs.PartitionSpec((2, 2)))
+        assert isinstance(err.value, cs.PreconditionError)
+        assert isinstance(err.value, ValueError)
+        index = 1 if max(parts[1]) >= g.n else 0
+        assert str(err.value) == f"part {index} has a vertex out of range for n=4"
+
     def test_partial_assignment_rejected(self):
         g = C(4)
         part = cs.Partition((0, 0, 1), ((0, 1), (2,)), (), None)

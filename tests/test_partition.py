@@ -526,6 +526,17 @@ class TestCliqueBipartition:
             cs.clique_bipartition(g, 7, 7)
         assert err.value.witness is not None and len(err.value.witness) == 13
 
+    def test_precondition_witness_is_the_smallest_maximum_clique(self):
+        # the pendant K_13 is on vertices 4..16; its witness is searched
+        # for only now that the error reports it
+        g = cs.generate(cs.GeneratorRecipe(
+            "join_pendant_clique", {"base_len": 4, "clique": 13, "attach": 0}))
+        clique_number_within.cache_clear()
+        with pytest.raises(cs.PreconditionError) as err:
+            cs.clique_bipartition(g, 7, 7)
+        assert err.value.witness == tuple(range(4, 17)) == cs.all_maximum_cliques(g)[0]
+        assert str(err.value) == "clique number 13 exceeds max degree - 1 = 12"
+
     def test_regular_28_13(self):
         g = regular(28, 13, 3)
         assert cs.clique_number(g).omega <= 12
@@ -857,18 +868,63 @@ class TestKwayCliquePartition:
         spec = cs.PartitionSpec((5, 5, 5))
         part = cs.kway_clique_partition(g, spec)
         calls = []
-        search = kernels.max_clique
+        search = kernels.max_clique_size
 
         def counted(*args, **kwargs):
             calls.append(args)
             return search(*args, **kwargs)
 
-        monkeypatch.setattr(kernels, "max_clique", counted)
+        monkeypatch.setattr(kernels, "max_clique_size", counted)
         assert cs.verify_partition(g, part, spec).valid
         assert calls == []
         clique_number_within.cache_clear()
         assert cs.verify_partition(g, part, spec).valid
         assert calls
+
+    @staticmethod
+    def _count_witness_searches(monkeypatch) -> list:
+        masks = []
+        search = kernels.max_clique
+
+        def counted(adj, mask, *args):
+            masks.append(mask)
+            return search(adj, mask, *args)
+
+        monkeypatch.setattr(kernels, "max_clique", counted)
+        clique_number_within.cache_clear()
+        return masks
+
+    @pytest.mark.parametrize("g, quotas", [
+        (regular(28, 13, 3), (5, 5, 5)),
+        (gnp(60, 0.5, 0), None),
+        (strong(9, 3), (4, 3, 3)),
+    ], ids=["regular-28-13", "gnp-60", "C9xK3"])
+    def test_a_valid_answer_searches_no_witness(self, monkeypatch, g, quotas):
+        # the certificates and the checks read clique numbers alone
+        spec = cs.PartitionSpec(quotas or TestOneShotColoring._balanced(g.max_degree, 5))
+        masks = self._count_witness_searches(monkeypatch)
+        part = cs.kway_clique_partition(g, spec)
+        assert cs.verify_partition(g, part, spec).valid
+        assert masks == []
+
+    def test_witness_searched_once_per_entry_when_read(self, monkeypatch):
+        g = gnp(60, 0.5, 1)
+        spec = cs.PartitionSpec(TestOneShotColoring._balanced(g.max_degree, 4))
+        masks = self._count_witness_searches(monkeypatch)
+        part = cs.kway_clique_partition(g, spec)
+        assert cs.verify_partition(g, part, spec).valid
+        for _ in range(2):
+            witnesses = [cert.witness for cert in part.certificates]
+        assert len(masks) == len(set(masks)) == spec.k
+        assert [len(w) for w in witnesses] == [cert.omega for cert in part.certificates]
+        for members, witness in zip(part.parts, witnesses):
+            assert set(witness) <= set(members)
+        # the memo hands out the same certificates, their witnesses found
+        again = [clique_number_within(g, kernels.to_mask(side)) for side in part.parts]
+        assert [cert.witness for cert in again] == witnesses
+        assert len(masks) == spec.k
+        assert cs.clique_number(g).witness == cs.clique_number(g).witness
+        assert len(masks) == spec.k + 1
 
     @staticmethod
     def _spec(d, shape):
@@ -1061,13 +1117,13 @@ class TestOneShotColoring:
         # classes are dealt and no part's certificate is near-whole-graph
         g = gnp(60, 0.5, seed)
         sizes = []
-        search = kernels.max_clique
+        search = kernels.max_clique_size
 
         def counted(adj, mask, *args):
             sizes.append(mask.bit_count())
             return search(adj, mask, *args)
 
-        monkeypatch.setattr(kernels, "max_clique", counted)
+        monkeypatch.setattr(kernels, "max_clique_size", counted)
         clique_number_within.cache_clear()
         ncolors = len(_dsatur_classes(g))
         for k in range(4, 9):
