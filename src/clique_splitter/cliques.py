@@ -8,9 +8,10 @@ them, keyed by (graph, mask): the certificates the partition engine
 builds and the per-part checks of ``verify_partition`` read the same
 entries. A certificate's clique number is searched for at once and its
 witness only when it is first read, since the callers check clique
-numbers and read a witness only to report a violation. Each search runs
-in a numbering of the graph's vertices drawn from its structure, not
-from its labels.
+numbers and read a witness only to report a violation. The clique
+number's search runs in a numbering of the graph's vertices drawn from
+its structure, not from its labels; the witness is then built from the
+clique number by decision queries in label order.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class CliqueCertificate:
         g = self._graph
         if g is not None:
             labels, adj, mask = _numbered(g, self._mask)
-            object.__setattr__(self, "_witness", kernels.max_clique(adj, mask, labels, _apart(g)))
+            object.__setattr__(self, "_witness", kernels.max_clique(adj, mask, self.omega, labels))
             object.__setattr__(self, "_graph", None)
         return self._witness
 
@@ -86,10 +87,12 @@ def clique_number_within(g: Graph, mask: int) -> CliqueCertificate:
 
     The result equals ``clique_number`` of the induced subgraph with its
     witness mapped back. The empty mask has omega 0 and an empty witness.
-    Omega comes from ``kernels.max_clique_size``, which follows no tie;
-    the witness, from ``kernels.max_clique``, is searched for only when
-    it is first read. Both run in ``_search_numbering(g)``, so their
-    cost does not depend on how g's vertices happen to be labelled.
+    Omega comes from ``kernels.max_clique_size``, which follows no tie
+    and runs in ``_search_numbering(g)``, so its cost does not depend on
+    how g's vertices happen to be labelled. The witness is built from
+    omega by ``kernels.max_clique``'s decision queries only when it is
+    first read; they go in label order, so their cost does depend on the
+    labels, and no workload operation reads a witness.
     """
     _, adj, numbered = _numbered(g, mask)
     return CliqueCertificate._deferred(kernels.max_clique_size(adj, numbered, _apart(g)), g, mask)

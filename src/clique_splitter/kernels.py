@@ -4,14 +4,15 @@
 ``adj[v]`` is set when uv is an edge) and ``mask`` restricts a search to
 a vertex subset. ``has_clique_of_size`` decides whether a mask holds a
 clique of a given size; ``max_clique_size`` finds the clique number, the
-one number a certificate is checked by; ``max_clique`` returns the
+one number a certificate is checked by; ``max_clique`` builds the
 certificate's witness, the largest clique whose sorted labels come
-first; ``maximal_cliques`` enumerates the maximal cliques. The first
-three bound each branch by a greedy colouring (Tomita & Seki, DMTCS
-2003); ``max_clique_size`` and ``max_clique`` take each colouring step
-from a table of per-vertex non-neighbour bitsets built once per graph,
-as BBMC does (San Segundo, Rodriguez-Losada & Jimenez, Comput. Oper.
-Res. 2011).
+first, from that number by decision queries; ``maximal_cliques``
+enumerates the maximal cliques. The two colouring searches,
+``max_clique_size`` and ``has_clique_of_size``, bound each branch by a
+greedy colouring (Tomita & Seki, DMTCS 2003); ``max_clique_size`` takes
+each colouring step from a table of per-vertex non-neighbour bitsets
+built once per graph, as BBMC does (San Segundo, Rodriguez-Losada &
+Jimenez, Comput. Oper. Res. 2011).
 Every result is deterministic: it depends on the arguments alone.
 """
 
@@ -19,22 +20,20 @@ from __future__ import annotations
 
 from typing import Sequence
 
-# max_clique searches every tie with the best clique until more than this
-# many largest cliques have turned up; see its docstring.
-TIE_LIMIT = 16
-
 
 def max_clique_size(adj: Sequence[int], mask: int,
                     apart: Sequence[int] | None = None) -> int:
     """The number of vertices of the largest clique within ``mask``; 0
     for the empty mask.
 
-    The colouring and branching of ``max_clique`` with strict pruning: a
-    branch is searched only when its colour bound exceeds the largest
-    clique found so far, so no tie is followed. No labels are read, and
-    the nodes visited depend on the numbering of ``adj`` alone. ``apart``
-    is the table of non-neighbour bitsets ``max_clique`` takes; without
-    one, it is built for ``mask``.
+    Each node colours its candidates greedily, highest vertex first,
+    into classes kept as bitsets, and branches from the highest colour
+    down, lowest vertex first, only where the colour bound exceeds the
+    largest clique found so far: no tie is followed and no label is read.
+    A colouring step is one AND with ``apart[v]``, the vertices that are
+    neither v nor its neighbours, of which only those in ``mask`` matter.
+    A caller that searches one graph many times passes the table it
+    keeps for it; without one, it is built for ``mask``.
     """
     if apart is None:
         apart = [mask & ~(a | 1 << v) for v, a in enumerate(adj)]
@@ -79,113 +78,33 @@ def max_clique_size(adj: Sequence[int], mask: int,
     return best
 
 
-def max_clique(adj: Sequence[int], mask: int,
-               labels: Sequence[int] | None = None,
-               apart: Sequence[int] | None = None) -> tuple[int, ...]:
+def max_clique(adj: Sequence[int], mask: int, omega: int,
+               labels: Sequence[int] | None = None) -> tuple[int, ...]:
     """The largest clique within ``mask`` whose sorted labels come first
-    in lexicographic order, as that sorted tuple of labels; vertex i has
+    in lexicographic order, as that sorted tuple of labels, given the
+    mask's clique number ``omega`` from ``max_clique_size``; vertex i has
     the label ``labels[i]``, or i when ``labels`` is None. The empty mask
-    gives the empty tuple. This is a certificate's witness, searched for
-    only when it is read; its length is ``max_clique_size``, which
-    certificates take their clique number from.
+    gives the empty tuple. This is a certificate's witness, built only
+    when it is read.
 
-    The branch and bound of ``max_clique_size``, except that a branch
-    that can at best tie the largest clique found so far is searched too,
-    as long as no more than ``TIE_LIMIT`` ties have turned up. A graph
-    with that few largest cliques is thus searched through all of them,
-    and the nodes visited, and the cost, depend on the numbering of
-    ``adj`` alone, not on the labels. Past the limit ties are pruned, the
-    search only settles the clique number, and the clique is then built
-    in label order by decision queries, as many largest cliques make the
-    first one quick to reach.
-
-    Each node colours its candidates greedily, highest vertex first, keeps
-    each colour class as one bitset, and branches class by class from the
-    highest colour down, lowest vertex first. A colouring step is one AND
-    with ``apart[v]``: the vertices that are neither v nor its neighbours,
-    of which only those in ``mask`` matter. A caller that searches one
-    graph many times passes the table it keeps for it; without one, it is
-    built for ``mask``.
+    In label order, a vertex joins when its neighbours among the
+    candidates left hold a clique of the size still wanted, and leaves
+    the candidates otherwise. Unlike ``max_clique_size``'s, the cost of
+    these decision queries depends on the labels; no workload operation
+    reads a witness.
     """
     label = range(len(adj)) if labels is None else labels
-    if apart is None:
-        apart = [mask & ~(a | 1 << v) for v, a in enumerate(adj)]
-    best: list[int] = []
-    chosen: list[int] = []
-    ties = 0
-
-    def expand(cand: int) -> None:
-        nonlocal best, ties
-        size = len(chosen)
-        if size > len(best):
-            best = sorted(chosen)
-            ties = 0
-        # Classes numbered at most `dead` cannot reach a tie with best.
-        dead = len(best) - size - 1
-        classes: list[int] = []
-        uncolored = cand
-        color = 0
-        while uncolored:
-            color += 1
-            cls = before = uncolored
-            while cls:
-                v = cls.bit_length() - 1
-                cls &= apart[v]
-                uncolored ^= 1 << v
-            if color > dead:
-                classes.append(before ^ uncolored)
-        cur = cand
-        # The largest clique a branch on a vertex of the class can reach.
-        reach = size + color
-        for cls in reversed(classes):
-            while cls:
-                if reach < len(best) or (reach == len(best) and ties > TIE_LIMIT):
-                    return
-                bit = cls & -cls
-                cls ^= bit
-                cur ^= bit
-                v = bit.bit_length() - 1
-                sub = cur & adj[v]
-                chosen.append(label[v])
-                if sub:
-                    expand(sub)
-                elif size + 1 > len(best):
-                    best = sorted(chosen)
-                    ties = 0
-                elif size + 1 == len(best):
-                    # Another maximal clique as large as best.
-                    ties += 1
-                    best = min(best, sorted(chosen))
-                chosen.pop()
-            reach -= 1
-
-    expand(mask)
-    if ties <= TIE_LIMIT:
-        return tuple(best)
-    # Ties were pruned: take the lowest label whose neighbourhood still
-    # holds a clique of the remaining size, level by level.
-    members = []
-    rest = mask
-    while rest:
-        bit = rest & -rest
-        members.append(bit.bit_length() - 1)
-        rest ^= bit
-    members.sort(key=label.__getitem__)
     found = []
     cand = mask
-    for v in members:
-        if not cand >> v & 1:
-            continue
-        need = len(best) - len(found) - 1
-        sub = cand & adj[v]
-        if need == 0 or has_clique_of_size(adj, sub, need):
-            found.append(label[v])
-            if need == 0:
-                break
-            cand = sub
-        else:
-            # v is in no clique of the size wanted; drop it.
-            cand ^= 1 << v
+    for v in sorted(from_mask(mask), key=label.__getitem__):
+        if cand >> v & 1:
+            sub = cand & adj[v]
+            if has_clique_of_size(adj, sub, omega - len(found) - 1):
+                found.append(label[v])
+                cand = sub
+            else:
+                # v is in no clique of the size wanted; drop it.
+                cand ^= 1 << v
     return tuple(found)
 
 

@@ -3,7 +3,6 @@ import dataclasses
 import itertools
 import pickle
 import random
-import signal
 
 import pytest
 from hypothesis import given, settings
@@ -232,7 +231,6 @@ def _label_reference(adj, mask, labels) -> tuple[int, ...]:
     return ()
 
 
-@pytest.mark.usefixtures("deadline")
 class TestMaxClique:
     """``max_clique`` returns the largest clique whose sorted labels come
     first, whatever numbering the search runs in."""
@@ -243,27 +241,15 @@ class TestMaxClique:
         adj, mask = case
         labels = list(range(len(adj)))
         rnd.shuffle(labels)
-        assert kernels.max_clique(adj, mask, labels) == _label_reference(adj, mask, labels)
-        assert kernels.max_clique(adj, mask) == _label_reference(adj, mask, range(len(adj)))
-
-    @given(bitset_graphs(max_n=11))
-    @settings(max_examples=60, deadline=None)
-    def test_tie_limit_leaves_the_answer(self, case):
-        adj, mask = case
-        answers = set()
-        saved = kernels.TIE_LIMIT
-        try:
-            for limit in (0, 1, 10**9):
-                kernels.TIE_LIMIT = limit
-                answers.add(kernels.max_clique(adj, mask))
-        finally:
-            kernels.TIE_LIMIT = saved
-        assert len(answers) == 1
+        omega = kernels.max_clique_size(adj, mask)
+        assert kernels.max_clique(adj, mask, omega, labels) == _label_reference(adj, mask, labels)
+        assert kernels.max_clique(adj, mask, omega) == _label_reference(adj, mask, range(len(adj)))
 
     def test_many_largest_cliques(self):
         # The complement of a perfect matching on 60 vertices has 2^30
-        # largest cliques; past TIE_LIMIT ties the lexicographic bound
-        # prunes them, so the search ends at once.
+        # largest cliques; the clique number's search follows none of
+        # them, and each decision query of the witness stops at the first
+        # clique it finds, so both end at once.
         n = 60
         g = cs.Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if v != u ^ 1])
         assert cs.clique_number(g).witness == tuple(range(0, n, 2))
@@ -316,77 +302,48 @@ def _reference_clique(adj, mask, labels) -> tuple[int, ...]:
     return ()
 
 
-class SearchTimeout(BaseException):
-    """A test ran past its deadline. Not an Exception, so that Hypothesis
-    does not take it for a failing example and replay that example, with
-    no alarm left, to shrink it."""
-
-
-@pytest.fixture
-def deadline():
-    """Fail a search that loops instead of hanging the suite: a colouring
-    step whose table leaves its own vertex in the class picks it forever.
-    The alarm spans the whole test, every Hypothesis example included."""
-    if not hasattr(signal, "SIGALRM"):
-        yield
-        return
-
-    def expire(signum, frame):
-        raise SearchTimeout("a clique search ran for more than 20 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(20)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 LARGE_GRAPHS = [(65, 0.6, 0), (100, 0.45, 1), (150, 0.35, 2), (200, 0.3, 3)]
 
 
-@pytest.mark.usefixtures("deadline")
 class TestMaxCliqueLarge:
     """``max_clique`` on 65 to 200 vertices, whose bitsets span several
-    machine words, against the reference from the maximal cliques; with
-    the per-graph table of ``cliques._apart`` and with the one the kernel
-    builds for the mask when none is passed."""
+    machine words, against the reference from the maximal cliques; given
+    the clique number ``max_clique_size`` finds with the per-graph table
+    of ``cliques._apart`` and with the one it builds for the mask when
+    none is passed."""
 
-    @pytest.mark.parametrize("shuffled", [False, True], ids=["own-labels", "shuffled-labels"])
+    @pytest.mark.parametrize("order", ["own", "shuffled", "reversed"], ids=lambda o: f"{o}-labels")
     @pytest.mark.parametrize("n, p, seed", LARGE_GRAPHS)
-    def test_every_tie_limit_with_and_without_the_table(self, n, p, seed, shuffled):
+    def test_matches_reference_with_and_without_the_table(self, n, p, seed, order):
         g = random_graph(n, p, seed)
         _, adj, _ = _search_numbering(g)
         rnd = random.Random(seed)
         labels = list(range(n))
-        if shuffled:
+        if order == "shuffled":
             rnd.shuffle(labels)
+        elif order == "reversed":
+            # label order runs against the search numbering
+            labels = labels[::-1]
         masks = ((1 << n) - 1, kernels.to_mask(rnd.sample(range(n), n // 2)))
         expected = {mask: _reference_clique(adj, mask, labels) for mask in masks}
-        saved = kernels.TIE_LIMIT
-        try:
-            for limit in (0, 1, saved):
-                kernels.TIE_LIMIT = limit
-                for mask in masks:
-                    assert kernels.max_clique(adj, mask, labels) == expected[mask], limit
-                    assert kernels.max_clique(adj, mask, labels, _apart(g)) == expected[mask], limit
-        finally:
-            kernels.TIE_LIMIT = saved
+        for mask in masks:
+            omega = kernels.max_clique_size(adj, mask)
+            assert kernels.max_clique(adj, mask, omega, labels) == expected[mask]
+            omega = kernels.max_clique_size(adj, mask, _apart(g))
+            assert kernels.max_clique(adj, mask, omega, labels) == expected[mask]
 
     def test_dense_whole_graph(self):
-        # shaped like the graphs of perfbench's dense workload; its 47
-        # largest cliques are more than TIE_LIMIT, so the clique is built by
-        # decision queries once the search has settled the clique number
+        # shaped like the graphs of perfbench's dense workload, with 47
+        # largest cliques; the witness is built from the clique number by
+        # decision queries
         g = random_graph(120, 0.7, 0)
         full = (1 << g.n) - 1
         expected = _reference_clique(g.adjacency_bits, full, range(g.n))
         assert len(expected) == 15
         assert cs.clique_number(g).witness == expected
-        assert kernels.max_clique(g.adjacency_bits, full) == expected
+        assert kernels.max_clique(g.adjacency_bits, full, len(expected)) == expected
 
 
-@pytest.mark.usefixtures("deadline")
 class TestMaxCliqueSize:
     """``max_clique_size``, the search behind every certificate's clique
     number, against the include/exclude recursion of ``_brute``, with the
@@ -468,6 +425,23 @@ class TestCliqueCertificate:
         second = clique_number_within(g, (1 << g.n) - 1)
         assert first is not second and first == second
         assert second.witness == brute_clique_within(g, range(g.n))[1]
+
+    def test_reading_the_witness_searches_no_clique_number(self, monkeypatch):
+        # the certificate hands its omega to max_clique, so the witness
+        # costs decision queries alone
+        g = random_graph(120, 0.7, 0)
+        clique_number_within.cache_clear()
+        cert = cs.clique_number(g)
+        calls = []
+        search = kernels.max_clique_size
+
+        def counted(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(kernels, "max_clique_size", counted)
+        assert cert.witness == (0, 5, 6, 17, 34, 42, 44, 46, 65, 66, 82, 85, 90, 94, 106)
+        assert calls == []
 
     def test_frozen_and_picklable(self):
         cert = clique_number_within(K(4), 0b1110)
