@@ -10,8 +10,9 @@ entries. A certificate's clique number is searched for at once and its
 witness only when it is first read, since the callers check clique
 numbers and read a witness only to report a violation. The clique
 number's search runs in a numbering of the graph's vertices drawn from
-its structure, not from its labels; the witness is then built from the
-clique number by decision queries in label order.
+its structure, not from its labels, on colouring tables built once per
+graph; the witness is then built from the clique number by decision
+queries in label order.
 """
 
 from __future__ import annotations
@@ -88,22 +89,27 @@ def clique_number_within(g: Graph, mask: int) -> CliqueCertificate:
     The result equals ``clique_number`` of the induced subgraph with its
     witness mapped back. The empty mask has omega 0 and an empty witness.
     Omega comes from ``kernels.max_clique_size``, which follows no tie
-    and runs in ``_search_numbering(g)``, so its cost does not depend on
-    how g's vertices happen to be labelled. The witness is built from
-    omega by ``kernels.max_clique``'s decision queries only when it is
-    first read; they go in label order, so their cost does depend on the
-    labels, and no workload operation reads a witness.
+    and runs in ``_search_numbering(g)`` on ``_coloring_tables(g)``, so
+    its cost does not depend on how g's vertices happen to be labelled.
+    The witness is built from omega by ``kernels.max_clique``'s decision
+    queries only when it is first read; they go in label order, so their
+    cost does depend on the labels, and no workload operation reads a
+    witness. A negative mask, or one with a bit at or above n, raises
+    ValueError.
     """
+    if mask < 0 or mask >> g.n:
+        raise ValueError(f"mask {mask:#x} is not a set of the graph's {g.n} vertices")
     _, adj, numbered = _numbered(g, mask)
-    return CliqueCertificate._deferred(kernels.max_clique_size(adj, numbered, _apart(g)), g, mask)
+    return CliqueCertificate._deferred(
+        kernels.max_clique_size(adj, numbered, _coloring_tables(g)), g, mask)
 
 
 def _numbered(g: Graph, mask: int):
     """``_search_numbering(g)``'s labels and adjacency, and ``mask`` in
     that numbering."""
-    labels, adj, number = _search_numbering(g)
-    if number is not None and mask != (1 << g.n) - 1:
-        mask = sum(map((1).__lshift__, map(number.__getitem__, kernels.from_mask(mask))))
+    labels, adj, power = _search_numbering(g)
+    if power is not None and mask != (1 << g.n) - 1:
+        mask = sum(map(power.__getitem__, kernels.from_mask(mask)))
     return labels, adj, mask
 
 
@@ -112,8 +118,9 @@ def _search_numbering(g: Graph):
     """The numbering the clique searches of g run in: its vertices in
     increasing (degree, sum of the neighbours' degrees, label), their
     adjacency bitsets with vertex ``labels[i]`` numbered i, and each
-    vertex's number; ``(None, g.adjacency_bits, None)`` when that order
-    is the labels' own, as on regular graphs.
+    vertex's bit in that numbering (``1 << i`` for ``labels[i]``);
+    ``(None, g.adjacency_bits, None)`` when that order is the labels'
+    own, as on regular graphs.
 
     Degree and the neighbours' degree sum do not depend on the labels,
     and on graphs like G(n, p) they tell nearly every vertex apart, so
@@ -129,21 +136,19 @@ def _search_numbering(g: Graph):
     labels = sorted(range(g.n), key=key.__getitem__)
     if labels == list(range(g.n)):
         return None, g.adjacency_bits, None
-    number = [0] * g.n
+    power = [0] * g.n
     for i, v in enumerate(labels):
-        number[v] = i
-    shift = (1).__lshift__
-    adj = tuple(sum(map(shift, map(number.__getitem__, nbrs[v]))) for v in labels)
-    return labels, adj, number
+        power[v] = 1 << i
+    adj = tuple(sum(map(power.__getitem__, nbrs[v])) for v in labels)
+    return labels, adj, power
 
 
 @lru_cache(maxsize=1024)
-def _apart(g: Graph) -> list[int]:
-    """For each vertex i of ``_search_numbering(g)``, the bitset of the
-    vertices other than i and its neighbours, in that numbering."""
-    adj = _search_numbering(g)[1]
-    full = (1 << g.n) - 1
-    return [full ^ (a | 1 << i) for i, a in enumerate(adj)]
+def _coloring_tables(g: Graph):
+    """The tables every clique-number search of g reads:
+    ``kernels.coloring_tables`` of ``_search_numbering(g)``'s adjacency,
+    over all of g's vertices, in that numbering."""
+    return kernels.coloring_tables(_search_numbering(g)[1], (1 << g.n) - 1)
 
 
 def clique_number(g: Graph) -> CliqueCertificate:

@@ -10,9 +10,10 @@ first, from that number by decision queries; ``maximal_cliques``
 enumerates the maximal cliques. The two colouring searches,
 ``max_clique_size`` and ``has_clique_of_size``, bound each branch by a
 greedy colouring (Tomita & Seki, DMTCS 2003); ``max_clique_size`` takes
-each colouring step from a table of per-vertex non-neighbour bitsets
-built once per graph, as BBMC does (San Segundo, Rodriguez-Losada &
-Jimenez, Comput. Oper. Res. 2011).
+each colouring step from per-vertex tables of bitsets built once per
+graph (``coloring_tables``), as BBMC does (San Segundo, Rodriguez-Losada
+& Jimenez, Comput. Oper. Res. 2011); its cost, like its result, depends
+on the adjacency alone, not on any labels.
 Every result is deterministic: it depends on the arguments alone.
 """
 
@@ -21,53 +22,69 @@ from __future__ import annotations
 from typing import Sequence
 
 
+def coloring_tables(adj: Sequence[int], mask: int) -> tuple[list[int], list[int], list[int]]:
+    """The tables ``max_clique_size`` reads, each indexed by v + 1, the
+    ``bit_length()`` of a bitset whose top vertex is v: the vertices of
+    ``mask`` that are neither v nor its neighbours, ``adj[v]``, and
+    ``1 << v``. Entry 0 of each is 0."""
+    bit = [0, *map((1).__lshift__, range(len(adj)))]
+    apart = [0, *[mask & ~(a | b) for a, b in zip(adj, bit[1:])]]
+    return apart, [0, *adj], bit
+
+
 def max_clique_size(adj: Sequence[int], mask: int,
-                    apart: Sequence[int] | None = None) -> int:
+                    tables: tuple[list[int], list[int], list[int]] | None = None) -> int:
     """The number of vertices of the largest clique within ``mask``; 0
     for the empty mask.
 
     Each node colours its candidates greedily, highest vertex first,
     into classes kept as bitsets, and branches from the highest colour
-    down, lowest vertex first, only where the colour bound exceeds the
+    down, highest vertex first, only where the colour bound exceeds the
     largest clique found so far: no tie is followed and no label is read.
-    A colouring step is one AND with ``apart[v]``, the vertices that are
-    neither v nor its neighbours, of which only those in ``mask`` matter.
-    A caller that searches one graph many times passes the table it
-    keeps for it; without one, it is built for ``mask``.
+    A colouring step is one AND with the vertex's non-neighbours and one
+    XOR with its bit, both read from ``coloring_tables`` at the class's
+    ``bit_length()``. A caller that searches one graph many times passes
+    the tables it keeps for it, built for every vertex; without them,
+    they are built for ``mask``.
     """
-    if apart is None:
-        apart = [mask & ~(a | 1 << v) for v, a in enumerate(adj)]
+    apart, nbrs, bit = coloring_tables(adj, mask) if tables is None else tables
     best = 0
 
     def expand(cand: int, size: int) -> None:
         nonlocal best
         if size > best:
             best = size
-        # Classes numbered at most `dead` cannot beat best.
-        dead = best - size
-        classes: list[int] = []
         uncolored = cand
-        color = 0
+        # Classes numbered at most best - size cannot beat best: colour
+        # them unrecorded, and end the node if they take every candidate.
+        for _ in range(best - size):
+            cls = uncolored
+            while cls:
+                b = cls.bit_length()
+                cls &= apart[b]
+                uncolored ^= bit[b]
+            if not uncolored:
+                return
+        classes: list[int] = []
         while uncolored:
-            color += 1
             cls = before = uncolored
             while cls:
-                v = cls.bit_length() - 1
-                cls &= apart[v]
-                uncolored ^= 1 << v
-            if color > dead:
-                classes.append(before ^ uncolored)
+                b = cls.bit_length()
+                cls &= apart[b]
+                uncolored ^= bit[b]
+            classes.append(before ^ uncolored)
         cur = cand
         # The largest clique a branch on a vertex of the class can reach.
-        reach = size + color
+        reach = best + len(classes)
         for cls in reversed(classes):
             while cls:
                 if reach <= best:
                     return
-                bit = cls & -cls
-                cls ^= bit
-                cur ^= bit
-                sub = cur & adj[bit.bit_length() - 1]
+                b = cls.bit_length()
+                v = bit[b]
+                cls ^= v
+                cur ^= v
+                sub = cur & nbrs[b]
                 if sub:
                     expand(sub, size + 1)
                 elif size + 1 > best:
@@ -205,6 +222,8 @@ def to_mask(vertices) -> int:
 
 
 def from_mask(mask: int) -> tuple[int, ...]:
+    if mask < 0:
+        raise ValueError(f"mask {mask:#x} is negative, not a set of vertices")
     out = []
     while mask:
         out.append((mask & -mask).bit_length() - 1)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import clique_splitter as cs
 import clique_splitter.kernels as kernels
-from clique_splitter.cliques import _apart, _search_numbering, clique_number_within
+from clique_splitter.cliques import _coloring_tables, _search_numbering, clique_number_within
 from _brute import (
     brute_clique_within,
     brute_cliques_of_size,
@@ -308,9 +308,9 @@ LARGE_GRAPHS = [(65, 0.6, 0), (100, 0.45, 1), (150, 0.35, 2), (200, 0.3, 3)]
 class TestMaxCliqueLarge:
     """``max_clique`` on 65 to 200 vertices, whose bitsets span several
     machine words, against the reference from the maximal cliques; given
-    the clique number ``max_clique_size`` finds with the per-graph table
-    of ``cliques._apart`` and with the one it builds for the mask when
-    none is passed."""
+    the clique number ``max_clique_size`` finds with the per-graph tables
+    of ``cliques._coloring_tables`` and with the ones it builds for the
+    mask when none are passed."""
 
     @pytest.mark.parametrize("order", ["own", "shuffled", "reversed"], ids=lambda o: f"{o}-labels")
     @pytest.mark.parametrize("n, p, seed", LARGE_GRAPHS)
@@ -329,7 +329,7 @@ class TestMaxCliqueLarge:
         for mask in masks:
             omega = kernels.max_clique_size(adj, mask)
             assert kernels.max_clique(adj, mask, omega, labels) == expected[mask]
-            omega = kernels.max_clique_size(adj, mask, _apart(g))
+            omega = kernels.max_clique_size(adj, mask, _coloring_tables(g))
             assert kernels.max_clique(adj, mask, omega, labels) == expected[mask]
 
     def test_dense_whole_graph(self):
@@ -347,17 +347,17 @@ class TestMaxCliqueLarge:
 class TestMaxCliqueSize:
     """``max_clique_size``, the search behind every certificate's clique
     number, against the include/exclude recursion of ``_brute``, with the
-    table of non-neighbours and without."""
+    colouring tables built for every vertex and without."""
 
     @given(bitset_graphs())
     @settings(max_examples=150, deadline=None)
     def test_small_graphs(self, case):
         adj, mask = case
         full = (1 << len(adj)) - 1
-        apart = [full ^ (a | 1 << v) for v, a in enumerate(adj)]
+        tables = kernels.coloring_tables(adj, full)
         omega = brute_mask_omega(adj, mask)
         assert kernels.max_clique_size(adj, mask) == omega
-        assert kernels.max_clique_size(adj, mask, apart) == omega
+        assert kernels.max_clique_size(adj, mask, tables) == omega
 
     @pytest.mark.parametrize("n, p, seed", LARGE_GRAPHS)
     def test_masks_across_word_boundaries(self, n, p, seed):
@@ -372,8 +372,8 @@ class TestMaxCliqueSize:
         for mask in masks:
             omega = brute_mask_omega(adj, mask)
             assert kernels.max_clique_size(adj, mask) == omega, mask
-            assert kernels.max_clique_size(adj, mask, _apart(g)) == omega, mask
-        assert kernels.max_clique_size(adj, 0) == kernels.max_clique_size(adj, 0, _apart(g)) == 0
+            assert kernels.max_clique_size(adj, mask, _coloring_tables(g)) == omega, mask
+        assert kernels.max_clique_size(adj, 0) == kernels.max_clique_size(adj, 0, _coloring_tables(g)) == 0
 
     def test_dense_whole_graph(self):
         # the shape of perfbench's dense workload; too dense for _brute,
@@ -381,10 +381,54 @@ class TestMaxCliqueSize:
         g = random_graph(120, 0.7, 0)
         _, adj, _ = _search_numbering(g)
         full = (1 << g.n) - 1
-        omega = kernels.max_clique_size(adj, full, _apart(g))
+        omega = kernels.max_clique_size(adj, full, _coloring_tables(g))
         assert omega == kernels.max_clique_size(adj, full) == 15
         assert kernels.has_clique_of_size(adj, full, omega)
         assert not kernels.has_clique_of_size(adj, full, omega + 1)
+
+    def test_tables_agree_above_the_first_word_and_under_relabelling(self):
+        # perfbench's dense shape, G(120, 0.7), and a relabelled copy:
+        # every mask above bit 63 of the search numbering gets the same
+        # omega with the per-graph tables, with the tables built for the
+        # mask and from _brute, and no mask's omega moves with the labels
+        g = random_graph(120, 0.7, 0)
+        perm = list(range(g.n))
+        random.Random(1).shuffle(perm)
+        h = cs.Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        rnd = random.Random(2)
+        masks = [((1 << 24) - 1) << 64, ((1 << 24) - 1) << 96]
+        masks += [kernels.to_mask(rnd.sample(range(64, 120), 24)) for _ in range(4)]
+        for graph in (g, h):
+            _, adj, _ = _search_numbering(graph)
+            for mask in masks:
+                omega = brute_mask_omega(adj, mask)
+                assert kernels.max_clique_size(adj, mask, _coloring_tables(graph)) == omega, mask
+                assert kernels.max_clique_size(adj, mask) == omega, mask
+        for mask in masks + [(1 << g.n) - 1]:
+            moved = kernels.to_mask(perm[v] for v in kernels.from_mask(mask))
+            assert clique_number_within(h, moved).omega == clique_number_within(g, mask).omega
+        assert cs.clique_number(h).omega == 15
+
+
+class TestMasksOutsideTheGraph:
+    """A mask that is no set of the graph's vertices raises ValueError
+    naming it, instead of looping forever (a negative mask) or raising a
+    bare IndexError (a bit at or above n)."""
+
+    def test_from_mask_of_a_negative_mask(self):
+        with pytest.raises(ValueError, match="mask -0x1 "):
+            kernels.from_mask(-1)
+        assert kernels.from_mask(0) == ()
+
+    @pytest.mark.parametrize("recipe", [
+        cs.GeneratorRecipe("random_regular", {"n": 10, "d": 3}, seed=1),  # searched in its labels
+        cs.GeneratorRecipe("gnp", {"n": 10, "p": 0.5}, seed=1),           # renumbered
+    ], ids=["identity-numbered", "renumbered"])
+    @pytest.mark.parametrize("mask", [-1, -2, 1 << 10, (1 << 11) - 1])
+    def test_clique_number_within(self, recipe, mask):
+        g = cs.generate(recipe)
+        with pytest.raises(ValueError, match=f"mask {mask:#x} "):
+            clique_number_within(g, mask)
 
 
 def _old_certificate(omega, witness):

@@ -53,6 +53,15 @@ def strong(length, m):
         "strong_product_cycle_clique", {"cycle_len": length, "m": m}))
 
 
+def thinned_products(length, m, draws):
+    """The first ``draws`` thinnings of C_length x K_m, all drawn from one
+    ``random.Random(2)``: each drops every edge with probability 0.08."""
+    full = strong(length, m)
+    rng = random.Random(2)
+    return [cs.Graph(full.n, [e for e in full.edges() if rng.random() >= 0.08])
+            for _ in range(draws)]
+
+
 def regular(n, d, seed):
     return cs.generate(cs.GeneratorRecipe("random_regular", {"n": n, "d": d}, seed=seed))
 
@@ -855,6 +864,28 @@ class TestKwayCliquePartition:
         assert err.value.depth == 1
         assert not err.value.proven_infeasible
         assert err.value.diagnostics["exact-kway"] == "stopped after 1 nodes"
+
+    def test_exact_kway_fallback_answers(self):
+        # On this thinned C5xK2 (max degree 5) the levels give up on the
+        # all-2 list without a proof, and the fallback's exact search of
+        # the whole list finds the answer.
+        g = thinned_products(5, 2, 1)[0]
+        spec = cs.PartitionSpec((2, 2, 2, 2))
+        part = cs.kway_clique_partition(g, spec)
+        assert part.strategy == "exact-kway"
+        assert cs.verify_partition(g, part, spec).valid
+        assert cs.exists_clique_partition(g, spec)[0]
+
+    def test_exact_kway_fallback_proves(self):
+        # the next thinning, where the levels give up at depth 2 without a
+        # proof, the fallback finds no assignment, and so proves the list
+        g = thinned_products(5, 2, 2)[1]
+        spec = cs.PartitionSpec((2, 2, 2, 2))
+        with pytest.raises(cs.AllStrategiesExhausted) as err:
+            cs.kway_clique_partition(g, spec)
+        assert err.value.proven_infeasible and err.value.depth == 2
+        assert not err.value.__cause__.proven_infeasible
+        assert not cs.exists_clique_partition(g, spec)[0]
 
     def test_dummies_never_leak(self):
         g = regular(28, 13, 3)
