@@ -5,7 +5,11 @@ compare them with a recording made from another checkout.
 One operation is perfbench's: ``kway_clique_partition(g, spec)``
 followed by ``verify_partition(g, part, spec)``. The workload's graphs
 and operations come from ``perfbench/inputs.py``, which is imported and
-not changed. For each operation the record keeps, as plain data, the
+not changed. One more corpus, ``products``, is not a perfbench workload
+and not part of ``all``: C_L x K_m for m in {2, 3} and odd L from 5 to
+41, built with the public generator, each with every two-part pair and
+every three-part list; the seed changes nothing there. For each
+operation the record keeps, as plain data, the
 assignment, parts, strategy string, certificates and verification report
 of an answer, or the class, message, diagnostics, depth and proof flag
 of a raised error.
@@ -14,9 +18,11 @@ of a raised error.
     python3 benchmarks/compare_outputs.py --workload all --src ../parent/src --out parent.pkl
     # run this checkout's package and compare, operation by operation
     python3 benchmarks/compare_outputs.py --workload all --against parent.pkl
+    python3 benchmarks/compare_outputs.py --workload products --src ../parent/src --out p.pkl
+    python3 benchmarks/compare_outputs.py --workload products --against p.pkl
 
 With ``--against``, a difference prints, for each workload, the number
-of differing operations split into three kinds, gravest first:
+of differing operations split into four kinds, gravest first:
 
 - verdict: one side answered and the other raised, or the proof flag of
   a raised error differs;
@@ -24,7 +30,10 @@ of differing operations split into three kinds, gravest first:
   verification report of an answer, or the class, message or depth of an
   error, differ;
 - strategy or diagnostics only: nothing differs but an answer's strategy
-  string or an error's diagnostics.
+  string or an error's diagnostics;
+- settled a give-up: the recording gave up without a proof, and this
+  checkout answered or proved that no partition exists. The reverse, a
+  give-up here where the recording settled, is a verdict difference.
 
 It also prints the first operation of the gravest kind found, and the
 exit code is 1. Only load files this script wrote: they are pickles.
@@ -33,6 +42,7 @@ exit code is 1. Only load files this script wrote: they are pickles.
 from __future__ import annotations
 
 import argparse
+import itertools
 import pickle
 import sys
 from pathlib import Path
@@ -63,11 +73,43 @@ def record_workload(cs, name: str, seed: int) -> list:
             for gi, quotas in work.ops]
 
 
-KINDS = ("verdict", "answer", "strategy or diagnostics only")
+PRODUCTS = "products"
+
+
+def product_quota_lists(delta: int):
+    """Every two-part pair and every three-part list of quotas, each
+    non-increasing, at least 2 and summing to delta - 1 + k."""
+    for k in (2, 3):
+        for quotas in itertools.combinations_with_replacement(range(delta + 1, 1, -1), k):
+            if sum(quotas) == delta - 1 + k:
+                yield quotas
+
+
+def record_products(cs) -> list:
+    """[(graph label, quotas, record)] over the products corpus."""
+    out = []
+    for m in (2, 3):
+        for length in range(5, 42, 2):
+            g = cs.generate(cs.GeneratorRecipe(
+                "strong_product_cycle_clique", {"cycle_len": length, "m": m}))
+            for quotas in product_quota_lists(g.max_degree):
+                out.append((f"C{length}xK{m}", quotas,
+                            _record(cs, g, cs.PartitionSpec(quotas))))
+    return out
+
+
+KINDS = ("verdict", "answer", "strategy or diagnostics only", "settled a give-up")
+
+
+def _gave_up(record: tuple) -> bool:
+    """Whether a record is a give-up without a proof."""
+    return record[0] == "raised" and record[5] is False
 
 
 def difference_kind(mine: tuple, other: tuple) -> str:
     """The gravest kind of difference between two unequal records."""
+    if _gave_up(other) and not _gave_up(mine):
+        return KINDS[3]
     if mine[0] != other[0] or (mine[0] == "raised" and mine[5] != other[5]):
         return KINDS[0]
     # field 3 is an answer's strategy string, or an error's diagnostics
@@ -117,7 +159,8 @@ def compare(ours: dict, theirs: dict) -> tuple[list[str], str | None]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", default="all", choices=("all",) + inputs.WORKLOADS)
+    parser.add_argument("--workload", default="all",
+                        choices=("all",) + inputs.WORKLOADS + (PRODUCTS,))
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the clique_splitter package to run")
@@ -134,7 +177,8 @@ def main(argv=None) -> int:
     names = inputs.WORKLOADS if args.workload == "all" else (args.workload,)
     recorded = {}
     for name in names:
-        recorded[name] = record_workload(cs, name, args.seed)
+        recorded[name] = (record_products(cs) if name == PRODUCTS
+                          else record_workload(cs, name, args.seed))
         print(f"{name}: {len(recorded[name])} operations", file=sys.stderr)
     if args.out is not None:
         with open(args.out, "wb") as fh:

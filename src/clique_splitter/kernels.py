@@ -14,7 +14,9 @@ each colouring step from per-vertex tables of bitsets built once per
 graph (``coloring_tables``), as BBMC does (San Segundo, Rodriguez-Losada
 & Jimenez, Comput. Oper. Res. 2011); its cost, like its result, depends
 on the adjacency alone, not on any labels.
-Every result is deterministic: it depends on the arguments alone.
+Every result is deterministic: it depends on the arguments alone. A
+negative mask is no set of vertices, and every search given one raises
+ValueError naming it.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ def max_clique_size(adj: Sequence[int], mask: int,
     the tables it keeps for it, built for every vertex; without them,
     they are built for ``mask``.
     """
+    if mask < 0:
+        raise _negative_mask(mask)
     apart, nbrs, bit = coloring_tables(adj, mask) if tables is None else tables
     best = 0
 
@@ -135,6 +139,8 @@ def has_clique_of_size(adj: Sequence[int], mask: int, size: int) -> bool:
     of the Tomita-Seki bound) and stops at the first clique of ``size``
     vertices.
     """
+    if mask < 0:
+        raise _negative_mask(mask)
     if size <= 0:
         return True
     if mask.bit_count() < size:
@@ -183,6 +189,8 @@ def has_clique_of_size(adj: Sequence[int], mask: int, size: int) -> bool:
 def maximal_cliques(adj: Sequence[int], mask: int) -> list[int]:
     """All maximal cliques within ``mask`` as bitsets (Bron-Kerbosch with
     the max-degree pivot), in a deterministic order."""
+    if mask < 0:
+        raise _negative_mask(mask)
     out: list[int] = []
 
     def bk(r: int, p: int, x: int) -> None:
@@ -221,9 +229,13 @@ def to_mask(vertices) -> int:
     return mask
 
 
+def _negative_mask(mask: int) -> ValueError:
+    return ValueError(f"mask {mask:#x} is negative, not a set of vertices")
+
+
 def from_mask(mask: int) -> tuple[int, ...]:
     if mask < 0:
-        raise ValueError(f"mask {mask:#x} is negative, not a set of vertices")
+        raise _negative_mask(mask)
     out = []
     while mask:
         out.append((mask & -mask).bit_length() - 1)

@@ -185,18 +185,22 @@ def brute_components(g: Graph) -> list[set[int]]:
     return comps
 
 
-def brute_first_assignment(g: Graph, quotas, by_component: bool = True
-                           ) -> tuple[list[int] | None, int]:
+def brute_first_assignment(g: Graph, quotas, by_component: bool = True,
+                           twins: bool = True) -> tuple[list[int] | None, int]:
     """The first valid assignment in the exact search's order, found by
     plain recursion: vertices by descending degree, then index; parts in
     order, skipping a part that is empty when an earlier empty part has
-    the same quota. With ``by_component``, each connected component is
-    searched on its own, components by their first vertex in that order,
-    "empty" meaning empty within the component, and the search stops at
-    the first component with no valid assignment; otherwise the whole
-    graph is one search. Returns the assignment (None when none exists)
-    with the number of nodes visited: the root plus one per placement."""
+    the same quota. With ``twins``, a vertex also skips every part below
+    the one holding the last vertex placed before it whose closed
+    neighbourhood equals its own. With ``by_component``, each connected
+    component is searched on its own, components by their first vertex
+    in that order, "empty" meaning empty within the component, and the
+    search stops at the first component with no valid assignment;
+    otherwise the whole graph is one search. Returns the assignment
+    (None when none exists) with the number of nodes visited: the root
+    plus one per placement."""
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    closed = [frozenset(g.neighbors(v)) | {v} for v in range(g.n)]
     if by_component:
         comps = brute_components(g)
         groups = sorted(([v for v in order if v in c] for c in comps),
@@ -211,7 +215,10 @@ def brute_first_assignment(g: Graph, quotas, by_component: bool = True
         if i == len(vs):
             return True
         v = vs[i]
-        for j in range(len(quotas)):
+        earlier = [u for u in vs[:i] if twins and closed[u] == closed[v]]
+        floor = next(j for j, members in enumerate(parts)
+                     if earlier[-1] in members) if earlier else 0
+        for j in range(floor, len(quotas)):
             if not parts[j] and any(not parts[h] and quotas[h] == quotas[j]
                                     for h in range(j)):
                 continue

@@ -425,39 +425,89 @@ def test_criterion_8_probe_sanity():
     assert contradictions == 0
 
 
+def _no_independent_transversal(g: cs.Graph) -> bool:
+    """King's odd-cycle exception, checked on g itself: every maximum
+    clique is the union of two true-twin classes, and the graph on those
+    classes with one edge per maximum clique is not bipartite. An
+    independent set cannot touch both classes of one maximum clique, so
+    the classes it touches would be an independent vertex cover of that
+    graph, which only a bipartite graph has: no independent set meets
+    every maximum clique."""
+    classes: dict[frozenset, int] = {}
+    cls = [classes.setdefault(frozenset(g.neighbors(v)) | {v}, len(classes))
+           for v in range(g.n)]
+    omega = cs.clique_number(g).omega
+    edges = []
+    for clique in cs.all_maximum_cliques(g):
+        ends = sorted({cls[v] for v in clique})
+        if (len(clique) != omega or len(ends) != 2
+                or any(not g.has_edge(u, v) for u, v in itertools.combinations(clique, 2))
+                or sorted(clique) != [v for v in range(g.n) if cls[v] in ends]):
+            return False
+        edges.append(ends)
+    side = [-1] * len(classes)
+    for start in range(len(classes)):
+        if side[start] >= 0:
+            continue
+        side[start] = 0
+        stack = [start]
+        while stack:
+            a = stack.pop()
+            for u, w in edges:
+                if a in (u, w):
+                    b = u + w - a
+                    if side[b] == side[a]:
+                        return True
+                    if side[b] < 0:
+                        side[b] = 1 - side[a]
+                        stack.append(b)
+    return False
+
+
 def test_criterion_9_hard_instance_regime():
     # Odd-cycle strong products C_L x K_m: the coloring shortcut fails on
     # every one of them, and some pairs are infeasible, so the answers
     # rest on the budgeted exact stage. Every answer is a valid partition
-    # or a proof, and matches the oracle either way.
+    # and every give-up a proof. Up to L = 21 the oracle backs each
+    # verdict; beyond it, where the oracle's time doubles with each step
+    # of L, C_L x K2 runs up to L = 41 and each proof must be the
+    # (4, 2) split that King's odd-cycle exception rules out: with q = 2
+    # and p = omega, V2 is an independent set meeting every maximum clique.
     started = time.perf_counter()
     runs = 0
     unproven = 0
     disagreements = 0
-    for length in range(5, 22, 2):
-        for m in (2, 3):
-            g = cs.generate(cs.GeneratorRecipe(
-                "strong_product_cycle_clique", {"cycle_len": length, "m": m}))
-            budget = cs.OracleBudget(assignment_cap=g.n)
-            for p, q in feasible_pairs(g):
-                runs += 1
-                spec = cs.PartitionSpec((p, q))
+    products = [(length, m) for length in range(5, 22, 2) for m in (2, 3)]
+    products += [(length, 2) for length in range(23, 42, 2)]
+    for length, m in products:
+        g = cs.generate(cs.GeneratorRecipe(
+            "strong_product_cycle_clique", {"cycle_len": length, "m": m}))
+        budget = cs.OracleBudget(assignment_cap=g.n)
+        for p, q in feasible_pairs(g):
+            runs += 1
+            spec = cs.PartitionSpec((p, q))
+            if length <= 21:
                 feasible, _ = cs.exists_clique_partition(g, spec, budget)
-                try:
-                    part = cs.clique_bipartition(g, p, q)
-                except cs.AllStrategiesExhausted as exc:
-                    if not exc.proven_infeasible:
-                        unproven += 1
-                    elif feasible:
-                        disagreements += 1
-                    continue
-                if not (feasible and cs.verify_partition(g, part, spec).valid):
+            else:
+                feasible = not ((p, q) == (4, 2)
+                                and cs.detect_cycle_clique_product(g) == (length, 2)
+                                and _no_independent_transversal(g))
+            try:
+                part = cs.clique_bipartition(g, p, q)
+            except cs.AllStrategiesExhausted as exc:
+                if not exc.proven_infeasible:
+                    unproven += 1
+                elif feasible:
                     disagreements += 1
+                continue
+            if not (feasible and cs.verify_partition(g, part, spec).valid):
+                disagreements += 1
     elapsed = time.perf_counter() - started
     ok = unproven == 0 and disagreements == 0
     _report("9 hard-instance regime", ok,
-            f"18 products, {runs} (p,q) runs, {unproven} unproven give-ups, "
+            f"{len(products)} products, {runs} (p,q) runs, {unproven} unproven give-ups, "
             f"{disagreements} disagreements, {elapsed:.1f}s")
+    assert len(products) == 28
     assert unproven == 0
     assert disagreements == 0
 

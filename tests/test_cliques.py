@@ -420,6 +420,20 @@ class TestMasksOutsideTheGraph:
             kernels.from_mask(-1)
         assert kernels.from_mask(0) == ()
 
+    @pytest.mark.parametrize("search", [
+        lambda adj, mask: kernels.has_clique_of_size(adj, mask, 2),
+        lambda adj, mask: kernels.has_clique_of_size(adj, mask, 0),
+        kernels.max_clique_size,
+        kernels.maximal_cliques,
+    ], ids=["has_clique_of_size", "has_clique_of_size-0", "max_clique_size",
+            "maximal_cliques"])
+    @pytest.mark.parametrize("mask", [-1, -2, -(1 << 10)])
+    def test_kernel_searches_of_a_negative_mask(self, search, mask):
+        # (-1).bit_count() is 1, yet -1 is no one-vertex set
+        adj = cs.generate(cs.GeneratorRecipe("gnp", {"n": 10, "p": 0.5}, seed=1)).adjacency_bits
+        with pytest.raises(ValueError, match=f"mask {mask:#x} "):
+            search(adj, mask)
+
     @pytest.mark.parametrize("recipe", [
         cs.GeneratorRecipe("random_regular", {"n": 10, "d": 3}, seed=1),  # searched in its labels
         cs.GeneratorRecipe("gnp", {"n": 10, "p": 0.5}, seed=1),           # renumbered

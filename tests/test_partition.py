@@ -1,3 +1,4 @@
+import itertools
 import logging
 import random
 import sys
@@ -643,6 +644,26 @@ class TestExactSearchBudget:
     def test_matches_recursive_reference_on_hard_cases(self, text, quotas):
         self._matches_reference(cs.generate(cs.parse_recipe(text)), quotas)
 
+    # nodes without and with the rule for true twins; only the fibres of
+    # C_L x K_m and the vertices of K_n are twins here
+    @pytest.mark.parametrize("text, quotas, plain, twins", [
+        ("complete:5", (3, 3), 10, 7),
+        ("complete:6", (3, 3, 2), 46, 14),
+        ("cycle:5", (2, 2), 5, 5),
+        ("strong:5x2", (3, 3), 18, 18),
+        ("strong:5x2", (4, 2), 50, 22),
+        ("strong:5x2", (2, 2, 2, 2), 17, 11),
+        ("strong:7x2", (3, 2, 2), 365, 46),
+        ("strong:9x2", (4, 2), 242, 42),
+    ])
+    def test_twin_rule_node_counts(self, text, quotas, plain, twins):
+        g = cs.generate(cs.parse_recipe(text))
+        expected, nodes = brute_first_assignment(g, quotas, twins=False)
+        assert nodes == plain
+        assert brute_first_assignment(g, quotas) == (expected, twins)
+        with mock.patch.object(partition, "EXACT_NODES", twins):
+            assert _exact_partition_assignment(g, quotas) == expected
+
     def test_stack_search_runs_past_the_recursion_limit(self):
         g = regular(1500, 4, 0)
         assert g.n > sys.getrecursionlimit()
@@ -652,13 +673,14 @@ class TestExactSearchBudget:
         assert cs.verify_partition(g, part, cs.PartitionSpec((3, 2))).valid
 
     def test_proof_within_budget(self):
-        # C9 x K2 at (4, 2) is infeasible, and the proof visits 242 nodes
+        # C9 x K2 at (4, 2) is infeasible, and the proof visits 42 nodes
+        # (242 without the rule for true twins)
         with pytest.raises(cs.AllStrategiesExhausted) as err:
             cs.clique_bipartition(strong(9, 2), 4, 2)
         assert err.value.proven_infeasible
         assert err.value.diagnostics["exact"] == "proved infeasible"
 
-    @pytest.mark.parametrize("nodes, proven", [(50, False), (241, False), (242, True)])
+    @pytest.mark.parametrize("nodes, proven", [(20, False), (41, False), (42, True)])
     def test_small_budget_gives_up_unproven(self, monkeypatch, nodes, proven):
         monkeypatch.setattr(partition, "EXACT_NODES", nodes)
         with pytest.raises(cs.AllStrategiesExhausted) as err:
@@ -666,6 +688,41 @@ class TestExactSearchBudget:
         assert err.value.proven_infeasible is proven
         if not proven:
             assert err.value.diagnostics["exact"] == f"stopped after {nodes} nodes"
+
+
+@st.composite
+def blown_up_graphs(draw, max_n=9):
+    """A small graph with each vertex blown up into a clique of one to
+    three true twins, at most ``max_n`` vertices in all, relabelled by a
+    drawn permutation so that twins need not be neighbours in the search
+    order."""
+    base = draw(small_graphs(max_n=5))
+    blobs: list[list[int]] = []
+    n = 0
+    for v in range(base.n):
+        size = draw(st.integers(1, min(3, max_n - n - (base.n - v - 1))))
+        blobs.append(list(range(n, n + size)))
+        n += size
+    label = draw(st.permutations(range(n)))
+    edges = [(label[a], label[b]) for blob in blobs for a, b in itertools.combinations(blob, 2)]
+    edges += [(label[a], label[b]) for u, w in base.edges() for a in blobs[u] for b in blobs[w]]
+    return cs.Graph(n, edges)
+
+
+class TestTwinRule:
+    """Placing true twins in non-decreasing part order changes no answer:
+    the search returns what a search without the rule returns."""
+
+    @given(blown_up_graphs(), st.lists(st.integers(2, 3), min_size=2, max_size=3))
+    @settings(max_examples=150)
+    def test_same_answer_as_the_rule_free_reference(self, g, quotas):
+        with mock.patch.object(partition, "EXACT_NODES", 10**6):
+            expected, _ = brute_first_assignment(g, quotas, twins=False)
+            assert _exact_partition_assignment(g, quotas) == expected
+            whole, _ = brute_first_assignment(g, quotas, by_component=False, twins=False)
+            with mock.patch.object(partition, "_component_orders",
+                                   lambda adj, vertices: [vertices]):
+                assert _exact_partition_assignment(g, quotas) == whole
 
 
 class TestExactSearchComponents:
