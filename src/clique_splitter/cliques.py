@@ -12,7 +12,8 @@ numbers and read a witness only to report a violation. The clique
 number's search runs in a numbering of the graph's vertices drawn from
 its structure, not from its labels, on colouring tables built once per
 graph; the witness is then built from the clique number by decision
-queries in label order.
+queries in label order. The partition engine's decision queries run in
+the labels, on the per-graph tables of ``_label_tables``.
 """
 
 from __future__ import annotations
@@ -149,6 +150,16 @@ def _coloring_tables(g: Graph):
     ``kernels.coloring_tables`` of ``_search_numbering(g)``'s adjacency,
     over all of g's vertices, in that numbering."""
     return kernels.coloring_tables(_search_numbering(g)[1], (1 << g.n) - 1)
+
+
+@lru_cache(maxsize=1024)
+def _label_tables(g: Graph):
+    """``kernels.coloring_tables`` of ``g.adjacency_bits`` over all of g's
+    vertices: ``_coloring_tables(g)`` itself when the search numbering is
+    the labels', as on regular graphs, and a table of their own if not."""
+    if _search_numbering(g)[0] is None:
+        return _coloring_tables(g)
+    return kernels.coloring_tables(g.adjacency_bits, (1 << g.n) - 1)
 
 
 def clique_number(g: Graph) -> CliqueCertificate:

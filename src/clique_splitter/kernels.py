@@ -2,18 +2,17 @@
 
 ``adj`` is a sequence of per-vertex neighbour bitsets (bit u of
 ``adj[v]`` is set when uv is an edge) and ``mask`` restricts a search to
-a vertex subset. ``has_clique_of_size`` decides whether a mask holds a
-clique of a given size; ``max_clique_size`` finds the clique number, the
-one number a certificate is checked by; ``max_clique`` builds the
-certificate's witness, the largest clique whose sorted labels come
-first, from that number by decision queries; ``maximal_cliques``
-enumerates the maximal cliques. The two colouring searches,
-``max_clique_size`` and ``has_clique_of_size``, bound each branch by a
-greedy colouring (Tomita & Seki, DMTCS 2003); ``max_clique_size`` takes
-each colouring step from per-vertex tables of bitsets built once per
-graph (``coloring_tables``), as BBMC does (San Segundo, Rodriguez-Losada
-& Jimenez, Comput. Oper. Res. 2011); its cost, like its result, depends
-on the adjacency alone, not on any labels.
+a vertex subset. One colouring search, ``_search``, answers both clique
+questions: ``max_clique_size`` finds the clique number, the one number a
+certificate is checked by, and ``has_clique_of_size`` decides whether a
+mask holds a clique of a given size. It bounds each branch by a greedy
+colouring (Tomita & Seki, DMTCS 2003) and takes each colouring step from
+per-vertex tables of bitsets (``coloring_tables``), as BBMC does (San
+Segundo, Rodriguez-Losada & Jimenez, Comput. Oper. Res. 2011); its cost,
+like its result, depends on the adjacency alone, not on any labels.
+``max_clique`` builds the certificate's witness, the largest clique
+whose sorted labels come first, from the clique number by decision
+queries; ``maximal_cliques`` enumerates the maximal cliques.
 Every result is deterministic: it depends on the arguments alone. A
 negative mask is no set of vertices, and every search given one raises
 ValueError naming it.
@@ -21,11 +20,12 @@ ValueError naming it.
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 
 def coloring_tables(adj: Sequence[int], mask: int) -> tuple[list[int], list[int], list[int]]:
-    """The tables ``max_clique_size`` reads, each indexed by v + 1, the
+    """The tables the colouring search reads, each indexed by v + 1, the
     ``bit_length()`` of a bitset whose top vertex is v: the vertices of
     ``mask`` that are neither v nor its neighbours, ``adj[v]``, and
     ``1 << v``. Entry 0 of each is 0."""
@@ -39,25 +39,33 @@ def max_clique_size(adj: Sequence[int], mask: int,
     """The number of vertices of the largest clique within ``mask``; 0
     for the empty mask.
 
+    A caller that searches one graph many times passes the
+    ``coloring_tables`` it keeps for it, built for every vertex; without
+    them, they are built for ``mask``.
+    """
+    if mask < 0:
+        raise _negative_mask(mask)
+    tables = coloring_tables(adj, mask) if tables is None else tables
+    return _search(tables, mask, 0, mask.bit_count() + 1)
+
+
+def _search(tables: tuple[list[int], list[int], list[int]], mask: int,
+            best: int, target: int) -> int:
+    """The clique number of ``mask``, or the floor ``best`` if larger;
+    the search stops at the first clique of ``target`` vertices.
+
     Each node colours its candidates greedily, highest vertex first,
     into classes kept as bitsets, and branches from the highest colour
     down, highest vertex first, only where the colour bound exceeds the
     largest clique found so far: no tie is followed and no label is read.
     A colouring step is one AND with the vertex's non-neighbours and one
-    XOR with its bit, both read from ``coloring_tables`` at the class's
-    ``bit_length()``. A caller that searches one graph many times passes
-    the tables it keeps for it, built for every vertex; without them,
-    they are built for ``mask``.
+    XOR with its bit, read from ``tables`` at the class's ``bit_length()``.
     """
-    if mask < 0:
-        raise _negative_mask(mask)
-    apart, nbrs, bit = coloring_tables(adj, mask) if tables is None else tables
-    best = 0
+    apart, nbrs, bit = tables
 
-    def expand(cand: int, size: int) -> None:
+    def expand(cand: int, size: int) -> bool:
+        # True once best reaches target, which ends every node above.
         nonlocal best
-        if size > best:
-            best = size
         uncolored = cand
         # Classes numbered at most best - size cannot beat best: colour
         # them unrecorded, and end the node if they take every candidate.
@@ -68,7 +76,7 @@ def max_clique_size(adj: Sequence[int], mask: int,
                 cls &= apart[b]
                 uncolored ^= bit[b]
             if not uncolored:
-                return
+                return False
         classes: list[int] = []
         while uncolored:
             cls = before = uncolored
@@ -83,17 +91,22 @@ def max_clique_size(adj: Sequence[int], mask: int,
         for cls in reversed(classes):
             while cls:
                 if reach <= best:
-                    return
+                    return False
                 b = cls.bit_length()
                 v = bit[b]
                 cls ^= v
                 cur ^= v
                 sub = cur & nbrs[b]
-                if sub:
-                    expand(sub, size + 1)
-                elif size + 1 > best:
-                    best = size + 1
+                # v extends the clique by one; v and any vertex of sub by two
+                reached = size + 2 if sub else size + 1
+                if reached > best:
+                    best = reached
+                    if best >= target:
+                        return True
+                if sub and expand(sub, size + 1):
+                    return True
             reach -= 1
+        return False
 
     expand(mask, 0)
     return best
@@ -110,17 +123,18 @@ def max_clique(adj: Sequence[int], mask: int, omega: int,
 
     In label order, a vertex joins when its neighbours among the
     candidates left hold a clique of the size still wanted, and leaves
-    the candidates otherwise. Unlike ``max_clique_size``'s, the cost of
-    these decision queries depends on the labels; no workload operation
-    reads a witness.
+    the candidates otherwise. These decision queries share one build of
+    ``coloring_tables``; their cost, unlike ``max_clique_size``'s,
+    depends on the labels. No workload operation reads a witness.
     """
     label = range(len(adj)) if labels is None else labels
+    tables = coloring_tables(adj, mask)
     found = []
     cand = mask
     for v in sorted(from_mask(mask), key=label.__getitem__):
         if cand >> v & 1:
             sub = cand & adj[v]
-            if has_clique_of_size(adj, sub, omega - len(found) - 1):
+            if has_clique_of_size(adj, sub, omega - len(found) - 1, tables):
                 found.append(label[v])
                 cand = sub
             else:
@@ -129,16 +143,18 @@ def max_clique(adj: Sequence[int], mask: int, omega: int,
     return tuple(found)
 
 
-def has_clique_of_size(adj: Sequence[int], mask: int, size: int) -> bool:
+def has_clique_of_size(adj: Sequence[int], mask: int, size: int,
+                       tables: tuple[list[int], list[int], list[int]] | None = None) -> bool:
     """True iff ``mask`` contains a clique with at least ``size`` vertices.
 
     Sizes up to 1, and masks with fewer than ``size`` vertices, are
-    answered from the mask alone. Otherwise a branch and bound with greedy
-    coloring upper bounds, Tomita-style pivot order, prunes every branch
-    whose colour bound cannot reach ``size`` (the k-clique decision form
-    of the Tomita-Seki bound) and stops at the first clique of ``size``
-    vertices.
+    answered from the mask alone. Otherwise the colouring search starts
+    from a floor of ``size - 1``, so it prunes every branch whose colour
+    bound cannot reach ``size``, and stops at the first clique of
+    ``size`` vertices. ``tables`` are as for ``max_clique_size``. A size
+    that is no integer raises TypeError.
     """
+    size = operator.index(size)
     if mask < 0:
         raise _negative_mask(mask)
     if size <= 0:
@@ -147,43 +163,8 @@ def has_clique_of_size(adj: Sequence[int], mask: int, size: int) -> bool:
         return False
     if size == 1:
         return True
-
-    def expand(cand: int, need: int) -> bool:
-        # Does cand hold a clique of need >= 2 vertices? Greedy coloring:
-        # classes are independent sets, so a clique takes at most one vertex
-        # per class, and one whose last vertex (in `order`) is in class c
-        # has at most c vertices. Classes numbered below `need` are coloured
-        # but not recorded: no clique of `need` vertices ends there.
-        order: list[int] = []
-        uncolored = cand
-        color = 0
-        while uncolored:
-            color += 1
-            cls = uncolored
-            if color < need:
-                while cls:
-                    bit = cls & -cls
-                    v = bit.bit_length() - 1
-                    cls &= ~adj[v]
-                    cls ^= bit
-                    uncolored ^= bit
-                continue
-            while cls:
-                bit = cls & -cls
-                v = bit.bit_length() - 1
-                cls &= ~adj[v]
-                cls ^= bit
-                uncolored ^= bit
-                order.append(v)
-        cur = cand
-        for v in reversed(order):
-            cur ^= 1 << v
-            sub = cur & adj[v]
-            if sub and (need == 2 or expand(sub, need - 1)):
-                return True
-        return False
-
-    return expand(mask, size)
+    tables = coloring_tables(adj, mask) if tables is None else tables
+    return _search(tables, mask, size - 1, size) >= size
 
 
 def maximal_cliques(adj: Sequence[int], mask: int) -> list[int]:

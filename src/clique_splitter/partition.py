@@ -37,6 +37,7 @@ from functools import lru_cache
 from . import kernels
 from .cliques import (
     CliqueCertificate,
+    _label_tables,
     all_maximum_cliques,
     clique_number,
     clique_number_within,
@@ -361,6 +362,7 @@ def _exact_partition_assignment(g: Graph, quotas) -> list[int] | None:
     quotas = tuple(quotas)
     k = len(quotas)
     adj = g.adjacency_bits
+    tables = _label_tables(g)
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     assignment = [0] * g.n
     nodes = 1
@@ -382,7 +384,7 @@ def _exact_partition_assignment(g: Graph, quotas) -> list[int] | None:
                 empty_twin = masks[j] == 0 and any(
                     masks[h] == 0 and quotas[h] == quotas[j] for h in range(j))
                 if not empty_twin and not kernels.has_clique_of_size(
-                        adj, masks[j] & adj[v], quotas[j] - 1):
+                        adj, masks[j] & adj[v], quotas[j] - 1, tables):
                     break
                 j += 1
             if j < k:
@@ -711,11 +713,12 @@ def _migrate(g: Graph, v1, v2, q: int) -> tuple[list[int], list[int]]:
     good, and a second pass would move nothing.
     """
     adj = g.adjacency_bits
+    tables = _label_tables(g)
     v2 = list(v2)
     v2mask = kernels.to_mask(v2)
     stay = []
     for v in sorted(v1):
-        if kernels.has_clique_of_size(adj, v2mask & adj[v], q - 1):
+        if kernels.has_clique_of_size(adj, v2mask & adj[v], q - 1, tables):
             stay.append(v)
         else:
             v2.append(v)
@@ -867,8 +870,9 @@ def clique_bipartition(g: Graph, p: int, q: int) -> Partition:
 
 def _parts_valid(g: Graph, v1_mask: int, v2_mask: int, p: int, q: int) -> bool:
     adj = g.adjacency_bits
-    return (not kernels.has_clique_of_size(adj, v1_mask, p)
-            and not kernels.has_clique_of_size(adj, v2_mask, q))
+    tables = _label_tables(g)
+    return (not kernels.has_clique_of_size(adj, v1_mask, p, tables)
+            and not kernels.has_clique_of_size(adj, v2_mask, q, tables))
 
 
 def _grow_to_local_max(g: Graph, v1: set[int], v2: set[int], p: int, q: int):

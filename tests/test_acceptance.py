@@ -18,6 +18,8 @@ from clique_splitter.cli import main as cli_main
 from clique_splitter.graphs import _mix
 import random
 
+from _brute import brute_dsatur, brute_omega
+
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} ({detail})")
@@ -604,3 +606,58 @@ def test_criterion_11_paper_regime_never_gives_up():
     assert calls == 216
     assert give_ups == []
     assert invalid == 0
+
+
+def test_criterion_12_thinned_products_gate():
+    # Thinned odd-cycle products: 3,000 draws from one random.Random(2),
+    # each a C_L x K_m (L in {5, 7, 9}, m in {2, 3}) that keeps each edge
+    # with probability 0.92, kept when omega <= max degree - 1 and DSatur
+    # uses more than max degree - 1 classes. Unlike criterion 10's
+    # products these graphs are not regular, and the levels leave lists
+    # open that the exact-kway fallback answers or proves. Every k = 3
+    # and k = 4 list: every answer verifies, every give-up is a proof
+    # that the kernel-free oracle confirms, and none is left open.
+    started = time.perf_counter()
+    keys = sorted((length, m) for length in (5, 7, 9) for m in (2, 3))
+    products = {key: cs.generate(cs.GeneratorRecipe(
+        "strong_product_cycle_clique", {"cycle_len": key[0], "m": key[1]})) for key in keys}
+    rng = random.Random(2)
+    graphs = []
+    for _ in range(3000):
+        full = products[keys[rng.randrange(6)]]
+        g = cs.Graph(full.n, [e for e in full.edges() if rng.random() >= 0.08])
+        room = g.max_degree - 1
+        if brute_omega(g) <= room and len(set(brute_dsatur(g))) > room:
+            graphs.append(g)
+    cases = [(g, quotas) for g in graphs for k in (3, 4)
+             for quotas in _quota_lists(g.max_degree - 1 + k, k)]
+    answers = proofs = invalid = unproven = disagreements = 0
+    for g, quotas in cases:
+        spec = cs.PartitionSpec(quotas)
+        try:
+            part = cs.kway_clique_partition(g, spec)
+        except cs.AllStrategiesExhausted as exc:
+            if not exc.proven_infeasible:
+                unproven += 1
+                continue
+            proofs += 1
+            feasible, _ = cs.exists_clique_partition(
+                g, spec, cs.OracleBudget(assignment_cap=g.n))
+            if feasible:
+                disagreements += 1
+            continue
+        answers += 1
+        if not cs.verify_partition(g, part, spec).valid:
+            invalid += 1
+    elapsed = time.perf_counter() - started
+    ok = invalid == unproven == disagreements == 0
+    _report("12 thinned-products gate", ok,
+            f"{len(graphs)} graphs, {len(cases)} quota lists, {answers} answers, "
+            f"{proofs} proofs, {invalid} invalid, {unproven} unproven give-ups, "
+            f"{disagreements} disagreements, {elapsed:.1f}s")
+    assert len(graphs) == 877
+    assert len(cases) == 2269
+    assert (answers, proofs) == (1720, 549)
+    assert invalid == 0
+    assert unproven == 0
+    assert disagreements == 0

@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 
 import clique_splitter as cs
 import clique_splitter.kernels as kernels
-from clique_splitter.cliques import _coloring_tables, _search_numbering, clique_number_within
+from clique_splitter.cliques import (
+    _coloring_tables,
+    _label_tables,
+    _search_numbering,
+    clique_number_within,
+)
 from _brute import (
     brute_clique_within,
     brute_cliques_of_size,
@@ -129,6 +134,14 @@ class TestSizeOneQueries:
     @pytest.mark.parametrize("mask, size", [(0, 2), (0b100, 2), (0b101, 3), (0b111, 4)])
     def test_too_few_vertices(self, mask, size):
         assert not kernels.has_clique_of_size(_Unreadable(), mask, size)
+
+    @pytest.mark.parametrize("size", [2.5, 2.0])
+    def test_a_size_that_is_no_integer(self, size):
+        # K3 holds a clique of 2.5 vertices or more, which a search that
+        # took the float as its target would deny; the size is read with
+        # operator.index, as PartitionSpec reads its quotas
+        with pytest.raises(TypeError):
+            kernels.has_clique_of_size([0b110, 0b101, 0b011], 0b111, size)
 
 
 class TestAllMaximumCliques:
@@ -280,6 +293,8 @@ class TestMaxClique:
 
         g = cs.generate(cs.GeneratorRecipe("random_regular", {"n": n, "d": d}, seed=4))
         assert _search_numbering(g) == (None, g.adjacency_bits, None)
+        # the decision queries in the labels share the one table
+        assert _label_tables(g) is _coloring_tables(g)
 
 
 def _reference_clique(adj, mask, labels) -> tuple[int, ...]:
@@ -287,7 +302,7 @@ def _reference_clique(adj, mask, labels) -> tuple[int, ...]:
     ``kernels.maximal_cliques``: in label order, the first vertex whose
     neighbours of larger label hold a clique of omega - 1 vertices, joined
     to the least such clique by sorted labels. Omega comes from the
-    decision search, which keeps no table of non-neighbours."""
+    decision search, on the tables it builds for the mask."""
     omega = 0
     while kernels.has_clique_of_size(adj, mask, omega + 1):
         omega += 1
@@ -390,7 +405,11 @@ class TestMaxCliqueSize:
         # perfbench's dense shape, G(120, 0.7), and a relabelled copy:
         # every mask above bit 63 of the search numbering gets the same
         # omega with the per-graph tables, with the tables built for the
-        # mask and from _brute, and no mask's omega moves with the labels
+        # mask and from _brute, and no mask's omega moves with the labels;
+        # the decision search finds a clique of omega vertices in each
+        # mask and none of omega + 1, on the same mask in the labels with
+        # _label_tables, and in the search numbering with the tables
+        # built for the mask and with none
         g = random_graph(120, 0.7, 0)
         perm = list(range(g.n))
         random.Random(1).shuffle(perm)
@@ -399,11 +418,24 @@ class TestMaxCliqueSize:
         masks = [((1 << 24) - 1) << 64, ((1 << 24) - 1) << 96]
         masks += [kernels.to_mask(rnd.sample(range(64, 120), 24)) for _ in range(4)]
         for graph in (g, h):
-            _, adj, _ = _search_numbering(graph)
+            labels, adj, _ = _search_numbering(graph)
+            omegas = {(1 << g.n) - 1: 15}
             for mask in masks:
                 omega = brute_mask_omega(adj, mask)
                 assert kernels.max_clique_size(adj, mask, _coloring_tables(graph)) == omega, mask
                 assert kernels.max_clique_size(adj, mask) == omega, mask
+                omegas[mask] = omega
+            for mask, omega in omegas.items():
+                labelled = kernels.to_mask(labels[v] for v in kernels.from_mask(mask))
+                for size in (omega, omega + 1):
+                    answers = {
+                        kernels.has_clique_of_size(
+                            graph.adjacency_bits, labelled, size, _label_tables(graph)),
+                        kernels.has_clique_of_size(
+                            adj, mask, size, kernels.coloring_tables(adj, mask)),
+                        kernels.has_clique_of_size(adj, mask, size),
+                    }
+                    assert answers == {size == omega}, (mask, size)
         for mask in masks + [(1 << g.n) - 1]:
             moved = kernels.to_mask(perm[v] for v in kernels.from_mask(mask))
             assert clique_number_within(h, moved).omega == clique_number_within(g, mask).omega
@@ -486,20 +518,29 @@ class TestCliqueCertificate:
 
     def test_reading_the_witness_searches_no_clique_number(self, monkeypatch):
         # the certificate hands its omega to max_clique, so the witness
-        # costs decision queries alone
+        # costs decision queries alone, which share one build of the
+        # colouring tables
         g = random_graph(120, 0.7, 0)
         clique_number_within.cache_clear()
         cert = cs.clique_number(g)
         calls = []
+        builds = []
         search = kernels.max_clique_size
+        build = kernels.coloring_tables
 
         def counted(*args):
             calls.append(args)
             return search(*args)
 
+        def built(*args):
+            builds.append(args)
+            return build(*args)
+
         monkeypatch.setattr(kernels, "max_clique_size", counted)
+        monkeypatch.setattr(kernels, "coloring_tables", built)
         assert cert.witness == (0, 5, 6, 17, 34, 42, 44, 46, 65, 66, 82, 85, 90, 94, 106)
         assert calls == []
+        assert len(builds) == 1
 
     def test_frozen_and_picklable(self):
         cert = clique_number_within(K(4), 0b1110)
