@@ -11,9 +11,10 @@ witness only when it is first read, since the callers check clique
 numbers and read a witness only to report a violation. The clique
 number's search runs in a numbering of the graph's vertices drawn from
 its structure, not from its labels, on colouring tables built once per
-graph; the witness is then built from the clique number by decision
-queries in label order. The partition engine's decision queries run in
-the labels, on the per-graph tables of ``_label_tables``.
+graph; the witness, and every maximum clique, are then walked from the
+clique number by decision queries in label order. The partition
+engine's decision queries run in the labels, on the per-graph tables of
+``_label_tables``.
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ class CliqueCertificate:
         g = self._graph
         if g is not None:
             labels, adj, mask = _numbered(g, self._mask)
-            object.__setattr__(self, "_witness", kernels.max_clique(adj, mask, self.omega, labels))
+            witness = next(kernels.maximum_cliques(adj, mask, self.omega, labels))
+            object.__setattr__(self, "_witness", witness)
             object.__setattr__(self, "_graph", None)
         return self._witness
 
@@ -92,13 +94,13 @@ def clique_number_within(g: Graph, mask: int) -> CliqueCertificate:
     Omega comes from ``kernels.max_clique_size``, which follows no tie
     and runs in ``_search_numbering(g)`` on ``_coloring_tables(g)``, so
     its cost does not depend on how g's vertices happen to be labelled.
-    The witness is built from omega by ``kernels.max_clique``'s decision
-    queries only when it is first read; they go in label order, so their
-    cost does depend on the labels, and no workload operation reads a
-    witness. A negative mask, or one with a bit at or above n, raises
-    ValueError.
+    The witness, the first clique of ``kernels.maximum_cliques``' walk
+    from omega, is built by decision queries only when it is first read;
+    they go in label order, so their cost does depend on the labels, and
+    no workload operation reads a witness. A negative mask, or one with
+    a bit at or above n, raises ValueError.
     """
-    if mask < 0 or mask >> g.n:
+    if mask >> g.n:
         raise ValueError(f"mask {mask:#x} is not a set of the graph's {g.n} vertices")
     _, adj, numbered = _numbered(g, mask)
     return CliqueCertificate._deferred(
@@ -173,11 +175,9 @@ def clique_number(g: Graph) -> CliqueCertificate:
 
 @lru_cache(maxsize=1024)
 def all_maximum_cliques(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Every clique of maximum size, each sorted, listed in lexicographic order."""
+    """Every clique of maximum size, each sorted, listed in lexicographic
+    order by ``kernels.maximum_cliques``' walk in the labels."""
     if g.n == 0:
         return ()
     full = (1 << g.n) - 1
-    omega = clique_number(g).omega
-    found = [kernels.from_mask(m) for m in kernels.maximal_cliques(g.adjacency_bits, full)
-             if m.bit_count() == omega]
-    return tuple(sorted(found))
+    return tuple(kernels.maximum_cliques(g.adjacency_bits, full, clique_number(g).omega))

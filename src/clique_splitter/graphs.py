@@ -256,12 +256,6 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 # Generators
 
-GENERATOR_KINDS = (
-    "complete", "cycle", "path", "gnp", "random_regular",
-    "strong_product_cycle_clique", "disjoint_union", "join_pendant_clique",
-)
-
-
 @dataclass
 class GeneratorRecipe:
     """Deterministic construction request: family kind, numeric params, seed."""

@@ -10,18 +10,19 @@ colouring (Tomita & Seki, DMTCS 2003) and takes each colouring step from
 per-vertex tables of bitsets (``coloring_tables``), as BBMC does (San
 Segundo, Rodriguez-Losada & Jimenez, Comput. Oper. Res. 2011); its cost,
 like its result, depends on the adjacency alone, not on any labels.
-``max_clique`` builds the certificate's witness, the largest clique
-whose sorted labels come first, from the clique number by decision
-queries; ``maximal_cliques`` enumerates the maximal cliques.
+``maximum_cliques`` walks the largest cliques in lexicographic order
+of their sorted labels by decision queries, given the clique number:
+its first is the certificate's witness, and all of them are the cliques
+a hitting independent set must meet.
 Every result is deterministic: it depends on the arguments alone. A
-negative mask is no set of vertices, and every search given one raises
-ValueError naming it.
+mask with a negative value or a bit at or above ``len(adj)`` is no set
+of the vertices, and every search given one raises ValueError naming it.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Sequence
+from typing import Iterator, Sequence
 
 
 def coloring_tables(adj: Sequence[int], mask: int) -> tuple[list[int], list[int], list[int]]:
@@ -43,8 +44,8 @@ def max_clique_size(adj: Sequence[int], mask: int,
     ``coloring_tables`` it keeps for it, built for every vertex; without
     them, they are built for ``mask``.
     """
-    if mask < 0:
-        raise _negative_mask(mask)
+    if mask >> len(adj):
+        raise _outside(mask, len(adj))
     tables = coloring_tables(adj, mask) if tables is None else tables
     return _search(tables, mask, 0, mask.bit_count() + 1)
 
@@ -112,51 +113,20 @@ def _search(tables: tuple[list[int], list[int], list[int]], mask: int,
     return best
 
 
-def max_clique(adj: Sequence[int], mask: int, omega: int,
-               labels: Sequence[int] | None = None) -> tuple[int, ...]:
-    """The largest clique within ``mask`` whose sorted labels come first
-    in lexicographic order, as that sorted tuple of labels, given the
-    mask's clique number ``omega`` from ``max_clique_size``; vertex i has
-    the label ``labels[i]``, or i when ``labels`` is None. The empty mask
-    gives the empty tuple. This is a certificate's witness, built only
-    when it is read.
-
-    In label order, a vertex joins when its neighbours among the
-    candidates left hold a clique of the size still wanted, and leaves
-    the candidates otherwise. These decision queries share one build of
-    ``coloring_tables``; their cost, unlike ``max_clique_size``'s,
-    depends on the labels. No workload operation reads a witness.
-    """
-    label = range(len(adj)) if labels is None else labels
-    tables = coloring_tables(adj, mask)
-    found = []
-    cand = mask
-    for v in sorted(from_mask(mask), key=label.__getitem__):
-        if cand >> v & 1:
-            sub = cand & adj[v]
-            if has_clique_of_size(adj, sub, omega - len(found) - 1, tables):
-                found.append(label[v])
-                cand = sub
-            else:
-                # v is in no clique of the size wanted; drop it.
-                cand ^= 1 << v
-    return tuple(found)
-
-
 def has_clique_of_size(adj: Sequence[int], mask: int, size: int,
                        tables: tuple[list[int], list[int], list[int]] | None = None) -> bool:
     """True iff ``mask`` contains a clique with at least ``size`` vertices.
 
     Sizes up to 1, and masks with fewer than ``size`` vertices, are
-    answered from the mask alone. Otherwise the colouring search starts
-    from a floor of ``size - 1``, so it prunes every branch whose colour
-    bound cannot reach ``size``, and stops at the first clique of
-    ``size`` vertices. ``tables`` are as for ``max_clique_size``. A size
+    answered from the mask and ``len(adj)`` alone. Otherwise the
+    colouring search starts from a floor of ``size - 1``, so it prunes
+    every branch whose colour bound cannot reach ``size``, and stops at
+    the first clique of ``size`` vertices. ``tables`` are as for ``max_clique_size``. A size
     that is no integer raises TypeError.
     """
     size = operator.index(size)
-    if mask < 0:
-        raise _negative_mask(mask)
+    if mask >> len(adj):
+        raise _outside(mask, len(adj))
     if size <= 0:
         return True
     if mask.bit_count() < size:
@@ -167,40 +137,43 @@ def has_clique_of_size(adj: Sequence[int], mask: int, size: int,
     return _search(tables, mask, size - 1, size) >= size
 
 
-def maximal_cliques(adj: Sequence[int], mask: int) -> list[int]:
-    """All maximal cliques within ``mask`` as bitsets (Bron-Kerbosch with
-    the max-degree pivot), in a deterministic order."""
-    if mask < 0:
-        raise _negative_mask(mask)
-    out: list[int] = []
+def maximum_cliques(adj: Sequence[int], mask: int, omega: int,
+                    labels: Sequence[int] | None = None) -> Iterator[tuple[int, ...]]:
+    """Every clique of ``omega`` vertices within ``mask``, given the
+    mask's clique number ``omega`` from ``max_clique_size``, each as its
+    sorted tuple of labels, in lexicographic order; vertex i has the
+    label ``labels[i]``, or i when ``labels`` is None. The empty mask
+    gives the empty tuple alone. The first is a certificate's witness,
+    built only when it is read.
 
-    def bk(r: int, p: int, x: int) -> None:
-        if not p and not x:
-            out.append(r)
+    At each node of the walk, in label order, a candidate joins the
+    clique, and the walk goes on within its neighbours among the
+    candidates left, when they hold a clique of the size still wanted;
+    either way it then leaves the candidates, so no clique comes twice.
+    These decision queries share one build of ``coloring_tables``; their
+    cost, unlike ``max_clique_size``'s, depends on the labels. No
+    workload operation reads a witness. The mask is checked at the call,
+    not at the first clique.
+    """
+    if mask >> len(adj):
+        raise _outside(mask, len(adj))
+    label = range(len(adj)) if labels is None else labels
+    tables = coloring_tables(adj, mask)
+    found: list[int] = []
+
+    def walk(cand: int, wanted: int) -> Iterator[tuple[int, ...]]:
+        if not wanted:
+            yield tuple(found)
             return
-        pux = p | x
-        pivot = -1
-        pivot_cnt = -1
-        t = pux
-        while t:
-            u = (t & -t).bit_length() - 1
-            t &= t - 1
-            c = (p & adj[u]).bit_count()
-            if c > pivot_cnt:
-                pivot_cnt = c
-                pivot = u
-        ext = p & ~adj[pivot]
-        while ext:
-            v = (ext & -ext).bit_length() - 1
-            bit = 1 << v
-            ext &= ext - 1
-            bk(r | bit, p & adj[v], x & adj[v])
-            p &= ~bit
-            x |= bit
+        for v in sorted(from_mask(cand), key=label.__getitem__):
+            sub = cand & adj[v]
+            if has_clique_of_size(adj, sub, wanted - 1, tables):
+                found.append(label[v])
+                yield from walk(sub, wanted - 1)
+                found.pop()
+            cand ^= 1 << v
 
-    if mask:
-        bk(0, mask, 0)
-    return out
+    return walk(mask, omega)
 
 
 def to_mask(vertices) -> int:
@@ -208,6 +181,10 @@ def to_mask(vertices) -> int:
     for v in vertices:
         mask |= 1 << v
     return mask
+
+
+def _outside(mask: int, n: int) -> ValueError:
+    return ValueError(f"mask {mask:#x} is not a set of the {n} vertices")
 
 
 def _negative_mask(mask: int) -> ValueError:

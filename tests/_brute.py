@@ -64,6 +64,41 @@ def brute_maximum_cliques(g: Graph) -> list[tuple[int, ...]]:
     return brute_cliques_of_size(g, omega)
 
 
+def brute_maximal_cliques(adj, mask: int) -> list[int]:
+    """All maximal cliques within the vertex bitset ``mask`` of the
+    neighbour bitsets ``adj``, as bitsets (Bron & Kerbosch, CACM 1973,
+    with the max-degree pivot), in a deterministic order."""
+    out: list[int] = []
+
+    def bk(r: int, p: int, x: int) -> None:
+        if not p and not x:
+            out.append(r)
+            return
+        pux = p | x
+        pivot = -1
+        pivot_cnt = -1
+        t = pux
+        while t:
+            u = (t & -t).bit_length() - 1
+            t &= t - 1
+            c = (p & adj[u]).bit_count()
+            if c > pivot_cnt:
+                pivot_cnt = c
+                pivot = u
+        ext = p & ~adj[pivot]
+        while ext:
+            v = (ext & -ext).bit_length() - 1
+            bit = 1 << v
+            ext &= ext - 1
+            bk(r | bit, p & adj[v], x & adj[v])
+            p &= ~bit
+            x |= bit
+
+    if mask:
+        bk(0, mask, 0)
+    return out
+
+
 def brute_clique_within(g: Graph, members) -> tuple[int, tuple[int, ...]]:
     """(omega, lexicographically smallest maximum clique) of the subgraph
     induced by ``members``, built from its edge list, with the clique

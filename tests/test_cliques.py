@@ -20,6 +20,7 @@ from _brute import (
     brute_clique_within,
     brute_cliques_of_size,
     brute_mask_omega,
+    brute_maximal_cliques,
     brute_maximum_cliques,
     brute_omega,
     is_clique,
@@ -115,7 +116,11 @@ class TestCliqueNumberWithin:
 
 
 class _Unreadable:
-    """An ``adj`` whose bitsets must not be read."""
+    """An ``adj`` of three vertices whose bitsets must not be read; its
+    length bounds the masks a query accepts."""
+
+    def __len__(self):
+        return 3
 
     def __getitem__(self, v):
         raise AssertionError(f"query read adj[{v}]")
@@ -123,7 +128,7 @@ class _Unreadable:
 
 class TestSizeOneQueries:
     """Sizes up to 1, and masks with fewer than ``size`` vertices, are
-    answered from the mask alone."""
+    answered from the mask and the number of vertices alone."""
 
     @pytest.mark.parametrize("mask", [0, 1, 0b100, 0b111])
     def test_answered_from_the_mask_alone(self, mask):
@@ -178,7 +183,7 @@ class TestCliquesBySize:
     def test_matches_brute_for_all_sizes(self, g):
         adj = g.adjacency_bits
         full = (1 << g.n) - 1
-        maximal = kernels.maximal_cliques(adj, full)
+        maximal = brute_maximal_cliques(adj, full)
         for t in range(1, min(g.n, 6) + 1):
             found = brute_cliques_of_size(g, t)
             assert kernels.has_clique_of_size(adj, full, t) == bool(found)
@@ -245,8 +250,8 @@ def _label_reference(adj, mask, labels) -> tuple[int, ...]:
 
 
 class TestMaxClique:
-    """``max_clique`` returns the largest clique whose sorted labels come
-    first, whatever numbering the search runs in."""
+    """The first clique of ``maximum_cliques`` is the largest clique whose
+    sorted labels come first, whatever numbering the search runs in."""
 
     @given(bitset_graphs(max_n=11), st.randoms(use_true_random=False))
     @settings(max_examples=120, deadline=None)
@@ -255,8 +260,10 @@ class TestMaxClique:
         labels = list(range(len(adj)))
         rnd.shuffle(labels)
         omega = kernels.max_clique_size(adj, mask)
-        assert kernels.max_clique(adj, mask, omega, labels) == _label_reference(adj, mask, labels)
-        assert kernels.max_clique(adj, mask, omega) == _label_reference(adj, mask, range(len(adj)))
+        assert next(kernels.maximum_cliques(adj, mask, omega, labels)) == _label_reference(
+            adj, mask, labels)
+        assert next(kernels.maximum_cliques(adj, mask, omega)) == _label_reference(
+            adj, mask, range(len(adj)))
 
     def test_many_largest_cliques(self):
         # The complement of a perfect matching on 60 vertices has 2^30
@@ -299,7 +306,7 @@ class TestMaxClique:
 
 def _reference_clique(adj, mask, labels) -> tuple[int, ...]:
     """The largest clique within mask whose sorted labels come first, from
-    ``kernels.maximal_cliques``: in label order, the first vertex whose
+    ``_brute.brute_maximal_cliques``: in label order, the first vertex whose
     neighbours of larger label hold a clique of omega - 1 vertices, joined
     to the least such clique by sorted labels. Omega comes from the
     decision search, on the tables it builds for the mask."""
@@ -311,7 +318,7 @@ def _reference_clique(adj, mask, labels) -> tuple[int, ...]:
             return (labels[v],)
         later = kernels.to_mask(u for u in kernels.from_mask(mask & adj[v]) if labels[u] > labels[v])
         found = [tuple(sorted(labels[u] for u in kernels.from_mask(c)))
-                 for c in kernels.maximal_cliques(adj, later) if c.bit_count() == omega - 1]
+                 for c in brute_maximal_cliques(adj, later) if c.bit_count() == omega - 1]
         if found:
             return (labels[v],) + min(found)
     return ()
@@ -321,11 +328,11 @@ LARGE_GRAPHS = [(65, 0.6, 0), (100, 0.45, 1), (150, 0.35, 2), (200, 0.3, 3)]
 
 
 class TestMaxCliqueLarge:
-    """``max_clique`` on 65 to 200 vertices, whose bitsets span several
-    machine words, against the reference from the maximal cliques; given
-    the clique number ``max_clique_size`` finds with the per-graph tables
-    of ``cliques._coloring_tables`` and with the ones it builds for the
-    mask when none are passed."""
+    """The first clique of ``maximum_cliques`` on 65 to 200 vertices,
+    whose bitsets span several machine words, against the reference from
+    the maximal cliques; given the clique number ``max_clique_size``
+    finds with the per-graph tables of ``cliques._coloring_tables`` and
+    with the ones it builds for the mask when none are passed."""
 
     @pytest.mark.parametrize("order", ["own", "shuffled", "reversed"], ids=lambda o: f"{o}-labels")
     @pytest.mark.parametrize("n, p, seed", LARGE_GRAPHS)
@@ -343,9 +350,9 @@ class TestMaxCliqueLarge:
         expected = {mask: _reference_clique(adj, mask, labels) for mask in masks}
         for mask in masks:
             omega = kernels.max_clique_size(adj, mask)
-            assert kernels.max_clique(adj, mask, omega, labels) == expected[mask]
+            assert next(kernels.maximum_cliques(adj, mask, omega, labels)) == expected[mask]
             omega = kernels.max_clique_size(adj, mask, _coloring_tables(g))
-            assert kernels.max_clique(adj, mask, omega, labels) == expected[mask]
+            assert next(kernels.maximum_cliques(adj, mask, omega, labels)) == expected[mask]
 
     def test_dense_whole_graph(self):
         # shaped like the graphs of perfbench's dense workload, with 47
@@ -356,7 +363,47 @@ class TestMaxCliqueLarge:
         expected = _reference_clique(g.adjacency_bits, full, range(g.n))
         assert len(expected) == 15
         assert cs.clique_number(g).witness == expected
-        assert kernels.max_clique(g.adjacency_bits, full, len(expected)) == expected
+        assert next(kernels.maximum_cliques(g.adjacency_bits, full, len(expected))) == expected
+
+
+def _maximum_reference(adj, mask, labels) -> list[tuple[int, ...]]:
+    """Every largest clique within mask, as its sorted tuple of labels, in
+    lexicographic order: the largest of ``_brute.brute_maximal_cliques``."""
+    found = brute_maximal_cliques(adj, mask)
+    omega = max(c.bit_count() for c in found)
+    return sorted(tuple(sorted(labels[v] for v in kernels.from_mask(c)))
+                  for c in found if c.bit_count() == omega)
+
+
+class TestMaximumCliquesLarge:
+    """``maximum_cliques`` lists every largest clique, in lexicographic
+    order, on graphs whose bitsets span several machine words, against
+    the largest of the maximal cliques; on the whole graph in its labels
+    through ``all_maximum_cliques``, and on random masks in the search
+    numbering's."""
+
+    @pytest.mark.parametrize("order", ["own", "shuffled"], ids=lambda o: f"{o}-labels")
+    @pytest.mark.parametrize("recipe", [
+        *(cs.GeneratorRecipe("gnp", {"n": n, "p": p}, seed=seed) for n, p, seed in LARGE_GRAPHS),
+        cs.GeneratorRecipe("random_regular", {"n": 1000, "d": 14}, seed=0),
+    ], ids=lambda r: f"{r.kind}-{r.params['n']}")
+    def test_matches_the_maximal_cliques(self, recipe, order):
+        g = cs.generate(recipe)
+        rnd = random.Random(recipe.seed)
+        if order == "shuffled":
+            perm = list(range(g.n))
+            rnd.shuffle(perm)
+            g = cs.Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        found = cs.all_maximum_cliques(g)
+        assert list(found) == sorted(found)
+        assert list(found) == _maximum_reference(g.adjacency_bits, (1 << g.n) - 1, range(g.n))
+        labels, adj, _ = _search_numbering(g)
+        labels = range(g.n) if labels is None else labels
+        for _ in range(20):
+            mask = kernels.to_mask(rnd.sample(range(g.n), g.n // 2))
+            expected = _maximum_reference(adj, mask, labels)
+            omega = len(expected[0])
+            assert list(kernels.maximum_cliques(adj, mask, omega, labels)) == expected, mask
 
 
 class TestMaxCliqueSize:
@@ -456,10 +503,10 @@ class TestMasksOutsideTheGraph:
         lambda adj, mask: kernels.has_clique_of_size(adj, mask, 2),
         lambda adj, mask: kernels.has_clique_of_size(adj, mask, 0),
         kernels.max_clique_size,
-        kernels.maximal_cliques,
+        lambda adj, mask: kernels.maximum_cliques(adj, mask, 2),
     ], ids=["has_clique_of_size", "has_clique_of_size-0", "max_clique_size",
-            "maximal_cliques"])
-    @pytest.mark.parametrize("mask", [-1, -2, -(1 << 10)])
+            "maximum_cliques"])
+    @pytest.mark.parametrize("mask", [-1, -2, -(1 << 10), 1 << 10, (1 << 11) - 1])
     def test_kernel_searches_of_a_negative_mask(self, search, mask):
         # (-1).bit_count() is 1, yet -1 is no one-vertex set
         adj = cs.generate(cs.GeneratorRecipe("gnp", {"n": 10, "p": 0.5}, seed=1)).adjacency_bits
@@ -517,7 +564,7 @@ class TestCliqueCertificate:
         assert second.witness == brute_clique_within(g, range(g.n))[1]
 
     def test_reading_the_witness_searches_no_clique_number(self, monkeypatch):
-        # the certificate hands its omega to max_clique, so the witness
+        # the certificate hands its omega to maximum_cliques, so the witness
         # costs decision queries alone, which share one build of the
         # colouring tables
         g = random_graph(120, 0.7, 0)

@@ -17,7 +17,7 @@ LAYERS = ("graphs", "kernels", "cliques", "partition", "oracle")
 
 
 @pytest.mark.parametrize(
-    "name", ["has_clique_of_size", "max_clique", "max_clique_size", "maximal_cliques"])
+    "name", ["has_clique_of_size", "max_clique_size", "maximum_cliques"])
 def test_kernels_are_defined_in_kernels(name):
     assert getattr(kernels, name).__module__ == "clique_splitter.kernels"
 

@@ -972,13 +972,13 @@ class TestKwayCliquePartition:
     @staticmethod
     def _count_witness_searches(monkeypatch) -> list:
         masks = []
-        search = kernels.max_clique
+        search = kernels.maximum_cliques
 
         def counted(adj, mask, *args):
             masks.append(mask)
             return search(adj, mask, *args)
 
-        monkeypatch.setattr(kernels, "max_clique", counted)
+        monkeypatch.setattr(kernels, "maximum_cliques", counted)
         clique_number_within.cache_clear()
         return masks
 
