@@ -14,12 +14,32 @@ assignment, parts, strategy string, certificates and verification report
 of an answer, or the class, message, diagnostics, depth and proof flag
 of a raised error.
 
+A third corpus, ``tools``, also outside ``all`` and seed-free, calls the
+standalone tools instead of ``kway_clique_partition``:
+
+- ``detect_cycle_clique_product`` on C_L x K_m for L from 3 to 23 and m
+  from 1 to 5, each also relabelled, minus one edge, plus an isolated
+  vertex, and as two and three disjoint copies, and on 200 G(n, p) and
+  200 random regular graphs of up to 60 vertices (1,030 calls);
+- ``max_kpfree_partition`` with every p >= q >= 1, p + q = max degree
+  + 1, on 600 thinnings of C_L x K_m, L in {9, 11, 13, 15} and m in
+  {2, 3, 4}, each edge kept with probability 0.92 (2,639 calls);
+- ``hitting_independent_set`` on cliques with a few attached vertices,
+  G(n, p) up to 100 vertices, C_L x K_m plus an isolated vertex and
+  random regular graphs up to 500 vertices (295 calls), every one of
+  which ends within the search's node budget.
+
+A partition is recorded as above with its certificate string last, and
+any other result as one plain-data field after "solved".
+
     # record the outputs of the package under another checkout's src/
     python3 benchmarks/compare_outputs.py --workload all --src ../parent/src --out parent.pkl
     # run this checkout's package and compare, operation by operation
     python3 benchmarks/compare_outputs.py --workload all --against parent.pkl
     python3 benchmarks/compare_outputs.py --workload products --src ../parent/src --out p.pkl
     python3 benchmarks/compare_outputs.py --workload products --against p.pkl
+    python3 benchmarks/compare_outputs.py --workload tools --src ../parent/src --out t.pkl
+    python3 benchmarks/compare_outputs.py --workload tools --against t.pkl
 
 With ``--against``, a difference prints, for each workload, the number
 of differing operations split into four kinds, gravest first:
@@ -42,8 +62,10 @@ exit code is 1. Only load files this script wrote: they are pickles.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import pickle
+import random
 import sys
 from pathlib import Path
 
@@ -53,17 +75,24 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import inputs  # noqa: E402
 
 
+def _raised(exc) -> tuple:
+    return ("raised", type(exc).__name__, str(exc),
+            sorted(getattr(exc, "diagnostics", {}).items()),
+            getattr(exc, "depth", None), getattr(exc, "proven_infeasible", None))
+
+
+def _solved(part, last) -> tuple:
+    return ("solved", part.assignment, part.parts, part.strategy,
+            tuple((c.omega, c.witness) for c in part.certificates), last)
+
+
 def _record(cs, g, spec) -> tuple:
     try:
         part = cs.kway_clique_partition(g, spec)
         report = cs.verify_partition(g, part, spec)
     except cs.CliqueSplitterError as exc:
-        return ("raised", type(exc).__name__, str(exc),
-                sorted(getattr(exc, "diagnostics", {}).items()),
-                getattr(exc, "depth", None), getattr(exc, "proven_infeasible", None))
-    return ("solved", part.assignment, part.parts, part.strategy,
-            tuple((c.omega, c.witness) for c in part.certificates),
-            (report.part_omegas, report.valid, report.violations))
+        return _raised(exc)
+    return _solved(part, (report.part_omegas, report.valid, report.violations))
 
 
 def record_workload(cs, name: str, seed: int) -> list:
@@ -95,6 +124,118 @@ def record_products(cs) -> list:
             for quotas in product_quota_lists(g.max_degree):
                 out.append((f"C{length}xK{m}", quotas,
                             _record(cs, g, cs.PartitionSpec(quotas))))
+    return out
+
+
+TOOLS = "tools"
+
+
+def _record_tool(cs, name: str, g, args=()) -> tuple:
+    """The record of one call of a standalone tool: a partition is kept
+    as ``_record`` keeps one, with the certificate string last, and any
+    other result as one plain-data field."""
+    try:
+        res = getattr(cs, name)(g, *args)
+    except cs.CliqueSplitterError as exc:
+        return _raised(exc)
+    if isinstance(res, cs.MaxKpfreeResult):
+        return _solved(res.partition, res.certificate)
+    if isinstance(res, cs.HittingSetResult):
+        res = dataclasses.astuple(res)
+    return ("solved", res)
+
+
+def _cycle_product(cs, length: int, m: int):
+    return cs.strong_product(cs.generate(cs.GeneratorRecipe("cycle", {"n": length})),
+                             cs.generate(cs.GeneratorRecipe("complete", {"n": m})))
+
+
+def recognizer_graphs(cs):
+    """(label, graph) pairs: C_L x K_m for L from 3 to 23 and m from 1 to
+    5, each also relabelled, minus one edge, plus an isolated vertex, and
+    as two and as three disjoint copies; then 200 G(n, p) and 200 random
+    regular graphs of degree 3m - 1, n up to 60."""
+    rng = random.Random(25)
+    for length in range(3, 24):
+        for m in range(1, 6):
+            g = _cycle_product(cs, length, m)
+            edges = g.edges()
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            cut = rng.randrange(len(edges))
+            name = f"C{length}xK{m}"
+            yield name, g
+            yield name + " relabelled", cs.Graph(g.n, [(perm[u], perm[v]) for u, v in edges])
+            yield name + " minus an edge", cs.Graph(g.n, edges[:cut] + edges[cut + 1:])
+            yield name + " plus a vertex", cs.Graph(g.n + 1, edges)
+            yield name + " twice", cs.disjoint_union(g, g)
+            yield name + " three times", cs.disjoint_union(cs.disjoint_union(g, g), g)
+    for seed in range(200):
+        n, p = rng.randint(5, 60), rng.choice((0.1, 0.3, 0.5, 0.8))
+        yield f"gnp:{n},{p} seed {seed}", cs.generate(
+            cs.GeneratorRecipe("gnp", {"n": n, "p": p}, seed=seed))
+    for seed in range(200):
+        d = rng.choice((2, 5, 8, 11, 14))
+        n = rng.randint(d + 1, 60)
+        n += n * d % 2
+        yield f"regular:{n},{d} seed {seed}", cs.generate(
+            cs.GeneratorRecipe("random_regular", {"n": n, "d": d}, seed=seed))
+
+
+def thinned_products(cs):
+    """600 (label, graph) pairs drawn from one ``random.Random(2)``:
+    C_L x K_m for L in {9, 11, 13, 15} and m in {2, 3, 4}, keeping each
+    edge when ``rng.random() >= 0.08``."""
+    rng = random.Random(2)
+    for i in range(600):
+        length, m = rng.choice((9, 11, 13, 15)), rng.choice((2, 3, 4))
+        full = _cycle_product(cs, length, m)
+        yield f"C{length}xK{m} thinning {i}", cs.Graph(
+            full.n, [e for e in full.edges() if rng.random() >= 0.08])
+
+
+def hitting_graphs(cs):
+    """(label, graph) pairs on which ``hitting_independent_set`` ends
+    within its budget: 100 cliques of 7 to 12 vertices with up to four
+    vertices attached to one or two earlier ones; G(n, p) for n from 10
+    to 100; C_L x K_m plus an isolated vertex; random regular graphs of
+    up to 500 vertices."""
+    for seed in range(100):
+        rng = random.Random(seed)
+        m, extras = rng.randint(7, 12), rng.randint(0, 4)
+        edges = list(itertools.combinations(range(m), 2))
+        for v in range(m, m + extras):
+            edges += [(t, v) for t in rng.sample(range(v), k=min(v, rng.randint(1, 2)))]
+        yield f"K{m} with {extras} attached", cs.Graph(m + extras, edges)
+    for n in range(10, 101, 10):
+        for p in (0.1, 0.3, 0.5, 0.7):
+            for seed in range(3):
+                yield f"gnp:{n},{p} seed {seed}", cs.generate(
+                    cs.GeneratorRecipe("gnp", {"n": n, "p": p}, seed=seed))
+    for length in range(5, 14, 2):
+        for m in range(1, 4):
+            g = _cycle_product(cs, length, m)
+            yield f"C{length}xK{m} plus a vertex", cs.Graph(g.n + 1, g.edges())
+    for n in (20, 50, 100, 200, 500):
+        for d in (3, 6, 10, 14):
+            for seed in range(3):
+                yield f"regular:{n},{d} seed {seed}", cs.generate(
+                    cs.GeneratorRecipe("random_regular", {"n": n, "d": d}, seed=seed))
+
+
+def record_tools(cs) -> list:
+    """[(label, arguments after the graph, record)] over the tools corpus."""
+    out = [(f"detect_cycle_clique_product {label}", (),
+            _record_tool(cs, "detect_cycle_clique_product", g))
+           for label, g in recognizer_graphs(cs)]
+    for label, g in thinned_products(cs):
+        delta = g.max_degree
+        for q in range(1, (delta + 1) // 2 + 1):
+            out.append((f"max_kpfree_partition {label}", (delta + 1 - q, q),
+                        _record_tool(cs, "max_kpfree_partition", g, (delta + 1 - q, q))))
+    out += [(f"hitting_independent_set {label}", (),
+             _record_tool(cs, "hitting_independent_set", g))
+            for label, g in hitting_graphs(cs)]
     return out
 
 
@@ -160,7 +301,7 @@ def compare(ours: dict, theirs: dict) -> tuple[list[str], str | None]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", default="all",
-                        choices=("all",) + inputs.WORKLOADS + (PRODUCTS,))
+                        choices=("all",) + inputs.WORKLOADS + (PRODUCTS, TOOLS))
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the clique_splitter package to run")
@@ -177,8 +318,12 @@ def main(argv=None) -> int:
     names = inputs.WORKLOADS if args.workload == "all" else (args.workload,)
     recorded = {}
     for name in names:
-        recorded[name] = (record_products(cs) if name == PRODUCTS
-                          else record_workload(cs, name, args.seed))
+        if name == PRODUCTS:
+            recorded[name] = record_products(cs)
+        elif name == TOOLS:
+            recorded[name] = record_tools(cs)
+        else:
+            recorded[name] = record_workload(cs, name, args.seed)
         print(f"{name}: {len(recorded[name])} operations", file=sys.stderr)
     if args.out is not None:
         with open(args.out, "wb") as fh:

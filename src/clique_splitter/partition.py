@@ -31,6 +31,7 @@ import itertools
 import logging
 import operator
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -551,49 +552,27 @@ def degree_bounded_bipartition(g: Graph, p: int, q: int) -> Partition:
 
 def detect_cycle_clique_product(g: Graph):
     """Recognize strong products of an odd cycle (length >= 5) with a
-    complete graph, via true-twin modules and their quotient.
+    complete graph, by counting its true-twin classes.
 
     Returns (cycle_len, m) or None.
     """
     n = g.n
-    if n < 5:
-        return None
     deg = g.max_degree
-    if g.min_degree != deg or (deg + 1) % 3 != 0:
+    if n < 5 or g.min_degree != deg or (deg + 1) % 3 != 0:
         return None
     m = (deg + 1) // 3
     adj = g.adjacency_bits
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(adj[v] | (1 << v), []).append(v)
-    classes = list(groups.values())
-    length = len(classes)
+    sizes = Counter(adj[v] | (1 << v) for v in range(n))  # class size by closed neighbourhood
+    length = len(sizes)
     if length < 5 or length % 2 == 0 or length * m != n:
         return None
-    if any(len(c) != m for c in classes):
+    if any(size != m for size in sizes.values()):
         return None
-    reps = [c[0] for c in classes]
-    quotient = [set() for _ in range(length)]
-    for i in range(length):
-        for j in range(i + 1, length):
-            if g.has_edge(reps[i], reps[j]):
-                for u in classes[i]:
-                    for w in classes[j]:
-                        if not g.has_edge(u, w):
-                            return None
-                quotient[i].add(j)
-                quotient[j].add(i)
-    if any(len(s) != 2 for s in quotient):
-        return None
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        i = frontier.pop()
-        for j in quotient[i]:
-            if j not in seen:
-                seen.add(j)
-                frontier.append(j)
-    if len(seen) != length:
+    # True twins form a module: a neighbour of one twin is a neighbour of
+    # every twin. So each vertex's 3m - 1 neighbours are its m - 1 twins
+    # and two whole classes of m, the quotient on the classes is
+    # 2-regular, and it is one cycle exactly when g is connected.
+    if _component_mask(adj, 0) != _full_mask(n):
         return None
     return (length, m)
 
@@ -605,7 +584,9 @@ def hitting_independent_set(g: Graph) -> HittingSetResult:
     Outcomes: exception when the graph is a recognized odd-cycle strong
     product, which has no transversal (checked first, before any search);
     found (with certificate); not_found when the complete search proves
-    no transversal exists.
+    no transversal exists. The search raises BudgetExceededError once it
+    has visited EXACT_NODES nodes; the walk that lists the maximum
+    cliques before it has no budget.
     """
     det = detect_cycle_clique_product(g)
     if det is not None:
@@ -621,9 +602,13 @@ def hitting_independent_set(g: Graph) -> HittingSetResult:
     adj = g.adjacency_bits
     clique_masks = [kernels.to_mask(c) for c in cliques]
 
-    found: list[int | None] = [None]
+    nodes = 0
 
-    def search(chosen: int, forbidden: int) -> bool:
+    def search(chosen: int, forbidden: int) -> int | None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > EXACT_NODES:
+            raise BudgetExceededError(f"stopped after {EXACT_NODES} nodes")
         best_opts = -1
         best_cnt = -1
         for cm in clique_masks:
@@ -632,26 +617,26 @@ def hitting_independent_set(g: Graph) -> HittingSetResult:
             opts = cm & ~forbidden
             cnt = opts.bit_count()
             if cnt == 0:
-                return False
+                return None
             if best_cnt < 0 or cnt < best_cnt:
                 best_cnt = cnt
                 best_opts = opts
                 if cnt == 1:
                     break
         if best_cnt < 0:
-            found[0] = chosen
-            return True
+            return chosen
         opts = best_opts
         while opts:
             v = (opts & -opts).bit_length() - 1
             opts &= opts - 1
             bit = 1 << v
-            if search(chosen | bit, forbidden | adj[v] | bit):
-                return True
-        return False
+            found = search(chosen | bit, forbidden | adj[v] | bit)
+            if found is not None:
+                return found
+        return None
 
-    if search(0, 0):
-        mask = found[0]
+    mask = search(0, 0)
+    if mask is not None:
         after = clique_number_within(g, _full_mask(g.n) & ~mask).omega
         if after != omega - 1:
             raise SearchFailureError(
@@ -875,40 +860,23 @@ def _parts_valid(g: Graph, v1_mask: int, v2_mask: int, p: int, q: int) -> bool:
             and not kernels.has_clique_of_size(adj, v2_mask, q, tables))
 
 
-def _grow_to_local_max(g: Graph, v1: set[int], v2: set[int], p: int, q: int):
-    """Enlarge V1 while both sides stay valid: single pulls from V2, then
-    2-in-1-out exchanges. Stops when neither move applies."""
-    adj = g.adjacency_bits
-    v1_mask = kernels.to_mask(v1)
-    v2_mask = kernels.to_mask(v2)
+def _grow_to_local_max(g: Graph, v1: int, v2: int, p: int, q: int) -> tuple[int, int]:
+    """Enlarge V1 while both sides stay valid, V1 and V2 as bitsets. Each
+    round makes the first valid move of one sequence: single pulls, a in
+    V2 ascending, then 2-in-1-out exchanges, (a, b) in combinations of V2
+    ascending, each with c in V1 ascending. Stops when no move applies,
+    or after 400 rounds."""
     for _ in range(400):
-        grown = False
-        for v in sorted(v2):
-            nm1 = v1_mask | (1 << v)
-            nm2 = v2_mask & ~(1 << v)
-            if _parts_valid(g, nm1, nm2, p, q):
-                v1.add(v)
-                v2.discard(v)
-                v1_mask, v2_mask = nm1, nm2
-                grown = True
+        in1, in2 = kernels.from_mask(v1), kernels.from_mask(v2)
+        moves = itertools.chain(  # (bits into V1, bits out of V1)
+            ((1 << a, 0) for a in in2),
+            ((1 << a | 1 << b, 1 << c) for a, b in itertools.combinations(in2, 2) for c in in1))
+        for into, out in moves:
+            w1, w2 = (v1 | into) & ~out, (v2 | out) & ~into
+            if _parts_valid(g, w1, w2, p, q):
+                v1, v2 = w1, w2
                 break
-        if grown:
-            continue
-        for a, b in itertools.combinations(sorted(v2), 2):
-            for c in sorted(v1):
-                nm1 = (v1_mask | (1 << a) | (1 << b)) & ~(1 << c)
-                nm2 = (v2_mask | (1 << c)) & ~((1 << a) | (1 << b))
-                if _parts_valid(g, nm1, nm2, p, q):
-                    v1 |= {a, b}
-                    v1.discard(c)
-                    v2 |= {c}
-                    v2 -= {a, b}
-                    v1_mask, v2_mask = nm1, nm2
-                    grown = True
-                    break
-            if grown:
-                break
-        if not grown:
+        else:
             break
     return v1, v2
 
@@ -952,6 +920,7 @@ def max_kpfree_partition(g: Graph, p: int, q: int) -> MaxKpfreeResult:
         part = partition_from_parts(g, [list(range(n)), []], strategy="maxfree-local")
         return MaxKpfreeResult(part, "local")
     bip = clique_bipartition(g, p, q)
-    v1, v2 = _grow_to_local_max(g, set(bip.parts[0]), set(bip.parts[1]), p, q)
-    part = partition_from_parts(g, [sorted(v1), sorted(v2)], strategy="maxfree-local")
+    v1, v2 = _grow_to_local_max(g, *map(kernels.to_mask, bip.parts), p, q)
+    part = partition_from_parts(
+        g, [kernels.from_mask(v1), kernels.from_mask(v2)], strategy="maxfree-local")
     return MaxKpfreeResult(part, "local")

@@ -345,18 +345,39 @@ class TestHittingIndependentSet:
         res = cs.hitting_independent_set(g)
         assert res.outcome == "not_found"
 
+    def test_search_stops_at_the_node_budget(self, monkeypatch):
+        # C9 x K3 plus an isolated vertex has no transversal and is no
+        # product; proving so takes the search 241 nodes
+        g = cs.Graph(28, strong(9, 3).edges())
+        assert cs.hitting_independent_set(g).outcome == "not_found"
+        monkeypatch.setattr(partition, "EXACT_NODES", 100)
+        with pytest.raises(cs.BudgetExceededError, match="stopped after 100 nodes"):
+            cs.hitting_independent_set(g)
+
 
 class TestDetectCycleCliqueProduct:
-    @pytest.mark.parametrize("length,m", [(5, 1), (5, 2), (7, 3), (9, 2)])
-    def test_recognizes_products(self, length, m):
-        assert cs.detect_cycle_clique_product(strong(length, m)) == (length, m)
+    @pytest.mark.parametrize("length,m,seed", [
+        pytest.param(5, 1, None, id="5-1"), pytest.param(5, 2, None, id="5-2"),
+        pytest.param(7, 3, None, id="7-3"), pytest.param(9, 2, None, id="9-2"),
+        pytest.param(7, 3, 0, id="7-3-relabelled"), pytest.param(11, 4, 1, id="11-4-relabelled"),
+    ])
+    def test_recognizes_products(self, length, m, seed):
+        g = strong(length, m)
+        if seed is not None:
+            perm = list(range(g.n))
+            random.Random(seed).shuffle(perm)
+            g = cs.Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        assert cs.detect_cycle_clique_product(g) == (length, m)
 
     @pytest.mark.parametrize("g", [
         petersen(), K(6), C(4), C(3),
         gnp(12, 0.5, 0), gnp(10, 0.3, 1),
         regular(12, 5, 0),
         cs.generate(cs.GeneratorRecipe("path", {"n": 9})),
-    ], ids=["petersen", "K6", "C4", "C3", "gnp12", "gnp10", "regular", "path"])
+        # 15 twin classes of one vertex each, 2-regular: only the
+        # connectivity check rejects it
+        cs.disjoint_union(cs.disjoint_union(C(5), C(5)), C(5)),
+    ], ids=["petersen", "K6", "C4", "C3", "gnp12", "gnp10", "regular", "path", "three-C5"])
     def test_rejects_non_products(self, g):
         assert cs.detect_cycle_clique_product(g) is None
 
@@ -1307,12 +1328,19 @@ class TestMaxKpfreePartition:
         assert res.partition.parts == (tuple(range(g.n)), ())
 
     # every feasible pair with p <= omega of C7xK3 and C9xK2 (whose (4,2)
-    # is infeasible), and two splits that the grow step enlarges
-    @pytest.mark.parametrize("g,p,q", [
-        (strong(7, 3), 6, 3), (strong(7, 3), 5, 4), (strong(9, 2), 3, 3),
-        (gnp(15, 0.3, 0), 3, 3), (strong(5, 5), 10, 5),
-    ])
-    def test_large_graph_grows_the_cascade_split(self, g, p, q):
+    # is infeasible), and two splits that the grow step enlarges; on two
+    # thinned C9xK3 the growth's V1 is pinned, so a change to the order
+    # of its moves shows: from 15 vertices, six pulls reach the first,
+    # five pulls and one exchange the second
+    @pytest.mark.parametrize("g,p,q,grown", [
+        (strong(7, 3), 6, 3, None), (strong(7, 3), 5, 4, None), (strong(9, 2), 3, 3, None),
+        (gnp(15, 0.3, 0), 3, 3, None), (strong(5, 5), 10, 5, None),
+        (thinned_products(9, 3, 2)[0], 5, 4,
+         (0, 2, 3, 4, 5, 7, 8, 9, 10, 13, 14, 15, 16, 18, 19, 20, 21, 22, 24, 25, 26)),
+        (thinned_products(9, 3, 2)[1], 5, 4,
+         (0, 1, 2, 3, 4, 5, 6, 9, 10, 12, 13, 14, 15, 16, 18, 20, 21, 22, 23, 25, 26)),
+    ], ids=["g0-6-3", "g1-5-4", "g2-3-3", "g3-3-3", "g4-10-5", "pulls", "exchange"])
+    def test_large_graph_grows_the_cascade_split(self, g, p, q, grown):
         assert g.n > partition.MAXFREE_EXHAUSTIVE_N
         assert cs.clique_number(g).omega >= p
         bip = cs.clique_bipartition(g, p, q)
@@ -1322,6 +1350,9 @@ class TestMaxKpfreePartition:
         v1, v2 = res.partition.parts
         assert len(v1) >= len(bip.parts[0])
         assert brute_improving_move(g, v1, v2, p, q) is None
+        if grown is not None:
+            assert len(bip.parts[0]) == 15
+            assert v1 == grown
 
     def test_proof_of_infeasibility_is_kept(self):
         g = strong(9, 2)  # (4,2) has no valid split: C9 x K2 is an exception graph
