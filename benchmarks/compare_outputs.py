@@ -27,10 +27,16 @@ standalone tools instead of ``kway_clique_partition``:
 - ``hitting_independent_set`` on cliques with a few attached vertices,
   G(n, p) up to 100 vertices, C_L x K_m plus an isolated vertex and
   random regular graphs up to 500 vertices (295 calls), every one of
-  which ends within the search's node budget.
+  which ends within the search's node budget;
+- ``degree_bounded_bipartition`` with every p, q >= 1, p + q = max
+  degree, on random regular graphs of degree 3 to 14 on 20, 50, 100
+  and 200 vertices at seeds 1 and 2, on G(n, p) for n in {10, 20, 40,
+  80} and p in {0.1, 0.3, 0.5} at seeds 0 to 2, and on C_L x K_m for
+  odd L from 5 to 11 and m from 2 to 5 (1,380 calls).
 
-A partition is recorded as above with its certificate string last, and
-any other result as one plain-data field after "solved".
+A partition is recorded as above, with the certificate string last for
+``max_kpfree_partition`` and None for ``degree_bounded_bipartition``,
+and any other result as one plain-data field after "solved".
 
     # record the outputs of the package under another checkout's src/
     python3 benchmarks/compare_outputs.py --workload all --src ../parent/src --out parent.pkl
@@ -140,6 +146,8 @@ def _record_tool(cs, name: str, g, args=()) -> tuple:
         return _raised(exc)
     if isinstance(res, cs.MaxKpfreeResult):
         return _solved(res.partition, res.certificate)
+    if isinstance(res, cs.Partition):
+        return _solved(res, None)
     if isinstance(res, cs.HittingSetResult):
         res = dataclasses.astuple(res)
     return ("solved", res)
@@ -223,6 +231,27 @@ def hitting_graphs(cs):
                     cs.GeneratorRecipe("random_regular", {"n": n, "d": d}, seed=seed))
 
 
+def degree_bounded_graphs(cs):
+    """(label, graph) pairs for ``degree_bounded_bipartition``: random
+    regular graphs of degree 3 to 14 on 20, 50, 100 and 200 vertices at
+    seeds 1 and 2; G(n, p) for n in {10, 20, 40, 80} and p in {0.1, 0.3,
+    0.5} at seeds 0 to 2; C_L x K_m for odd L from 5 to 11 and m from 2
+    to 5."""
+    for n in (20, 50, 100, 200):
+        for d in range(3, 15):
+            for seed in (1, 2):
+                yield f"regular:{n},{d} seed {seed}", cs.generate(
+                    cs.GeneratorRecipe("random_regular", {"n": n, "d": d}, seed=seed))
+    for n in (10, 20, 40, 80):
+        for p in (0.1, 0.3, 0.5):
+            for seed in range(3):
+                yield f"gnp:{n},{p} seed {seed}", cs.generate(
+                    cs.GeneratorRecipe("gnp", {"n": n, "p": p}, seed=seed))
+    for length in range(5, 12, 2):
+        for m in range(2, 6):
+            yield f"C{length}xK{m}", _cycle_product(cs, length, m)
+
+
 def record_tools(cs) -> list:
     """[(label, arguments after the graph, record)] over the tools corpus."""
     out = [(f"detect_cycle_clique_product {label}", (),
@@ -236,6 +265,11 @@ def record_tools(cs) -> list:
     out += [(f"hitting_independent_set {label}", (),
              _record_tool(cs, "hitting_independent_set", g))
             for label, g in hitting_graphs(cs)]
+    for label, g in degree_bounded_graphs(cs):
+        delta = g.max_degree
+        for p in range(1, delta):
+            out.append((f"degree_bounded_bipartition {label}", (p, delta - p),
+                        _record_tool(cs, "degree_bounded_bipartition", g, (p, delta - p))))
     return out
 
 

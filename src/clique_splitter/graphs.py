@@ -7,6 +7,7 @@ the same (kind, params, seed) triple always yields the same adjacency.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -350,10 +351,12 @@ def _disjoint_clique_union(sizes: Sequence[int]) -> Graph:
         raise GenerationError("disjoint_union needs at least one clique size")
     if any(s < 1 for s in sizes):
         raise GenerationError("clique sizes must be positive")
-    g = _complete(sizes[0])
-    for s in sizes[1:]:
-        g = disjoint_union(g, _complete(s))
-    return g
+    edges = []
+    start = 0
+    for s in sizes:
+        edges += itertools.combinations(range(start, start + s), 2)
+        start += s
+    return Graph(start, edges)
 
 
 def _join_pendant_clique(base_len: int, clique: int, attach: int) -> Graph:

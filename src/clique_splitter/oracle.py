@@ -10,6 +10,7 @@ engine by contract.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -202,19 +203,27 @@ def chromatic_number(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> int:
 
 
 def degeneracy(g: Graph) -> int:
-    """Exact degeneracy by repeated minimum-degree removal (no budget)."""
-    if g.n == 0:
-        return 0
+    """Exact degeneracy by repeated minimum-degree removal (no budget).
+
+    The vertex removed next is the least (degree, vertex) pair among those
+    left. It comes from a heap that gets a new entry at each degree drop:
+    degrees only fall, so a vertex's newest entry is its least, and the
+    older ones come out after it is removed and are skipped."""
     degs = [g.degree(v) for v in range(g.n)]
+    heap = [(d, v) for v, d in enumerate(degs)]
+    heapq.heapify(heap)
     removed = [False] * g.n
     best = 0
-    for _ in range(g.n):
-        v = min((v for v in range(g.n) if not removed[v]), key=lambda v: (degs[v], v))
-        best = max(best, degs[v])
+    while heap:
+        d, v = heapq.heappop(heap)
+        if removed[v]:
+            continue
+        best = max(best, d)
         removed[v] = True
         for u in g.neighbors(v):
             if not removed[u]:
                 degs[u] -= 1
+                heapq.heappush(heap, (degs[u], u))
     return best
 
 

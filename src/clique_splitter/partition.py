@@ -30,7 +30,6 @@ import heapq
 import itertools
 import logging
 import operator
-import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -49,7 +48,7 @@ from .errors import (
     PreconditionError,
     SearchFailureError,
 )
-from .graphs import Graph, _mix, induced_subgraph
+from .graphs import Graph, induced_subgraph
 
 log = logging.getLogger("clique_splitter.partition")
 
@@ -429,53 +428,44 @@ def _side_core(g: Graph, side: set[int], limit: int) -> list[int]:
     return sorted(alive)
 
 
-def _seed_splits(g: Graph, p: int, q: int):
-    """Eight deterministic starting splits: one greedy, seven pseudo-random."""
+def _greedy_split(g: Graph, p: int, q: int) -> list[bool]:
+    """The starting split: each vertex in descending-degree order joins V1
+    when q*d1 <= p*d2 over its neighbours placed before it."""
     n = g.n
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
     in1 = [False] * n
     d1 = [0] * n
     d2 = [0] * n
-    for v in order:
-        if q * d1[v] <= p * d2[v]:
-            in1[v] = True
-            for u in g.neighbors(v):
-                d1[u] += 1
-        else:
-            for u in g.neighbors(v):
-                d2[u] += 1
-    yield list(in1)
-    for i in range(1, 8):
-        rng = random.Random(_mix(3, i, n, p, q))
-        yield [rng.random() < p / (p + q) for _ in range(n)]
+    for v in sorted(range(n), key=lambda v: (-g.degree(v), v)):
+        in1[v] = q * d1[v] <= p * d2[v]
+        placed = d1 if in1[v] else d2
+        for u in g.neighbors(v):
+            placed[u] += 1
+    return in1
 
 
 def _descend_and_repair(g: Graph, p: int, q: int, in1: list[bool]):
     """Steepest descent on q*e(V1) + p*e(V2) with single-vertex flips,
-    plus targeted zero-cost core evictions for the degeneracy bounds."""
+    plus targeted zero-cost core evictions for the degeneracy bounds.
+
+    A local minimum meets both degree bounds, as p + q is the max degree,
+    so only the cores are checked. A round evicts the first vertex of V1's
+    p-core, else of V2's q-core; the second goes instead when the first
+    was evicted last round and the descent moved nothing since: flipping
+    it back would repeat the last two rounds until the 4n + 20 cap.
+    """
     n = g.n
-    d1 = [0] * n
-    d2 = [0] * n
-    for v in range(n):
-        for u in g.neighbors(v):
-            if in1[u]:
-                d1[v] += 1
-            else:
-                d2[v] += 1
+    d1 = [sum(in1[u] for u in g.neighbors(v)) for v in range(n)]
+    d2 = [g.degree(v) - d1[v] for v in range(n)]
 
     def flip(v: int) -> None:
-        if in1[v]:
-            in1[v] = False
-            for u in g.neighbors(v):
-                d1[u] -= 1
-                d2[u] += 1
-        else:
-            in1[v] = True
-            for u in g.neighbors(v):
-                d1[u] += 1
-                d2[u] -= 1
+        step = -1 if in1[v] else 1
+        in1[v] = not in1[v]
+        for u in g.neighbors(v):
+            d1[u] += step
+            d2[u] -= step
 
-    def descend() -> None:
+    def descend() -> bool:
+        moved = False
         while True:
             best_gain = 0
             best_v = -1
@@ -485,24 +475,20 @@ def _descend_and_repair(g: Graph, p: int, q: int, in1: list[bool]):
                     best_gain = gain
                     best_v = v
             if best_v < 0:
-                return
+                return moved
             flip(best_v)
+            moved = True
 
+    evicted = -1
     for _ in range(4 * n + 20):
-        descend()
+        moved = descend()
         side1 = {v for v in range(n) if in1[v]}
         side2 = {v for v in range(n) if not in1[v]}
-        core1 = _side_core(g, side1, p)
-        if core1:
-            flip(core1[0])
-            continue
-        core2 = _side_core(g, side2, q)
-        if core2:
-            flip(core2[0])
-            continue
-        if all(d1[v] <= p for v in side1) and all(d2[v] <= q for v in side2):
+        core = _side_core(g, side1, p) or _side_core(g, side2, q)
+        if not core:
             return sorted(side1), sorted(side2)
-        break
+        evicted = core[0] if moved or core[0] != evicted else core[1]
+        flip(evicted)
     return None
 
 
@@ -521,7 +507,9 @@ def degree_bounded_bipartition(g: Graph, p: int, q: int) -> Partition:
     """Split V(g) so that V1 has max internal degree at most p and is
     (p-1)-degenerate, and V2 likewise for q. Requires max degree >= 3,
     p + q equal to the max degree, and clique number at most the max
-    degree. All four bounds are verified before returning.
+    degree. The search runs once, from the greedy start, and all four
+    bounds are verified before returning; SearchFailureError means its
+    round cap ran out.
     """
     p, q = _integer_pair(p, q)
     delta = g.max_degree
@@ -537,13 +525,12 @@ def degree_bounded_bipartition(g: Graph, p: int, q: int) -> Partition:
             f"clique number {cert.omega} exceeds max degree {delta}",
             witness=cert.witness)
 
-    for split0 in _seed_splits(g, p, q):
-        res = _descend_and_repair(g, p, q, list(split0))
-        if res is not None and _bounds_hold(g, res[0], res[1], p, q):
-            return partition_from_parts(g, res, strategy="degree-local-search")
-    raise SearchFailureError(
-        "degree-bounded local search failed on every seed",
-        {"n": g.n, "p": p, "q": q, "max_degree": delta})
+    res = _descend_and_repair(g, p, q, _greedy_split(g, p, q))
+    if res is None or not _bounds_hold(g, res[0], res[1], p, q):
+        raise SearchFailureError(
+            "degree-bounded local search failed from the greedy start",
+            {"n": g.n, "p": p, "q": q, "max_degree": delta})
+    return partition_from_parts(g, res, strategy="degree-local-search")
 
 
 # ---------------------------------------------------------------------------
@@ -602,48 +589,47 @@ def hitting_independent_set(g: Graph) -> HittingSetResult:
     adj = g.adjacency_bits
     clique_masks = [kernels.to_mask(c) for c in cliques]
 
-    nodes = 0
+    def fewest_options(chosen: int, forbidden: int) -> int | None:
+        """The vertices still allowed in the first clique not yet hit with
+        the fewest of them; None when every clique is hit."""
+        best, best_cnt = None, -1
+        for cm in clique_masks:
+            if not cm & chosen:
+                opts = cm & ~forbidden
+                cnt = opts.bit_count()
+                if best is None or cnt < best_cnt:
+                    best, best_cnt = opts, cnt
+                    if cnt <= 1:
+                        break
+        return best
 
-    def search(chosen: int, forbidden: int) -> int | None:
-        nonlocal nodes
+    # Depth first, each node branching on its clique's options in
+    # ascending order; the stack holds each open node's untried options.
+    stack: list[tuple[int, int, int]] = []
+    chosen = forbidden = nodes = 0
+    while True:
         nodes += 1
         if nodes > EXACT_NODES:
             raise BudgetExceededError(f"stopped after {EXACT_NODES} nodes")
-        best_opts = -1
-        best_cnt = -1
-        for cm in clique_masks:
-            if cm & chosen:
-                continue
-            opts = cm & ~forbidden
-            cnt = opts.bit_count()
-            if cnt == 0:
-                return None
-            if best_cnt < 0 or cnt < best_cnt:
-                best_cnt = cnt
-                best_opts = opts
-                if cnt == 1:
-                    break
-        if best_cnt < 0:
-            return chosen
-        opts = best_opts
-        while opts:
-            v = (opts & -opts).bit_length() - 1
-            opts &= opts - 1
-            bit = 1 << v
-            found = search(chosen | bit, forbidden | adj[v] | bit)
-            if found is not None:
-                return found
-        return None
-
-    mask = search(0, 0)
-    if mask is not None:
-        after = clique_number_within(g, _full_mask(g.n) & ~mask).omega
-        if after != omega - 1:
-            raise SearchFailureError(
-                f"transversal removal left clique number {after}, expected {omega - 1}")
-        return HittingSetResult(
-            "found", kernels.from_mask(mask), omega_before=omega, omega_after=after)
-    return HittingSetResult("not_found")
+        opts = fewest_options(chosen, forbidden)
+        if opts is None:
+            break
+        stack.append((chosen, forbidden, opts))
+        while stack and not stack[-1][2]:
+            stack.pop()
+        if not stack:
+            return HittingSetResult("not_found")
+        chosen, forbidden, opts = stack.pop()
+        bit = opts & -opts
+        stack.append((chosen, forbidden, opts ^ bit))
+        chosen |= bit
+        forbidden |= adj[bit.bit_length() - 1] | bit
+    after = clique_number_within(g, _full_mask(g.n) & ~chosen).omega
+    if after != omega - 1:
+        raise SearchFailureError(
+            f"transversal removal left clique number {after}, expected {omega - 1}")
+    return HittingSetResult(
+        "found", kernels.from_mask(chosen), omega_before=omega, omega_after=after)
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,14 @@ class TestGenerators:
         assert g.n == 8 and g.edge_count == 12
         assert not g.has_edge(0, 4)
 
+    @pytest.mark.parametrize("sizes", [(1,), (2, 1, 3), (5, 5, 1, 4, 2, 3), (3,) * 40])
+    def test_disjoint_union_of_cliques_matches_pairwise_unions(self, sizes):
+        g = cs.generate(cs.GeneratorRecipe("disjoint_union", {"sizes": sizes}))
+        ref = cs.generate(cs.GeneratorRecipe("complete", {"n": sizes[0]}))
+        for s in sizes[1:]:
+            ref = cs.disjoint_union(ref, cs.generate(cs.GeneratorRecipe("complete", {"n": s})))
+        assert g == ref
+
     def test_unknown_kind(self):
         with pytest.raises(cs.GenerationError, match="unknown"):
             cs.generate(cs.GeneratorRecipe("mystery", {"n": 3}))

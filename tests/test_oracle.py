@@ -151,6 +151,19 @@ class TestDegeneracy:
         g = gnp(11, 0.4, seed)
         assert cs.degeneracy(g) == brute_degeneracy(g)
 
+    @pytest.mark.parametrize("n, p", [
+        (0, 0.5), (1, 0.5), (20, 0.1), (25, 0.3), (30, 0.6), (24, 0.9)])
+    def test_matches_brute_peel_on_gnp(self, n, p):
+        for seed in range(4):
+            g = gnp(n, p, seed)
+            assert cs.degeneracy(g) == brute_degeneracy(g)
+
+    @pytest.mark.parametrize("recipe", [
+        "regular:30,3", "regular:40,7", "strong:7x3", "union:5+4+4+1", "path:9", "pendant:7,4,2"])
+    def test_matches_brute_peel_on_families(self, recipe):
+        g = cs.generate(cs.parse_recipe(recipe, seed=2))
+        assert cs.degeneracy(g) == brute_degeneracy(g)
+
     def test_at_least_omega_minus_one(self):
         for g in [K(4), C(7), petersen(), gnp(10, 0.5, 9)]:
             assert cs.degeneracy(g) >= brute_omega(g) - 1

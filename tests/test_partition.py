@@ -280,6 +280,34 @@ class TestDegreeBoundedBipartition:
             flipped = s1 ^ {v}
             assert potential(flipped) >= base
 
+    @pytest.mark.parametrize("g, p, q", [
+        pytest.param(strong(5, 2), 2, 3, id="C5xK2-2-3"),
+        pytest.param(strong(5, 2), 1, 4, id="C5xK2-1-4"),
+        *(pytest.param(strong(7, 3), p, 8 - p, id=f"C7xK3-{p}-{8 - p}") for p in range(1, 8)),
+        pytest.param(regular(20, 3, 1), 1, 2, id="regular:20,3-seed1-1-2"),
+        pytest.param(regular(20, 3, 2), 1, 2, id="regular:20,3-seed2-1-2"),
+    ])
+    def test_core_eviction_needed(self, g, p, q):
+        # the descent alone stops here with a core on one side, which
+        # only the zero-cost evictions remove
+        part = cs.degree_bounded_bipartition(g, p, q)
+        self._assert_bounds(g, part, p, q)
+
+    def test_eviction_not_undone_at_once(self):
+        # the greedy start's repair evicts a vertex of a triangle in V2
+        # into an edge of V1; flipping that vertex straight back would
+        # repeat the two rounds until the cap, so the edge's other end goes
+        g = regular(100, 3, 1)
+        part = cs.degree_bounded_bipartition(g, 1, 2)
+        self._assert_bounds(g, part, 1, 2)
+
+    def test_round_cap_raises_search_failure(self, monkeypatch):
+        monkeypatch.setattr(partition, "_descend_and_repair", lambda g, p, q, in1: None)
+        with pytest.raises(cs.SearchFailureError,
+                           match="failed from the greedy start") as err:
+            cs.degree_bounded_bipartition(petersen(), 2, 1)
+        assert err.value.diagnostics == {"n": 10, "p": 2, "q": 1, "max_degree": 3}
+
 
 class TestHittingIndependentSet:
     def test_k5_single_vertex(self):
@@ -344,6 +372,14 @@ class TestHittingIndependentSet:
         g = cs.Graph(11, base.edges())
         res = cs.hitting_independent_set(g)
         assert res.outcome == "not_found"
+
+    def test_deep_search_needs_no_recursion(self):
+        # each triangle adds a level to the search: 1,100 of them go past
+        # the interpreter's recursion limit, well within the node budget
+        g = cs.generate(cs.GeneratorRecipe("disjoint_union", {"sizes": (3,) * 1100}))
+        res = cs.hitting_independent_set(g)
+        assert res.outcome == "found"
+        assert len(res.independent_set) == 1100
 
     def test_search_stops_at_the_node_budget(self, monkeypatch):
         # C9 x K3 plus an isolated vertex has no transversal and is no
