@@ -208,16 +208,17 @@ def degeneracy(g: Graph) -> int:
     The vertex removed next is the least (degree, vertex) pair among those
     left. It comes from a heap that gets a new entry at each degree drop:
     degrees only fall, so a vertex's newest entry is its least, and the
-    older ones come out after it is removed and are skipped."""
+    older ones that come out after it is removed are skipped. The loop
+    ends at the n-th removal and leaves the stale entries still queued."""
     degs = [g.degree(v) for v in range(g.n)]
     heap = [(d, v) for v, d in enumerate(degs)]
     heapq.heapify(heap)
     removed = [False] * g.n
     best = 0
-    while heap:
+    for _ in range(g.n):
         d, v = heapq.heappop(heap)
-        if removed[v]:
-            continue
+        while removed[v]:
+            d, v = heapq.heappop(heap)
         best = max(best, d)
         removed[v] = True
         for u in g.neighbors(v):

@@ -243,10 +243,14 @@ def _dsatur_coloring(g: Graph) -> list[int]:
     * n``, where ``rank`` is the vertex's place in the order (-degree,
     -degree sum, index): they sort as ``(-saturation, rank)`` would, and
     an integer compares and pushes about twice as fast as that tuple.
-    An entry is pushed whenever a vertex's saturation rises. Saturation
-    only grows, so a vertex's freshest entry is also its smallest: it is
-    popped first, and every stale entry surfaces after the vertex is
-    colored and is skipped. The pick order therefore equals a full scan's.
+    Each vertex's current key is kept in a list and falls by n whenever
+    its saturation rises, when the new key is pushed. Saturation only
+    grows, so a vertex's freshest entry is also its smallest: it is
+    popped before any stale one, and the stale entries of colored
+    vertices are skipped. The pick order therefore equals a full scan's.
+    The loop ends at the n-th pick and leaves the remaining stale
+    entries in the heap; every uncolored vertex keeps its fresh entry
+    there until then, so the skip loop never empties the heap.
     """
     n = g.n
     nbrs = g.adjacency
@@ -264,13 +268,14 @@ def _dsatur_coloring(g: Graph) -> list[int]:
     # seen[v]: bitset of the colors on v's neighbours, and -1 once v is
     # colored, so that the test below also passes over colored neighbours
     seen = [0] * n
-    heap = list(range(n))  # saturation 0 everywhere: key = rank
+    key = list(rank)  # saturation 0 everywhere: key = rank
+    heap = list(range(n))  # the keys in rank order, already a heap
     heappop, heappush = heapq.heappop, heapq.heappush
-    while heap:
+    for _ in range(n):
         v = by_rank[heappop(heap) % n]
+        while seen[v] < 0:
+            v = by_rank[heappop(heap) % n]
         s = seen[v]
-        if s < 0:
-            continue
         c = (~s & (s + 1)).bit_length() - 1  # lowest color not in s
         colors[v] = c
         seen[v] = -1
@@ -278,9 +283,10 @@ def _dsatur_coloring(g: Graph) -> list[int]:
         for u in nbrs[v]:
             s = seen[u]
             if not s & bit:
-                s |= bit
-                seen[u] = s
-                heappush(heap, rank[u] - s.bit_count() * n)
+                seen[u] = s | bit
+                k = key[u] - n
+                key[u] = k
+                heappush(heap, k)
     return colors
 
 
@@ -589,41 +595,43 @@ def hitting_independent_set(g: Graph) -> HittingSetResult:
     adj = g.adjacency_bits
     clique_masks = [kernels.to_mask(c) for c in cliques]
 
-    def fewest_options(chosen: int, forbidden: int) -> int | None:
-        """The vertices still allowed in the first clique not yet hit with
-        the fewest of them; None when every clique is hit."""
+    def fewest_options(unhit: list[int], forbidden: int) -> int | None:
+        """The vertices still allowed in the first clique of ``unhit``
+        with the fewest of them; None when every clique is hit."""
         best, best_cnt = None, -1
-        for cm in clique_masks:
-            if not cm & chosen:
-                opts = cm & ~forbidden
-                cnt = opts.bit_count()
-                if best is None or cnt < best_cnt:
-                    best, best_cnt = opts, cnt
-                    if cnt <= 1:
-                        break
+        for cm in unhit:
+            opts = cm & ~forbidden
+            cnt = opts.bit_count()
+            if best is None or cnt < best_cnt:
+                best, best_cnt = opts, cnt
+                if cnt <= 1:
+                    break
         return best
 
     # Depth first, each node branching on its clique's options in
-    # ascending order; the stack holds each open node's untried options.
-    stack: list[tuple[int, int, int]] = []
+    # ascending order; the stack holds each open node's untried options
+    # and the cliques its chosen set has not hit, in their listed order.
+    stack: list[tuple[int, int, int, list[int]]] = []
     chosen = forbidden = nodes = 0
+    unhit = clique_masks
     while True:
         nodes += 1
         if nodes > EXACT_NODES:
             raise BudgetExceededError(f"stopped after {EXACT_NODES} nodes")
-        opts = fewest_options(chosen, forbidden)
+        opts = fewest_options(unhit, forbidden)
         if opts is None:
             break
-        stack.append((chosen, forbidden, opts))
+        stack.append((chosen, forbidden, opts, unhit))
         while stack and not stack[-1][2]:
             stack.pop()
         if not stack:
             return HittingSetResult("not_found")
-        chosen, forbidden, opts = stack.pop()
+        chosen, forbidden, opts, unhit = stack.pop()
         bit = opts & -opts
-        stack.append((chosen, forbidden, opts ^ bit))
+        stack.append((chosen, forbidden, opts ^ bit, unhit))
         chosen |= bit
         forbidden |= adj[bit.bit_length() - 1] | bit
+        unhit = [cm for cm in unhit if not cm & bit]
     after = clique_number_within(g, _full_mask(g.n) & ~chosen).omega
     if after != omega - 1:
         raise SearchFailureError(

@@ -164,6 +164,11 @@ class TestDegeneracy:
         g = cs.generate(cs.parse_recipe(recipe, seed=2))
         assert cs.degeneracy(g) == brute_degeneracy(g)
 
+    def test_matches_brute_peel_on_large_graph(self):
+        # the peel stops at the 600th removal with stale entries queued
+        g = gnp(600, 0.02, 3)
+        assert cs.degeneracy(g) == brute_degeneracy(g)
+
     def test_at_least_omega_minus_one(self):
         for g in [K(4), C(7), petersen(), gnp(10, 0.5, 9)]:
             assert cs.degeneracy(g) >= brute_omega(g) - 1

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import logging
 import random
@@ -96,6 +97,25 @@ class TestDsaturColoring:
 
     def test_matches_scan_on_large_regular(self):
         g = regular(1000, 16, seed=3)
+        assert _dsatur_coloring(g) == brute_dsatur(g)
+
+    def test_matches_scan_on_large_non_regular(self):
+        # degrees 5 to 28: rank differs from the index almost everywhere
+        g = cs.generate(cs.parse_recipe("gnp:1500,0.01", seed=0))
+        assert g.min_degree < g.max_degree
+        assert _dsatur_coloring(g) == brute_dsatur(g)
+
+    def test_matches_scan_on_relabelled_dense(self):
+        # G(120, 0.7) reaches the highest saturations of any perfbench graph
+        g = gnp(120, 0.7, 0)
+        perm = list(range(g.n))
+        random.Random(5).shuffle(perm)
+        h = cs.Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        assert _dsatur_coloring(h) == brute_dsatur(h)
+
+    def test_matches_scan_on_components_of_different_degrees(self):
+        parts = [regular(40, 3, 1), strong(7, 3), regular(30, 6, 2), gnp(50, 0.3, 4), K(6)]
+        g = functools.reduce(cs.disjoint_union, parts)
         assert _dsatur_coloring(g) == brute_dsatur(g)
 
     @pytest.mark.parametrize("n, d", [(10, 3), (21, 4), (30, 13), (40, 16), (60, 7)])
