@@ -12,7 +12,14 @@ every three-part list; the seed changes nothing there. For each
 operation the record keeps, as plain data, the
 assignment, parts, strategy string, certificates and verification report
 of an answer, or the class, message, diagnostics, depth and proof flag
-of a raised error.
+of a raised error. ``kway_clique_partition`` raises every error at depth
+0, so the depth field is kept only to compare with older recordings.
+
+Another corpus, ``misses``, also outside ``all`` and seed-free, holds
+the ten random regular graphs in ``SPARSE_MISSES``, on which DSatur
+uses more than max degree - 1 classes, each with every two-, three- and
+four-part list: 22 operations, which exercise the "settled a give-up"
+kind below against a checkout that gives up on some of them.
 
 A third corpus, ``tools``, also outside ``all`` and seed-free, calls the
 standalone tools instead of ``kway_clique_partition``:
@@ -46,6 +53,8 @@ and any other result as one plain-data field after "solved".
     python3 benchmarks/compare_outputs.py --workload products --against p.pkl
     python3 benchmarks/compare_outputs.py --workload tools --src ../parent/src --out t.pkl
     python3 benchmarks/compare_outputs.py --workload tools --against t.pkl
+    python3 benchmarks/compare_outputs.py --workload misses --src ../parent/src --out m.pkl
+    python3 benchmarks/compare_outputs.py --workload misses --against m.pkl
 
 With ``--against``, a difference prints, for each workload, the number
 of differing operations split into four kinds, gravest first:
@@ -111,10 +120,10 @@ def record_workload(cs, name: str, seed: int) -> list:
 PRODUCTS = "products"
 
 
-def product_quota_lists(delta: int):
-    """Every two-part pair and every three-part list of quotas, each
-    non-increasing, at least 2 and summing to delta - 1 + k."""
-    for k in (2, 3):
+def quota_lists(delta: int, ks=(2, 3)):
+    """Every list of k quotas for each k in ``ks``, each non-increasing,
+    at least 2 and summing to delta - 1 + k."""
+    for k in ks:
         for quotas in itertools.combinations_with_replacement(range(delta + 1, 1, -1), k):
             if sum(quotas) == delta - 1 + k:
                 yield quotas
@@ -127,9 +136,27 @@ def record_products(cs) -> list:
         for length in range(5, 42, 2):
             g = cs.generate(cs.GeneratorRecipe(
                 "strong_product_cycle_clique", {"cycle_len": length, "m": m}))
-            for quotas in product_quota_lists(g.max_degree):
+            for quotas in quota_lists(g.max_degree):
                 out.append((f"C{length}xK{m}", quotas,
                             _record(cs, g, cs.PartitionSpec(quotas))))
+    return out
+
+
+MISSES = "misses"
+# (d, n, seed) of random regular graphs that DSatur colors with more than
+# d - 1 classes, from d in 4..8, n in {100, 400, 1500} and seeds 1 to 5
+SPARSE_MISSES = ((4, 100, 1), (4, 100, 2), (4, 100, 4), (4, 400, 1), (4, 400, 3),
+                 (4, 400, 4), (4, 1500, 2), (4, 1500, 3), (4, 1500, 5), (5, 100, 3))
+
+
+def record_misses(cs) -> list:
+    """[(graph label, quotas, record)] over the misses corpus."""
+    out = []
+    for d, n, seed in SPARSE_MISSES:
+        g = cs.generate(cs.GeneratorRecipe("random_regular", {"n": n, "d": d}, seed=seed))
+        for quotas in quota_lists(g.max_degree, (2, 3, 4)):
+            out.append((f"regular:{n},{d} seed {seed}", quotas,
+                        _record(cs, g, cs.PartitionSpec(quotas))))
     return out
 
 
@@ -335,7 +362,7 @@ def compare(ours: dict, theirs: dict) -> tuple[list[str], str | None]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", default="all",
-                        choices=("all",) + inputs.WORKLOADS + (PRODUCTS, TOOLS))
+                        choices=("all",) + inputs.WORKLOADS + (PRODUCTS, TOOLS, MISSES))
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the clique_splitter package to run")
@@ -356,6 +383,8 @@ def main(argv=None) -> int:
             recorded[name] = record_products(cs)
         elif name == TOOLS:
             recorded[name] = record_tools(cs)
+        elif name == MISSES:
+            recorded[name] = record_misses(cs)
         else:
             recorded[name] = record_workload(cs, name, args.seed)
         print(f"{name}: {len(recorded[name])} operations", file=sys.stderr)

@@ -33,6 +33,10 @@ class AllStrategiesExhausted(CliqueSplitterError, RuntimeError):
     ``proven_infeasible`` is True when an exhaustive search completed
     within its node budget and established that no valid partition
     exists; otherwise the failure is merely a search failure.
+    ``diagnostics`` holds one entry per stage that failed (for
+    ``kway_clique_partition``: "coloring", "exact" and "recoloring").
+    Every search covers the whole input, so ``depth`` is always 0; it is
+    kept so that exhausted reports keep their shape.
     """
 
     def __init__(self, message: str, diagnostics: dict | None = None,

@@ -2,21 +2,13 @@
 
 The central operation splits a graph with max degree D and clique number
 at most D-1 into parts V_1..V_k with omega(g[V_i]) <= p_i - 1, where the
-quotas satisfy sum(p_i) = D - 1 + k. The parts are split off one level
-at a time, each level on the remainder of the one above, induced once
-greedy migration has capped its degree; the last split is not migrated.
-Each level asks the coloring question once, with its whole remaining
-quota list: when DSatur colors its graph with at most sum(p_i - 1)
-classes, D - 1 on the input, the level deals every remaining part and
-is the last. V_1 then takes every class when p_1 - 1 of them suffice,
-and otherwise the classes are dealt round-robin, largest first, to
-parts that still have room, so that no part's certificate searches most
-of V. Otherwise an exact search, one connected component at a time,
-that stops after EXACT_NODES nodes in all, at any n, splits off the
-level's last part. It places true twins (equal closed neighbourhoods)
-in non-decreasing part order, which changes no answer and makes the
-odd-cycle products C_L x K_m, whose fibres are twin classes, cheap to
-prove. ``clique_bipartition`` is the two-part case of
+quotas satisfy sum(p_i) = D - 1 + k. That leaves sum(p_i - 1) = D - 1
+classes of room, so one proper coloring with at most D - 1 classes
+answers every quota list at once. The engine colors with DSatur, then
+runs one exact search of the whole quota list, which stops after
+EXACT_NODES nodes at any n and places true twins in non-decreasing part
+order, and recolors with TabuCol only when that search ran out of
+nodes. ``clique_bipartition`` is the two-part case of
 ``kway_clique_partition``.
 
 Every returned partition is re-verified with exact per-part clique
@@ -30,6 +22,7 @@ import heapq
 import itertools
 import logging
 import operator
+import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -48,12 +41,13 @@ from .errors import (
     PreconditionError,
     SearchFailureError,
 )
-from .graphs import Graph, induced_subgraph
+from .graphs import Graph, _mix
 
 log = logging.getLogger("clique_splitter.partition")
 
 MAXFREE_EXHAUSTIVE_N = 14  # n cap of max_kpfree_partition's subset scan
 EXACT_NODES = 20_000
+RECOLOR_MOVES = 1_000  # TabuCol's move cap
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +291,16 @@ def _dsatur_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
     Cached by graph, like ``cliques.clique_number_within``, so every
     quota list on one graph reads one coloring.
     """
-    colors = _dsatur_coloring(g)
+    return _classes(_dsatur_coloring(g))
+
+
+def _classes(colors: list[int]) -> tuple[tuple[int, ...], ...]:
+    """The nonempty color classes, largest first, ties broken by members."""
     classes = [[] for _ in range(max(colors, default=-1) + 1)]
     for v, c in enumerate(colors):
         classes[c].append(v)
     classes.sort(key=lambda cls: (-len(cls), cls))
-    return tuple(map(tuple, classes))
+    return tuple(tuple(cls) for cls in classes if cls)
 
 
 def _component_mask(adj, v: int) -> int:
@@ -641,18 +639,12 @@ def hitting_independent_set(g: Graph) -> HittingSetResult:
 
 
 # ---------------------------------------------------------------------------
-# k-way partition, one part per level
+# k-way partition: color, search, recolor
 
 
-def _coloring_strategy(g: Graph, quotas, diags: dict):
-    classes = _dsatur_classes(g)
-    room = sum(quotas) - len(quotas)
-    if len(classes) > room:
-        diags["coloring"] = f"DSatur used {len(classes)} > {room} classes"
-        return None
-    # A part of at most p_i - 1 classes is p_i - 1 colorable and holds no
-    # K_{p_i}. The quotas leave sum(p_i - 1) classes of room at every
-    # level, max degree - 1 on the input, so every class is placed.
+def _deal(g: Graph, classes, quotas) -> list[list[int]]:
+    """The parts of at most sum(p_i - 1) classes of a proper coloring: part
+    i takes at most p_i - 1 classes, so it holds no K_{p_i}."""
     if len(classes) <= quotas[0] - 1:
         # V is then the one part to certify, and its entry is the one
         # the precondition check has already filled.
@@ -669,6 +661,66 @@ def _coloring_strategy(g: Graph, quotas, diags: dict):
     return [sorted(side) for side in parts]
 
 
+def _coloring_strategy(g: Graph, quotas, diags: dict):
+    classes = _dsatur_classes(g)
+    room = sum(quotas) - len(quotas)
+    if len(classes) > room:
+        diags["coloring"] = f"DSatur used {len(classes)} > {room} classes"
+        return None
+    return _deal(g, classes, quotas)
+
+
+@lru_cache(maxsize=1024)
+def _tabucol_classes(g: Graph) -> tuple[tuple[int, ...], ...] | None:
+    """The classes of a (max degree - 1)-coloring of g found by TabuCol
+    (Hertz & de Werra, 1987), or None when RECOLOR_MOVES moves find none.
+
+    It starts from DSatur's classes, the i-th taking color i mod (max
+    degree - 1). A move, which scans only the conflicting vertices,
+    recolors one to the color that removes the most conflicting edges,
+    ties drawn by an RNG seeded from n and the edge count; its old color
+    is then tabu for 7 + 0.6 c moves, c the conflicting vertices, unless
+    taking it beats every coloring seen.
+    """
+    n, colors = g.n, g.max_degree - 1
+    nbrs = g.adjacency
+    rng = random.Random(_mix(n, sum(map(len, nbrs))))
+    color = [0] * n
+    for c, cls in enumerate(_dsatur_classes(g)):
+        for v in cls:
+            color[v] = c % colors
+    count = [[0] * colors for _ in range(n)]  # count[v][c]: v's neighbours colored c
+    for v in range(n):
+        for u in nbrs[v]:
+            count[v][color[u]] += 1
+    conflicting = {v for v in range(n) if count[v][color[v]]}
+    conflicts = best = sum(count[v][color[v]] for v in conflicting) // 2
+    tabu: dict[tuple[int, int], int] = {}  # (v, c) -> first move v may take c again
+    for move in range(RECOLOR_MOVES):
+        if not conflicting:
+            break
+        moves = [(count[v][c] - count[v][color[v]], v, c)
+                 for v in sorted(conflicting) for c in range(colors) if c != color[v]]
+        moves = [m for m in moves if tabu.get(m[1:], 0) <= move or conflicts + m[0] < best]
+        if not moves:
+            continue
+        gain = min(moves)[0]
+        v, c = rng.choice([m[1:] for m in moves if m[0] == gain])
+        tabu[v, color[v]] = move + 7 + len(conflicting) * 3 // 5
+        for u in nbrs[v]:
+            count[u][color[v]] -= 1
+            count[u][c] += 1
+        color[v] = c
+        for u in nbrs[v] + (v,):
+            if count[u][color[u]]:
+                conflicting.add(u)
+            else:
+                conflicting.discard(u)
+        conflicts += gain
+        best = min(best, conflicts)
+    return None if conflicting else _classes(color)
+
+
 def _certified(g: Graph, parts, quotas, strategy: str) -> Partition:
     """Partition with exact per-part certificates, checked against the quotas."""
     part = partition_from_parts(g, parts, strategy=strategy)
@@ -676,123 +728,23 @@ def _certified(g: Graph, parts, quotas, strategy: str) -> Partition:
         raise SearchFailureError(
             "post-verification failed",
             {"omegas": [c.omega for c in part.certificates], "quotas": tuple(quotas)})
+    log.debug("%s solved by %s", tuple(quotas), strategy)
     return part
-
-
-def _migrate(g: Graph, v1, v2, q: int) -> tuple[list[int], list[int]]:
-    """Move every V1 vertex whose neighbors in V2 hold no K_{q-1} into V2,
-    in ascending order; return both parts sorted.
-
-    Afterwards V2 is a maximal quota-free set, and every remaining V1
-    vertex keeps q-1 neighbors in V2, which caps the internal degree of
-    V1 at p: the degree bound of the level that splits V1 next. The k-way
-    recursion runs it between levels only, never on the last split. One
-    pass suffices: V2 only grows and "N(v) & V2 holds a
-    K_{q-1}" is monotone in V2, so a vertex that stays once stays for
-    good, and a second pass would move nothing.
-    """
-    adj = g.adjacency_bits
-    tables = _label_tables(g)
-    v2 = list(v2)
-    v2mask = kernels.to_mask(v2)
-    stay = []
-    for v in sorted(v1):
-        if kernels.has_clique_of_size(adj, v2mask & adj[v], q - 1, tables):
-            stay.append(v)
-        else:
-            v2.append(v)
-            v2mask |= 1 << v
-    return stay, sorted(v2)
-
-
-def _kway_parts(g: Graph, quotas: tuple[int, ...], depth: int):
-    """Uncertified parts and the strategy used at each level, for k >= 2.
-
-    A level first asks the coloring stage with its whole quota list:
-    when DSatur fits in its sum(p_i - 1) classes of room, the level deals
-    every part and is the last (strategy "coloring"). Otherwise the exact
-    search splits off the last part to the quotas (p, q) with p = sum of
-    all but the last quota minus (k - 2), so its degree bound is p + q - 1
-    and its room p + q - 2 is the room the coloring just missed. The
-    preconditions at depth 0 are the caller's; below, they follow from
-    it: the remainder is the migrated V1 of a valid split, so its clique
-    number is at most p - 1, its max degree is at most p, and the
-    remaining quotas sum to p - 1 + (k - 1). No level needs its graph's
-    max degree to meet the bound exactly. At k = 2 the split is returned
-    as the search gave it: no level follows, so nothing is migrated.
-    A give-up is a proof only at depth 0: a proof about one remainder
-    says nothing about the input, which other top-level splits might
-    still divide."""
-    k = len(quotas)
-    p = sum(quotas[:-1]) - (k - 2)
-    q = quotas[-1]
-    diags: dict[str, str] = {}
-    parts = _coloring_strategy(g, quotas, diags)
-    if parts is not None:
-        log.debug("level %d (p=%d, q=%d) solved by coloring", depth, p, q)
-        return parts, ["coloring"]
-    try:
-        assignment = _exact_partition_assignment(g, (p, q))
-    except BudgetExceededError as exc:
-        diags["exact"] = str(exc)
-        raise AllStrategiesExhausted(
-            f"no valid ({p},{q}) split found", diags, depth=depth) from None
-    if assignment is None:
-        diags["exact"] = "proved infeasible"
-        raise AllStrategiesExhausted(
-            f"no valid ({p},{q}) split found", diags, depth=depth,
-            proven_infeasible=not depth)
-    log.debug("level %d (p=%d, q=%d) solved by exact", depth, p, q)
-    v1, v2 = _parts_of(assignment, 2)
-    if k == 2:
-        return [v1, v2], ["exact"]
-    v1, v2 = _migrate(g, v1, v2, q)
-    if not v1:
-        return [[] for _ in range(k - 1)] + [v2], ["exact"]
-    sub, back = induced_subgraph(g, v1)
-    if sub.max_degree > p:
-        raise SearchFailureError(
-            f"migrated remainder has degree {sub.max_degree} above {p}")
-    sub_parts, sub_strategies = _kway_parts(sub, quotas[:-1], depth + 1)
-    mapped = [[back[v] for v in side] for side in sub_parts]
-    return mapped + [v2], ["exact"] + sub_strategies
 
 
 def kway_clique_partition(g: Graph, spec) -> Partition:
     """Split V(g) into k parts meeting every quota, for quota lists with
     sum(p_i) = max degree - 1 + k and clique number at most max degree - 1.
-    The result depends on g and the quotas alone: no stage is randomized.
+    The result depends on g and the quotas alone.
 
-    For k = 1 the preconditions already give omega <= p_1 - 1, so the
-    whole vertex set is the answer (strategy "verify"). For k >= 2 the
-    parts are split off one level at a time, each level on the remainder
-    of the one above, and each asks one question first: does a DSatur
-    coloring of its graph use at most sum(p_i - 1) classes over its
-    remaining quotas? That room is max degree - 1 at the top. If so, the
-    level answers every remaining part at once (strategy "coloring"):
-    part 1 takes the level's whole vertex set when p_1 - 1 classes
-    suffice; otherwise the classes are dealt round-robin, largest first,
-    and a part stops taking classes once it holds p_i - 1. If not, an
-    exact search that stops after EXACT_NODES nodes splits off the last
-    part, the rest bundling the other quotas (strategy "exact").
-    Between levels, greedy migration moves vertices from the bundled side
-    into the part just split off until that part is maximal, which caps
-    the degree of the rest, and the next level splits the subgraph
-    induced by the rest. The last split is not migrated, so no part is
-    promised to be maximal. The strategy string names one strategy per
-    level that ran: every name but the last is "exact". A level whose
-    remainder is empty leaves the parts before it empty and runs no
-    deeper level.
-
-    The preconditions are checked here, once: they imply those of every
-    level below, so the levels run without checks or certificates. When
-    the levels give up without a proof and k >= 3, one exact search of
-    the whole quota list follows (strategy "exact-kway"). The final
-    partition is certified once, with exact clique numbers of every
-    part, and SearchFailureError is raised if it fails a quota.
-    AllStrategiesExhausted carries one diagnostic per failed stage; with
-    proven_infeasible set it is a certified negative, backed by an exact
-    search of the input.
+    For k = 1 the preconditions make V the answer ("verify"). For k >= 2
+    the stages run in turn until one answers: DSatur's coloring when it
+    fits the max degree - 1 classes of room ("coloring"), one exact search
+    of the whole list ("exact"), and TabuCol only when that search ran
+    out of nodes ("recoloring"). A search that finds nothing is a proof
+    (proven_infeasible); when all three fail, AllStrategiesExhausted has
+    one diagnostic per stage and depth 0. The answer is certified with
+    exact clique numbers, or SearchFailureError is raised.
     """
     if not isinstance(spec, PartitionSpec):
         spec = PartitionSpec(tuple(spec))
@@ -803,30 +755,28 @@ def kway_clique_partition(g: Graph, spec) -> Partition:
     _check_omega(g)
     if spec.k == 1:
         return _certified(g, [range(g.n)], spec.quotas, "verify")
+    diags: dict[str, str] = {}
+    parts = _coloring_strategy(g, spec.quotas, diags)
+    if parts is not None:
+        return _certified(g, parts, spec.quotas, "coloring")
     try:
-        parts, strategies = _kway_parts(g, spec.quotas, 0)
-    except AllStrategiesExhausted as exc:
-        # A proof at depth 0 covers the input: merging the first k-1 parts
-        # of any valid k-way partition gives a valid top-level split. For
-        # k = 2 the top-level exact stage has already searched the input.
-        if exc.proven_infeasible:
-            assignment = None
-        elif spec.k == 2:
-            raise
-        else:
-            try:
-                assignment = _exact_partition_assignment(g, spec.quotas)
-            except BudgetExceededError as stop:
-                exc.diagnostics["exact-kway"] = str(stop)
-                raise exc from None
+        assignment = _exact_partition_assignment(g, spec.quotas)
+    except BudgetExceededError as exc:
+        diags["exact"] = str(exc)
+    else:
         if assignment is None:
+            diags["exact"] = "proved infeasible"
             raise AllStrategiesExhausted(
-                "exhaustive search proves no valid partition exists",
-                exc.diagnostics, depth=exc.depth,
-                proven_infeasible=True) from exc
-        parts = _parts_of(assignment, spec.k)
-        strategies = ["exact-kway"]
-    return _certified(g, parts, spec.quotas, ";".join(strategies))
+                "exhaustive search proves no valid partition exists", diags,
+                proven_infeasible=True)
+        return _certified(g, _parts_of(assignment, spec.k), spec.quotas, "exact")
+    classes = _tabucol_classes(g)
+    if classes is None:
+        diags["recoloring"] = (
+            f"TabuCol found no {g.max_degree - 1}-coloring in {RECOLOR_MOVES} moves")
+        raise AllStrategiesExhausted(
+            f"no valid ({','.join(map(str, spec.quotas))}) split found", diags)
+    return _certified(g, _deal(g, classes, spec.quotas), spec.quotas, "recoloring")
 
 
 def clique_bipartition(g: Graph, p: int, q: int) -> Partition:

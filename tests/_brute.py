@@ -289,22 +289,6 @@ def has_clique_within(g: Graph, cands, t: int) -> bool:
                for i, v in enumerate(cands))
 
 
-def brute_migrate(g: Graph, v1, v2, q: int) -> tuple[list[int], list[int]]:
-    """The k-way migration as a fixed point: sweep V1 in ascending order,
-    moving every vertex whose neighbors in V2 hold no clique of size
-    q-1, until a whole sweep moves nothing. Returns both parts sorted."""
-    v1, v2 = set(v1), set(v2)
-    moved = True
-    while moved:
-        moved = False
-        for v in sorted(v1):
-            if not has_clique_within(g, [u for u in v2 if g.has_edge(u, v)], q - 1):
-                v1.remove(v)
-                v2.add(v)
-                moved = True
-    return sorted(v1), sorted(v2)
-
-
 def brute_improving_move(g: Graph, v1, v2, p: int, q: int):
     """A move that enlarges V1 and leaves V1 free of K_p and V2 free of
     K_q: a single pull (v,) from V2, or a 2-in-1-out exchange (a, b, c)

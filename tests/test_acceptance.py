@@ -527,7 +527,7 @@ def _quota_lists(total: int, k: int, top: int | None = None):
 
 
 def test_criterion_10_kway_hard_instance_gate():
-    # The k-way recursion on odd-cycle products C_L x K_m: every k = 3 and
+    # The k-way engine on odd-cycle products C_L x K_m: every k = 3 and
     # k = 4 quota list, plus the all-2 lists at max degree 8, where the
     # paper allows "no". Every answer verifies; every give-up is a proof
     # that the kernel-free oracle confirms.
@@ -613,10 +613,10 @@ def test_criterion_12_thinned_products_gate():
     # each a C_L x K_m (L in {5, 7, 9}, m in {2, 3}) that keeps each edge
     # with probability 0.92, kept when omega <= max degree - 1 and DSatur
     # uses more than max degree - 1 classes. Unlike criterion 10's
-    # products these graphs are not regular, and the levels leave lists
-    # open that the exact-kway fallback answers or proves. Every k = 3
-    # and k = 4 list: every answer verifies, every give-up is a proof
-    # that the kernel-free oracle confirms, and none is left open.
+    # products these graphs are not regular, and one exact search of each
+    # whole list must answer or prove it. Every k = 3 and k = 4 list:
+    # every answer verifies, every give-up is a proof that the kernel-free
+    # oracle confirms, and none is left open.
     started = time.perf_counter()
     keys = sorted((length, m) for length in (5, 7, 9) for m in (2, 3))
     products = {key: cs.generate(cs.GeneratorRecipe(
@@ -661,3 +661,43 @@ def test_criterion_12_thinned_products_gate():
     assert invalid == 0
     assert unproven == 0
     assert disagreements == 0
+
+
+def test_criterion_13_sparse_misses():
+    # Random regular graphs on which DSatur uses more than max degree - 1
+    # classes: the ten kept from d in 4..8, n in {100, 400, 1500} and
+    # seeds 1 to 5. Random 4-regular graphs are almost surely
+    # 3-colorable (Shi & Wormald, 2007), so these lists are almost surely
+    # feasible. Every k = 2, 3 and 4 list must be answered, and every
+    # answer verifies: the exact search answers some, and the recoloring
+    # the ones on which the search runs out of nodes.
+    started = time.perf_counter()
+    misses = [(4, 100, 1), (4, 100, 2), (4, 100, 4), (4, 400, 1), (4, 400, 3),
+              (4, 400, 4), (4, 1500, 2), (4, 1500, 3), (4, 1500, 5), (5, 100, 3)]
+    strategies = {}
+    give_ups = invalid = 0
+    for d, n, seed in misses:
+        g = regular(n, d, seed)
+        assert len(set(brute_dsatur(g))) > g.max_degree - 1
+        for k in (2, 3, 4):
+            for quotas in _quota_lists(g.max_degree - 1 + k, k):
+                spec = cs.PartitionSpec(quotas)
+                try:
+                    part = cs.kway_clique_partition(g, spec)
+                except cs.AllStrategiesExhausted:
+                    give_ups += 1
+                    continue
+                strategies[part.strategy] = strategies.get(part.strategy, 0) + 1
+                if not cs.verify_partition(g, part, spec).valid:
+                    invalid += 1
+    answers = sum(strategies.values())
+    elapsed = time.perf_counter() - started
+    ok = give_ups == invalid == 0
+    _report("13 sparse misses", ok,
+            f"{len(misses)} graphs, {answers + give_ups} quota lists, {answers} answers "
+            f"{sorted(strategies.items())}, {give_ups} give-ups, {invalid} invalid, "
+            f"{elapsed:.1f}s")
+    assert answers + give_ups == 22
+    assert give_ups == 0
+    assert invalid == 0
+    assert strategies == {"exact": 11, "recoloring": 11}

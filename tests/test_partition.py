@@ -18,8 +18,7 @@ from clique_splitter.partition import (
     _dsatur_classes,
     _dsatur_coloring,
     _exact_partition_assignment,
-    _kway_parts,
-    _migrate,
+    _tabucol_classes,
 )
 from _brute import (
     brute_deal,
@@ -27,7 +26,6 @@ from _brute import (
     brute_first_assignment,
     brute_has_transversal,
     brute_improving_move,
-    brute_migrate,
     brute_omega,
     is_independent,
     is_proper_coloring,
@@ -844,7 +842,7 @@ class TestExactSearchComponents:
     def test_union_is_proven_in_either_order(self, length):
         # a search of the whole graph, product last, kept retrying the
         # random component and stopped unproven at EXACT_NODES; the
-        # (3, 2, 2) proof is the top level's (4, 2) proof
+        # (3, 2, 2) search, one component at a time, proves it the same way
         for g in self._unions(regular(200, 5, 0), strong(length, 2)):
             assert _exact_partition_assignment(g, (4, 2)) is None
             for quotas in ((4, 2), (3, 2, 2)):
@@ -865,39 +863,6 @@ class TestExactSearchComponents:
                     assert exc.proven_infeasible and not feasible, quotas
                     continue
                 assert feasible and cs.verify_partition(g, part, spec).valid
-
-
-class TestMigrate:
-    """The single migration pass must end where the old sweep-until-stable
-    loop ended."""
-
-    @staticmethod
-    def _random_split(g, seed):
-        rng = random.Random(seed)
-        in2 = [rng.random() < 0.3 for _ in range(g.n)]
-        return ([v for v in range(g.n) if not in2[v]],
-                [v for v in range(g.n) if in2[v]])
-
-    @given(small_graphs(), st.integers(2, 4), st.integers(0, 2**16))
-    @settings(max_examples=200)
-    def test_matches_fixed_point_on_small_graphs(self, g, q, seed):
-        v1, v2 = self._random_split(g, seed)
-        assert _migrate(g, v1, v2, q) == brute_migrate(g, v1, v2, q)
-
-    @pytest.mark.parametrize("g", [strong(7, 2), strong(9, 3), strong(11, 4),
-                                   gnp(60, 0.6, 1)],
-                             ids=["C7xK2", "C9xK3", "C11xK4", "gnp60"])
-    @pytest.mark.parametrize("q", [2, 3, 4])
-    def test_matches_fixed_point_on_cascade_splits(self, g, q):
-        p = g.max_degree + 1 - q
-        splits = [self._random_split(g, q)]
-        try:
-            # the engine's two-part level, which also takes p < q
-            splits.append(_kway_parts(g, (p, q), 0)[0])
-        except cs.AllStrategiesExhausted:
-            pass
-        for v1, v2 in splits:
-            assert _migrate(g, v1, v2, q) == brute_migrate(g, v1, v2, q)
 
 
 class TestKwayCliquePartition:
@@ -969,56 +934,43 @@ class TestKwayCliquePartition:
         assert str(err.value) == "exhaustive search proves no valid partition exists"
         assert calls == [(4, 2)]
 
-    def test_proof_below_the_top_level_is_not_a_proof(self, monkeypatch):
-        # a deeper level works on one remainder of the input, so its proof
-        # must not surface as a proof about the input when the k-way search
-        # stops. DSatur needs 12 classes on C5xK4 against 10 of room, so
-        # the recursion runs. Its top-level (9, 3) split is found before
-        # the node budget is cut to 1, and handed back for the input; the
-        # remainder, which DSatur would color, is refused the coloring and
-        # "proved" infeasible instead.
-        g = strong(5, 4)
-        top = _exact_partition_assignment(g, (9, 3))
-
-        def proving_below_top(h, quotas):
-            if h is not g:
-                return None
-            if tuple(quotas) == (9, 3):
-                return top
-            return _exact_partition_assignment(h, quotas)
-
-        def refusing_below_top(h, quotas, diags):
-            return _coloring_strategy(h, quotas, diags) if h is g else None
-
-        monkeypatch.setattr(partition, "_exact_partition_assignment", proving_below_top)
-        monkeypatch.setattr(partition, "_coloring_strategy", refusing_below_top)
+    def test_give_up_after_a_failed_recoloring_is_not_a_proof(self, monkeypatch):
+        # DSatur needs 6 classes on C5xK2 against 4 of room, the search is
+        # cut to one node, and chi(C5xK2) = 5 > 4, so the recoloring finds
+        # no coloring either: an unproven give-up, with one diagnostic per
+        # stage, at depth 0
         monkeypatch.setattr(partition, "EXACT_NODES", 1)
         with pytest.raises(cs.AllStrategiesExhausted) as err:
-            cs.kway_clique_partition(g, cs.PartitionSpec((7, 3, 3)))
-        assert err.value.depth == 1
+            cs.kway_clique_partition(strong(5, 2), cs.PartitionSpec((3, 3)))
         assert not err.value.proven_infeasible
-        assert err.value.diagnostics["exact-kway"] == "stopped after 1 nodes"
+        assert err.value.depth == 0
+        assert err.value.diagnostics == {
+            "coloring": "DSatur used 6 > 4 classes",
+            "exact": "stopped after 1 nodes",
+            "recoloring": f"TabuCol found no 4-coloring in {partition.RECOLOR_MOVES} moves",
+        }
+        assert str(err.value) == "no valid (3,3) split found"
 
-    def test_exact_kway_fallback_answers(self):
-        # On this thinned C5xK2 (max degree 5) the levels give up on the
-        # all-2 list without a proof, and the fallback's exact search of
-        # the whole list finds the answer.
+    def test_one_search_answers_the_all_2_list(self):
+        # on this thinned C5xK2 (max degree 5) DSatur overflows the room,
+        # and the exact search of the whole all-2 list finds the answer
         g = thinned_products(5, 2, 1)[0]
         spec = cs.PartitionSpec((2, 2, 2, 2))
         part = cs.kway_clique_partition(g, spec)
-        assert part.strategy == "exact-kway"
+        assert part.strategy == "exact"
         assert cs.verify_partition(g, part, spec).valid
         assert cs.exists_clique_partition(g, spec)[0]
 
-    def test_exact_kway_fallback_proves(self):
-        # the next thinning, where the levels give up at depth 2 without a
-        # proof, the fallback finds no assignment, and so proves the list
+    def test_one_search_proves_the_all_2_list(self):
+        # the next thinning, where the search of the whole list finds no
+        # assignment, and so proves the list at depth 0
         g = thinned_products(5, 2, 2)[1]
         spec = cs.PartitionSpec((2, 2, 2, 2))
         with pytest.raises(cs.AllStrategiesExhausted) as err:
             cs.kway_clique_partition(g, spec)
-        assert err.value.proven_infeasible and err.value.depth == 2
-        assert not err.value.__cause__.proven_infeasible
+        assert err.value.proven_infeasible and err.value.depth == 0
+        assert err.value.diagnostics["exact"] == "proved infeasible"
+        assert str(err.value) == "exhaustive search proves no valid partition exists"
         assert not cs.exists_clique_partition(g, spec)[0]
 
     def test_dummies_never_leak(self):
@@ -1099,24 +1051,17 @@ class TestKwayCliquePartition:
 
     @pytest.mark.parametrize("length,m", [(7, 3), (9, 3), (11, 3), (5, 4), (9, 5)])
     @pytest.mark.parametrize("shape", ["all-2", "even-3"])
-    def test_strategy_names_one_level_per_split_off_part(self, length, m, shape):
+    def test_one_strategy_name_per_call(self, length, m, shape):
         # DSatur needs 3m classes on C_L x K_m, two more than the room, so
-        # the recursion runs. Each level names one strategy: every level
-        # but the last is exact and splits off one last part, non-empty
-        # while three or more quotas remain; a coloring level deals every
-        # remaining part, so it is the last
+        # one exact search of the whole list answers, and the strategy
+        # string names that one stage
         g = strong(length, m)
         spec = self._spec(g.max_degree, shape)
+        diags = {}
+        assert _coloring_strategy(g, spec.quotas, diags) is None
         part = cs.kway_clique_partition(g, spec)
         assert cs.verify_partition(g, part, spec).valid
-        names = part.strategy.split(";")
-        assert names[0] == "exact"
-        assert all(name == "exact" for name in names[:-1])
-        assert names[-1] in ("exact", "coloring")
-        levels = len(names) if names[-1] == "exact" else len(names) - 1
-        for depth in range(levels):
-            if spec.k - depth >= 3:
-                assert part.parts[spec.k - 1 - depth]
+        assert part.strategy == "exact"
 
     def test_coloring_is_asked_once_for_a_two_part_split(self, monkeypatch):
         # DSatur needs 6 classes on C9xK2 against 4 of room at (3, 3)
@@ -1130,61 +1075,69 @@ class TestKwayCliquePartition:
         assert cs.clique_bipartition(strong(9, 2), 3, 3).strategy == "exact"
         assert calls == [(3, 3)]
 
-    @pytest.mark.parametrize("length, m, quotas, strategy", [
-        (9, 2, (3, 3), "exact"),
-        (13, 2, (3, 3), "exact"),
-        (5, 4, (5, 3, 3, 3), "exact;coloring"),
-        (5, 4, (4, 3, 3, 3, 2), "exact;exact;coloring"),
-        (7, 3, (3, 3, 3, 2), "exact;exact;coloring"),
-        (7, 3, (2,) * 7, "exact;exact;exact;coloring"),
+    @pytest.mark.parametrize("length, m, quotas", [
+        (9, 2, (3, 3)),
+        (13, 2, (3, 3)),
+        (5, 4, (5, 3, 3, 3)),
+        (5, 4, (4, 3, 3, 3, 2)),
+        (7, 3, (3, 3, 3, 2)),
+        (7, 3, (2,) * 7),
     ])
-    def test_one_coloring_question_and_one_log_line_per_level(
-            self, monkeypatch, caplog, length, m, quotas, strategy):
-        # level i asks the coloring stage once, with the quotas left after
-        # the i parts split off above it, and logs one line naming its
-        # strategy
+    def test_one_coloring_question_and_one_log_line_per_call(
+            self, monkeypatch, caplog, length, m, quotas):
+        # the coloring stage is asked once, with the whole quota list, one
+        # exact search of that list answers, and one line logs the strategy
         calls = []
 
-        def counted(h, level_quotas, diags):
-            calls.append(tuple(level_quotas))
-            return _coloring_strategy(h, level_quotas, diags)
+        def counted(h, asked, diags):
+            calls.append(tuple(asked))
+            return _coloring_strategy(h, asked, diags)
 
         monkeypatch.setattr(partition, "_coloring_strategy", counted)
         g = strong(length, m)
         with caplog.at_level(logging.DEBUG, logger="clique_splitter.partition"):
             part = cs.kway_clique_partition(g, quotas)
         assert cs.verify_partition(g, part, cs.PartitionSpec(quotas)).valid
-        names = part.strategy.split(";")
-        assert part.strategy == strategy
-        assert calls == [quotas[:len(quotas) - i] for i in range(len(names))]
-        levels = [r.getMessage() for r in caplog.records if r.getMessage().startswith("level ")]
-        assert len(levels) == len(names)
-        for i, (line, name) in enumerate(zip(levels, names)):
-            assert line.startswith(f"level {i} (") and line.endswith(f"solved by {name}")
+        assert part.strategy == "exact"
+        assert calls == [quotas]
+        lines = [r.getMessage() for r in caplog.records if " solved by " in r.getMessage()]
+        assert lines == [f"{quotas} solved by exact"]
 
-    def test_a_colored_remainder_deals_every_remaining_part(self, monkeypatch):
-        # the top level of C5xK4 at (5, 3, 3, 3) misses the coloring, and
-        # its remainder is colored once, for all three remaining quotas
-        g = strong(5, 4)
-        spec = cs.PartitionSpec((5, 3, 3, 3))
-        graphs = []
-
-        def counted(h):
-            graphs.append(h)
-            return _dsatur_coloring(h)
-
-        monkeypatch.setattr(partition, "_dsatur_coloring", counted)
+    @staticmethod
+    def _recolored(g, spec):
         _dsatur_classes.cache_clear()
-        part = cs.kway_clique_partition(g, spec)
-        assert part.strategy == "exact;coloring"
+        _tabucol_classes.cache_clear()
+        clique_number_within.cache_clear()
+        return cs.kway_clique_partition(g, spec)
+
+    @pytest.mark.parametrize("g, quotas, nodes", [
+        (regular(100, 4, 1), (2, 2, 2), partition.EXACT_NODES),
+        (strong(7, 3), (4, 3, 3), 1),
+    ], ids=["regular-100-4", "C7xK3"])
+    def test_a_recolored_answer_deals_whole_classes(self, monkeypatch, g, quotas, nodes):
+        # DSatur overflows the room on both graphs, and the search stops
+        # at its budget: 20,000 nodes on the random 4-regular graph, one
+        # node on C7xK3. TabuCol then finds a (max degree - 1)-coloring
+        # with chi(C7xK3) = 7 = max degree - 1 colors, and each part is a
+        # union of at most p_i - 1 of its classes, dealt as DSatur's are
+        monkeypatch.setattr(partition, "EXACT_NODES", nodes)
+        spec = cs.PartitionSpec(quotas)
+        assert len(set(brute_dsatur(g))) > g.max_degree - 1
+        part = self._recolored(g, spec)
+        assert part.strategy == "recoloring"
         assert cs.verify_partition(g, part, spec).valid
-        assert len(graphs) == 2 and graphs[0] is g
-        sub, back = cs.induced_subgraph(g, [v for side in part.parts[:3] for v in side])
-        assert graphs[1] == sub
-        colors = brute_dsatur(sub)
-        number = {v: i for i, v in enumerate(back)}
-        for side, p in zip(part.parts[:3], spec.quotas):
-            assert is_union_of_classes(colors, [number[v] for v in side], p - 1)
+        colors = [0] * g.n
+        for c, cls in enumerate(_tabucol_classes(g)):
+            for v in cls:
+                colors[v] = c
+        assert is_proper_coloring(g, colors)
+        assert max(colors) + 1 <= g.max_degree - 1
+        for side, p in zip(part.parts, quotas):
+            assert is_union_of_classes(colors, side, p - 1)
+        assert [list(side) for side in part.parts] == brute_deal(colors, quotas)
+        again = self._recolored(g, spec)
+        assert again.assignment == part.assignment
+        assert again.strategy == part.strategy
 
     @pytest.mark.parametrize("n,d", [(48, 16), (28, 13), (40, 14)])
     @pytest.mark.parametrize("seed", range(3))
@@ -1301,7 +1254,7 @@ class TestOneShotColoring:
         assert max(sizes[1:]) <= g.n // 2
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
-    def test_recursion_runs_on_cycle_clique_products(self, m):
+    def test_coloring_misses_on_cycle_clique_products(self, m):
         # max degree 3m - 1 leaves 3m - 2 classes of room, and DSatur
         # needs 3m on every product
         for length in range(5, 42, 2):
@@ -1314,7 +1267,7 @@ class TestOneShotColoring:
             try:
                 part = cs.kway_clique_partition(g, quotas)
             except cs.AllStrategiesExhausted as exc:
-                # the top level asked the same coloring question and was refused
+                # the engine asked the same coloring question and was refused
                 assert exc.diagnostics["coloring"] == diags["coloring"]
                 continue
             assert part.strategy != "coloring"
