@@ -7,7 +7,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import clique_splitter as cs
@@ -1156,6 +1156,80 @@ class TestKwayCliquePartition:
         second = cs.kway_clique_partition(g, spec)
         assert first.assignment == second.assignment
         assert first.strategy == second.strategy
+
+
+class TestTabuCol:
+    """The recoloring stage's (max degree - 1)-coloring: when it returns
+    classes they are a proper coloring of V with at most max degree - 1
+    classes, and it returns None when there is no such coloring."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_cache(self):
+        # a test that lowers RECOLOR_MOVES must leave no stale None behind
+        _tabucol_classes.cache_clear()
+        yield
+        _tabucol_classes.cache_clear()
+
+    @staticmethod
+    def _colors(g, classes):
+        colors = [None] * g.n
+        for c, cls in enumerate(classes):
+            assert list(cls) == sorted(cls)
+            for v in cls:
+                assert colors[v] is None
+                colors[v] = c
+        assert None not in colors
+        return colors
+
+    @given(small_graphs())
+    @settings(max_examples=200)
+    def test_classes_are_a_proper_coloring_on_small_graphs(self, g):
+        # DSatur's classes are the start, so a coloring that already fits
+        # comes back unchanged, and any answer is a proper coloring
+        assume(g.max_degree >= 2)
+        _tabucol_classes.cache_clear()
+        classes = _tabucol_classes(g)
+        if len(_dsatur_classes(g)) <= g.max_degree - 1:
+            assert classes == _dsatur_classes(g)
+        if classes is not None:
+            colors = self._colors(g, classes)
+            assert is_proper_coloring(g, colors)
+            assert len(classes) <= g.max_degree - 1
+
+    @pytest.mark.parametrize("d, n, seed", [
+        (4, 100, 1), (4, 100, 2), (4, 100, 4), (4, 400, 1), (4, 400, 3),
+        (4, 400, 4), (4, 1500, 2), (4, 1500, 3), (4, 1500, 5), (5, 100, 3)])
+    def test_recolors_each_sparse_miss(self, d, n, seed):
+        # DSatur overflows max degree - 1 on each of criterion 13's graphs,
+        # and TabuCol, started from its classes, finds a proper coloring
+        # in the room, the same one on a second run with the cache cleared
+        g = regular(n, d, seed)
+        assert len(_dsatur_classes(g)) > g.max_degree - 1
+        classes = _tabucol_classes(g)
+        assert classes is not None
+        assert is_proper_coloring(g, self._colors(g, classes))
+        assert len(classes) <= g.max_degree - 1
+        _tabucol_classes.cache_clear()
+        assert _tabucol_classes(g) == classes
+
+    @pytest.mark.parametrize("length, m", [(5, 2), (7, 2), (9, 2), (5, 3)])
+    def test_none_below_the_chromatic_number(self, length, m):
+        # chi(C_L x K_m) = ceil(L m / floor(L / 2)) exceeds max degree - 1
+        # = 3m - 2 on these products, so no move sequence can succeed
+        g = strong(length, m)
+        assert -(-length * m // (length // 2)) > g.max_degree - 1
+        assert _tabucol_classes(g) is None
+
+    def test_zero_moves_keep_the_start(self, monkeypatch):
+        # with no moves allowed the answer is the start itself: DSatur's
+        # classes when they fit, None when they overflow
+        monkeypatch.setattr(partition, "RECOLOR_MOVES", 0)
+        for g in (strong(7, 3), regular(100, 4, 1)):
+            assert len(_dsatur_classes(g)) > g.max_degree - 1
+            assert _tabucol_classes(g) is None
+        g = regular(28, 13, 3)
+        assert len(_dsatur_classes(g)) <= g.max_degree - 1
+        assert _tabucol_classes(g) == _dsatur_classes(g)
 
 
 class TestOneShotColoring:
