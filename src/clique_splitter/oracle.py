@@ -255,13 +255,19 @@ def verify_partition(g: Graph, part: Partition, spec: PartitionSpec) -> Verifica
     except TypeError:
         in_range = False
     # min and max settle the usual case; the scan words the error.
-    if not in_range and any(not (0 <= j < k) for j in assignment):
-        raise PreconditionError("part index out of range")
+    try:
+        if not in_range and any(not (0 <= j < k) for j in assignment):
+            raise PreconditionError("part index out of range")
+    except TypeError:
+        raise PreconditionError("a part index is not an integer") from None
     masks = []
     for i, members in enumerate(part.parts):
-        if members and (min(members) < 0 or max(members) >= g.n):
-            raise PreconditionError(f"part {i} has a vertex out of range for n={g.n}")
-        mask = to_mask(members)
+        try:
+            if members and (min(members) < 0 or max(members) >= g.n):
+                raise PreconditionError(f"part {i} has a vertex out of range for n={g.n}")
+            mask = to_mask(members)
+        except TypeError:
+            raise PreconditionError(f"part {i} has a vertex that is not an integer") from None
         if mask.bit_count() != len(members):
             raise PreconditionError(f"part {i} repeats a vertex")
         if [assignment[v] for v in members].count(i) != len(members):

@@ -102,9 +102,13 @@ class Partition:
 def partition_from_parts(g: Graph, parts, strategy: str | None = None) -> Partition:
     """Build a Partition from explicit part lists, computing certificates.
 
-    Parts must be disjoint and cover every vertex. Each certificate is
-    computed on the part's mask of ``g`` through ``clique_number_within``,
-    so its witness, searched for when first read, is in ``g``'s labels.
+    Parts must be disjoint and cover every vertex; a vertex out of range,
+    in two parts or in none raises ValueError naming it. Once the parts
+    are checked, sorted and turned into masks, ``_certify`` builds the
+    Partition, as it does for every partition the engine returns: each
+    certificate is computed on the part's mask of ``g`` through
+    ``clique_number_within``, so its witness, searched for when first
+    read, is in ``g``'s labels.
     """
     full = (1 << g.n) - 1
     norm = []
@@ -132,8 +136,21 @@ def partition_from_parts(g: Graph, parts, strategy: str | None = None) -> Partit
         for i, members in enumerate(norm):
             for v in members:
                 assignment[v] = i
-    certs = tuple(clique_number_within(g, mask) for mask in masks)
-    return Partition(tuple(assignment), tuple(norm), certs, strategy)
+    return _certify(g, tuple(assignment), tuple(norm), masks, strategy)
+
+
+def _certify(g: Graph, assignment: tuple[int, ...], parts: tuple[tuple[int, ...], ...],
+             masks, strategy: str | None) -> Partition:
+    """The Partition of ``assignment`` and its sorted ``parts``, with each
+    part's certificate read from ``clique_number_within`` on its mask.
+
+    The one constructor of every Partition this module returns. It checks
+    nothing: ``partition_from_parts`` checks parts that come from outside,
+    and the engine's parts agree with their assignment and masks by
+    construction.
+    """
+    certs = tuple(map(clique_number_within, itertools.repeat(g, len(masks)), masks))
+    return Partition(assignment, parts, certs, strategy)
 
 
 def _assign_vertex_by_vertex(g: Graph, parts) -> tuple[list[int], list[tuple[int, ...]]]:
@@ -198,8 +215,12 @@ def _full_mask(n: int) -> int:
 
 
 def _parts_of(assignment, k: int) -> list[list[int]]:
-    """Part i holds the vertices that ``assignment`` puts in i, ascending."""
-    return [[v for v, a in enumerate(assignment) if a == i] for i in range(k)]
+    """Part i holds the vertices that ``assignment`` puts in i, ascending,
+    filled in one pass over the assignment."""
+    parts: list[list[int]] = [[] for _ in range(k)]
+    for v, a in enumerate(assignment):
+        parts[a].append(v)
+    return parts
 
 
 def _integer_pair(p, q) -> tuple[int, int]:
@@ -592,44 +613,68 @@ def hitting_independent_set(g: Graph) -> HittingSetResult:
     omega = len(cliques[0])
     adj = g.adjacency_bits
     clique_masks = [kernels.to_mask(c) for c in cliques]
+    holding: list[list[int]] = [[] for _ in range(g.n)]  # holding[v]: cliques holding v
+    for c, clique in enumerate(cliques):
+        for v in clique:
+            holding[v].append(c)
+    held = [kernels.to_mask(indices) for indices in holding]  # held[v]: as a bitset
+    # free[c]: clique c's options, its vertices not yet forbidden. Each
+    # choice updates only the cliques holding a vertex it forbids, and
+    # backtracking undoes that; by_free[f] is the bitset of the unhit
+    # cliques with f options, by their listed index.
+    free = [omega] * len(cliques)
+    by_free = [0] * omega + [(1 << len(cliques)) - 1]
 
-    def fewest_options(unhit: list[int], forbidden: int) -> int | None:
-        """The vertices still allowed in the first clique of ``unhit``
-        with the fewest of them; None when every clique is hit."""
-        best, best_cnt = None, -1
-        for cm in unhit:
-            opts = cm & ~forbidden
-            cnt = opts.bit_count()
-            if best is None or cnt < best_cnt:
-                best, best_cnt = opts, cnt
-                if cnt <= 1:
-                    break
-        return best
+    def branch_clique(by_free: list[int]) -> int:
+        """The first unhit clique in listed order with at most one
+        option, else the first with the fewest; -1 when every clique is
+        hit."""
+        first = by_free[0] | by_free[1] or next(filter(None, by_free), 0)
+        return (first & -first).bit_length() - 1
 
     # Depth first, each node branching on its clique's options in
-    # ascending order; the stack holds each open node's untried options
-    # and the cliques its chosen set has not hit, in their listed order.
-    stack: list[tuple[int, int, int, list[int]]] = []
+    # ascending order; the stack holds each open node's chosen set,
+    # forbidden set, untried options, by_free and unhit cliques, and the
+    # vertices the option tried below it forbade.
+    stack: list[tuple[int, int, int, list[int], int, int]] = []
     chosen = forbidden = nodes = 0
-    unhit = clique_masks
+    unhit = by_free[omega]
     while True:
         nodes += 1
         if nodes > EXACT_NODES:
             raise BudgetExceededError(f"stopped after {EXACT_NODES} nodes")
-        opts = fewest_options(unhit, forbidden)
-        if opts is None:
+        c = branch_clique(by_free)
+        if c < 0:
             break
-        stack.append((chosen, forbidden, opts, unhit))
-        while stack and not stack[-1][2]:
+        stack.append((chosen, forbidden, clique_masks[c] & ~forbidden, by_free, unhit, 0))
+        while True:
+            if not stack:
+                return HittingSetResult("not_found")
+            chosen, forbidden, opts, saved, unhit, tried = stack[-1]
+            for u in kernels.from_mask(tried):
+                for c in holding[u]:
+                    free[c] += 1
+            if opts:
+                break
             stack.pop()
-        if not stack:
-            return HittingSetResult("not_found")
-        chosen, forbidden, opts, unhit = stack.pop()
         bit = opts & -opts
-        stack.append((chosen, forbidden, opts ^ bit, unhit))
+        v = bit.bit_length() - 1
+        newly = (adj[v] | bit) & ~forbidden
+        stack[-1] = (chosen, forbidden, opts ^ bit, saved, unhit, newly)
         chosen |= bit
-        forbidden |= adj[bit.bit_length() - 1] | bit
-        unhit = [cm for cm in unhit if not cm & bit]
+        forbidden |= newly
+        by_free = list(saved)
+        hit = held[v] & unhit
+        unhit ^= hit
+        for c in kernels.from_mask(hit):
+            by_free[free[c]] ^= 1 << c
+        for u in kernels.from_mask(newly):
+            for c in holding[u]:
+                f = free[c]
+                free[c] = f - 1
+                if unhit >> c & 1:
+                    by_free[f] ^= 1 << c
+                    by_free[f - 1] |= 1 << c
     after = clique_number_within(g, _full_mask(g.n) & ~chosen).omega
     if after != omega - 1:
         raise SearchFailureError(
@@ -642,32 +687,70 @@ def hitting_independent_set(g: Graph) -> HittingSetResult:
 # k-way partition: color, search, recolor
 
 
-def _deal(g: Graph, classes, quotas) -> list[list[int]]:
-    """The parts of at most sum(p_i - 1) classes of a proper coloring: part
-    i takes at most p_i - 1 classes, so it holds no K_{p_i}."""
+@lru_cache(maxsize=1024)
+def _class_layout(classes) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Each class's bitset and each vertex's class index, for the classes
+    of a proper coloring of all of a graph's vertices.
+
+    Cached by the classes, DSatur's or TabuCol's, which are themselves
+    cached by graph, so every quota list dealt from one coloring reads
+    one build.
+    """
+    index = [0] * sum(map(len, classes))
+    for c, cls in enumerate(classes):
+        for v in cls:
+            index[v] = c
+    return tuple(map(kernels.to_mask, classes)), tuple(index)
+
+
+@lru_cache(maxsize=1024)
+def _deal_order(quotas: tuple[int, ...]) -> tuple[int, ...]:
+    """The part each class goes to, largest class first: the classes are
+    dealt round-robin, skipping a part once it holds p_i - 1 of them, so
+    slot (t, i), part i's (t+1)-th class, comes in (t, i) order.
+
+    A part's certificate costs about as much as a clique search of its
+    size, so k parts of about r/k classes each cost far less than a first
+    part holding most of V. Cached by quota list, which many graphs share.
+    """
+    return tuple(i for _, i in sorted((t, i) for i, p in enumerate(quotas) for t in range(p - 1)))
+
+
+def _deal(g: Graph, classes, quotas, strategy: str) -> Partition:
+    """The partition made of at most sum(p_i - 1) classes of a proper
+    coloring: part i takes at most p_i - 1 classes, so it holds no
+    K_{p_i}.
+
+    Classes go to parts whole, so only each part's sort and the
+    assignment read single vertices: a part's members are its classes'
+    members, sorted once, its mask is the OR of its classes' bitsets,
+    and each vertex goes to the part holding its class, by the class
+    index of ``_class_layout``.
+    """
+    n, k = g.n, len(quotas)
     if len(classes) <= quotas[0] - 1:
         # V is then the one part to certify, and its entry is the one
         # the precondition check has already filled.
-        return [list(range(g.n))] + [[] for _ in quotas[1:]]
-    # Otherwise the classes are dealt round-robin, largest first, skipping
-    # a part once it is full: slot (t, i) is part i's (t+1)-th class. A
-    # part's certificate costs about as much as a clique search of its
-    # size, so k parts of about r/k classes each cost far less than a
-    # first part holding most of V.
-    slots = sorted((t, i) for i, p in enumerate(quotas) for t in range(p - 1))
-    parts = [[] for _ in quotas]
-    for cls, (_, i) in zip(classes, slots):
-        parts[i].extend(cls)
-    return [sorted(side) for side in parts]
+        return _certify(g, (0,) * n, (tuple(range(n)),) + ((),) * (k - 1),
+                        (_full_mask(n),) + (0,) * (k - 1), strategy)
+    part_of = _deal_order(tuple(quotas))
+    class_masks, index = _class_layout(classes)
+    members: list[list[int]] = [[] for _ in quotas]
+    masks = [0] * k
+    for cls, mask, i in zip(classes, class_masks, part_of):
+        members[i] += cls
+        masks[i] |= mask
+    parts = tuple(tuple(sorted(side)) for side in members)
+    return _certify(g, tuple(map(part_of.__getitem__, index)), parts, masks, strategy)
 
 
-def _coloring_strategy(g: Graph, quotas, diags: dict):
+def _coloring_strategy(g: Graph, quotas, diags: dict) -> Partition | None:
     classes = _dsatur_classes(g)
     room = sum(quotas) - len(quotas)
     if len(classes) > room:
         diags["coloring"] = f"DSatur used {len(classes)} > {room} classes"
         return None
-    return _deal(g, classes, quotas)
+    return _deal(g, classes, quotas, "coloring")
 
 
 @lru_cache(maxsize=1024)
@@ -721,14 +804,14 @@ def _tabucol_classes(g: Graph) -> tuple[tuple[int, ...], ...] | None:
     return None if conflicting else _classes(color)
 
 
-def _certified(g: Graph, parts, quotas, strategy: str) -> Partition:
-    """Partition with exact per-part certificates, checked against the quotas."""
-    part = partition_from_parts(g, parts, strategy=strategy)
+def _checked(part: Partition, quotas) -> Partition:
+    """``part`` once its certificates meet the quotas; SearchFailureError
+    if one does not."""
     if not part.satisfies(quotas):
         raise SearchFailureError(
             "post-verification failed",
             {"omegas": [c.omega for c in part.certificates], "quotas": tuple(quotas)})
-    log.debug("%s solved by %s", tuple(quotas), strategy)
+    log.debug("%s solved by %s", tuple(quotas), part.strategy)
     return part
 
 
@@ -754,11 +837,12 @@ def kway_clique_partition(g: Graph, spec) -> Partition:
             f"{g.max_degree - 1 + spec.k}")
     _check_omega(g)
     if spec.k == 1:
-        return _certified(g, [range(g.n)], spec.quotas, "verify")
+        return _checked(_certify(g, (0,) * g.n, (tuple(range(g.n)),), (_full_mask(g.n),),
+                                 "verify"), spec.quotas)
     diags: dict[str, str] = {}
-    parts = _coloring_strategy(g, spec.quotas, diags)
-    if parts is not None:
-        return _certified(g, parts, spec.quotas, "coloring")
+    part = _coloring_strategy(g, spec.quotas, diags)
+    if part is not None:
+        return _checked(part, spec.quotas)
     try:
         assignment = _exact_partition_assignment(g, spec.quotas)
     except BudgetExceededError as exc:
@@ -769,14 +853,16 @@ def kway_clique_partition(g: Graph, spec) -> Partition:
             raise AllStrategiesExhausted(
                 "exhaustive search proves no valid partition exists", diags,
                 proven_infeasible=True)
-        return _certified(g, _parts_of(assignment, spec.k), spec.quotas, "exact")
+        parts = _parts_of(assignment, spec.k)
+        return _checked(_certify(g, tuple(assignment), tuple(map(tuple, parts)),
+                                 list(map(kernels.to_mask, parts)), "exact"), spec.quotas)
     classes = _tabucol_classes(g)
     if classes is None:
         diags["recoloring"] = (
             f"TabuCol found no {g.max_degree - 1}-coloring in {RECOLOR_MOVES} moves")
         raise AllStrategiesExhausted(
             f"no valid ({','.join(map(str, spec.quotas))}) split found", diags)
-    return _certified(g, _deal(g, classes, spec.quotas), spec.quotas, "recoloring")
+    return _checked(_deal(g, classes, spec.quotas, "recoloring"), spec.quotas)
 
 
 def clique_bipartition(g: Graph, p: int, q: int) -> Partition:

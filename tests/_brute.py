@@ -346,3 +346,35 @@ def valid_bipartition_sizes(g: Graph, p: int, q: int) -> list[int]:
             continue
         sizes.append(len(v1))
     return sizes
+
+
+def brute_first_transversal(g: Graph) -> tuple[tuple[int, ...] | None, int]:
+    """The independent transversal of the maximum cliques that
+    ``hitting_independent_set``'s search returns, or None, and the nodes
+    it visits, by its rule read plainly: at each node every unhit clique's
+    options are counted afresh; the node branches, in ascending order, on
+    the options of the first clique in listed order with at most one of
+    them, else of the first with the fewest. The empty graph gives
+    (None, 0)."""
+    cliques = [set(c) for c in brute_maximum_cliques(g)] if g.n else []
+    if not cliques:
+        return None, 0
+    nodes = 0
+
+    def visit(chosen: frozenset, forbidden: frozenset, unhit: list):
+        nonlocal nodes
+        nodes += 1
+        if not unhit:
+            return tuple(sorted(chosen))
+        counts = [len(c - forbidden) for c in unhit]
+        low = [i for i, cnt in enumerate(counts) if cnt <= 1]
+        pick = low[0] if low else counts.index(min(counts))
+        for v in sorted(unhit[pick] - forbidden):
+            found = visit(chosen | {v}, forbidden | {v} | set(g.neighbors(v)),
+                          [c for c in unhit if v not in c])
+            if found is not None:
+                return found
+        return None
+
+    found = visit(frozenset(), frozenset(), cliques)
+    return found, nodes

@@ -251,13 +251,19 @@ class TestVerifyPartition:
         with pytest.raises(cs.PreconditionError, match="parts hold 2 vertices"):
             cs.verify_partition(g, part, cs.PartitionSpec((2, 2)))
 
-    @pytest.mark.parametrize("parts,message", [
-        (((0, 1, 1), (2, 3)), "part 0 repeats a vertex"),
-        (((0, 1, 2), (3,)), "part 0 holds a vertex the assignment puts elsewhere"),
-        (((0, 1), (1, 2, 3)), "part 1 holds a vertex the assignment puts elsewhere"),
-    ], ids=["repeat", "misplaced", "two-parts"])
-    def test_parts_disagreeing_with_assignment_rejected(self, parts, message):
+    @pytest.mark.parametrize("assignment,parts,message", [
+        ((0, 0, 1, 1), ((0, 1, 1), (2, 3)), "part 0 repeats a vertex"),
+        ((0, 0, 1, 1), ((0, 1, 2), (3,)), "part 0 holds a vertex the assignment puts elsewhere"),
+        ((0, 0, 1, 1), ((0, 1), (1, 2, 3)), "part 1 holds a vertex the assignment puts elsewhere"),
+        # entries that are no integers: each fails a check that would
+        # raise TypeError, and is a PreconditionError like its siblings
+        ((0, 0, 1, "x"), ((0, 1), (2, 3)), "a part index is not an integer"),
+        ((0, 0, 1, 1), ((0, 1), (2, 3.0)), "part 1 has a vertex that is not an integer"),
+        ((0, 0, 1, 1), ((0, 1), (2, "3")), "part 1 has a vertex that is not an integer"),
+    ], ids=["repeat", "misplaced", "two-parts", "index-str", "member-float", "member-str"])
+    def test_parts_disagreeing_with_assignment_rejected(self, assignment, parts, message):
         g = C(4)
-        part = cs.Partition((0, 0, 1, 1), parts, (), None)
-        with pytest.raises(cs.PreconditionError, match=message):
+        part = cs.Partition(assignment, parts, (), None)
+        with pytest.raises(cs.PreconditionError, match=message) as err:
             cs.verify_partition(g, part, cs.PartitionSpec((2, 2)))
+        assert isinstance(err.value, ValueError)

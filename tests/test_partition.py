@@ -24,6 +24,7 @@ from _brute import (
     brute_deal,
     brute_dsatur,
     brute_first_assignment,
+    brute_first_transversal,
     brute_has_transversal,
     brute_improving_move,
     brute_omega,
@@ -408,6 +409,42 @@ class TestHittingIndependentSet:
         with pytest.raises(cs.BudgetExceededError, match="stopped after 100 nodes"):
             cs.hitting_independent_set(g)
 
+    @staticmethod
+    def _agrees_with_plain_rule(monkeypatch, g):
+        # the answer, and the node count the budget sees, of the search
+        # with counts kept across nodes equal those of the rule read
+        # plainly, every clique's options counted afresh at every node
+        expected, nodes = brute_first_transversal(g)
+        monkeypatch.setattr(partition, "EXACT_NODES", nodes)
+        res = cs.hitting_independent_set(g)
+        assert res.outcome == ("found" if expected is not None else "not_found")
+        assert res.independent_set == expected
+        monkeypatch.setattr(partition, "EXACT_NODES", nodes - 1)
+        with pytest.raises(cs.BudgetExceededError):
+            cs.hitting_independent_set(g)
+
+    @pytest.mark.parametrize("g", [
+        cs.Graph(28, strong(9, 3).edges()),
+        cs.Graph(11, strong(5, 2).edges()),
+        cs.Graph(16, strong(5, 3).edges() + [(15, 0)]),
+        gnp(14, 0.5, 1), gnp(16, 0.6, 2), gnp(16, 0.3, 3),
+        # a clique with one option comes before one with none: branching
+        # on the one with fewest options instead visits fewer nodes
+        gnp(8, 0.3, 45), gnp(8, 0.5, 52), gnp(10, 0.3, 36),
+        cs.generate(cs.GeneratorRecipe("disjoint_union", {"sizes": (3, 4, 3, 2)})),
+    ], ids=["C9xK3+1", "C5xK2+1", "C5xK3+pendant", "gnp-14", "gnp-16-dense", "gnp-16-sparse",
+            "gnp-8-sparse", "gnp-8", "gnp-10", "cliques"])
+    def test_counts_follow_the_plain_rule(self, monkeypatch, g):
+        assert cs.detect_cycle_clique_product(g) is None
+        self._agrees_with_plain_rule(monkeypatch, g)
+
+    @given(small_graphs(max_n=9))
+    @settings(max_examples=150)
+    def test_counts_follow_the_plain_rule_on_small_graphs(self, g):
+        assume(g.edge_count and cs.detect_cycle_clique_product(g) is None)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self._agrees_with_plain_rule(monkeypatch, g)
+
 
 class TestDetectCycleCliqueProduct:
     @pytest.mark.parametrize("length,m,seed", [
@@ -651,13 +688,15 @@ class TestCliqueBipartition:
             assert cs.verify_partition(g, part, cs.PartitionSpec((p, q))).valid
 
     def test_invalid_split_is_never_returned(self, monkeypatch):
-        # the strategies return bare parts; the one exact check at the
-        # top of both public entry points must catch a wrong split
+        # the strategies return partitions not checked against the quotas;
+        # the one exact check at the top of both public entry points must
+        # catch a wrong split
         edges = [(u, v) for u in range(12) for v in range(u + 1, 12)]
         edges += [((t + i) % 12, 12 + i) for i in range(3) for t in range(10)]
         g = cs.Graph(15, edges)
         monkeypatch.setattr(partition, "_coloring_strategy",
-                            lambda h, quotas, diags: [[], list(range(h.n))])
+                            lambda h, quotas, diags: cs.partition_from_parts(
+                                h, [[], list(range(h.n))], "coloring"))
         with pytest.raises(cs.SearchFailureError, match="post-verification failed"):
             cs.clique_bipartition(g, 8, 7)
         with pytest.raises(cs.SearchFailureError, match="post-verification failed"):
@@ -1447,3 +1486,76 @@ class TestMaxKpfreePartition:
         assert err.value.proven_infeasible
         assert err.value.diagnostics["exact"] == "proved infeasible"
         assert err.value.diagnostics == direct.value.diagnostics
+
+
+class TestConstructionParity:
+    """Every Partition the engine returns, whichever stage answers it,
+    equals field by field the one ``partition_from_parts`` builds from
+    its parts and strategy, and each certificate is the one of its own
+    part's mask."""
+
+    @staticmethod
+    def _assert_parity(g, part):
+        rebuilt = cs.partition_from_parts(g, part.parts, part.strategy)
+        for field in ("assignment", "parts", "certificates", "strategy"):
+            assert getattr(part, field) == getattr(rebuilt, field), field
+        for cert, members in zip(part.certificates, part.parts):
+            assert cert == clique_number_within(g, kernels.to_mask(members))
+
+    def _strategies(self, g, lists):
+        """The strategy of each answered list, with "coloring" split into
+        "coloring: V" when part 1 is the whole vertex set and "coloring:
+        dealt" otherwise."""
+        seen = set()
+        for quotas in lists:
+            try:
+                part = cs.kway_clique_partition(g, quotas)
+            except cs.AllStrategiesExhausted:
+                continue
+            self._assert_parity(g, part)
+            name = part.strategy
+            if name == "coloring":
+                name += ": V" if part.parts[0] == tuple(range(g.n)) else ": dealt"
+            seen.add(name)
+        return seen
+
+    @staticmethod
+    def _random_lists(rng, delta, count):
+        """``count`` quota lists with k from 2 to 6 parts: the delta - 1
+        classes of room cut at random into k nonempty shares."""
+        lists = []
+        for _ in range(count):
+            k = rng.randint(2, min(6, delta - 1))
+            cuts = sorted(rng.sample(range(1, delta - 1), k - 1))
+            room = [b - a for a, b in zip([0, *cuts], [*cuts, delta - 1])]
+            lists.append(tuple(sorted((r + 1 for r in room), reverse=True)))
+        return lists
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_graphs_and_lists(self, seed):
+        rng = random.Random(seed)
+        graphs = [regular(rng.randrange(20, 40, 2), rng.randint(8, 14), seed),
+                  gnp(rng.randint(20, 40), rng.uniform(0.35, 0.55), seed)]
+        seen = set()
+        for g in graphs:
+            delta = g.max_degree
+            if cs.clique_number(g).omega > delta - 1:
+                continue
+            lists = [(delta,), (delta - 1, 2), *self._random_lists(rng, delta, 12)]
+            seen |= self._strategies(g, lists)
+        assert {"verify", "coloring: V", "coloring: dealt"} <= seen
+
+    @pytest.mark.parametrize("length, m", [(7, 3), (9, 3), (5, 4)])
+    def test_exact_answers_on_products(self, length, m):
+        # DSatur needs 3m classes on C_L x K_m, two more than the room
+        g = strong(length, m)
+        rng = random.Random(length * m)
+        assert "exact" in self._strategies(g, self._random_lists(rng, g.max_degree, 4))
+
+    @pytest.mark.parametrize("d, n, seed", [(4, 100, 1), (4, 100, 2), (4, 100, 4), (5, 100, 3)])
+    def test_recolored_answers_on_sparse_misses(self, d, n, seed):
+        # criterion 13's misses: DSatur overflows the room and the (2, 2,
+        # 2) search runs out of nodes, so TabuCol's classes are dealt
+        g = regular(n, d, seed)
+        lists = [(2,) * (d - 1), (d - 1, 2)]
+        assert "recoloring" in self._strategies(g, lists)
