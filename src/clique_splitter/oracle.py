@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .cliques import clique_number_within
@@ -250,16 +251,23 @@ def verify_partition(g: Graph, part: Partition, spec: PartitionSpec) -> Verifica
         raise PreconditionError(
             f"partition has {len(part.parts)} parts, spec wants {k}")
     assignment = part.assignment
+    # bytes takes each index as operator.index does, so 1.0 and
+    # Fraction(1) are refused where min, max and == would take them, and
+    # checks 0 <= index < 256 in the same pass, which settles the usual
+    # case; operator.index takes the rest, and the error is worded there.
     try:
-        in_range = not assignment or (0 <= min(assignment) and max(assignment) < k)
-    except TypeError:
-        in_range = False
-    # min and max settle the usual case; the scan words the error.
-    try:
-        if not in_range and any(not (0 <= j < k) for j in assignment):
-            raise PreconditionError("part index out of range")
+        in_range = max(bytes(assignment), default=0) < k
     except TypeError:
         raise PreconditionError("a part index is not an integer") from None
+    except ValueError:  # an index outside 0..255
+        in_range = False
+    if not in_range:
+        try:
+            indices = list(map(operator.index, assignment))
+        except TypeError:
+            raise PreconditionError("a part index is not an integer") from None
+        if min(indices) < 0 or max(indices) >= k:
+            raise PreconditionError("part index out of range")
     masks = []
     for i, members in enumerate(part.parts):
         try:

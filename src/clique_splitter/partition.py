@@ -175,9 +175,18 @@ def _assign_vertex_by_vertex(g: Graph, parts) -> tuple[list[int], list[tuple[int
 
 def partition_from_assignment(g: Graph, assignment, k: int | None = None,
                               strategy: str | None = None) -> Partition:
+    """The Partition whose part i holds the vertices ``assignment`` puts
+    in i, for k parts, or one more than the largest index when k is None.
+    An index that ``operator.index`` refuses, or outside 0..k-1, raises
+    ValueError naming its vertex."""
     assignment = list(assignment)
     if len(assignment) != g.n:
         raise ValueError(f"assignment covers {len(assignment)} of {g.n} vertices")
+    for v, a in enumerate(assignment):
+        try:
+            assignment[v] = operator.index(a)
+        except TypeError:
+            raise ValueError(f"vertex {v} has part index {a!r}, not an integer") from None
     if k is None:
         k = max(assignment, default=-1) + 1
     for v, a in enumerate(assignment):
@@ -354,6 +363,31 @@ def _component_orders(adj, order: list[int]) -> list[list[int]]:
     return orders
 
 
+@lru_cache(maxsize=1024)
+def _exact_plan(g: Graph) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The exact search's order of g, one (vertices, twin links) pair per
+    connected component: the component's vertices in descending-degree
+    order, then by index, and for each of them the index in that tuple
+    of its latest earlier true twin, or -1.
+
+    Cached by graph, like ``_dsatur_classes``, so every quota list
+    searched on one graph reads one build. The closed neighbourhoods
+    that find the twins are n-bit keys and are dropped after the build.
+    """
+    adj = g.adjacency_bits
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    plan = []
+    for component in _component_orders(adj, order):
+        prev_twin = []
+        latest: dict[int, int] = {}  # closed neighbourhood -> latest index
+        for i, v in enumerate(component):
+            closed = adj[v] | 1 << v
+            prev_twin.append(latest.get(closed, -1))
+            latest[closed] = i
+        plan.append((tuple(component), tuple(prev_twin)))
+    return tuple(plan)
+
+
 def _exact_partition_assignment(g: Graph, quotas) -> list[int] | None:
     """Complete backtracking over vertex assignments with per-part clique
     pruning; None means no valid partition exists.
@@ -383,34 +417,43 @@ def _exact_partition_assignment(g: Graph, quotas) -> list[int] | None:
     than one frame per vertex, so it runs at any n, and raises
     BudgetExceededError once it has visited EXACT_NODES nodes in all:
     the root plus one node per placement, over every component.
+
+    The order, the component split and the twin links depend on g alone
+    and come from ``_exact_plan``, built once per graph; the earlier
+    parts of equal quota are listed once per call. A part of quota 2
+    takes v exactly when it holds no neighbour of v, and a part holding
+    fewer than p - 1 neighbours of v takes it too, so only the other
+    tries call ``kernels.has_clique_of_size``.
     """
     quotas = tuple(quotas)
     k = len(quotas)
     adj = g.adjacency_bits
     tables = _label_tables(g)
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    # equal[j]: the parts before j with j's quota, in any quota order
+    equal = [tuple(h for h in range(j) if quotas[h] == quotas[j]) for j in range(k)]
     assignment = [0] * g.n
     nodes = 1
-    for component in _component_orders(adj, order):
+    for component, prev_twin in _exact_plan(g):
         masks = [0] * k
-        prev_twin = []  # index of component[i]'s latest earlier twin, or -1
-        latest: dict[int, int] = {}  # closed neighbourhood -> latest index
-        for i, v in enumerate(component):
-            closed = adj[v] | 1 << v
-            prev_twin.append(latest.get(closed, -1))
-            latest[closed] = i
         chosen: list[int] = []  # chosen[i] is the part holding component[i]
         j = 0  # next part to try for component[len(chosen)]
         while len(chosen) < len(component):
-            v = component[len(chosen)]
-            if prev_twin[len(chosen)] >= 0:
-                j = max(j, chosen[prev_twin[len(chosen)]])
+            i = len(chosen)
+            v = component[i]
+            if prev_twin[i] >= 0:
+                j = max(j, chosen[prev_twin[i]])
+            nbrs = adj[v]
             while j < k:
-                empty_twin = masks[j] == 0 and any(
-                    masks[h] == 0 and quotas[h] == quotas[j] for h in range(j))
-                if not empty_twin and not kernels.has_clique_of_size(
-                        adj, masks[j] & adj[v], quotas[j] - 1, tables):
-                    break
+                # an empty part after an empty part of equal quota is skipped
+                if masks[j] or all(map(masks.__getitem__, equal[j])):
+                    m = masks[j] & nbrs
+                    need = quotas[j] - 1
+                    if need == 1:
+                        if not m:
+                            break
+                    elif m.bit_count() < need or not kernels.has_clique_of_size(
+                            adj, m, need, tables):
+                        break
                 j += 1
             if j < k:
                 nodes += 1

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 import clique_splitter as cs
@@ -260,10 +262,44 @@ class TestVerifyPartition:
         ((0, 0, 1, "x"), ((0, 1), (2, 3)), "a part index is not an integer"),
         ((0, 0, 1, 1), ((0, 1), (2, 3.0)), "part 1 has a vertex that is not an integer"),
         ((0, 0, 1, 1), ((0, 1), (2, "3")), "part 1 has a vertex that is not an integer"),
-    ], ids=["repeat", "misplaced", "two-parts", "index-str", "member-float", "member-str"])
+        # an index equal to an integer but of no integer type, which the
+        # range check and the members' comparison with the index would take
+        ((0, 1, 0, 1.0), ((0, 2), (1, 3)), "a part index is not an integer"),
+        ((0, 1, 0, Fraction(1)), ((0, 2), (1, 3)), "a part index is not an integer"),
+        # too large for a machine integer, and out of range
+        ((0, 1, 0, 2**70), ((0, 2), (1, 3)), "part index out of range"),
+        ((0, 1, 0, -2**70), ((0, 2), (1, 3)), "part index out of range"),
+    ], ids=["repeat", "misplaced", "two-parts", "index-str", "member-float", "member-str",
+            "index-float", "index-fraction", "index-huge", "index-huge-negative"])
     def test_parts_disagreeing_with_assignment_rejected(self, assignment, parts, message):
         g = C(4)
         part = cs.Partition(assignment, parts, (), None)
         with pytest.raises(cs.PreconditionError, match=message) as err:
             cs.verify_partition(g, part, cs.PartitionSpec((2, 2)))
         assert isinstance(err.value, ValueError)
+
+    @pytest.mark.parametrize("last, message", [
+        (299, None),
+        (300, "part index out of range"),
+        (-1, "part index out of range"),
+        (299.0, "a part index is not an integer"),
+    ], ids=["valid", "past-k", "negative", "float"])
+    def test_part_indices_past_255(self, last, message):
+        # k = 300: indices that no byte holds take the second check
+        n = 300
+        g = cs.Graph(n)
+        part = cs.Partition(tuple(range(n - 1)) + (last,),
+                            tuple((v,) for v in range(n)), (), None)
+        spec = cs.PartitionSpec((2,) * n)
+        if message is None:
+            assert cs.verify_partition(g, part, spec).valid
+        else:
+            with pytest.raises(cs.PreconditionError, match=message):
+                cs.verify_partition(g, part, spec)
+
+    def test_bool_part_indices_accepted(self):
+        # bool is an int, and operator.index takes it
+        g = C(4)
+        part = cs.Partition((False, True, False, True), ((0, 2), (1, 3)), (), None)
+        report = cs.verify_partition(g, part, cs.PartitionSpec((2, 2)))
+        assert report.valid and report.part_omegas == (1, 1)

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import itertools
 import logging
@@ -202,6 +203,22 @@ class TestPartitionBuilders:
         with pytest.raises(ValueError) as err:
             cs.partition_from_assignment(cs.Graph(3), assignment, k)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("assignment, k, message", [
+        ([0, 1.0, 0], 2, "vertex 1 has part index 1.0, not an integer"),
+        ([0, 1, Fraction(1)], None, "vertex 2 has part index Fraction(1, 1), not an integer"),
+        ([0, "1", 0], 2, "vertex 1 has part index '1', not an integer"),
+        ([None, 0, 0], None, "vertex 0 has part index None, not an integer"),
+    ], ids=["float", "fraction", "str", "none"])
+    def test_part_index_not_an_integer_named(self, assignment, k, message):
+        with pytest.raises(ValueError) as err:
+            cs.partition_from_assignment(cs.Graph(3), assignment, k)
+        assert str(err.value) == message
+
+    def test_bool_part_indices_accepted(self):
+        part = cs.partition_from_assignment(C(4), [False, True, False, True])
+        assert part.parts == ((0, 2), (1, 3))
+        assert part.assignment == (0, 1, 0, 1)
 
 
 class TestDegreeBoundedBipartition:
@@ -823,6 +840,19 @@ def blown_up_graphs(draw, max_n=9):
     return cs.Graph(n, edges)
 
 
+@contextlib.contextmanager
+def whole_graph_plan():
+    """The exact search with the component split turned off. The cached
+    per-graph plans are dropped on the way in and out, so that no plan
+    built with the split serves a search without it, or the reverse."""
+    partition._exact_plan.cache_clear()
+    try:
+        with mock.patch.object(partition, "_component_orders", lambda adj, vertices: [vertices]):
+            yield
+    finally:
+        partition._exact_plan.cache_clear()
+
+
 class TestTwinRule:
     """Placing true twins in non-decreasing part order changes no answer:
     the search returns what a search without the rule returns."""
@@ -834,8 +864,7 @@ class TestTwinRule:
             expected, _ = brute_first_assignment(g, quotas, twins=False)
             assert _exact_partition_assignment(g, quotas) == expected
             whole, _ = brute_first_assignment(g, quotas, by_component=False, twins=False)
-            with mock.patch.object(partition, "_component_orders",
-                                   lambda adj, vertices: [vertices]):
+            with whole_graph_plan():
                 assert _exact_partition_assignment(g, quotas) == whole
 
 
@@ -864,12 +893,12 @@ class TestExactSearchComponents:
         (strong(5, 3), strong(7, 3), (6, 3)),
     ], ids=["regular200+C5xK2", "regular200+C9xK2", "C7xK2+C5xK2", "C5xK3+C7xK3"])
     def test_same_assignment_as_the_whole_graph_search_on_unions(
-            self, monkeypatch, rest, product, quotas, order):
+            self, rest, product, quotas, order):
         g = self._unions(rest, product)[order]
         split = _exact_partition_assignment(g, quotas)
         assert split is not None
-        monkeypatch.setattr(partition, "_component_orders", lambda adj, vertices: [vertices])
-        assert _exact_partition_assignment(g, quotas) == split
+        with whole_graph_plan():
+            assert _exact_partition_assignment(g, quotas) == split
 
     @pytest.mark.parametrize("order", [0, 1], ids=["product-last", "product-first"])
     @pytest.mark.parametrize("quotas", [(4, 2), (3, 3)])
@@ -902,6 +931,86 @@ class TestExactSearchComponents:
                     assert exc.proven_infeasible and not feasible, quotas
                     continue
                 assert feasible and cs.verify_partition(g, part, spec).valid
+
+
+class TestExactPlan:
+    """The exact search's order, component split and twin links are built
+    once per graph and cached; a search that reads a cached plan answers
+    as one that builds it, with the same node count."""
+
+    # several lists in a row on one graph: unsorted ones and k = 3 among them
+    SEQUENCE = [(4, 2), (3, 3), (2, 4), (3, 2, 2), (2, 3, 2), (2, 2, 3), (3, 3)]
+
+    @staticmethod
+    def _search_at_boundary(g, quotas, nodes, cold):
+        # the answer with a budget of exactly ``nodes``, and the give-up
+        # with one fewer; ``cold`` drops every cached plan before each call
+        with mock.patch.object(partition, "EXACT_NODES", nodes):
+            if cold:
+                partition._exact_plan.cache_clear()
+            answer = _exact_partition_assignment(g, quotas)
+        if nodes > 1:
+            with mock.patch.object(partition, "EXACT_NODES", nodes - 1):
+                if cold:
+                    partition._exact_plan.cache_clear()
+                with pytest.raises(cs.BudgetExceededError):
+                    _exact_partition_assignment(g, quotas)
+        return answer
+
+    @pytest.mark.parametrize("g", [
+        strong(7, 2),
+        cs.disjoint_union(strong(5, 2), regular(12, 5, 0)),
+        cs.disjoint_union(regular(12, 5, 0), strong(5, 2)),
+    ], ids=["C7xK2", "C5xK2+regular12", "regular12+C5xK2"])
+    def test_cold_and_warm_plans_agree(self, g):
+        references = [brute_first_assignment(g, quotas) for quotas in self.SEQUENCE]
+        answers = {}
+        for cold in (True, False):
+            partition._exact_plan.cache_clear()
+            for quotas, (expected, nodes) in zip(self.SEQUENCE, references):
+                answer = self._search_at_boundary(g, quotas, nodes, cold)
+                assert answer == expected, (quotas, cold)
+                answers[quotas, cold] = answer
+            info = partition._exact_plan.cache_info()
+            # cold: the last call built its own plan; warm: one build, then
+            # every later call read it
+            calls = sum(1 + (nodes > 1) for _, nodes in references)
+            assert (info.misses, info.hits) == ((1, 0) if cold else (1, calls - 1))
+        # the sequence holds proofs and answers both
+        assert any(a is None for a in answers.values())
+        assert any(a is not None for a in answers.values())
+
+    @pytest.mark.parametrize("g", [
+        strong(5, 3),
+        cs.disjoint_union(strong(5, 2), regular(30, 4, 1)),
+        cs.Graph(0),
+    ], ids=["C5xK3", "C5xK2+regular30", "empty"])
+    def test_plan_holds_the_search_order(self, g):
+        order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+        plan = partition._exact_plan(g)
+        assert sorted(v for component, _ in plan for v in component) == list(range(g.n))
+        for component, prev_twin in plan[:g.n]:  # n = 0 has one empty component
+            assert list(component) == [v for v in order if v in set(component)]
+            assert partition._component_mask(g.adjacency_bits, component[0]) == \
+                kernels.to_mask(component)
+            closed = [g.adjacency_bits[v] | 1 << v for v in component]
+            for i, t in enumerate(prev_twin):
+                twins = [h for h in range(i) if closed[h] == closed[i]]
+                assert t == (twins[-1] if twins else -1)
+        # components by their first vertex in the order
+        firsts = [order.index(c[0]) for c, _ in plan[:g.n]]
+        assert firsts == sorted(firsts)
+
+    def test_plan_cache_is_found_by_a_module_scan(self):
+        # a benchmark's fresh round clears every function cache it finds
+        # in the package's modules; a plan it missed would stay warm
+        clearers = [obj.cache_clear for obj in vars(partition).values()
+                    if callable(getattr(obj, "cache_clear", None))]
+        _exact_partition_assignment(strong(5, 2), (3, 3))
+        assert partition._exact_plan.cache_info().currsize > 0
+        for clear in clearers:
+            clear()
+        assert partition._exact_plan.cache_info().currsize == 0
 
 
 class TestKwayCliquePartition:
