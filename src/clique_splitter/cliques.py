@@ -3,27 +3,32 @@
 All operations are pure functions of immutable graphs; witnesses are
 deterministic (lexicographically smallest among ties). Clique numbers of
 vertex subsets are computed on a bitset mask of the graph itself, not on
-an induced subgraph, and ``clique_number_within`` keeps the one cache of
-them, keyed by (graph, mask): the certificates the partition engine
-builds and the per-part checks of ``verify_partition`` read the same
-entries. A certificate's clique number is searched for at once and its
-witness only when it is first read, since the callers check clique
+an induced subgraph, and ``clique_number_within`` keeps them in the
+graph's own memo, one entry per mask: the certificates the partition
+engine builds and the per-part checks of ``verify_partition`` read the
+same entries. A certificate's clique number is searched for at once and
+its witness only when it is first read, since the callers check clique
 numbers and read a witness only to report a violation. The clique
 number's search runs in a numbering of the graph's vertices drawn from
 its structure, not from its labels, on colouring tables built once per
 graph; the witness, and every maximum clique, are then walked from the
 clique number by decision queries in label order. The partition
 engine's decision queries run in the labels, on the per-graph tables of
-``_label_tables``.
+``_label_tables``. Every per-graph result here lives in the graph's
+memo (see ``Graph``), so it is freed with the graph, and equal but
+distinct graphs compute their own.
 """
 
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
-from functools import lru_cache
 
 from . import kernels
-from .graphs import Graph
+from .graphs import Graph, _per_graph
+
+# The most clique numbers of vertex sets one graph's memo keeps; past
+# it, the oldest entry makes room.
+CERTIFICATES_PER_GRAPH = 4096
 
 
 class CliqueCertificate:
@@ -35,31 +40,33 @@ class CliqueCertificate:
     its witness when ``witness`` is first read, then keeps it.
     """
 
-    __slots__ = ("omega", "_witness", "_graph", "_mask")
+    __slots__ = ("omega", "_witness", "_labels", "_adj", "_mask")
 
     def __init__(self, omega: int, witness: tuple[int, ...]):
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "_witness", witness)
-        object.__setattr__(self, "_graph", None)
+        object.__setattr__(self, "_adj", None)
 
     @classmethod
-    def _deferred(cls, omega: int, g: Graph, mask: int) -> CliqueCertificate:
-        """A certificate whose witness is searched for within ``mask`` of
-        ``g`` when first read. It keeps only ``g`` and ``mask``, which the
-        memo's key holds anyway."""
+    def _deferred(cls, omega: int, labels, adj, mask: int) -> CliqueCertificate:
+        """A certificate whose witness is walked within ``mask`` of the
+        numbered adjacency ``adj`` when first read, and reported through
+        ``labels`` as ``kernels.maximum_cliques`` does. It keeps these
+        rather than the graph, so a graph's memo, which holds it, holds
+        no reference back to the graph."""
         cert = cls(omega, ())
-        object.__setattr__(cert, "_graph", g)
+        object.__setattr__(cert, "_labels", labels)
+        object.__setattr__(cert, "_adj", adj)
         object.__setattr__(cert, "_mask", mask)
         return cert
 
     @property
     def witness(self) -> tuple[int, ...]:
-        g = self._graph
-        if g is not None:
-            labels, adj, mask = _numbered(g, self._mask)
-            witness = next(kernels.maximum_cliques(adj, mask, self.omega, labels))
+        adj = self._adj
+        if adj is not None:
+            witness = next(kernels.maximum_cliques(adj, self._mask, self.omega, self._labels))
             object.__setattr__(self, "_witness", witness)
-            object.__setattr__(self, "_graph", None)
+            object.__setattr__(self, "_adj", None)
         return self._witness
 
     def __setattr__(self, name, value):
@@ -83,11 +90,15 @@ class CliqueCertificate:
         return type(self), (self.omega, self.witness)
 
 
-@lru_cache(maxsize=4096)
 def clique_number_within(g: Graph, mask: int) -> CliqueCertificate:
     """Exact clique number of the vertex set ``mask`` (a bitset over
     ``g``'s vertices) with the lexicographically smallest witness, in
     ``g``'s own labels.
+
+    The certificate is kept in g's memo under ``mask`` and returned again
+    for that mask of this graph object, not for an equal graph. The memo
+    keeps at most CERTIFICATES_PER_GRAPH of them and drops the oldest to
+    make room.
 
     The result equals ``clique_number`` of the induced subgraph with its
     witness mapped back. The empty mask has omega 0 and an empty witness.
@@ -100,11 +111,22 @@ def clique_number_within(g: Graph, mask: int) -> CliqueCertificate:
     no workload operation reads a witness. A negative mask, or one with
     a bit at or above n, raises ValueError.
     """
+    try:
+        certs = g._memo["certificates"]
+    except KeyError:
+        certs = g._memo["certificates"] = {}
+    cert = certs.get(mask)
+    if cert is not None:
+        return cert
     if mask >> g.n:
         raise ValueError(f"mask {mask:#x} is not a set of the graph's {g.n} vertices")
-    _, adj, numbered = _numbered(g, mask)
-    return CliqueCertificate._deferred(
-        kernels.max_clique_size(adj, numbered, _coloring_tables(g)), g, mask)
+    labels, adj, numbered = _numbered(g, mask)
+    cert = CliqueCertificate._deferred(
+        kernels.max_clique_size(adj, numbered, _coloring_tables(g)), labels, adj, numbered)
+    if len(certs) >= CERTIFICATES_PER_GRAPH:
+        del certs[next(iter(certs))]
+    certs[mask] = cert
+    return cert
 
 
 def _numbered(g: Graph, mask: int):
@@ -116,7 +138,7 @@ def _numbered(g: Graph, mask: int):
     return labels, adj, mask
 
 
-@lru_cache(maxsize=1024)
+@_per_graph
 def _search_numbering(g: Graph):
     """The numbering the clique searches of g run in: its vertices in
     increasing (degree, sum of the neighbours' degrees, label), their
@@ -146,7 +168,7 @@ def _search_numbering(g: Graph):
     return labels, adj, power
 
 
-@lru_cache(maxsize=1024)
+@_per_graph
 def _coloring_tables(g: Graph):
     """The tables every clique-number search of g reads:
     ``kernels.coloring_tables`` of ``_search_numbering(g)``'s adjacency,
@@ -154,7 +176,7 @@ def _coloring_tables(g: Graph):
     return kernels.coloring_tables(_search_numbering(g)[1], (1 << g.n) - 1)
 
 
-@lru_cache(maxsize=1024)
+@_per_graph
 def _label_tables(g: Graph):
     """``kernels.coloring_tables`` of ``g.adjacency_bits`` over all of g's
     vertices: ``_coloring_tables(g)`` itself when the search numbering is
@@ -167,13 +189,13 @@ def _label_tables(g: Graph):
 def clique_number(g: Graph) -> CliqueCertificate:
     """Exact clique number with the lexicographically smallest witness.
 
-    The full-mask case of ``clique_number_within``, and cached there. The
-    empty graph has omega 0 and an empty witness.
+    The full-mask case of ``clique_number_within``, and kept in g's memo
+    there. The empty graph has omega 0 and an empty witness.
     """
     return clique_number_within(g, (1 << g.n) - 1)
 
 
-@lru_cache(maxsize=1024)
+@_per_graph
 def all_maximum_cliques(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Every clique of maximum size, each sorted, listed in lexicographic
     order by ``kernels.maximum_cliques``' walk in the labels."""

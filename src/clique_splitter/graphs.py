@@ -7,6 +7,7 @@ the same (kind, params, seed) triple always yields the same adjacency.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -32,10 +33,21 @@ class Graph:
     Immutable after construction. Adjacency is kept both as sorted tuples
     (for iteration and canonical output) and as per-vertex integer bitsets
     (for the clique kernels). Degree extremes and the edge count are cached.
+
+    What the engine computes from the graph alone (its search tables,
+    colorings, exact-search plan and the clique numbers of vertex sets)
+    is kept in ``_memo``, a dict private to this object, so it is freed
+    with the graph. Two equal graphs are two objects and share no entry.
+    The memo takes no part in ``==``, ``hash`` or ``repr``, and a copied
+    or unpickled graph starts with an empty one. Its entries hold no
+    reference back to the graph. ``cliques.clique_number_within`` keeps
+    at most ``cliques.CERTIFICATES_PER_GRAPH`` clique numbers of vertex
+    sets in it, dropping the oldest first; every other entry is one per
+    graph.
     """
 
     __slots__ = ("n", "edge_count", "max_degree", "min_degree",
-                 "_neighbors", "_bits", "_hash")
+                 "_neighbors", "_bits", "_hash", "_memo")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -73,6 +85,13 @@ class Graph:
         self.max_degree = max(degrees, default=0)
         self.min_degree = min(degrees, default=0)
         self._hash = None
+        self._memo = {}
+
+    def __getstate__(self):
+        return self._neighbors
+
+    def __setstate__(self, neighbors):
+        self._fill(neighbors)
 
     @property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -115,6 +134,24 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
+
+
+def _per_graph(fn):
+    """``fn(g)``, computed once per Graph object and kept in its memo
+    under ``fn``'s name. Equal but distinct graphs compute it each."""
+    key = fn.__name__
+
+    @functools.wraps(fn)
+    def memoized(g: Graph):
+        memo = g._memo
+        try:
+            return memo[key]
+        except KeyError:
+            pass
+        memo[key] = result = fn(g)
+        return result
+
+    return memoized
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,10 @@ def _search(tables: tuple[list[int], list[int], list[int]], mask: int,
         return False
 
     expand(mask, 0)
+    # expand reaches itself through its closure, a cycle that only the
+    # cycle collector frees: drop the tables from it, so that until then
+    # it keeps nothing of the graph alive
+    apart = nbrs = bit = None
     return best
 
 

@@ -233,10 +233,11 @@ def verify_partition(g: Graph, part: Partition, spec: PartitionSpec) -> Verifica
     """Exact per-part clique numbers (clique engine), the validity flag,
     and a quota-sized clique witness for every violated part.
 
-    Each part's certificate comes from the engine's (graph, mask) memo,
-    ``clique_number_within``, so a partition the engine has just
-    certified on ``g`` is checked from the same entries, not searched
-    again. Witnesses are in ``g``'s labels.
+    Each part's certificate comes from ``clique_number_within``, which
+    keeps it in ``g``'s memo under the part's mask, so a partition the
+    engine has just certified on this graph object is checked from the
+    same entries, not searched again; an equal but distinct graph has a
+    memo of its own, and is searched. Witnesses are in ``g``'s labels.
 
     The parts must hold exactly the vertices the assignment puts in them:
     each member's assignment is its part's index, no part repeats a

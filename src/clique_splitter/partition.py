@@ -25,7 +25,7 @@ import operator
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import kernels
 from .cliques import (
@@ -41,7 +41,7 @@ from .errors import (
     PreconditionError,
     SearchFailureError,
 )
-from .graphs import Graph, _mix
+from .graphs import Graph, _mix, _per_graph
 
 log = logging.getLogger("clique_splitter.partition")
 
@@ -178,7 +178,8 @@ def partition_from_assignment(g: Graph, assignment, k: int | None = None,
     """The Partition whose part i holds the vertices ``assignment`` puts
     in i, for k parts, or one more than the largest index when k is None.
     An index that ``operator.index`` refuses, or outside 0..k-1, raises
-    ValueError naming its vertex."""
+    ValueError naming its vertex, and a k that it refuses raises
+    ValueError too."""
     assignment = list(assignment)
     if len(assignment) != g.n:
         raise ValueError(f"assignment covers {len(assignment)} of {g.n} vertices")
@@ -189,6 +190,11 @@ def partition_from_assignment(g: Graph, assignment, k: int | None = None,
             raise ValueError(f"vertex {v} has part index {a!r}, not an integer") from None
     if k is None:
         k = max(assignment, default=-1) + 1
+    else:
+        try:
+            k = operator.index(k)
+        except TypeError:
+            raise ValueError(f"part count k must be an integer, got {k!r}") from None
     for v, a in enumerate(assignment):
         if not 0 <= a < k:
             raise ValueError(f"vertex {v} has part index {a}, outside 0..{k - 1}")
@@ -314,23 +320,45 @@ def _dsatur_coloring(g: Graph) -> list[int]:
     return colors
 
 
-@lru_cache(maxsize=1024)
-def _dsatur_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
+@_per_graph
+def _dsatur_classes(g: Graph) -> _Classes:
     """DSatur's color classes of g, largest first, ties broken by members.
 
-    Cached by graph, like ``cliques.clique_number_within``, so every
-    quota list on one graph reads one coloring.
+    Kept in g's memo, like ``cliques.clique_number_within``'s entries, so
+    every quota list on one graph object reads one coloring.
     """
-    return _classes(_dsatur_coloring(g))
+    return _Classes(_dsatur_coloring(g))
 
 
-def _classes(colors: list[int]) -> tuple[tuple[int, ...], ...]:
-    """The nonempty color classes, largest first, ties broken by members."""
-    classes = [[] for _ in range(max(colors, default=-1) + 1)]
-    for v, c in enumerate(colors):
-        classes[c].append(v)
-    classes.sort(key=lambda cls: (-len(cls), cls))
-    return tuple(tuple(cls) for cls in classes if cls)
+class _Classes(tuple):
+    """The nonempty classes of the coloring ``colors`` of all of a
+    graph's vertices, largest first, ties broken by members, with their
+    layout beside them: ``masks``, each class's bitset, and ``index``,
+    each vertex's class index, each built when a deal first reads it.
+
+    A coloring kept in a graph's memo carries its layout there, so every
+    quota list dealt from it reads one build and no deal hashes the
+    classes.
+    """
+
+    def __new__(cls, colors: list[int]) -> _Classes:
+        classes = [[] for _ in range(max(colors, default=-1) + 1)]
+        for v, c in enumerate(colors):
+            classes[c].append(v)
+        classes.sort(key=lambda members: (-len(members), members))
+        return super().__new__(cls, (tuple(members) for members in classes if members))
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        return tuple(map(kernels.to_mask, self))
+
+    @cached_property
+    def index(self) -> tuple[int, ...]:
+        index = [0] * sum(map(len, self))
+        for c, members in enumerate(self):
+            for v in members:
+                index[v] = c
+        return tuple(index)
 
 
 def _component_mask(adj, v: int) -> int:
@@ -363,16 +391,17 @@ def _component_orders(adj, order: list[int]) -> list[list[int]]:
     return orders
 
 
-@lru_cache(maxsize=1024)
+@_per_graph
 def _exact_plan(g: Graph) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """The exact search's order of g, one (vertices, twin links) pair per
     connected component: the component's vertices in descending-degree
     order, then by index, and for each of them the index in that tuple
     of its latest earlier true twin, or -1.
 
-    Cached by graph, like ``_dsatur_classes``, so every quota list
-    searched on one graph reads one build. The closed neighbourhoods
-    that find the twins are n-bit keys and are dropped after the build.
+    Kept in g's memo, like ``_dsatur_classes``, so every quota list
+    searched on one graph object reads one build. The closed
+    neighbourhoods that find the twins are n-bit keys and are dropped
+    after the build.
     """
     adj = g.adjacency_bits
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
@@ -419,7 +448,7 @@ def _exact_partition_assignment(g: Graph, quotas) -> list[int] | None:
     the root plus one node per placement, over every component.
 
     The order, the component split and the twin links depend on g alone
-    and come from ``_exact_plan``, built once per graph; the earlier
+    and come from ``_exact_plan``, built once per graph object; the earlier
     parts of equal quota are listed once per call. A part of quota 2
     takes v exactly when it holds no neighbour of v, and a part holding
     fewer than p - 1 neighbours of v takes it too, so only the other
@@ -731,22 +760,6 @@ def hitting_independent_set(g: Graph) -> HittingSetResult:
 
 
 @lru_cache(maxsize=1024)
-def _class_layout(classes) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Each class's bitset and each vertex's class index, for the classes
-    of a proper coloring of all of a graph's vertices.
-
-    Cached by the classes, DSatur's or TabuCol's, which are themselves
-    cached by graph, so every quota list dealt from one coloring reads
-    one build.
-    """
-    index = [0] * sum(map(len, classes))
-    for c, cls in enumerate(classes):
-        for v in cls:
-            index[v] = c
-    return tuple(map(kernels.to_mask, classes)), tuple(index)
-
-
-@lru_cache(maxsize=1024)
 def _deal_order(quotas: tuple[int, ...]) -> tuple[int, ...]:
     """The part each class goes to, largest class first: the classes are
     dealt round-robin, skipping a part once it holds p_i - 1 of them, so
@@ -759,7 +772,7 @@ def _deal_order(quotas: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(i for _, i in sorted((t, i) for i, p in enumerate(quotas) for t in range(p - 1)))
 
 
-def _deal(g: Graph, classes, quotas, strategy: str) -> Partition:
+def _deal(g: Graph, classes: _Classes, quotas, strategy: str) -> Partition:
     """The partition made of at most sum(p_i - 1) classes of a proper
     coloring: part i takes at most p_i - 1 classes, so it holds no
     K_{p_i}.
@@ -768,7 +781,7 @@ def _deal(g: Graph, classes, quotas, strategy: str) -> Partition:
     assignment read single vertices: a part's members are its classes'
     members, sorted once, its mask is the OR of its classes' bitsets,
     and each vertex goes to the part holding its class, by the class
-    index of ``_class_layout``.
+    bitsets and class index laid out beside the classes (``_Classes``).
     """
     n, k = g.n, len(quotas)
     if len(classes) <= quotas[0] - 1:
@@ -777,14 +790,13 @@ def _deal(g: Graph, classes, quotas, strategy: str) -> Partition:
         return _certify(g, (0,) * n, (tuple(range(n)),) + ((),) * (k - 1),
                         (_full_mask(n),) + (0,) * (k - 1), strategy)
     part_of = _deal_order(tuple(quotas))
-    class_masks, index = _class_layout(classes)
     members: list[list[int]] = [[] for _ in quotas]
     masks = [0] * k
-    for cls, mask, i in zip(classes, class_masks, part_of):
+    for cls, mask, i in zip(classes, classes.masks, part_of):
         members[i] += cls
         masks[i] |= mask
     parts = tuple(tuple(sorted(side)) for side in members)
-    return _certify(g, tuple(map(part_of.__getitem__, index)), parts, masks, strategy)
+    return _certify(g, tuple(map(part_of.__getitem__, classes.index)), parts, masks, strategy)
 
 
 def _coloring_strategy(g: Graph, quotas, diags: dict) -> Partition | None:
@@ -796,10 +808,11 @@ def _coloring_strategy(g: Graph, quotas, diags: dict) -> Partition | None:
     return _deal(g, classes, quotas, "coloring")
 
 
-@lru_cache(maxsize=1024)
-def _tabucol_classes(g: Graph) -> tuple[tuple[int, ...], ...] | None:
+@_per_graph
+def _tabucol_classes(g: Graph) -> _Classes | None:
     """The classes of a (max degree - 1)-coloring of g found by TabuCol
     (Hertz & de Werra, 1987), or None when RECOLOR_MOVES moves find none.
+    Kept in g's memo, None included, like ``_dsatur_classes``.
 
     It starts from DSatur's classes, the i-th taking color i mod (max
     degree - 1). A move, which scans only the conflicting vertices,
@@ -844,7 +857,7 @@ def _tabucol_classes(g: Graph) -> tuple[tuple[int, ...], ...] | None:
                 conflicting.discard(u)
         conflicts += gain
         best = min(best, conflicts)
-    return None if conflicting else _classes(color)
+    return None if conflicting else _Classes(color)
 
 
 def _checked(part: Partition, quotas) -> Partition:

@@ -1,4 +1,5 @@
-"""Every function lives in the layer module that defines it.
+"""Every function lives in the layer module that defines it, and no
+function cache outlives the graphs it was asked about.
 
 ``perfbench/spans.py`` traces a layer module's public functions only
 when their ``__module__`` is that module, so a function defined in one
@@ -6,12 +7,15 @@ module and re-exported from another would drop out of the per-layer
 rows without an error.
 """
 
+import importlib
 import inspect
+import pkgutil
 
 import pytest
 
 import clique_splitter as cs
 from clique_splitter import kernels
+from clique_splitter.graphs import Graph
 
 LAYERS = ("graphs", "kernels", "cliques", "partition", "oracle")
 
@@ -29,3 +33,18 @@ def test_package_exports_come_from_layer_modules():
     outside = {name: obj.__module__ for name, obj in exported.items()
                if obj.__module__ not in {f"clique_splitter.{layer}" for layer in LAYERS}}
     assert not outside
+
+
+def test_no_function_cache_takes_a_graph():
+    # an lru_cache holds its arguments strongly, so one keyed by a Graph
+    # keeps every graph it was asked about alive until newer ones push
+    # it out; what depends on a graph alone belongs in the graph's memo
+    cached = {}
+    for info in pkgutil.iter_modules(cs.__path__):
+        module = importlib.import_module(f"clique_splitter.{info.name}")
+        for name, obj in vars(module).items():
+            if callable(getattr(obj, "cache_info", None)) and obj.__module__ == module.__name__:
+                first = next(iter(inspect.signature(obj.__wrapped__).parameters.values()), None)
+                cached[f"{info.name}.{name}"] = first and first.annotation
+    assert "partition._deal_order" in cached  # the scan sees the caches there are
+    assert not [name for name, annotation in cached.items() if annotation in ("Graph", Graph)]

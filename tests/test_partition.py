@@ -1,9 +1,13 @@
 import contextlib
+import copy
 import functools
+import gc
 import itertools
 import logging
+import pickle
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -13,7 +17,7 @@ from hypothesis import strategies as st
 
 import clique_splitter as cs
 from clique_splitter import kernels, partition
-from clique_splitter.cliques import clique_number_within
+from clique_splitter.cliques import CERTIFICATES_PER_GRAPH, clique_number_within
 from clique_splitter.partition import (
     _coloring_strategy,
     _dsatur_classes,
@@ -28,6 +32,7 @@ from _brute import (
     brute_first_transversal,
     brute_has_transversal,
     brute_improving_move,
+    brute_mask_omega,
     brute_omega,
     is_independent,
     is_proper_coloring,
@@ -213,6 +218,16 @@ class TestPartitionBuilders:
     def test_part_index_not_an_integer_named(self, assignment, k, message):
         with pytest.raises(ValueError) as err:
             cs.partition_from_assignment(cs.Graph(3), assignment, k)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("k, message", [
+        (2.0, "part count k must be an integer, got 2.0"),
+        ("2", "part count k must be an integer, got '2'"),
+        (Fraction(2), "part count k must be an integer, got Fraction(2, 1)"),
+    ], ids=["float", "str", "fraction"])
+    def test_part_count_not_an_integer(self, k, message):
+        with pytest.raises(ValueError) as err:
+            cs.partition_from_assignment(cs.Graph(3), [0, 1, 0], k)
         assert str(err.value) == message
 
     def test_bool_part_indices_accepted(self):
@@ -670,7 +685,6 @@ class TestCliqueBipartition:
         # for only now that the error reports it
         g = cs.generate(cs.GeneratorRecipe(
             "join_pendant_clique", {"base_len": 4, "clique": 13, "attach": 0}))
-        clique_number_within.cache_clear()
         with pytest.raises(cs.PreconditionError) as err:
             cs.clique_bipartition(g, 7, 7)
         assert err.value.witness == tuple(range(4, 17)) == cs.all_maximum_cliques(g)[0]
@@ -841,16 +855,12 @@ def blown_up_graphs(draw, max_n=9):
 
 
 @contextlib.contextmanager
-def whole_graph_plan():
-    """The exact search with the component split turned off. The cached
-    per-graph plans are dropped on the way in and out, so that no plan
+def whole_graph_plan(g):
+    """A new graph equal to ``g``, searched with the component split
+    turned off. Its memo starts empty and is dropped with it, so no plan
     built with the split serves a search without it, or the reverse."""
-    partition._exact_plan.cache_clear()
-    try:
-        with mock.patch.object(partition, "_component_orders", lambda adj, vertices: [vertices]):
-            yield
-    finally:
-        partition._exact_plan.cache_clear()
+    with mock.patch.object(partition, "_component_orders", lambda adj, vertices: [vertices]):
+        yield cs.Graph(g.n, g.edges())
 
 
 class TestTwinRule:
@@ -864,8 +874,8 @@ class TestTwinRule:
             expected, _ = brute_first_assignment(g, quotas, twins=False)
             assert _exact_partition_assignment(g, quotas) == expected
             whole, _ = brute_first_assignment(g, quotas, by_component=False, twins=False)
-            with whole_graph_plan():
-                assert _exact_partition_assignment(g, quotas) == whole
+            with whole_graph_plan(g) as whole_g:
+                assert _exact_partition_assignment(whole_g, quotas) == whole
 
 
 class TestExactSearchComponents:
@@ -897,8 +907,8 @@ class TestExactSearchComponents:
         g = self._unions(rest, product)[order]
         split = _exact_partition_assignment(g, quotas)
         assert split is not None
-        with whole_graph_plan():
-            assert _exact_partition_assignment(g, quotas) == split
+        with whole_graph_plan(g) as whole_g:
+            assert _exact_partition_assignment(whole_g, quotas) == split
 
     @pytest.mark.parametrize("order", [0, 1], ids=["product-last", "product-first"])
     @pytest.mark.parametrize("quotas", [(4, 2), (3, 3)])
@@ -935,8 +945,8 @@ class TestExactSearchComponents:
 
 class TestExactPlan:
     """The exact search's order, component split and twin links are built
-    once per graph and cached; a search that reads a cached plan answers
-    as one that builds it, with the same node count."""
+    once per graph object and kept in its memo; a search that reads a
+    kept plan answers as one that builds it, with the same node count."""
 
     # several lists in a row on one graph: unsorted ones and k = 3 among them
     SEQUENCE = [(4, 2), (3, 3), (2, 4), (3, 2, 2), (2, 3, 2), (2, 2, 3), (3, 3)]
@@ -944,17 +954,17 @@ class TestExactPlan:
     @staticmethod
     def _search_at_boundary(g, quotas, nodes, cold):
         # the answer with a budget of exactly ``nodes``, and the give-up
-        # with one fewer; ``cold`` drops every cached plan before each call
+        # with one fewer; ``cold`` searches a new copy of g each time,
+        # whose memo holds no plan
+        def graph():
+            return cs.Graph(g.n, g.edges()) if cold else g
+
         with mock.patch.object(partition, "EXACT_NODES", nodes):
-            if cold:
-                partition._exact_plan.cache_clear()
-            answer = _exact_partition_assignment(g, quotas)
+            answer = _exact_partition_assignment(graph(), quotas)
         if nodes > 1:
             with mock.patch.object(partition, "EXACT_NODES", nodes - 1):
-                if cold:
-                    partition._exact_plan.cache_clear()
                 with pytest.raises(cs.BudgetExceededError):
-                    _exact_partition_assignment(g, quotas)
+                    _exact_partition_assignment(graph(), quotas)
         return answer
 
     @pytest.mark.parametrize("g", [
@@ -965,17 +975,24 @@ class TestExactPlan:
     def test_cold_and_warm_plans_agree(self, g):
         references = [brute_first_assignment(g, quotas) for quotas in self.SEQUENCE]
         answers = {}
+        orders = partition._component_orders
         for cold in (True, False):
-            partition._exact_plan.cache_clear()
-            for quotas, (expected, nodes) in zip(self.SEQUENCE, references):
-                answer = self._search_at_boundary(g, quotas, nodes, cold)
-                assert answer == expected, (quotas, cold)
-                answers[quotas, cold] = answer
-            info = partition._exact_plan.cache_info()
-            # cold: the last call built its own plan; warm: one build, then
-            # every later call read it
+            builds = []
+
+            def counted(adj, order):
+                builds.append(order)
+                return orders(adj, order)
+
+            h = cs.Graph(g.n, g.edges())
+            with mock.patch.object(partition, "_component_orders", counted):
+                for quotas, (expected, nodes) in zip(self.SEQUENCE, references):
+                    answer = self._search_at_boundary(h, quotas, nodes, cold)
+                    assert answer == expected, (quotas, cold)
+                    answers[quotas, cold] = answer
+            # cold: every call built its own plan; warm: one build, then
+            # every later call read it from the graph's memo
             calls = sum(1 + (nodes > 1) for _, nodes in references)
-            assert (info.misses, info.hits) == ((1, 0) if cold else (1, calls - 1))
+            assert len(builds) == (calls if cold else 1)
         # the sequence holds proofs and answers both
         assert any(a is None for a in answers.values())
         assert any(a is not None for a in answers.values())
@@ -1001,16 +1018,101 @@ class TestExactPlan:
         firsts = [order.index(c[0]) for c, _ in plan[:g.n]]
         assert firsts == sorted(firsts)
 
-    def test_plan_cache_is_found_by_a_module_scan(self):
-        # a benchmark's fresh round clears every function cache it finds
-        # in the package's modules; a plan it missed would stay warm
-        clearers = [obj.cache_clear for obj in vars(partition).values()
-                    if callable(getattr(obj, "cache_clear", None))]
-        _exact_partition_assignment(strong(5, 2), (3, 3))
-        assert partition._exact_plan.cache_info().currsize > 0
-        for clear in clearers:
-            clear()
-        assert partition._exact_plan.cache_info().currsize == 0
+
+class TestGraphMemo:
+    """What the engine computes from a graph alone lives in a memo on the
+    Graph object: it is freed with the graph, shared with no other
+    graph, equal or not, and left behind by copies."""
+
+    def test_dropped_graphs_are_freed_without_the_cycle_collector(self):
+        # nothing in a memo refers back to its graph and no search leaves
+        # a reference cycle behind, so reference counting alone frees a
+        # dropped graph with its tables, coloring and certificates
+        def split(seed):
+            g = regular(5000, 14, seed)
+            part = cs.clique_bipartition(g, 8, 7)
+            assert cs.verify_partition(g, part, cs.PartitionSpec((8, 7))).valid
+
+        enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            split(1)  # module-level state, such as _deal_order's, is filled here
+            before = tracemalloc.get_traced_memory()[0]
+            for seed in (2, 3, 4):
+                split(seed)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            if enabled:
+                gc.enable()
+        assert grown < 1_000_000
+
+    def test_a_rebuilt_graph_starts_with_an_empty_memo(self):
+        # a benchmark's fresh round rebuilds its graphs as Graph(n, edges):
+        # no plan, coloring or clique number of the solved graph serves it
+        g = strong(5, 2)
+        _exact_partition_assignment(g, (3, 3))
+        cs.kway_clique_partition(g, (3, 3))
+        assert "_exact_plan" in g._memo and "_dsatur_classes" in g._memo
+        assert g._memo["certificates"]
+        assert cs.Graph(g.n, g.edges())._memo == {}
+
+    def test_equal_graphs_share_no_entry(self):
+        g = regular(28, 13, 3)
+        h = cs.Graph(g.n, g.edges())
+        assert g == h and hash(g) == hash(h)
+        spec = cs.PartitionSpec((5, 5, 5))
+        part = cs.kway_clique_partition(g, spec)
+        assert g._memo and h._memo == {}
+        assert cs.kway_clique_partition(h, spec) == part
+        assert g._memo.keys() == h._memo.keys()
+        assert all(g._memo[key] is not h._memo[key] for key in g._memo)
+        ours, theirs = g._memo["certificates"], h._memo["certificates"]
+        assert ours.keys() == theirs.keys()
+        assert all(ours[mask] is not theirs[mask] for mask in ours)
+
+    def test_at_most_the_cap_of_certificates_kept(self):
+        # 8,192 masks of a 13-vertex graph: the memo keeps the newest
+        # 4,096, and a dropped mask is searched again, correctly
+        g = gnp(13, 0.5, 0)
+        masks = range(1 << g.n)
+        assert len(masks) > CERTIFICATES_PER_GRAPH == 4096
+        for mask in masks:
+            assert clique_number_within(g, mask).omega == brute_mask_omega(
+                g.adjacency_bits, mask), mask
+        certs = g._memo["certificates"]
+        assert list(certs) == list(masks[-CERTIFICATES_PER_GRAPH:])
+        cert = clique_number_within(g, masks[0])
+        assert cert.omega == 0 and cert.witness == ()
+        assert len(certs) == CERTIFICATES_PER_GRAPH
+        assert masks[0] in certs and masks[-CERTIFICATES_PER_GRAPH] not in certs
+        full = clique_number_within(g, masks[-1])
+        assert full is certs[masks[-1]] and full.witness == cs.all_maximum_cliques(g)[0]
+
+    @pytest.mark.parametrize("g, quotas", [
+        (strong(7, 3), (4, 3, 3)),
+        (regular(28, 13, 3), (5, 5, 5)),
+        (cs.Graph(0), None),
+    ], ids=["C7xK3", "regular-28-13", "empty"])
+    def test_copies_carry_no_memo(self, g, quotas):
+        g = cs.Graph(g.n, g.edges())
+        part = None
+        if quotas:
+            part = cs.kway_clique_partition(g, quotas)
+            assert g._memo
+        keys = set(g._memo)
+        masks = set(g._memo.get("certificates", ()))
+        for h in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+            assert h is not g and h == g and hash(h) == hash(g) and repr(h) == repr(g)
+            assert h._memo == {}
+            assert (h.adjacency, h.adjacency_bits) == (g.adjacency, g.adjacency_bits)
+            assert (h.edge_count, h.max_degree, h.min_degree) == \
+                (g.edge_count, g.max_degree, g.min_degree)
+            if quotas:
+                assert cs.kway_clique_partition(h, quotas) == part
+        # solving the copies added nothing to the original's memo
+        assert set(g._memo) == keys and set(g._memo.get("certificates", ())) == masks
 
 
 class TestKwayCliquePartition:
@@ -1142,8 +1244,8 @@ class TestKwayCliquePartition:
         monkeypatch.setattr(kernels, "max_clique_size", counted)
         assert cs.verify_partition(g, part, spec).valid
         assert calls == []
-        clique_number_within.cache_clear()
-        assert cs.verify_partition(g, part, spec).valid
+        # an equal graph has a memo of its own
+        assert cs.verify_partition(cs.Graph(g.n, g.edges()), part, spec).valid
         assert calls
 
     @staticmethod
@@ -1156,7 +1258,6 @@ class TestKwayCliquePartition:
             return search(adj, mask, *args)
 
         monkeypatch.setattr(kernels, "maximum_cliques", counted)
-        clique_number_within.cache_clear()
         return masks
 
     @pytest.mark.parametrize("g, quotas", [
@@ -1166,6 +1267,7 @@ class TestKwayCliquePartition:
     ], ids=["regular-28-13", "gnp-60", "C9xK3"])
     def test_a_valid_answer_searches_no_witness(self, monkeypatch, g, quotas):
         # the certificates and the checks read clique numbers alone
+        g = cs.Graph(g.n, g.edges())  # a new memo: no witness read yet
         spec = cs.PartitionSpec(quotas or TestOneShotColoring._balanced(g.max_degree, 5))
         masks = self._count_witness_searches(monkeypatch)
         part = cs.kway_clique_partition(g, spec)
@@ -1253,10 +1355,8 @@ class TestKwayCliquePartition:
 
     @staticmethod
     def _recolored(g, spec):
-        _dsatur_classes.cache_clear()
-        _tabucol_classes.cache_clear()
-        clique_number_within.cache_clear()
-        return cs.kway_clique_partition(g, spec)
+        # a new graph equal to g, whose memo holds no coloring yet
+        return cs.kway_clique_partition(cs.Graph(g.n, g.edges()), spec)
 
     @pytest.mark.parametrize("g, quotas, nodes", [
         (regular(100, 4, 1), (2, 2, 2), partition.EXACT_NODES),
@@ -1311,13 +1411,6 @@ class TestTabuCol:
     classes they are a proper coloring of V with at most max degree - 1
     classes, and it returns None when there is no such coloring."""
 
-    @pytest.fixture(autouse=True)
-    def _fresh_cache(self):
-        # a test that lowers RECOLOR_MOVES must leave no stale None behind
-        _tabucol_classes.cache_clear()
-        yield
-        _tabucol_classes.cache_clear()
-
     @staticmethod
     def _colors(g, classes):
         colors = [None] * g.n
@@ -1335,7 +1428,6 @@ class TestTabuCol:
         # DSatur's classes are the start, so a coloring that already fits
         # comes back unchanged, and any answer is a proper coloring
         assume(g.max_degree >= 2)
-        _tabucol_classes.cache_clear()
         classes = _tabucol_classes(g)
         if len(_dsatur_classes(g)) <= g.max_degree - 1:
             assert classes == _dsatur_classes(g)
@@ -1350,15 +1442,14 @@ class TestTabuCol:
     def test_recolors_each_sparse_miss(self, d, n, seed):
         # DSatur overflows max degree - 1 on each of criterion 13's graphs,
         # and TabuCol, started from its classes, finds a proper coloring
-        # in the room, the same one on a second run with the cache cleared
+        # in the room, the same one on a second run on an equal graph
         g = regular(n, d, seed)
         assert len(_dsatur_classes(g)) > g.max_degree - 1
         classes = _tabucol_classes(g)
         assert classes is not None
         assert is_proper_coloring(g, self._colors(g, classes))
         assert len(classes) <= g.max_degree - 1
-        _tabucol_classes.cache_clear()
-        assert _tabucol_classes(g) == classes
+        assert _tabucol_classes(cs.Graph(g.n, g.edges())) == classes
 
     @pytest.mark.parametrize("length, m", [(5, 2), (7, 2), (9, 2), (5, 3)])
     def test_none_below_the_chromatic_number(self, length, m):
@@ -1438,16 +1529,16 @@ class TestOneShotColoring:
             return _dsatur_coloring(h)
 
         monkeypatch.setattr(partition, "_dsatur_coloring", counted)
-        _dsatur_classes.cache_clear()
         lists = self._quota_lists(g.max_degree)
         for quotas in lists:
             assert cs.kway_clique_partition(g, quotas).strategy == "coloring"
         for p, q in (quotas for quotas in lists if len(quotas) == 2):
             assert cs.clique_bipartition(g, p, q).strategy == "coloring"
         assert len(calls) == 1
-        _dsatur_classes.cache_clear()
+        # an equal graph has a memo of its own
+        h = cs.Graph(g.n, g.edges())
         for quotas in lists:
-            cs.kway_clique_partition(g, quotas)
+            cs.kway_clique_partition(h, quotas)
         assert len(calls) == 2
 
     @pytest.mark.parametrize("seed", range(3))
@@ -1464,7 +1555,6 @@ class TestOneShotColoring:
             return search(adj, mask, *args)
 
         monkeypatch.setattr(kernels, "max_clique_size", counted)
-        clique_number_within.cache_clear()
         ncolors = len(_dsatur_classes(g))
         for k in range(4, 9):
             quotas = self._balanced(g.max_degree, k)
