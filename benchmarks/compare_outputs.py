@@ -39,11 +39,17 @@ standalone tools instead of ``kway_clique_partition``:
   degree, on random regular graphs of degree 3 to 14 on 20, 50, 100
   and 200 vertices at seeds 1 and 2, on G(n, p) for n in {10, 20, 40,
   80} and p in {0.1, 0.3, 0.5} at seeds 0 to 2, and on C_L x K_m for
-  odd L from 5 to 11 and m from 2 to 5 (1,380 calls).
+  odd L from 5 to 11 and m from 2 to 5 (1,380 calls);
+- ``partition_from_parts`` and ``partition_from_assignment`` on six
+  small graphs split round-robin into 1 to 4 parts, in several forms,
+  and once per malformed input each builder checks (182 calls, 14 of
+  them malformed).
 
 A partition is recorded as above, with the certificate string last for
-``max_kpfree_partition`` and None for ``degree_bounded_bipartition``,
-and any other result as one plain-data field after "solved".
+``max_kpfree_partition`` and None for ``degree_bounded_bipartition``
+and the builders, and any other result as one plain-data field after
+"solved". A builder's ValueError, OverflowError or TypeError is
+recorded as a raised error.
 
     # record the outputs of the package under another checkout's src/
     python3 benchmarks/compare_outputs.py --workload all --src ../parent/src --out parent.pkl
@@ -166,10 +172,13 @@ TOOLS = "tools"
 def _record_tool(cs, name: str, g, args=()) -> tuple:
     """The record of one call of a standalone tool: a partition is kept
     as ``_record`` keeps one, with the certificate string last, and any
-    other result as one plain-data field."""
+    other result as one plain-data field. A ValueError, OverflowError or
+    TypeError, which a builder of this or an older checkout raises on
+    malformed input, is recorded as a raised error, as the package's own
+    errors are."""
     try:
         res = getattr(cs, name)(g, *args)
-    except cs.CliqueSplitterError as exc:
+    except (cs.CliqueSplitterError, ValueError, OverflowError, TypeError) as exc:
         return _raised(exc)
     if isinstance(res, cs.MaxKpfreeResult):
         return _solved(res.partition, res.certificate)
@@ -279,6 +288,56 @@ def degree_bounded_graphs(cs):
             yield f"C{length}xK{m}", _cycle_product(cs, length, m)
 
 
+def builder_calls(cs):
+    """(label, graph, builder, arguments after the graph) of the 182
+    builder calls.
+
+    Valid: C5, K4, C5 x K2, G(12, 0.5) at seed 3, three isolated vertices
+    and the empty graph, each split round-robin into 1 to 4 parts, given
+    to ``partition_from_parts`` as sorted parts, reversed, with each
+    part's first vertex repeated and with an empty part added, and to
+    ``partition_from_assignment`` with k None, exact and two above the
+    count. Malformed, on C5 x K2 only: one call per fault each builder
+    checks."""
+    graphs = [("C5", cs.generate(cs.GeneratorRecipe("cycle", {"n": 5}))),
+              ("K4", cs.generate(cs.GeneratorRecipe("complete", {"n": 4}))),
+              ("C5xK2", _cycle_product(cs, 5, 2)),
+              ("gnp:12,0.5 seed 3", cs.generate(
+                  cs.GeneratorRecipe("gnp", {"n": 12, "p": 0.5}, seed=3))),
+              ("edgeless 3", cs.Graph(3)),
+              ("empty", cs.Graph(0))]
+    for label, g in graphs:
+        n = g.n
+        for k in range(1, 5):
+            parts = [list(range(i, n, k)) for i in range(k)]
+            for form, given in (("sorted", parts),
+                                ("reversed", [side[::-1] for side in parts[::-1]]),
+                                ("repeated", [side + side[:1] for side in parts]),
+                                ("empty part", parts + [[]])):
+                yield f"{label} {form}", g, "partition_from_parts", (given,)
+            assignment = [v % k for v in range(n)]
+            for count in (None, k, k + 2):
+                yield label, g, "partition_from_assignment", (assignment, count)
+    label, g = graphs[2]
+    everything = list(range(g.n))
+    for fault, parts in (("out of range", [everything[:5], everything[5:] + [g.n]]),
+                         ("negative", [[-1] + everything[:5], everything[5:]]),
+                         ("in two parts", [everything[:6], everything[5:]]),
+                         ("in none", [everything[:3]]),
+                         ("huge", [everything, [2 ** 70]]),
+                         ("large", [everything + [200_000_000]]),
+                         ("float", [everything[:5] + [5.5], everything[6:]]),
+                         ("str", [["a"], everything])):
+        yield f"{label} {fault}", g, "partition_from_parts", (parts,)
+    for fault, args in (("short", ([0] * (g.n - 1), None)),
+                        ("index at k", ([0] * (g.n - 1) + [2], 2)),
+                        ("negative index", ([-1] + [0] * (g.n - 1), None)),
+                        ("huge index", ([0] * (g.n - 1) + [2 ** 70], 2)),
+                        ("float index", ([0.0] * g.n, None)),
+                        ("float k", ([0] * g.n, 2.0))):
+        yield f"{label} {fault}", g, "partition_from_assignment", args
+
+
 def record_tools(cs) -> list:
     """[(label, arguments after the graph, record)] over the tools corpus."""
     out = [(f"detect_cycle_clique_product {label}", (),
@@ -297,6 +356,8 @@ def record_tools(cs) -> list:
         for p in range(1, delta):
             out.append((f"degree_bounded_bipartition {label}", (p, delta - p),
                         _record_tool(cs, "degree_bounded_bipartition", g, (p, delta - p))))
+    out += [(f"{name} {label}", args, _record_tool(cs, name, g, args))
+            for label, g, name, args in builder_calls(cs)]
     return out
 
 

@@ -21,6 +21,7 @@ distinct graphs compute their own.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import FrozenInstanceError
 
 from . import kernels
@@ -108,9 +109,15 @@ def clique_number_within(g: Graph, mask: int) -> CliqueCertificate:
     The witness, the first clique of ``kernels.maximum_cliques``' walk
     from omega, is built by decision queries only when it is first read;
     they go in label order, so their cost does depend on the labels, and
-    no workload operation reads a witness. A negative mask, or one with
-    a bit at or above n, raises ValueError.
+    no workload operation reads a witness. A mask that ``operator.index``
+    refuses, a negative mask, or one with a bit at or above n, raises
+    ValueError, whatever the memo holds; ``True`` is the mask 1.
     """
+    if type(mask) is not int:
+        try:
+            mask = operator.index(mask)
+        except TypeError:
+            raise ValueError(f"mask {mask!r} is not an integer") from None
     try:
         certs = g._memo["certificates"]
     except KeyError:

@@ -61,6 +61,14 @@ class _Counter:
             raise BudgetExceededError(f"exceeded {self.limit} search states")
 
 
+def _integer(name: str, value) -> int:
+    """``value`` read as PartitionSpec reads quotas, or ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _has_clique(adj, mask: int, size: int) -> bool:
     """Plain include/exclude recursion; deliberately kernel-free."""
     if size <= 0:
@@ -129,7 +137,9 @@ def max_kpfree_subset(
     g: Graph, p: int, budget: OracleBudget = DEFAULT_BUDGET,
 ) -> tuple[int, ...]:
     """Largest vertex set whose induced subgraph has clique number < p;
-    ties resolve to the lexicographically smallest set."""
+    ties resolve to the lexicographically smallest set. A p that
+    ``operator.index`` refuses raises ValueError."""
+    p = _integer("p", p)
     if p < 1:
         raise ValueError("p must be at least 1")
     if g.n > budget.enumeration_cap:
@@ -155,7 +165,9 @@ def find_coloring(
     g: Graph, max_colors: int, budget: OracleBudget = DEFAULT_BUDGET,
 ) -> list[int] | None:
     """Exact search for a proper coloring with at most ``max_colors``
-    colors; None when impossible."""
+    colors; None when impossible. A ``max_colors`` that
+    ``operator.index`` refuses raises ValueError."""
+    max_colors = _integer("max_colors", max_colors)
     if g.n > budget.assignment_cap:
         raise BudgetExceededError(
             f"n={g.n} beyond assignment cap {budget.assignment_cap}")

@@ -102,41 +102,33 @@ class Partition:
 def partition_from_parts(g: Graph, parts, strategy: str | None = None) -> Partition:
     """Build a Partition from explicit part lists, computing certificates.
 
-    Parts must be disjoint and cover every vertex; a vertex out of range,
-    in two parts or in none raises ValueError naming it. Once the parts
-    are checked, sorted and turned into masks, ``_certify`` builds the
-    Partition, as it does for every partition the engine returns: each
-    certificate is computed on the part's mask of ``g`` through
-    ``clique_number_within``, so its witness, searched for when first
-    read, is in ``g``'s labels.
+    Parts must be disjoint and cover every vertex. One loop checks each
+    vertex of each part in turn, its range before anything is built from
+    it: the first vertex out of range or in two parts raises ValueError
+    naming it, as do the first five in no part, and one in range but no
+    integer raises the TypeError of indexing a list with it. A vertex
+    listed twice within one part counts once; the parts come back sorted.
+    ``_certify`` then builds the Partition as it builds every one the
+    engine returns, each certificate on the part's mask of ``g`` through
+    ``clique_number_within``, so its witness is in ``g``'s labels.
     """
-    full = (1 << g.n) - 1
+    n = g.n
+    assignment = [-1] * n
     norm = []
-    masks = []
-    placed = 0
-    parts = iter(parts)
-    for members in parts:
+    for i, members in enumerate(parts):
         members = tuple(sorted(set(members)))
+        for v in members:
+            if not 0 <= v < n:
+                raise ValueError(f"vertex {v} out of range")
+            if assignment[v] != -1:
+                raise ValueError(f"vertex {v} assigned to two parts")
+            assignment[v] = i
         norm.append(members)
-        try:
-            mask = kernels.to_mask(members)
-        except (TypeError, ValueError):  # a vertex that is no int, or negative
-            break
-        if mask > full or mask & placed:
-            break
-        placed |= mask
-        masks.append(mask)
-    if len(masks) < len(norm) or placed != full:
-        # A vertex out of range, in two parts or in none: the per-vertex
-        # checks word the error.
-        assignment, norm = _assign_vertex_by_vertex(g, itertools.chain(norm, parts))
-        masks = list(map(kernels.to_mask, norm))
-    else:
-        assignment = [0] * g.n
-        for i, members in enumerate(norm):
-            for v in members:
-                assignment[v] = i
-    return _certify(g, tuple(assignment), tuple(norm), masks, strategy)
+    if -1 in assignment:
+        missing = [v for v, a in enumerate(assignment) if a == -1]
+        raise ValueError(f"vertices {missing[:5]} not assigned to any part")
+    return _certify(g, tuple(assignment), tuple(norm), list(map(kernels.to_mask, norm)),
+                    strategy)
 
 
 def _certify(g: Graph, assignment: tuple[int, ...], parts: tuple[tuple[int, ...], ...],
@@ -145,32 +137,20 @@ def _certify(g: Graph, assignment: tuple[int, ...], parts: tuple[tuple[int, ...]
     part's certificate read from ``clique_number_within`` on its mask.
 
     The one constructor of every Partition this module returns. It checks
-    nothing: ``partition_from_parts`` checks parts that come from outside,
-    and the engine's parts agree with their assignment and masks by
-    construction.
+    nothing: ``partition_from_parts`` and ``partition_from_assignment``
+    each check the input they take from outside once, and the engine's
+    parts agree with their assignment and masks by construction.
     """
     certs = tuple(map(clique_number_within, itertools.repeat(g, len(masks)), masks))
     return Partition(assignment, parts, certs, strategy)
 
 
-def _assign_vertex_by_vertex(g: Graph, parts) -> tuple[list[int], list[tuple[int, ...]]]:
-    """The assignment and the sorted parts, checked one vertex at a time,
-    which names the first vertex out of range, in two parts or in none."""
-    assignment = [-1] * g.n
-    norm = []
-    for i, members in enumerate(parts):
-        members = sorted(set(members))
-        for v in members:
-            if not (0 <= v < g.n):
-                raise ValueError(f"vertex {v} out of range")
-            if assignment[v] != -1:
-                raise ValueError(f"vertex {v} assigned to two parts")
-            assignment[v] = i
-        norm.append(tuple(members))
-    if any(a == -1 for a in assignment):
-        missing = [v for v, a in enumerate(assignment) if a == -1]
-        raise ValueError(f"vertices {missing[:5]} not assigned to any part")
-    return assignment, norm
+def _certify_assignment(g: Graph, assignment, k: int, strategy: str | None) -> Partition:
+    """``_certify`` of a checked assignment into k parts: part i holds the
+    vertices the assignment puts in i, ascending."""
+    parts = _parts_of(assignment, k)
+    return _certify(g, tuple(assignment), tuple(map(tuple, parts)),
+                    list(map(kernels.to_mask, parts)), strategy)
 
 
 def partition_from_assignment(g: Graph, assignment, k: int | None = None,
@@ -179,7 +159,8 @@ def partition_from_assignment(g: Graph, assignment, k: int | None = None,
     in i, for k parts, or one more than the largest index when k is None.
     An index that ``operator.index`` refuses, or outside 0..k-1, raises
     ValueError naming its vertex, and a k that it refuses raises
-    ValueError too."""
+    ValueError too. Once these checks pass, the parts built from the
+    assignment need no check of their own."""
     assignment = list(assignment)
     if len(assignment) != g.n:
         raise ValueError(f"assignment covers {len(assignment)} of {g.n} vertices")
@@ -198,7 +179,7 @@ def partition_from_assignment(g: Graph, assignment, k: int | None = None,
     for v, a in enumerate(assignment):
         if not 0 <= a < k:
             raise ValueError(f"vertex {v} has part index {a}, outside 0..{k - 1}")
-    return partition_from_parts(g, _parts_of(assignment, k), strategy)
+    return _certify_assignment(g, assignment, k, strategy)
 
 
 @dataclass(frozen=True)
@@ -909,9 +890,7 @@ def kway_clique_partition(g: Graph, spec) -> Partition:
             raise AllStrategiesExhausted(
                 "exhaustive search proves no valid partition exists", diags,
                 proven_infeasible=True)
-        parts = _parts_of(assignment, spec.k)
-        return _checked(_certify(g, tuple(assignment), tuple(map(tuple, parts)),
-                                 list(map(kernels.to_mask, parts)), "exact"), spec.quotas)
+        return _checked(_certify_assignment(g, assignment, spec.k, "exact"), spec.quotas)
     classes = _tabucol_classes(g)
     if classes is None:
         diags["recoloring"] = (

@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -522,6 +523,25 @@ class TestMasksOutsideTheGraph:
         g = cs.generate(recipe)
         with pytest.raises(ValueError, match=f"mask {mask:#x} "):
             clique_number_within(g, mask)
+
+    @pytest.mark.parametrize("mask", [3.0, Fraction(3), "3", None], ids=repr)
+    @pytest.mark.parametrize("memo", ["fresh", "mask 3 kept"])
+    def test_non_integer_mask_refused_whatever_the_memo(self, memo, mask):
+        # 3.0 and Fraction(3) hash and compare as 3 does
+        g = cs.generate(cs.GeneratorRecipe("gnp", {"n": 10, "p": 0.5}, seed=1))
+        if memo == "mask 3 kept":
+            clique_number_within(g, 3)
+        with pytest.raises(ValueError) as err:
+            clique_number_within(g, mask)
+        assert str(err.value) == f"mask {mask!r} is not an integer"
+
+    @pytest.mark.parametrize("first", [True, 1])
+    def test_true_is_mask_one(self, first):
+        g = cs.generate(cs.GeneratorRecipe("gnp", {"n": 10, "p": 0.5}, seed=1))
+        cert = clique_number_within(g, first)
+        assert clique_number_within(g, True) is cert
+        assert clique_number_within(g, 1) is cert
+        assert (cert.omega, cert.witness) == (1, (0,))
 
 
 def _old_certificate(omega, witness):

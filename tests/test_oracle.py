@@ -94,6 +94,13 @@ class TestMaxKpfreeSubset:
         with pytest.raises(cs.BudgetExceededError):
             cs.max_kpfree_subset(gnp(25, 0.2, 0), 3)
 
+    @pytest.mark.parametrize("p", [2.5, 3.0, "3"], ids=repr)
+    def test_non_integer_p_refused(self, p):
+        # a search that took 2.5 as its clique size would answer as p = 3
+        with pytest.raises(ValueError) as err:
+            cs.max_kpfree_subset(K(5), p)
+        assert str(err.value) == f"p must be an integer, got {p!r}"
+
 
 class TestChromaticNumber:
     @pytest.mark.parametrize("g,expected", [
@@ -135,6 +142,12 @@ class TestFindColoring:
         assert coloring is not None
         assert all(coloring[u] != coloring[v] for u, v in g.edges())
         assert max(coloring) + 1 <= 3
+
+    @pytest.mark.parametrize("max_colors", [2.5, 3.0, "3"], ids=repr)
+    def test_non_integer_color_count_refused(self, max_colors):
+        with pytest.raises(ValueError) as err:
+            cs.find_coloring(petersen(), max_colors)
+        assert str(err.value) == f"max_colors must be an integer, got {max_colors!r}"
 
 
 class TestDegeneracy:

@@ -186,13 +186,40 @@ class TestPartitionBuilders:
         assert part.assignment == (0, 1, 0, 1)
         assert part.certificates[0].omega == 1
 
-    def test_duplicate_vertex_rejected(self):
-        with pytest.raises(ValueError):
-            cs.partition_from_parts(C(4), [[0, 1], [1, 2, 3]])
+    @pytest.mark.parametrize("n, parts, error, message", [
+        (4, [[0, 1], [2, 3, 4]], ValueError, "vertex 4 out of range"),
+        (4, [[0, -1], [1, 2, 3]], ValueError, "vertex -1 out of range"),
+        (4, [[0, 1], [1, 2, 3]], ValueError, "vertex 1 assigned to two parts"),
+        (4, [[0, 1], [2]], ValueError, "vertices [3] not assigned to any part"),
+        (9, [[0, 2], [8]], ValueError, "vertices [1, 3, 4, 5, 6] not assigned to any part"),
+        (4, [[0, 1.5], [2, 3]], TypeError, "list indices must be integers or slices, not float"),
+    ], ids=["out-of-range", "negative", "two-parts", "none", "none-first-five", "float"])
+    def test_malformed_parts_named(self, n, parts, error, message):
+        with pytest.raises(error) as err:
+            cs.partition_from_parts(C(n), parts)
+        assert str(err.value) == message
 
-    def test_missing_vertex_rejected(self):
-        with pytest.raises(ValueError):
-            cs.partition_from_parts(C(4), [[0, 1], [2]])
+    def test_huge_vertex_out_of_range(self):
+        with pytest.raises(ValueError) as err:
+            cs.partition_from_parts(C(4), [[0, 1], [2, 3, 2 ** 70]])
+        assert str(err.value) == f"vertex {2 ** 70} out of range"
+
+    def test_large_vertex_refused_without_its_bitset(self):
+        # 1 << 200_000_000 alone would take 25 MB
+        g = C(4)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="vertex 200000000 out of range"):
+                cs.partition_from_parts(g, [[0, 1], [2, 3, 200_000_000]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_vertex_repeated_within_a_part_collapses(self):
+        part = cs.partition_from_parts(C(4), [[3, 1, 3], [2, 0, 0]])
+        assert part.parts == ((1, 3), (0, 2))
+        assert part.assignment == (1, 0, 1, 0)
 
     def test_witnesses_are_in_graph_labels(self):
         g = cs.Graph(5, [(2, 3), (3, 4), (2, 4)])
@@ -1750,6 +1777,23 @@ class TestConstructionParity:
         g = strong(length, m)
         rng = random.Random(length * m)
         assert "exact" in self._strategies(g, self._random_lists(rng, g.max_degree, 4))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_assignment_builder_matches_parts_builder(self, seed):
+        # some indices below k go unused, and k may exceed the largest
+        # index plus one, so parts come out empty too
+        rng = random.Random(seed)
+        g = gnp(rng.randint(1, 30), 0.4, seed)
+        top = rng.randint(1, 5)
+        used = rng.sample(range(top), rng.randint(1, top))
+        assignment = [rng.choice(used) for _ in range(g.n)]
+        for k in (None, top, top + rng.randint(1, 3)):
+            part = cs.partition_from_assignment(g, assignment, k, f"seed {seed}")
+            rebuilt = cs.partition_from_parts(
+                g, partition._parts_of(assignment, max(assignment) + 1 if k is None else k),
+                f"seed {seed}")
+            for field in ("assignment", "parts", "certificates", "strategy"):
+                assert getattr(part, field) == getattr(rebuilt, field), field
 
     @pytest.mark.parametrize("d, n, seed", [(4, 100, 1), (4, 100, 2), (4, 100, 4), (5, 100, 3)])
     def test_recolored_answers_on_sparse_misses(self, d, n, seed):
