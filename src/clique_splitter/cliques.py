@@ -11,12 +11,16 @@ its witness only when it is first read, since the callers check clique
 numbers and read a witness only to report a violation. The clique
 number's search runs in a numbering of the graph's vertices drawn from
 its structure, not from its labels, on colouring tables built once per
-graph; the witness, and every maximum clique, are then walked from the
-clique number by decision queries in label order. The partition
-engine's decision queries run in the labels, on the per-graph tables of
-``_label_tables``. Every per-graph result here lives in the graph's
-memo (see ``Graph``), so it is freed with the graph, and equal but
-distinct graphs compute their own.
+graph. The memo is keyed by each set's mask in the labels, and the
+search reads the same set's mask in that numbering: the partition
+engine builds both for every part and hands them to ``_certificate``,
+and only a mask from outside, given to ``clique_number_within``, is
+translated, on its first search. The witness, and every maximum
+clique, are then walked from the clique number by decision queries in
+label order. The partition engine's decision queries run in the
+labels, on the per-graph tables of ``_label_tables``. Every per-graph
+result here lives in the graph's memo (see ``Graph``), so it is freed
+with the graph, and equal but distinct graphs compute their own.
 """
 
 from __future__ import annotations
@@ -106,6 +110,10 @@ def clique_number_within(g: Graph, mask: int) -> CliqueCertificate:
     Omega comes from ``kernels.max_clique_size``, which follows no tie
     and runs in ``_search_numbering(g)`` on ``_coloring_tables(g)``, so
     its cost does not depend on how g's vertices happen to be labelled.
+    A mask given here is in the labels, and one the memo does not hold
+    yet is moved into that numbering bit by bit before its search; the
+    partition engine builds each part's mask in both and passes them to
+    ``_certificate`` itself, so none of its certificates is translated.
     The witness, the first clique of ``kernels.maximum_cliques``' walk
     from omega, is built by decision queries only when it is first read;
     they go in label order, so their cost does depend on the labels, and
@@ -118,6 +126,16 @@ def clique_number_within(g: Graph, mask: int) -> CliqueCertificate:
             mask = operator.index(mask)
         except TypeError:
             raise ValueError(f"mask {mask!r} is not an integer") from None
+    return _certificate(g, mask, None)
+
+
+def _certificate(g: Graph, mask: int, numbered: int | None) -> CliqueCertificate:
+    """The certificate of ``mask``, a set of g's vertices in its labels,
+    from g's memo, or searched for and kept there: the one place that
+    reads, fills and trims the memo. ``numbered`` is the same set in
+    ``_search_numbering(g)``, as the partition engine builds it beside
+    ``mask``; None, from ``clique_number_within``, has a mask that is
+    not in the memo checked against n and translated here."""
     try:
         certs = g._memo["certificates"]
     except KeyError:
@@ -125,24 +143,17 @@ def clique_number_within(g: Graph, mask: int) -> CliqueCertificate:
     cert = certs.get(mask)
     if cert is not None:
         return cert
-    if mask >> g.n:
-        raise ValueError(f"mask {mask:#x} is not a set of the graph's {g.n} vertices")
-    labels, adj, numbered = _numbered(g, mask)
+    labels, adj, power = _search_numbering(g)
+    if numbered is None:
+        if mask >> g.n:
+            raise ValueError(f"mask {mask:#x} is not a set of the graph's {g.n} vertices")
+        numbered = mask if power is None else sum(map(power.__getitem__, kernels.from_mask(mask)))
     cert = CliqueCertificate._deferred(
         kernels.max_clique_size(adj, numbered, _coloring_tables(g)), labels, adj, numbered)
     if len(certs) >= CERTIFICATES_PER_GRAPH:
         del certs[next(iter(certs))]
     certs[mask] = cert
     return cert
-
-
-def _numbered(g: Graph, mask: int):
-    """``_search_numbering(g)``'s labels and adjacency, and ``mask`` in
-    that numbering."""
-    labels, adj, power = _search_numbering(g)
-    if power is not None and mask != (1 << g.n) - 1:
-        mask = sum(map(power.__getitem__, kernels.from_mask(mask)))
-    return labels, adj, mask
 
 
 @_per_graph
@@ -197,9 +208,11 @@ def clique_number(g: Graph) -> CliqueCertificate:
     """Exact clique number with the lexicographically smallest witness.
 
     The full-mask case of ``clique_number_within``, and kept in g's memo
-    there. The empty graph has omega 0 and an empty witness.
+    there; the full mask is the same set in every numbering. The empty
+    graph has omega 0 and an empty witness.
     """
-    return clique_number_within(g, (1 << g.n) - 1)
+    full = (1 << g.n) - 1
+    return _certificate(g, full, full)
 
 
 @_per_graph

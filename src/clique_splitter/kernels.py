@@ -162,22 +162,26 @@ def maximum_cliques(adj: Sequence[int], mask: int, omega: int,
     if mask >> len(adj):
         raise _outside(mask, len(adj))
     label = range(len(adj)) if labels is None else labels
-    tables = coloring_tables(adj, mask)
-    found: list[int] = []
+    return _walk(adj, coloring_tables(adj, mask), label, [], mask, omega)
 
-    def walk(cand: int, wanted: int) -> Iterator[tuple[int, ...]]:
-        if not wanted:
-            yield tuple(found)
-            return
-        for v in sorted(from_mask(cand), key=label.__getitem__):
-            sub = cand & adj[v]
-            if has_clique_of_size(adj, sub, wanted - 1, tables):
-                found.append(label[v])
-                yield from walk(sub, wanted - 1)
-                found.pop()
-            cand ^= 1 << v
 
-    return walk(mask, omega)
+def _walk(adj: Sequence[int], tables: tuple[list[int], list[int], list[int]],
+          label: Sequence[int], found: list[int], cand: int,
+          wanted: int) -> Iterator[tuple[int, ...]]:
+    """``maximum_cliques``' walk below the clique ``found``, in labels,
+    within ``cand``, for ``wanted`` more vertices. A module-level
+    generator, not a closure over its own name, so a walk that is
+    dropped leaves no reference cycle for the cycle collector."""
+    if not wanted:
+        yield tuple(found)
+        return
+    for v in sorted(from_mask(cand), key=label.__getitem__):
+        sub = cand & adj[v]
+        if has_clique_of_size(adj, sub, wanted - 1, tables):
+            found.append(label[v])
+            yield from _walk(adj, tables, label, found, sub, wanted - 1)
+            found.pop()
+        cand ^= 1 << v
 
 
 def to_mask(vertices) -> int:

@@ -15,7 +15,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 
-from .cliques import clique_number_within
+from .cliques import _certificate
 from .errors import BudgetExceededError, PreconditionError
 from .graphs import Graph
 from .kernels import to_mask
@@ -245,11 +245,14 @@ def verify_partition(g: Graph, part: Partition, spec: PartitionSpec) -> Verifica
     """Exact per-part clique numbers (clique engine), the validity flag,
     and a quota-sized clique witness for every violated part.
 
-    Each part's certificate comes from ``clique_number_within``, which
-    keeps it in ``g``'s memo under the part's mask, so a partition the
-    engine has just certified on this graph object is checked from the
-    same entries, not searched again; an equal but distinct graph has a
-    memo of its own, and is searched. Witnesses are in ``g``'s labels.
+    Each part's certificate comes from ``g``'s memo under the part's
+    mask through ``cliques._certificate``, the lookup behind
+    ``clique_number_within``, as the masks are checked here already, so
+    a partition the engine has just certified on this graph object is
+    checked from the same entries, not searched again; an equal but
+    distinct graph has a memo of its own, and is searched, each part's
+    mask translated into the search numbering there. Witnesses are in
+    ``g``'s labels.
 
     The parts must hold exactly the vertices the assignment puts in them:
     each member's assignment is its part's index, no part repeats a
@@ -300,7 +303,7 @@ def verify_partition(g: Graph, part: Partition, spec: PartitionSpec) -> Verifica
     omegas = []
     violations = []
     for i, mask in enumerate(masks):
-        cert = clique_number_within(g, mask)
+        cert = _certificate(g, mask, None)
         omegas.append(cert.omega)
         quota = spec.quotas[i]
         if cert.omega > quota - 1:

@@ -30,7 +30,9 @@ from functools import cached_property, lru_cache
 from . import kernels
 from .cliques import (
     CliqueCertificate,
+    _certificate,
     _label_tables,
+    _search_numbering,
     all_maximum_cliques,
     clique_number,
     clique_number_within,
@@ -107,42 +109,56 @@ def partition_from_parts(g: Graph, parts, strategy: str | None = None) -> Partit
     it: the first vertex out of range or in two parts raises ValueError
     naming it, as do the first five in no part, and one in range but no
     integer raises the TypeError of indexing a list with it. A vertex
-    listed twice within one part counts once; the parts come back sorted.
+    listed twice within one part counts once; the parts come back sorted,
+    each vertex as the int it equals, so ``True`` is vertex 1.
     ``_certify`` then builds the Partition as it builds every one the
-    engine returns, each certificate on the part's mask of ``g`` through
-    ``clique_number_within``, so its witness is in ``g``'s labels.
+    engine returns, so each certificate's witness is in ``g``'s labels.
     """
     n = g.n
     assignment = [-1] * n
     norm = []
     for i, members in enumerate(parts):
-        members = tuple(sorted(set(members)))
+        members = sorted(set(members))
         for v in members:
             if not 0 <= v < n:
                 raise ValueError(f"vertex {v} out of range")
             if assignment[v] != -1:
                 raise ValueError(f"vertex {v} assigned to two parts")
             assignment[v] = i
-        norm.append(members)
+        # indexing the list above took each vertex as operator.index does
+        norm.append(tuple(map(operator.index, members)))
     if -1 in assignment:
         missing = [v for v, a in enumerate(assignment) if a == -1]
         raise ValueError(f"vertices {missing[:5]} not assigned to any part")
-    return _certify(g, tuple(assignment), tuple(norm), list(map(kernels.to_mask, norm)),
-                    strategy)
+    return _certify(g, tuple(assignment), tuple(norm),
+                    *_part_masks(_search_numbering(g)[2], norm), strategy)
 
 
 def _certify(g: Graph, assignment: tuple[int, ...], parts: tuple[tuple[int, ...], ...],
-             masks, strategy: str | None) -> Partition:
+             masks, numbered, strategy: str | None) -> Partition:
     """The Partition of ``assignment`` and its sorted ``parts``, with each
-    part's certificate read from ``clique_number_within`` on its mask.
+    part's certificate read from ``cliques._certificate`` on its mask in
+    g's labels, ``masks``, and the same set in the clique search's
+    numbering, ``numbered`` (``_part_masks``), so no part is translated.
 
     The one constructor of every Partition this module returns. It checks
     nothing: ``partition_from_parts`` and ``partition_from_assignment``
     each check the input they take from outside once, and the engine's
     parts agree with their assignment and masks by construction.
     """
-    certs = tuple(map(clique_number_within, itertools.repeat(g, len(masks)), masks))
+    certs = tuple(map(_certificate, itertools.repeat(g, len(masks)), masks, numbered))
     return Partition(assignment, parts, certs, strategy)
+
+
+def _part_masks(power: list[int] | None, parts) -> tuple[list[int], list[int]]:
+    """Each part's bitset in a graph's labels and in its clique search's
+    numbering, the latter built from the members through that
+    numbering's ``power`` table (``cliques._search_numbering``); one
+    list twice when ``power`` is None, as the two numberings then agree."""
+    masks = list(map(kernels.to_mask, parts))
+    if power is None:
+        return masks, masks
+    return masks, [sum(map(power.__getitem__, members)) for members in parts]
 
 
 def _certify_assignment(g: Graph, assignment, k: int, strategy: str | None) -> Partition:
@@ -150,7 +166,7 @@ def _certify_assignment(g: Graph, assignment, k: int, strategy: str | None) -> P
     vertices the assignment puts in i, ascending."""
     parts = _parts_of(assignment, k)
     return _certify(g, tuple(assignment), tuple(map(tuple, parts)),
-                    list(map(kernels.to_mask, parts)), strategy)
+                    *_part_masks(_search_numbering(g)[2], parts), strategy)
 
 
 def partition_from_assignment(g: Graph, assignment, k: int | None = None,
@@ -308,30 +324,34 @@ def _dsatur_classes(g: Graph) -> _Classes:
     Kept in g's memo, like ``cliques.clique_number_within``'s entries, so
     every quota list on one graph object reads one coloring.
     """
-    return _Classes(_dsatur_coloring(g))
+    return _Classes(_dsatur_coloring(g), _search_numbering(g)[2])
 
 
 class _Classes(tuple):
     """The nonempty classes of the coloring ``colors`` of all of a
     graph's vertices, largest first, ties broken by members, with their
-    layout beside them: ``masks``, each class's bitset, and ``index``,
-    each vertex's class index, each built when a deal first reads it.
+    layout beside them, each built when a deal first reads it: ``masks``,
+    ``_part_masks`` of the classes under the given ``power`` table, each
+    class's bitset in the labels and in the clique search's numbering,
+    and ``index``, each vertex's class index.
 
     A coloring kept in a graph's memo carries its layout there, so every
     quota list dealt from it reads one build and no deal hashes the
-    classes.
+    classes or translates a part.
     """
 
-    def __new__(cls, colors: list[int]) -> _Classes:
+    def __new__(cls, colors: list[int], power: list[int] | None) -> _Classes:
         classes = [[] for _ in range(max(colors, default=-1) + 1)]
         for v, c in enumerate(colors):
             classes[c].append(v)
         classes.sort(key=lambda members: (-len(members), members))
-        return super().__new__(cls, (tuple(members) for members in classes if members))
+        self = super().__new__(cls, (tuple(members) for members in classes if members))
+        self._power = power
+        return self
 
     @cached_property
-    def masks(self) -> tuple[int, ...]:
-        return tuple(map(kernels.to_mask, self))
+    def masks(self) -> tuple[list[int], list[int]]:
+        return _part_masks(self._power, self)
 
     @cached_property
     def index(self) -> tuple[int, ...]:
@@ -760,24 +780,34 @@ def _deal(g: Graph, classes: _Classes, quotas, strategy: str) -> Partition:
 
     Classes go to parts whole, so only each part's sort and the
     assignment read single vertices: a part's members are its classes'
-    members, sorted once, its mask is the OR of its classes' bitsets,
-    and each vertex goes to the part holding its class, by the class
-    bitsets and class index laid out beside the classes (``_Classes``).
+    members, sorted once, its masks are the ORs of its classes' bitsets
+    in the labels and in the clique search's numbering, and each vertex
+    goes to the part holding its class, by the class bitsets and class
+    index laid out beside the classes (``_Classes``). When the two
+    numberings agree the one OR serves as both.
     """
     n, k = g.n, len(quotas)
     if len(classes) <= quotas[0] - 1:
         # V is then the one part to certify, and its entry is the one
-        # the precondition check has already filled.
-        return _certify(g, (0,) * n, (tuple(range(n)),) + ((),) * (k - 1),
-                        (_full_mask(n),) + (0,) * (k - 1), strategy)
+        # the precondition check has already filled; the full mask is
+        # the same in either numbering.
+        masks = (_full_mask(n),) + (0,) * (k - 1)
+        return _certify(g, (0,) * n, (tuple(range(n)),) + ((),) * (k - 1), masks, masks,
+                        strategy)
     part_of = _deal_order(tuple(quotas))
+    class_masks, class_numbered = classes.masks
     members: list[list[int]] = [[] for _ in quotas]
-    masks = [0] * k
-    for cls, mask, i in zip(classes, classes.masks, part_of):
+    masks = numbered = [0] * k
+    for cls, mask, i in zip(classes, class_masks, part_of):
         members[i] += cls
         masks[i] |= mask
+    if class_numbered is not class_masks:
+        numbered = [0] * k
+        for mask, i in zip(class_numbered, part_of):
+            numbered[i] |= mask
     parts = tuple(tuple(sorted(side)) for side in members)
-    return _certify(g, tuple(map(part_of.__getitem__, classes.index)), parts, masks, strategy)
+    return _certify(g, tuple(map(part_of.__getitem__, classes.index)), parts, masks, numbered,
+                    strategy)
 
 
 def _coloring_strategy(g: Graph, quotas, diags: dict) -> Partition | None:
@@ -838,7 +868,7 @@ def _tabucol_classes(g: Graph) -> _Classes | None:
                 conflicting.discard(u)
         conflicts += gain
         best = min(best, conflicts)
-    return None if conflicting else _Classes(color)
+    return None if conflicting else _Classes(color, _search_numbering(g)[2])
 
 
 def _checked(part: Partition, quotas) -> Partition:
@@ -874,8 +904,9 @@ def kway_clique_partition(g: Graph, spec) -> Partition:
             f"{g.max_degree - 1 + spec.k}")
     _check_omega(g)
     if spec.k == 1:
-        return _checked(_certify(g, (0,) * g.n, (tuple(range(g.n)),), (_full_mask(g.n),),
-                                 "verify"), spec.quotas)
+        full = (_full_mask(g.n),)
+        return _checked(_certify(g, (0,) * g.n, (tuple(range(g.n)),), full, full, "verify"),
+                        spec.quotas)
     diags: dict[str, str] = {}
     part = _coloring_strategy(g, spec.quotas, diags)
     if part is not None:

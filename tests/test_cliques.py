@@ -1,8 +1,10 @@
 import copy
 import dataclasses
+import gc
 import itertools
 import pickle
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -605,6 +607,29 @@ class TestCliqueCertificate:
         assert cert.witness == (0, 5, 6, 17, 34, 42, 44, 46, 65, 66, 82, 85, 90, 94, 106)
         assert calls == []
         assert len(builds) == 1
+
+    def test_reading_a_witness_leaves_no_walk_cycle(self):
+        # the walk behind a witness reaches nothing of itself, so reference
+        # counting frees it once the first clique is read; the colouring
+        # search's own closure cycle is left to the collector
+        g = random_graph(30, 0.5, 0)
+        cert = cs.clique_number(g)
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert cert.witness
+            gc.collect()
+            names = {getattr(obj, "__name__", None) for obj in gc.garbage
+                     if isinstance(obj, (types.FunctionType, types.GeneratorType))}
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
+        assert not {"walk", "_walk"} & names
+        assert "expand" in names
 
     def test_frozen_and_picklable(self):
         cert = clique_number_within(K(4), 0b1110)

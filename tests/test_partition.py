@@ -17,7 +17,11 @@ from hypothesis import strategies as st
 
 import clique_splitter as cs
 from clique_splitter import kernels, partition
-from clique_splitter.cliques import CERTIFICATES_PER_GRAPH, clique_number_within
+from clique_splitter.cliques import (
+    CERTIFICATES_PER_GRAPH,
+    _search_numbering,
+    clique_number_within,
+)
 from clique_splitter.partition import (
     _coloring_strategy,
     _dsatur_classes,
@@ -215,6 +219,16 @@ class TestPartitionBuilders:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("parts, expected", [
+        ([[True, 0], [2, 3]], ((0, 1), (2, 3))),
+        ([[2, True], [False, 3]], ((1, 2), (0, 3))),
+        ([[0, 1, True], [2, 3]], ((0, 1), (2, 3))),
+    ], ids=["true", "true-and-false", "true-beside-one"])
+    def test_bool_vertices_read_as_ints(self, parts, expected):
+        part = cs.partition_from_parts(C(4), parts)
+        assert part.parts == expected
+        assert all(type(v) is int for members in part.parts for v in members)
 
     def test_vertex_repeated_within_a_part_collapses(self):
         part = cs.partition_from_parts(C(4), [[3, 1, 3], [2, 0, 0]])
@@ -1802,3 +1816,92 @@ class TestConstructionParity:
         g = regular(n, d, seed)
         lists = [(2,) * (d - 1), (d - 1, 2)]
         assert "recoloring" in self._strategies(g, lists)
+
+
+class TestSearchNumberedCertificates:
+    """The engine builds each part's mask in the clique search's numbering
+    beside its mask in the labels, so no part is translated: on graphs
+    whose numbering is not the labels, every certificate it builds equals
+    the one ``clique_number_within`` searches for, after translating the
+    part's mask, on a fresh equal graph."""
+
+    @staticmethod
+    def _non_regular(g):
+        assert _search_numbering(g)[0] is not None
+        return g
+
+    @staticmethod
+    def _assert_certificates(g, part):
+        fresh = cs.Graph(g.n, g.edges())
+        for cert, members in zip(part.certificates, part.parts):
+            expected = clique_number_within(fresh, kernels.to_mask(members))
+            assert (cert.omega, cert.witness) == (expected.omega, expected.witness)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dsatur_deals_and_exact_answers(self, seed):
+        rng = random.Random(seed)
+        g = self._non_regular(gnp(rng.randint(24, 40), rng.uniform(0.35, 0.55), seed))
+        delta = g.max_degree
+        assert len(_dsatur_classes(g)) <= delta - 1
+        lists = [(delta - 1, 2), (2,) * (delta - 1),
+                 *TestConstructionParity._random_lists(rng, delta, 6)]
+        for quotas in lists:
+            part = cs.kway_clique_partition(g, quotas)
+            assert part.strategy == "coloring"
+            self._assert_certificates(g, part)
+            assignment = _exact_partition_assignment(g, quotas)
+            exact = partition._certify_assignment(g, assignment, len(quotas), "exact")
+            assert exact.satisfies(quotas)
+            self._assert_certificates(g, exact)
+
+    def test_tabucol_deals(self):
+        # a thinned C_7 x K_3 on which DSatur overflows the room and
+        # TabuCol finds a (max degree - 1)-coloring
+        g = self._non_regular(thinned_products(7, 3, 6)[5])
+        delta = g.max_degree
+        assert len(_dsatur_classes(g)) > delta - 1
+        classes = _tabucol_classes(g)
+        assert classes is not None
+        for quotas in [(delta - 1, 2), (4, 3, 3), (2,) * (delta - 1)]:
+            part = partition._deal(g, classes, quotas, "recoloring")
+            assert part.satisfies(quotas)
+            self._assert_certificates(g, part)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_both_builders(self, seed):
+        rng = random.Random(seed)
+        g = self._non_regular(gnp(rng.randint(20, 40), 0.5, seed))
+        k = rng.randint(1, 4)
+        assignment = [rng.randrange(k) for _ in range(g.n)]
+        built = cs.partition_from_assignment(g, assignment, k)
+        self._assert_certificates(g, built)
+        g = cs.Graph(g.n, g.edges())  # a new memo, so the parts are searched again
+        self._assert_certificates(g, cs.partition_from_parts(g, partition._parts_of(assignment, k)))
+
+    def test_the_numbered_masks_are_the_masks_on_regular_graphs(self):
+        g = regular(40, 13, 1)
+        assert _search_numbering(g)[2] is None
+        masks, numbered = _dsatur_classes(g).masks
+        assert numbered is masks
+
+    def test_a_warm_graph_deals_without_translating(self, monkeypatch):
+        # the graph's coloring, tables and clique number are built by the
+        # first list; the second deals other parts, whose certificates are
+        # searched for without reading a part's bits
+        g = self._non_regular(gnp(60, 0.5, 3))
+        delta = g.max_degree
+        cs.kway_clique_partition(g, (delta - 1, 2))
+        calls = []
+        from_mask = kernels.from_mask
+
+        def counted(mask):
+            calls.append(mask)
+            return from_mask(mask)
+
+        monkeypatch.setattr(kernels, "from_mask", counted)
+        certificates = len(g._memo["certificates"])
+        part = cs.kway_clique_partition(g, (2,) * (delta - 1))
+        assert part.strategy == "coloring" and len(set(part.parts)) > 1
+        assert len(g._memo["certificates"]) > certificates
+        assert calls == []
+        self._assert_certificates(g, part)
