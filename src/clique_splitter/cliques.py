@@ -15,7 +15,10 @@ graph. The memo is keyed by each set's mask in the labels, and the
 search reads the same set's mask in that numbering: the partition
 engine builds both for every part and hands them to ``_certificate``,
 and only a mask from outside, given to ``clique_number_within``, is
-translated, on its first search. The witness, and every maximum
+translated, on its first search. A part dealt from colour classes, in
+a deal that gives some part two or more, also hands over its classes,
+which seed the search's root colouring; the clique number is exact
+whatever they are. The witness, and every maximum
 clique, are then walked from the clique number by decision queries in
 label order. The partition engine's decision queries run in the
 labels, on the per-graph tables of ``_label_tables``. Every per-graph
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import FrozenInstanceError
+from typing import Sequence
 
 from . import kernels
 from .graphs import Graph, _per_graph
@@ -129,13 +133,22 @@ def clique_number_within(g: Graph, mask: int) -> CliqueCertificate:
     return _certificate(g, mask, None)
 
 
-def _certificate(g: Graph, mask: int, numbered: int | None) -> CliqueCertificate:
+def _certificate(g: Graph, mask: int, numbered: int | None,
+                 classes: Sequence[int] = ()) -> CliqueCertificate:
     """The certificate of ``mask``, a set of g's vertices in its labels,
     from g's memo, or searched for and kept there: the one place that
     reads, fills and trims the memo. ``numbered`` is the same set in
     ``_search_numbering(g)``, as the partition engine builds it beside
     ``mask``; None, from ``clique_number_within``, has a mask that is
-    not in the memo checked against n and translated here."""
+    not in the memo checked against n and translated here.
+
+    A part the engine dealt from colour classes, when some part of the
+    deal holds two or more, comes with ``classes``, their bitsets in the
+    search numbering, and on a memo miss they seed the search's root
+    colouring, so a part dealt c classes has a colour bound of c at the
+    root. The seeds only steer the search: the clique number is exact
+    whatever they are, so an entry is the same whichever caller filled
+    it."""
     try:
         certs = g._memo["certificates"]
     except KeyError:
@@ -149,7 +162,8 @@ def _certificate(g: Graph, mask: int, numbered: int | None) -> CliqueCertificate
             raise ValueError(f"mask {mask:#x} is not a set of the graph's {g.n} vertices")
         numbered = mask if power is None else sum(map(power.__getitem__, kernels.from_mask(mask)))
     cert = CliqueCertificate._deferred(
-        kernels.max_clique_size(adj, numbered, _coloring_tables(g)), labels, adj, numbered)
+        kernels.max_clique_size(adj, numbered, _coloring_tables(g), classes), labels, adj,
+        numbered)
     if len(certs) >= CERTIFICATES_PER_GRAPH:
         del certs[next(iter(certs))]
     certs[mask] = cert

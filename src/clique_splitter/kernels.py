@@ -10,6 +10,11 @@ colouring (Tomita & Seki, DMTCS 2003) and takes each colouring step from
 per-vertex tables of bitsets (``coloring_tables``), as BBMC does (San
 Segundo, Rodriguez-Losada & Jimenez, Comput. Oper. Res. 2011); its cost,
 like its result, depends on the adjacency alone, not on any labels.
+``max_clique_size`` can seed the root's colouring with vertex sets, such
+as the colour classes a part was dealt: each set is coloured greedily on
+its own first, so a set with an edge inside takes several colours and
+the result stays the exact clique number whatever the sets are; only
+the cost depends on them.
 ``maximum_cliques`` walks the largest cliques in lexicographic order
 of their sorted labels by decision queries, given the clique number:
 its first is the certificate's witness, and all of them are the cliques
@@ -36,22 +41,33 @@ def coloring_tables(adj: Sequence[int], mask: int) -> tuple[list[int], list[int]
 
 
 def max_clique_size(adj: Sequence[int], mask: int,
-                    tables: tuple[list[int], list[int], list[int]] | None = None) -> int:
+                    tables: tuple[list[int], list[int], list[int]] | None = None,
+                    classes: Sequence[int] = ()) -> int:
     """The number of vertices of the largest clique within ``mask``; 0
     for the empty mask.
 
     A caller that searches one graph many times passes the
     ``coloring_tables`` it keeps for it, built for every vertex; without
     them, they are built for ``mask``.
+
+    ``classes``, bitsets of vertices, seed the search's root colouring:
+    each set, less the bits outside ``mask`` and those an earlier set
+    took, is coloured greedily first, then what they leave of the mask.
+    A set with an edge inside takes more than one colour, so every
+    colour is still a set with no edge inside, and the result is the
+    exact clique number whatever the sets are. A caller that holds a
+    proper colouring of the mask in c colours, such as a part dealt
+    from colour classes, passes it so the root's colour bound is c from
+    the start rather than whatever greedy colouring finds.
     """
     if mask >> len(adj):
         raise _outside(mask, len(adj))
     tables = coloring_tables(adj, mask) if tables is None else tables
-    return _search(tables, mask, 0, mask.bit_count() + 1)
+    return _search(tables, mask, 0, mask.bit_count() + 1, classes)
 
 
 def _search(tables: tuple[list[int], list[int], list[int]], mask: int,
-            best: int, target: int) -> int:
+            best: int, target: int, seeds: Sequence[int] = ()) -> int:
     """The clique number of ``mask``, or the floor ``best`` if larger;
     the search stops at the first clique of ``target`` vertices.
 
@@ -61,13 +77,42 @@ def _search(tables: tuple[list[int], list[int], list[int]], mask: int,
     largest clique found so far: no tie is followed and no label is read.
     A colouring step is one AND with the vertex's non-neighbours and one
     XOR with its bit, read from ``tables`` at the class's ``bit_length()``.
+    The root colours each of ``seeds`` as ``max_clique_size`` describes,
+    then the candidates they leave; every other node starts unseeded.
+    Seeds take the lowest colours, which a floor above 0 would skip
+    unbranched, so they come with ``best`` 0 alone.
     """
     apart, nbrs, bit = tables
+    # The seeded root's classes and the candidates they leave, coloured
+    # with expand's colouring step.
+    seeded = None
+    if seeds:
+        assert not best, "seeds need a floor of 0"
+        rest = mask
+        root: list[int] = []
+        for seed in seeds:
+            seed &= rest
+            rest ^= seed
+            while seed:
+                cls = before = seed
+                while cls:
+                    b = cls.bit_length()
+                    cls &= apart[b]
+                    seed ^= bit[b]
+                root.append(before ^ seed)
+        seeded = root, rest
 
-    def expand(cand: int, size: int) -> bool:
+    def expand(cand: int, size: int, seeded: tuple[list[int], int] | None = None) -> bool:
         # True once best reaches target, which ends every node above.
+        # Only a seeded root is given its classes, its seeds coloured
+        # already, and the candidates they leave; every other node
+        # colours all its candidates.
         nonlocal best
-        uncolored = cand
+        if seeded is None:
+            uncolored = cand
+            classes: list[int] = []
+        else:
+            classes, uncolored = seeded
         # Classes numbered at most best - size cannot beat best: colour
         # them unrecorded, and end the node if they take every candidate.
         for _ in range(best - size):
@@ -78,7 +123,6 @@ def _search(tables: tuple[list[int], list[int], list[int]], mask: int,
                 uncolored ^= bit[b]
             if not uncolored:
                 return False
-        classes: list[int] = []
         while uncolored:
             cls = before = uncolored
             while cls:
@@ -109,7 +153,7 @@ def _search(tables: tuple[list[int], list[int], list[int]], mask: int,
             reach -= 1
         return False
 
-    expand(mask, 0)
+    expand(mask, 0, seeded)
     # expand reaches itself through its closure, a cycle that only the
     # cycle collector frees: drop the tables from it, so that until then
     # it keeps nothing of the graph alive
@@ -185,9 +229,19 @@ def _walk(adj: Sequence[int], tables: tuple[list[int], list[int], list[int]],
 
 
 def to_mask(vertices) -> int:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
+    """The bitset of ``vertices``. A negative vertex is no vertex: it
+    raises the ValueError ``from_mask`` raises for a negative mask, with
+    the vertex in the mask's place. Any other ValueError, such as one
+    the iterable itself raises, passes through."""
+    mask = v = 0
+    try:
+        for v in vertices:
+            mask |= 1 << v
+    except ValueError:
+        # only a negative shift count fails the shift with ValueError
+        if not v < 0:
+            raise
+        raise _negative_mask(v) from None
     return mask
 
 

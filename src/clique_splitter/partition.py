@@ -51,6 +51,10 @@ MAXFREE_EXHAUSTIVE_N = 14  # n cap of max_kpfree_partition's subset scan
 EXACT_NODES = 20_000
 RECOLOR_MOVES = 1_000  # TabuCol's move cap
 
+# ``_certify``'s seeds for parts whose searches start unseeded: an empty
+# list for every part, endless, so one iterator serves every call
+_UNSEEDED = itertools.repeat(())
+
 
 # ---------------------------------------------------------------------------
 # Domain types
@@ -131,22 +135,26 @@ def partition_from_parts(g: Graph, parts, strategy: str | None = None) -> Partit
         missing = [v for v, a in enumerate(assignment) if a == -1]
         raise ValueError(f"vertices {missing[:5]} not assigned to any part")
     return _certify(g, tuple(assignment), tuple(norm),
-                    *_part_masks(_search_numbering(g)[2], norm), strategy)
+                    *_part_masks(_search_numbering(g)[2], norm), _UNSEEDED, strategy)
 
 
 def _certify(g: Graph, assignment: tuple[int, ...], parts: tuple[tuple[int, ...], ...],
-             masks, numbered, strategy: str | None) -> Partition:
+             masks, numbered, seeds, strategy: str | None) -> Partition:
     """The Partition of ``assignment`` and its sorted ``parts``, with each
     part's certificate read from ``cliques._certificate`` on its mask in
     g's labels, ``masks``, and the same set in the clique search's
     numbering, ``numbered`` (``_part_masks``), so no part is translated.
+    ``seeds`` are each part's seeds for its search on a memo miss, in
+    that numbering: ``_deal`` passes the classes it dealt a part, and
+    every caller with no colouring to pass, or none worth passing,
+    passes ``_UNSEEDED``, so those searches start unseeded.
 
     The one constructor of every Partition this module returns. It checks
     nothing: ``partition_from_parts`` and ``partition_from_assignment``
     each check the input they take from outside once, and the engine's
     parts agree with their assignment and masks by construction.
     """
-    certs = tuple(map(_certificate, itertools.repeat(g, len(masks)), masks, numbered))
+    certs = tuple(map(_certificate, itertools.repeat(g, len(masks)), masks, numbered, seeds))
     return Partition(assignment, parts, certs, strategy)
 
 
@@ -166,7 +174,7 @@ def _certify_assignment(g: Graph, assignment, k: int, strategy: str | None) -> P
     vertices the assignment puts in i, ascending."""
     parts = _parts_of(assignment, k)
     return _certify(g, tuple(assignment), tuple(map(tuple, parts)),
-                    *_part_masks(_search_numbering(g)[2], parts), strategy)
+                    *_part_masks(_search_numbering(g)[2], parts), _UNSEEDED, strategy)
 
 
 def partition_from_assignment(g: Graph, assignment, k: int | None = None,
@@ -785,6 +793,16 @@ def _deal(g: Graph, classes: _Classes, quotas, strategy: str) -> Partition:
     goes to the part holding its class, by the class bitsets and class
     index laid out beside the classes (``_Classes``). When the two
     numberings agree the one OR serves as both.
+
+    A part dealt two classes or more also hands ``_certify`` its list of
+    numbered class bitsets, so if the memo does not hold the part yet it
+    is searched from its own classes as its root colouring
+    (``kernels.max_clique_size``): a part of c classes starts from a
+    colour bound of c, and its clique number is exact whether or not
+    the coloring is proper. Every quota is at least 2, so the first k
+    classes go one to each part, and no part holds two unless more are
+    dealt: a deal of k classes or fewer, which no seed would shorten,
+    lists none.
     """
     n, k = g.n, len(quotas)
     if len(classes) <= quotas[0] - 1:
@@ -793,7 +811,7 @@ def _deal(g: Graph, classes: _Classes, quotas, strategy: str) -> Partition:
         # the same in either numbering.
         masks = (_full_mask(n),) + (0,) * (k - 1)
         return _certify(g, (0,) * n, (tuple(range(n)),) + ((),) * (k - 1), masks, masks,
-                        strategy)
+                        _UNSEEDED, strategy)
     part_of = _deal_order(tuple(quotas))
     class_masks, class_numbered = classes.masks
     members: list[list[int]] = [[] for _ in quotas]
@@ -801,13 +819,21 @@ def _deal(g: Graph, classes: _Classes, quotas, strategy: str) -> Partition:
     for cls, mask, i in zip(classes, class_masks, part_of):
         members[i] += cls
         masks[i] |= mask
-    if class_numbered is not class_masks:
+    seeds = _UNSEEDED
+    if len(classes) > k:
+        seeds = [[] for _ in quotas]
+        for mask, i in zip(class_numbered, part_of):
+            seeds[i].append(mask)
+        if class_numbered is not class_masks:
+            # the classes are disjoint, so their sum is their union
+            numbered = list(map(sum, seeds))
+    elif class_numbered is not class_masks:
         numbered = [0] * k
         for mask, i in zip(class_numbered, part_of):
             numbered[i] |= mask
     parts = tuple(tuple(sorted(side)) for side in members)
     return _certify(g, tuple(map(part_of.__getitem__, classes.index)), parts, masks, numbered,
-                    strategy)
+                    seeds, strategy)
 
 
 def _coloring_strategy(g: Graph, quotas, diags: dict) -> Partition | None:
@@ -905,7 +931,8 @@ def kway_clique_partition(g: Graph, spec) -> Partition:
     _check_omega(g)
     if spec.k == 1:
         full = (_full_mask(g.n),)
-        return _checked(_certify(g, (0,) * g.n, (tuple(range(g.n)),), full, full, "verify"),
+        return _checked(_certify(g, (0,) * g.n, (tuple(range(g.n)),), full, full, _UNSEEDED,
+                                 "verify"),
                         spec.quotas)
     diags: dict[str, str] = {}
     part = _coloring_strategy(g, spec.quotas, diags)

@@ -1,7 +1,9 @@
 import copy
 import dataclasses
+import functools
 import gc
 import itertools
+import operator
 import pickle
 import random
 import types
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 import clique_splitter as cs
 import clique_splitter.kernels as kernels
+from clique_splitter import partition
 from clique_splitter.cliques import (
     _coloring_tables,
     _label_tables,
@@ -424,6 +427,51 @@ class TestMaxCliqueSize:
         assert kernels.max_clique_size(adj, mask) == omega
         assert kernels.max_clique_size(adj, mask, tables) == omega
 
+    @given(bitset_graphs(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_seeded_root_colouring_keeps_the_clique_number(self, case, data):
+        # seeds steer the root colouring only: proper classes, classes
+        # with edges inside, overlapping ones, bits outside the mask or
+        # the graph, no classes at all, and classes that leave part of
+        # the mask uncoloured all give the unseeded clique number
+        adj, mask = case
+        n = len(adj)
+        omega = brute_mask_omega(adj, mask)
+        assert kernels.max_clique_size(adj, mask) == omega
+        order = data.draw(st.permutations(kernels.from_mask(mask)))
+        proper: list[int] = []
+        for v in order:  # a proper colouring of the mask, first fit
+            for c, cls in enumerate(proper):
+                if not cls & adj[v]:
+                    proper[c] |= 1 << v
+                    break
+            else:
+                proper.append(1 << v)
+        kept = data.draw(st.integers(min_value=0, max_value=len(proper)))
+        anything = st.lists(st.integers(min_value=0, max_value=(1 << (n + 3)) - 1), max_size=6)
+        tables = kernels.coloring_tables(adj, (1 << n) - 1)
+        for classes in (proper, proper[:kept], [], data.draw(anything),
+                        proper[::-1] + data.draw(anything)):
+            assert kernels.max_clique_size(adj, mask, None, classes) == omega, classes
+            assert kernels.max_clique_size(adj, mask, tables, classes) == omega, classes
+
+    @pytest.mark.parametrize("n, p, seed", LARGE_GRAPHS)
+    def test_seeded_with_a_proper_colouring_above_the_first_word(self, n, p, seed):
+        # DSatur's classes of the graph, in the search numbering, seed the
+        # whole-graph search and those of masks of several classes
+        g = random_graph(n, p, seed)
+        _, adj, _ = _search_numbering(g)
+        classes = partition._dsatur_classes(g).masks[1]
+        full = (1 << n) - 1
+        omega = kernels.max_clique_size(adj, full, _coloring_tables(g))
+        assert kernels.max_clique_size(adj, full, _coloring_tables(g), classes) == omega
+        for start in range(0, len(classes), 3):
+            dealt = classes[start:start + 3]
+            mask = functools.reduce(operator.or_, dealt)
+            expected = brute_mask_omega(adj, mask)
+            assert expected <= len(dealt)
+            assert kernels.max_clique_size(adj, mask, _coloring_tables(g), dealt) == expected
+
     @pytest.mark.parametrize("n, p, seed", LARGE_GRAPHS)
     def test_masks_across_word_boundaries(self, n, p, seed):
         g = random_graph(n, p, seed)
@@ -501,6 +549,23 @@ class TestMasksOutsideTheGraph:
         with pytest.raises(ValueError, match="mask -0x1 "):
             kernels.from_mask(-1)
         assert kernels.from_mask(0) == ()
+
+    @pytest.mark.parametrize("vertices", [[-1], [3, -5, 2], iter([0, -(1 << 70)])],
+                             ids=["alone", "among-others", "huge-from-an-iterator"])
+    def test_to_mask_of_a_negative_vertex(self, vertices):
+        # worded as from_mask's error, not Python's "negative shift count"
+        with pytest.raises(ValueError, match=r"mask -0x[0-9a-f]+ is negative, not a set of"):
+            kernels.to_mask(vertices)
+
+    def test_to_mask_passes_other_errors_through(self):
+        def vertices():
+            yield 2
+            raise ValueError("from the iterable")
+
+        with pytest.raises(ValueError, match="from the iterable"):
+            kernels.to_mask(vertices())
+        assert kernels.to_mask([]) == 0
+        assert kernels.to_mask(iter([0, 3, 3])) == 0b1001
 
     @pytest.mark.parametrize("search", [
         lambda adj, mask: kernels.has_clique_of_size(adj, mask, 2),

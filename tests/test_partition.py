@@ -1606,6 +1606,117 @@ class TestOneShotColoring:
         assert sizes.count(g.n) == 1 and sizes[0] == g.n
         assert max(sizes[1:]) <= g.n // 2
 
+    def test_dealt_parts_search_from_their_classes(self, monkeypatch):
+        # each dealt part's search, made on a memo miss alone, is seeded
+        # with the numbered masks of the classes it was dealt, in dealing
+        # order; verification, the builders and the exact answer seed none
+        g = gnp(60, 0.5, 1)
+        seeds = {}
+        search = kernels.max_clique_size
+
+        def counted(adj, mask, tables=None, classes=()):
+            seeds[mask] = list(classes)
+            return search(adj, mask, tables, classes)
+
+        monkeypatch.setattr(kernels, "max_clique_size", counted)
+        classes = _dsatur_classes(g)
+        numbered = classes.masks[1]
+        quotas = self._balanced(g.max_degree, 5)
+        part = cs.kway_clique_partition(g, quotas)
+        assert part.strategy == "coloring"
+        assert seeds.pop((1 << g.n) - 1) == []  # the precondition's search
+        part_of = partition._deal_order(quotas)
+        expected = {}
+        for mask, i in zip(numbered, part_of):
+            expected.setdefault(i, []).append(mask)
+        assert len(seeds) == len(quotas)
+        for i, dealt in expected.items():
+            assert len(dealt) <= quotas[i] - 1
+            assert seeds[sum(dealt)] == dealt
+        seeds.clear()
+        assert cs.kway_clique_partition(g, quotas) == part
+        assert cs.verify_partition(g, part, cs.PartitionSpec(quotas)).valid
+        assert seeds == {}
+        h = cs.Graph(g.n, g.edges())
+        assert cs.verify_partition(h, part, cs.PartitionSpec(quotas)).valid
+        cs.partition_from_parts(cs.Graph(g.n, g.edges()), part.parts)
+        cs.partition_from_assignment(cs.Graph(g.n, g.edges()), part.assignment)
+        fresh = cs.Graph(g.n, g.edges())
+        partition._certify_assignment(
+            fresh, _exact_partition_assignment(fresh, (2,) * (g.max_degree - 1)),
+            g.max_degree - 1, "exact")
+        assert seeds and all(classes == [] for classes in seeds.values())
+
+    def test_parts_of_one_class_at_most_are_not_seeded(self, monkeypatch):
+        # every quota is at least 2, so the first k classes go one to a
+        # part: an all-2 list, or a list dealt no more classes than parts,
+        # seeds no search, while one more class seeds every part's
+        g = gnp(60, 0.5, 1)
+        seeds = {}
+        search = kernels.max_clique_size
+
+        def counted(adj, mask, tables=None, classes=()):
+            seeds[mask] = list(classes)
+            return search(adj, mask, tables, classes)
+
+        monkeypatch.setattr(kernels, "max_clique_size", counted)
+        classes = _dsatur_classes(g)
+        r, delta = len(classes), g.max_degree
+        numbered = classes.masks[1]
+        assert 4 <= r <= delta - 3
+        for quotas in ((2,) * (delta - 1), (2,) * (r - 1) + (delta - r + 1,)):
+            seeds.clear()
+            partition._deal(cs.Graph(g.n, g.edges()), classes, quotas, "coloring")
+            assert set(numbered) <= set(seeds)
+            assert all(dealt == [] for dealt in seeds.values())
+        # r - 1 parts: part 0 takes class 0 and, second in the deal, class r - 1
+        quotas = (3,) + (2,) * (r - 3) + (delta - r + 1,)
+        seeds.clear()
+        partition._deal(cs.Graph(g.n, g.edges()), classes, quotas, "coloring")
+        assert seeds == {numbered[0] | numbered[r - 1]: [numbered[0], numbered[r - 1]],
+                         **{numbered[i]: [numbered[i]] for i in range(1, r - 1)}}
+
+    @staticmethod
+    def _edge_in_a_class(g):
+        # DSatur's colouring with one neighbour of vertex 0 moved into its
+        # class: an all-2 list deals that class, and its edge, to one part
+        colors = _dsatur_coloring(g)
+        colors[g.adjacency[0][0]] = colors[0]
+        return (2,) * (g.max_degree - 1), colors
+
+    @staticmethod
+    def _triangle_across_two_classes(g):
+        # seven classes of 7, 6, ..., 1 vertices on an all-3 list: part 0
+        # is dealt the largest and the smallest, which hold a triangle's
+        # edge and its third vertex. A search that stopped at the part's
+        # two classes would stop at its first edge and call it
+        # triangle-free.
+        a, b, c = next((a, b, c) for a in range(g.n) for b in g.adjacency[a]
+                       for c in g.adjacency[b] if a < b < c and c in g.adjacency[a])
+        rest = iter(v for v in range(g.n) if v not in (a, b, c))
+        colors = [0] * g.n
+        for color, size in enumerate(range(6, 1, -1), 1):
+            for v in itertools.islice(rest, size):
+                colors[v] = color
+        colors[c] = 6
+        return (3,) * ((g.max_degree - 1) // 2), colors
+
+    @pytest.mark.parametrize("case", ["edge-in-a-class", "triangle-across-two-classes"])
+    def test_an_improper_colouring_fails_post_verification(self, monkeypatch, case):
+        # a colouring that fits the room but is not proper: the seeded
+        # search of the part it wrongs still finds the part's clique
+        # number, so the answer is refused rather than returned
+        g = regular(28, 13, 3)
+        make = {"edge-in-a-class": self._edge_in_a_class,
+                "triangle-across-two-classes": self._triangle_across_two_classes}[case]
+        quotas, colors = make(g)
+        assert max(colors) + 1 <= sum(quotas) - len(quotas)
+        monkeypatch.setattr(partition, "_dsatur_coloring", lambda h: list(colors))
+        with pytest.raises(cs.SearchFailureError, match="post-verification failed") as info:
+            cs.kway_clique_partition(g, quotas)
+        omegas = info.value.diagnostics["omegas"]
+        assert any(omega > p - 1 for omega, p in zip(omegas, quotas))
+
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_coloring_misses_on_cycle_clique_products(self, m):
         # max degree 3m - 1 leaves 3m - 2 classes of room, and DSatur
