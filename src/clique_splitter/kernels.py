@@ -15,6 +15,10 @@ as the colour classes a part was dealt: each set is coloured greedily on
 its own first, so a set with an edge inside takes several colours and
 the result stays the exact clique number whatever the sets are; only
 the cost depends on them.
+``has_clique_of_size`` runs no search on three kinds of query, each
+answered from the mask: a size up to 1, a mask with fewer than ``size``
+vertices, and a mask of exactly ``size`` vertices, which is answered by
+a clique test over ``adj``.
 ``maximum_cliques`` walks the largest cliques in lexicographic order
 of their sorted labels by decision queries, given the clique number:
 its first is the certificate's witness, and all of them are the cliques
@@ -166,10 +170,13 @@ def has_clique_of_size(adj: Sequence[int], mask: int, size: int,
     """True iff ``mask`` contains a clique with at least ``size`` vertices.
 
     Sizes up to 1, and masks with fewer than ``size`` vertices, are
-    answered from the mask and ``len(adj)`` alone. Otherwise the
-    colouring search starts from a floor of ``size - 1``, so it prunes
-    every branch whose colour bound cannot reach ``size``, and stops at
-    the first clique of ``size`` vertices. ``tables`` are as for ``max_clique_size``. A size
+    answered from the mask and ``len(adj)`` alone. A mask of exactly
+    ``size`` vertices is answered by one clique test over ``adj``: each
+    member, highest first, must neighbour every member below it; no
+    tables are built and no search runs. Otherwise the colouring search
+    starts from a floor of ``size - 1``, so it prunes every branch whose
+    colour bound cannot reach ``size``, and stops at the first clique of
+    ``size`` vertices. ``tables`` are as for ``max_clique_size``. A size
     that is no integer raises TypeError.
     """
     size = operator.index(size)
@@ -177,9 +184,17 @@ def has_clique_of_size(adj: Sequence[int], mask: int, size: int,
         raise _outside(mask, len(adj))
     if size <= 0:
         return True
-    if mask.bit_count() < size:
+    count = mask.bit_count()
+    if count < size:
         return False
     if size == 1:
+        return True
+    if count == size:
+        while mask:
+            v = mask.bit_length() - 1
+            mask ^= 1 << v
+            if mask & adj[v] != mask:
+                return False
         return True
     tables = coloring_tables(adj, mask) if tables is None else tables
     return _search(tables, mask, size - 1, size) >= size
@@ -201,8 +216,10 @@ def maximum_cliques(adj: Sequence[int], mask: int, omega: int,
     These decision queries share one build of ``coloring_tables``; their
     cost, unlike ``max_clique_size``'s, depends on the labels. No
     workload operation reads a witness. The mask is checked at the call,
-    not at the first clique.
+    not at the first clique, and so is ``omega``: one that is no
+    integer raises TypeError, as a size does in ``has_clique_of_size``.
     """
+    omega = operator.index(omega)
     if mask >> len(adj):
         raise _outside(mask, len(adj))
     label = range(len(adj)) if labels is None else labels

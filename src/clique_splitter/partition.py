@@ -461,7 +461,11 @@ def _exact_partition_assignment(g: Graph, quotas) -> list[int] | None:
     parts of equal quota are listed once per call. A part of quota 2
     takes v exactly when it holds no neighbour of v, and a part holding
     fewer than p - 1 neighbours of v takes it too, so only the other
-    tries call ``kernels.has_clique_of_size``.
+    tries call ``kernels.has_clique_of_size``. Of those, a part holding
+    exactly p - 1 neighbours of v is settled by one clique test over
+    them, with no search: it takes v unless they are a clique. Only a
+    part holding more than p - 1 neighbours of v runs the colouring
+    search.
     """
     quotas = tuple(quotas)
     k = len(quotas)

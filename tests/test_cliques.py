@@ -134,7 +134,10 @@ class _Unreadable:
 
 class TestSizeOneQueries:
     """Sizes up to 1, and masks with fewer than ``size`` vertices, are
-    answered from the mask and the number of vertices alone."""
+    answered from the mask and the number of vertices alone, without
+    reading ``adj``; a mask of exactly ``size`` vertices reads ``adj``
+    but runs no search (``TestExactSizeQueries``). A size that is no
+    integer is refused before any of these answers."""
 
     @pytest.mark.parametrize("mask", [0, 1, 0b100, 0b111])
     def test_answered_from_the_mask_alone(self, mask):
@@ -153,6 +156,139 @@ class TestSizeOneQueries:
         # operator.index, as PartitionSpec reads its quotas
         with pytest.raises(TypeError):
             kernels.has_clique_of_size([0b110, 0b101, 0b011], 0b111, size)
+
+
+def _graph_around(n, members, missing, seed):
+    """Neighbour bitsets of a G(n, 1/2) graph whose ``members`` form a
+    clique less the ``missing`` pairs."""
+    rng = random.Random(seed)
+    adj = [0] * n
+    for u, v in itertools.combinations(range(n), 2):
+        both = u in members and v in members
+        if (u, v) not in missing if both else rng.random() < 0.5:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return adj
+
+
+@st.composite
+def masks_in_large_graphs(draw, max_n=130, max_members=9):
+    """A graph of up to ``max_n`` vertices, so masks can sit above bit
+    63, and a mask of at most ``max_members`` of them that is a clique
+    less a few of its pairs."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    members = draw(st.lists(st.integers(0, n - 1), max_size=max_members, unique=True)
+                   if n else st.just([]))
+    pairs = list(itertools.combinations(sorted(members), 2))
+    missing = draw(st.sets(st.sampled_from(pairs), max_size=3)) if pairs else set()
+    adj = _graph_around(n, set(members), missing, draw(st.integers(0, 2**32)))
+    return adj, kernels.to_mask(members)
+
+
+class TestExactSizeQueries:
+    """A mask of exactly ``size`` vertices is answered by one clique test
+    over ``adj``, with no tables and no search; a mask with vertices to
+    spare still goes to the colouring search."""
+
+    @staticmethod
+    def _check(adj, mask):
+        full = (1 << len(adj)) - 1
+        omega = brute_mask_omega(adj, mask)
+        count = mask.bit_count()
+        for tables in (None, kernels.coloring_tables(adj, full),
+                       kernels.coloring_tables(adj, mask)):
+            for size in (count - 1, count, count + 1):
+                assert kernels.has_clique_of_size(adj, mask, size, tables) == (omega >= size), (
+                    size, omega)
+
+    @given(masks_in_large_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_the_reference(self, case):
+        self._check(*case)
+
+    @pytest.mark.parametrize("members, missing", [
+        ((), ()),
+        ((100,), ()),
+        ((3, 5), ()),
+        (tuple(range(58, 70)), ()),
+        (tuple(range(58, 70)), ((63, 64),)),
+        ((0, 64, 65, 127, 129), ((0, 129),)),
+    ], ids=["empty", "one-vertex", "K2", "K12-across-bit-63", "K12-less-an-edge",
+            "K5-less-its-outer-edge"])
+    def test_named_masks(self, members, missing):
+        self._check(_graph_around(130, set(members), set(missing), 0), kernels.to_mask(members))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_complete_graphs_and_one_edge_less(self, n):
+        full = (1 << n) - 1
+        adj = [full ^ 1 << v for v in range(n)]
+        self._check(adj, full)
+        if n >= 2:
+            adj[0] ^= 0b10
+            adj[1] ^= 0b01
+            self._check(adj, full)
+
+    def test_answered_without_a_search(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(kernels, "coloring_tables", refuse)
+        monkeypatch.setattr(kernels, "_search", refuse)
+        adj = strong(13, 5).adjacency_bits  # fibre i is range(5 * i, 5 * i + 5)
+        around = kernels.to_mask([*range(60, 65), *range(5)])  # fibres 12 and 0
+        apart = kernels.to_mask([*range(60, 65), *range(5, 10)])  # fibres 12 and 1
+        assert kernels.has_clique_of_size(adj, around, 10)
+        assert not kernels.has_clique_of_size(adj, apart, 10)
+        assert kernels.has_clique_of_size(adj, 0b11, 2)
+        assert not kernels.has_clique_of_size(adj, 1 | 1 << 50, 2)  # fibres 0 and 10
+
+    def test_a_vertex_to_spare_is_searched(self, monkeypatch):
+        search = kernels._search
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(kernels, "_search", counted)
+        adj = strong(13, 5).adjacency_bits
+        around = kernels.to_mask([*range(60, 65), *range(6)])  # fibres 12 and 0, and 5
+        apart = kernels.to_mask([*range(60, 65), *range(5, 10), 0])  # fibres 12 and 1, and 0
+        assert kernels.has_clique_of_size(adj, around, 10)
+        assert not kernels.has_clique_of_size(adj, apart, 10)
+        assert len(calls) == 2
+
+    def test_exact_search_searches_only_masks_with_vertices_to_spare(self, monkeypatch):
+        # every two-part list of C_7 x K_3 (max degree 8, so p + q = 9):
+        # the same assignments as with a kernel-free decision, and one
+        # search per query that has vertices to spare
+        g = strong(7, 3)
+        lists = [(p, 9 - p) for p in range(2, 8)]
+        query, search = kernels.has_clique_of_size, kernels._search
+
+        def reference(adj, mask, size, tables=None):
+            return brute_mask_omega(adj, mask) >= size
+
+        monkeypatch.setattr(kernels, "has_clique_of_size", reference)
+        expected = [partition._exact_partition_assignment(g, quotas) for quotas in lists]
+        spares, searches = [], []
+
+        def counted_query(adj, mask, size, tables=None):
+            spares.append(mask.bit_count() - size)
+            return query(adj, mask, size, tables)
+
+        def counted_search(*args):
+            searches.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(kernels, "has_clique_of_size", counted_query)
+        monkeypatch.setattr(kernels, "_search", counted_search)
+        for quotas, assignment in zip(lists, expected):
+            spares.clear()
+            searches.clear()
+            assert partition._exact_partition_assignment(g, quotas) == assignment, quotas
+            assert len(searches) == sum(spare > 0 for spare in spares), quotas
+            assert 0 in spares, quotas
 
 
 class TestAllMaximumCliques:
@@ -177,6 +313,36 @@ class TestAllMaximumCliques:
     @pytest.mark.parametrize("g", SMALL_CORPUS, ids=repr)
     def test_matches_brute_enumeration(self, g):
         assert list(cs.all_maximum_cliques(g)) == brute_maximum_cliques(g)
+
+    @pytest.mark.parametrize("omega", [2.0, 2.5])
+    def test_an_omega_that_is_no_integer(self, omega):
+        # refused at the call, as has_clique_of_size refuses such a size,
+        # not at the first clique read
+        with pytest.raises(TypeError):
+            kernels.maximum_cliques([0b110, 0b101, 0b011], 0b111, omega)
+
+    def test_an_omega_read_as_an_index(self):
+        class Two:
+            def __index__(self):
+                return 2
+
+        triangle = [0b110, 0b101, 0b011]
+        assert list(kernels.maximum_cliques(triangle, 0b111, Two())) == [(0, 1), (0, 2), (1, 2)]
+        assert list(kernels.maximum_cliques(triangle, 0b111, 2)) == [(0, 1), (0, 2), (1, 2)]
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("length", [5, 7, 9, 11, 13])
+    def test_cycle_clique_products_in_closed_form(self, length, m):
+        # the maximum cliques of C_L x K_m (odd L >= 5), fibre i being
+        # range(i * m, i * m + m), are the L unions of two consecutive
+        # fibres, each sorted, in lexicographic order
+        def fibres(i, j):
+            return tuple(sorted([*range(i * m, i * m + m), *range(j * m, j * m + m)]))
+
+        g = strong(length, m)
+        expected = tuple(sorted(fibres(i, (i + 1) % length) for i in range(length)))
+        assert cs.all_maximum_cliques(g) == expected
+        assert cs.clique_number(g).witness == expected[0]
 
 
 class TestCliquesBySize:
