@@ -11,19 +11,19 @@ its witness only when it is first read, since the callers check clique
 numbers and read a witness only to report a violation. The clique
 number's search runs in a numbering of the graph's vertices drawn from
 its structure, not from its labels, on colouring tables built once per
-graph. The memo is keyed by each set's mask in the labels, and the
-search reads the same set's mask in that numbering: the partition
-engine builds both for every part and hands them to ``_certificate``,
-and only a mask from outside, given to ``clique_number_within``, is
-translated, on its first search. A part dealt from colour classes, in
-a deal that gives some part two or more, also hands over its classes,
-which seed the search's root colouring; the clique number is exact
-whatever they are. The witness, and every maximum
-clique, are then walked from the clique number by decision queries in
-label order. The partition engine's decision queries run in the
-labels, on the per-graph tables of ``_label_tables``. Every per-graph
-result here lives in the graph's memo (see ``Graph``), so it is freed
-with the graph, and equal but distinct graphs compute their own.
+graph, and the memo is keyed by each set's mask in that numbering: the
+partition engine builds every part's mask there and hands it to
+``_certificate``, and only a mask from outside, given to
+``clique_number_within`` in the labels, is translated. A part dealt
+from colour classes, in a deal that gives some part two or more, also
+hands over its classes, which seed the search's root colouring; the
+clique number is exact whatever they are. The witness, and every
+maximum clique, are then walked from the clique number by decision
+queries in label order. The partition engine's decision queries run in
+the labels, on the per-graph tables of ``_label_tables``. Every
+per-graph result here lives in the graph's memo (see ``Graph``), so it
+is freed with the graph, and equal but distinct graphs compute their
+own.
 """
 
 from __future__ import annotations
@@ -104,20 +104,18 @@ def clique_number_within(g: Graph, mask: int) -> CliqueCertificate:
     ``g``'s vertices) with the lexicographically smallest witness, in
     ``g``'s own labels.
 
-    The certificate is kept in g's memo under ``mask`` and returned again
-    for that mask of this graph object, not for an equal graph. The memo
-    keeps at most CERTIFICATES_PER_GRAPH of them and drops the oldest to
-    make room.
+    The certificate is kept in g's memo and returned again for that mask
+    of this graph object, not for an equal graph. The memo keeps at most
+    CERTIFICATES_PER_GRAPH of them and drops the oldest to make room.
 
     The result equals ``clique_number`` of the induced subgraph with its
     witness mapped back. The empty mask has omega 0 and an empty witness.
     Omega comes from ``kernels.max_clique_size``, which follows no tie
     and runs in ``_search_numbering(g)`` on ``_coloring_tables(g)``, so
     its cost does not depend on how g's vertices happen to be labelled.
-    A mask given here is in the labels, and one the memo does not hold
-    yet is moved into that numbering bit by bit before its search; the
-    partition engine builds each part's mask in both and passes them to
-    ``_certificate`` itself, so none of its certificates is translated.
+    A mask given here is in the labels, and is moved into that numbering
+    bit by bit, where the memo keys it; the partition engine builds each
+    part's mask there itself, so none of its certificates is translated.
     The witness, the first clique of ``kernels.maximum_cliques``' walk
     from omega, is built by decision queries only when it is first read;
     they go in label order, so their cost does depend on the labels, and
@@ -130,17 +128,18 @@ def clique_number_within(g: Graph, mask: int) -> CliqueCertificate:
             mask = operator.index(mask)
         except TypeError:
             raise ValueError(f"mask {mask!r} is not an integer") from None
-    return _certificate(g, mask, None)
+    if mask >> g.n:
+        raise ValueError(f"mask {mask:#x} is not a set of the graph's {g.n} vertices")
+    power = _search_numbering(g)[2]
+    if power is not None:
+        mask = sum(map(power.__getitem__, kernels.from_mask(mask)))
+    return _certificate(g, mask)
 
 
-def _certificate(g: Graph, mask: int, numbered: int | None,
-                 classes: Sequence[int] = ()) -> CliqueCertificate:
-    """The certificate of ``mask``, a set of g's vertices in its labels,
-    from g's memo, or searched for and kept there: the one place that
-    reads, fills and trims the memo. ``numbered`` is the same set in
-    ``_search_numbering(g)``, as the partition engine builds it beside
-    ``mask``; None, from ``clique_number_within``, has a mask that is
-    not in the memo checked against n and translated here.
+def _certificate(g: Graph, mask: int, classes: Sequence[int] = ()) -> CliqueCertificate:
+    """The certificate of ``mask``, a set of g's vertices in
+    ``_search_numbering(g)``, from g's memo, or searched for and kept
+    there: the one place that reads, fills and trims the memo.
 
     A part the engine dealt from colour classes, when some part of the
     deal holds two or more, comes with ``classes``, their bitsets in the
@@ -156,14 +155,9 @@ def _certificate(g: Graph, mask: int, numbered: int | None,
     cert = certs.get(mask)
     if cert is not None:
         return cert
-    labels, adj, power = _search_numbering(g)
-    if numbered is None:
-        if mask >> g.n:
-            raise ValueError(f"mask {mask:#x} is not a set of the graph's {g.n} vertices")
-        numbered = mask if power is None else sum(map(power.__getitem__, kernels.from_mask(mask)))
+    labels, adj, _ = _search_numbering(g)
     cert = CliqueCertificate._deferred(
-        kernels.max_clique_size(adj, numbered, _coloring_tables(g), classes), labels, adj,
-        numbered)
+        kernels.max_clique_size(adj, mask, _coloring_tables(g), classes), labels, adj, mask)
     if len(certs) >= CERTIFICATES_PER_GRAPH:
         del certs[next(iter(certs))]
     certs[mask] = cert
@@ -225,8 +219,7 @@ def clique_number(g: Graph) -> CliqueCertificate:
     there; the full mask is the same set in every numbering. The empty
     graph has omega 0 and an empty witness.
     """
-    full = (1 << g.n) - 1
-    return _certificate(g, full, full)
+    return _certificate(g, (1 << g.n) - 1)
 
 
 @_per_graph

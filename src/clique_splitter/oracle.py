@@ -15,7 +15,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 
-from .cliques import _certificate
+from .cliques import _certificate, _search_numbering
 from .errors import BudgetExceededError, PreconditionError
 from .graphs import Graph
 from .kernels import to_mask
@@ -245,14 +245,15 @@ def verify_partition(g: Graph, part: Partition, spec: PartitionSpec) -> Verifica
     """Exact per-part clique numbers (clique engine), the validity flag,
     and a quota-sized clique witness for every violated part.
 
-    Each part's certificate comes from ``g``'s memo under the part's
-    mask through ``cliques._certificate``, the lookup behind
-    ``clique_number_within``, as the masks are checked here already, so
-    a partition the engine has just certified on this graph object is
+    Each part's mask is built from its members in the clique search's
+    numbering, through ``cliques._search_numbering``'s ``power`` table
+    when there is one, and its certificate comes from ``g``'s memo under
+    that mask through ``cliques._certificate``, the lookup behind
+    ``clique_number_within``, as the members are checked here already.
+    So a partition the engine has just certified on this graph object is
     checked from the same entries, not searched again; an equal but
-    distinct graph has a memo of its own, and is searched, each part's
-    mask translated into the search numbering there. Witnesses are in
-    ``g``'s labels.
+    distinct graph has a memo of its own, and is searched. Witnesses are
+    in ``g``'s labels.
 
     The parts must hold exactly the vertices the assignment puts in them:
     each member's assignment is its part's index, no part repeats a
@@ -284,14 +285,17 @@ def verify_partition(g: Graph, part: Partition, spec: PartitionSpec) -> Verifica
             raise PreconditionError("a part index is not an integer") from None
         if min(indices) < 0 or max(indices) >= k:
             raise PreconditionError("part index out of range")
+    power = _search_numbering(g)[2]
     masks = []
     for i, members in enumerate(part.parts):
         try:
             if members and (min(members) < 0 or max(members) >= g.n):
                 raise PreconditionError(f"part {i} has a vertex out of range for n={g.n}")
-            mask = to_mask(members)
+            mask = to_mask(members) if power is None else sum(map(power.__getitem__, members))
         except TypeError:
             raise PreconditionError(f"part {i} has a vertex that is not an integer") from None
+        # a repeated vertex leaves fewer set bits than members: to_mask
+        # sets its bit once, and a sum of powers carries it into another
         if mask.bit_count() != len(members):
             raise PreconditionError(f"part {i} repeats a vertex")
         if [assignment[v] for v in members].count(i) != len(members):
@@ -303,7 +307,7 @@ def verify_partition(g: Graph, part: Partition, spec: PartitionSpec) -> Verifica
     omegas = []
     violations = []
     for i, mask in enumerate(masks):
-        cert = _certificate(g, mask, None)
+        cert = _certificate(g, mask)
         omegas.append(cert.omega)
         quota = spec.quotas[i]
         if cert.omega > quota - 1:

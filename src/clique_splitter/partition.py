@@ -135,38 +135,36 @@ def partition_from_parts(g: Graph, parts, strategy: str | None = None) -> Partit
         missing = [v for v, a in enumerate(assignment) if a == -1]
         raise ValueError(f"vertices {missing[:5]} not assigned to any part")
     return _certify(g, tuple(assignment), tuple(norm),
-                    *_part_masks(_search_numbering(g)[2], norm), _UNSEEDED, strategy)
+                    _part_masks(_search_numbering(g)[2], norm), _UNSEEDED, strategy)
 
 
 def _certify(g: Graph, assignment: tuple[int, ...], parts: tuple[tuple[int, ...], ...],
-             masks, numbered, seeds, strategy: str | None) -> Partition:
+             masks, seeds, strategy: str | None) -> Partition:
     """The Partition of ``assignment`` and its sorted ``parts``, with each
     part's certificate read from ``cliques._certificate`` on its mask in
-    g's labels, ``masks``, and the same set in the clique search's
-    numbering, ``numbered`` (``_part_masks``), so no part is translated.
-    ``seeds`` are each part's seeds for its search on a memo miss, in
-    that numbering: ``_deal`` passes the classes it dealt a part, and
-    every caller with no colouring to pass, or none worth passing,
-    passes ``_UNSEEDED``, so those searches start unseeded.
+    the clique search's numbering, ``masks`` (``_part_masks``), so no
+    part is translated. ``seeds`` are each part's seeds for its search on
+    a memo miss, in that numbering: ``_deal`` passes the classes it dealt
+    a part, and every caller with no colouring to pass, or none worth
+    passing, passes ``_UNSEEDED``, so those searches start unseeded.
 
     The one constructor of every Partition this module returns. It checks
     nothing: ``partition_from_parts`` and ``partition_from_assignment``
     each check the input they take from outside once, and the engine's
     parts agree with their assignment and masks by construction.
     """
-    certs = tuple(map(_certificate, itertools.repeat(g, len(masks)), masks, numbered, seeds))
+    certs = tuple(map(_certificate, itertools.repeat(g, len(masks)), masks, seeds))
     return Partition(assignment, parts, certs, strategy)
 
 
-def _part_masks(power: list[int] | None, parts) -> tuple[list[int], list[int]]:
-    """Each part's bitset in a graph's labels and in its clique search's
-    numbering, the latter built from the members through that
-    numbering's ``power`` table (``cliques._search_numbering``); one
-    list twice when ``power`` is None, as the two numberings then agree."""
-    masks = list(map(kernels.to_mask, parts))
+def _part_masks(power: list[int] | None, parts) -> list[int]:
+    """Each part's bitset in a graph's clique search numbering, built
+    from its members through that numbering's ``power`` table
+    (``cliques._search_numbering``), or by ``kernels.to_mask`` when
+    ``power`` is None, as the numbering is then the labels'."""
     if power is None:
-        return masks, masks
-    return masks, [sum(map(power.__getitem__, members)) for members in parts]
+        return list(map(kernels.to_mask, parts))
+    return [sum(map(power.__getitem__, members)) for members in parts]
 
 
 def _certify_assignment(g: Graph, assignment, k: int, strategy: str | None) -> Partition:
@@ -174,7 +172,7 @@ def _certify_assignment(g: Graph, assignment, k: int, strategy: str | None) -> P
     vertices the assignment puts in i, ascending."""
     parts = _parts_of(assignment, k)
     return _certify(g, tuple(assignment), tuple(map(tuple, parts)),
-                    *_part_masks(_search_numbering(g)[2], parts), _UNSEEDED, strategy)
+                    _part_masks(_search_numbering(g)[2], parts), _UNSEEDED, strategy)
 
 
 def partition_from_assignment(g: Graph, assignment, k: int | None = None,
@@ -340,8 +338,8 @@ class _Classes(tuple):
     graph's vertices, largest first, ties broken by members, with their
     layout beside them, each built when a deal first reads it: ``masks``,
     ``_part_masks`` of the classes under the given ``power`` table, each
-    class's bitset in the labels and in the clique search's numbering,
-    and ``index``, each vertex's class index.
+    class's bitset in the clique search's numbering, and ``index``, each
+    vertex's class index.
 
     A coloring kept in a graph's memo carries its layout there, so every
     quota list dealt from it reads one build and no deal hashes the
@@ -358,7 +356,7 @@ class _Classes(tuple):
         return self
 
     @cached_property
-    def masks(self) -> tuple[list[int], list[int]]:
+    def masks(self) -> list[int]:
         return _part_masks(self._power, self)
 
     @cached_property
@@ -792,15 +790,14 @@ def _deal(g: Graph, classes: _Classes, quotas, strategy: str) -> Partition:
 
     Classes go to parts whole, so only each part's sort and the
     assignment read single vertices: a part's members are its classes'
-    members, sorted once, its masks are the ORs of its classes' bitsets
-    in the labels and in the clique search's numbering, and each vertex
-    goes to the part holding its class, by the class bitsets and class
-    index laid out beside the classes (``_Classes``). When the two
-    numberings agree the one OR serves as both.
+    members, sorted once, its mask is the OR of its classes' bitsets in
+    the clique search's numbering, and each vertex goes to the part
+    holding its class, by the class bitsets and class index laid out
+    beside the classes (``_Classes``).
 
     A part dealt two classes or more also hands ``_certify`` its list of
-    numbered class bitsets, so if the memo does not hold the part yet it
-    is searched from its own classes as its root colouring
+    class bitsets, so if the memo does not hold the part yet it is
+    searched from its own classes as its root colouring
     (``kernels.max_clique_size``): a part of c classes starts from a
     colour bound of c, and its clique number is exact whether or not
     the coloring is proper. Every quota is at least 2, so the first k
@@ -812,32 +809,24 @@ def _deal(g: Graph, classes: _Classes, quotas, strategy: str) -> Partition:
     if len(classes) <= quotas[0] - 1:
         # V is then the one part to certify, and its entry is the one
         # the precondition check has already filled; the full mask is
-        # the same in either numbering.
+        # the same in every numbering.
         masks = (_full_mask(n),) + (0,) * (k - 1)
-        return _certify(g, (0,) * n, (tuple(range(n)),) + ((),) * (k - 1), masks, masks,
-                        _UNSEEDED, strategy)
+        return _certify(g, (0,) * n, (tuple(range(n)),) + ((),) * (k - 1), masks, _UNSEEDED,
+                        strategy)
     part_of = _deal_order(tuple(quotas))
-    class_masks, class_numbered = classes.masks
     members: list[list[int]] = [[] for _ in quotas]
-    masks = numbered = [0] * k
-    for cls, mask, i in zip(classes, class_masks, part_of):
+    masks = [0] * k
+    for cls, mask, i in zip(classes, classes.masks, part_of):
         members[i] += cls
         masks[i] |= mask
     seeds = _UNSEEDED
     if len(classes) > k:
         seeds = [[] for _ in quotas]
-        for mask, i in zip(class_numbered, part_of):
+        for mask, i in zip(classes.masks, part_of):
             seeds[i].append(mask)
-        if class_numbered is not class_masks:
-            # the classes are disjoint, so their sum is their union
-            numbered = list(map(sum, seeds))
-    elif class_numbered is not class_masks:
-        numbered = [0] * k
-        for mask, i in zip(class_numbered, part_of):
-            numbered[i] |= mask
     parts = tuple(tuple(sorted(side)) for side in members)
-    return _certify(g, tuple(map(part_of.__getitem__, classes.index)), parts, masks, numbered,
-                    seeds, strategy)
+    return _certify(g, tuple(map(part_of.__getitem__, classes.index)), parts, masks, seeds,
+                    strategy)
 
 
 def _coloring_strategy(g: Graph, quotas, diags: dict) -> Partition | None:
@@ -935,8 +924,7 @@ def kway_clique_partition(g: Graph, spec) -> Partition:
     _check_omega(g)
     if spec.k == 1:
         full = (_full_mask(g.n),)
-        return _checked(_certify(g, (0,) * g.n, (tuple(range(g.n)),), full, full, _UNSEEDED,
-                                 "verify"),
+        return _checked(_certify(g, (0,) * g.n, (tuple(range(g.n)),), full, _UNSEEDED, "verify"),
                         spec.quotas)
     diags: dict[str, str] = {}
     part = _coloring_strategy(g, spec.quotas, diags)

@@ -627,7 +627,7 @@ class TestMaxCliqueSize:
         # whole-graph search and those of masks of several classes
         g = random_graph(n, p, seed)
         _, adj, _ = _search_numbering(g)
-        classes = partition._dsatur_classes(g).masks[1]
+        classes = partition._dsatur_classes(g).masks
         full = (1 << n) - 1
         omega = kernels.max_clique_size(adj, full, _coloring_tables(g))
         assert kernels.max_clique_size(adj, full, _coloring_tables(g), classes) == omega

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import clique_splitter as cs
+from clique_splitter.cliques import _search_numbering
 from _brute import (
     brute_chromatic,
     brute_clique_within,
@@ -23,6 +24,10 @@ def C(n):
 
 def gnp(n, p, seed):
     return cs.generate(cs.GeneratorRecipe("gnp", {"n": n, "p": p}, seed=seed))
+
+
+def P(n):
+    return cs.Graph(n, [(v, v + 1) for v in range(n - 1)])
 
 
 class TestExistsCliquePartition:
@@ -284,8 +289,16 @@ class TestVerifyPartition:
         ((0, 1, 0, -2**70), ((0, 2), (1, 3)), "part index out of range"),
     ], ids=["repeat", "misplaced", "two-parts", "index-str", "member-float", "member-str",
             "index-float", "index-fraction", "index-huge", "index-huge-negative"])
-    def test_parts_disagreeing_with_assignment_rejected(self, assignment, parts, message):
-        g = C(4)
+    # C_4 is regular, so its parts' masks are built in the labels; the
+    # path 0-1-2-3 is searched in the numbering 0, 3, 1, 2, so its parts'
+    # masks are built through the numbering's power table
+    @pytest.mark.parametrize("g, numbering", [
+        (C(4), None),
+        (P(4), [0, 3, 1, 2]),
+    ], ids=["cycle", "path"])
+    def test_parts_disagreeing_with_assignment_rejected(self, g, numbering, assignment, parts,
+                                                        message):
+        assert _search_numbering(g)[0] == numbering
         part = cs.Partition(assignment, parts, (), None)
         with pytest.raises(cs.PreconditionError, match=message) as err:
             cs.verify_partition(g, part, cs.PartitionSpec((2, 2)))

@@ -1115,21 +1115,29 @@ class TestGraphMemo:
 
     def test_at_most_the_cap_of_certificates_kept(self):
         # 8,192 masks of a 13-vertex graph: the memo keeps the newest
-        # 4,096, and a dropped mask is searched again, correctly
+        # 4,096, each keyed by its mask in the search numbering, and a
+        # dropped mask is searched again, correctly
         g = gnp(13, 0.5, 0)
+        power = _search_numbering(g)[2]
+        assert power is not None
+
+        def numbered(mask):
+            return sum(map(power.__getitem__, kernels.from_mask(mask)))
+
         masks = range(1 << g.n)
         assert len(masks) > CERTIFICATES_PER_GRAPH == 4096
         for mask in masks:
             assert clique_number_within(g, mask).omega == brute_mask_omega(
                 g.adjacency_bits, mask), mask
         certs = g._memo["certificates"]
-        assert list(certs) == list(masks[-CERTIFICATES_PER_GRAPH:])
+        assert list(certs) == list(map(numbered, masks[-CERTIFICATES_PER_GRAPH:]))
         cert = clique_number_within(g, masks[0])
         assert cert.omega == 0 and cert.witness == ()
         assert len(certs) == CERTIFICATES_PER_GRAPH
-        assert masks[0] in certs and masks[-CERTIFICATES_PER_GRAPH] not in certs
+        assert numbered(masks[0]) in certs
+        assert numbered(masks[-CERTIFICATES_PER_GRAPH]) not in certs
         full = clique_number_within(g, masks[-1])
-        assert full is certs[masks[-1]] and full.witness == cs.all_maximum_cliques(g)[0]
+        assert full is certs[numbered(masks[-1])] and full.witness == cs.all_maximum_cliques(g)[0]
 
     @pytest.mark.parametrize("g, quotas", [
         (strong(7, 3), (4, 3, 3)),
@@ -1620,7 +1628,7 @@ class TestOneShotColoring:
 
         monkeypatch.setattr(kernels, "max_clique_size", counted)
         classes = _dsatur_classes(g)
-        numbered = classes.masks[1]
+        numbered = classes.masks
         quotas = self._balanced(g.max_degree, 5)
         part = cs.kway_clique_partition(g, quotas)
         assert part.strategy == "coloring"
@@ -1662,7 +1670,7 @@ class TestOneShotColoring:
         monkeypatch.setattr(kernels, "max_clique_size", counted)
         classes = _dsatur_classes(g)
         r, delta = len(classes), g.max_degree
-        numbered = classes.masks[1]
+        numbered = classes.masks
         assert 4 <= r <= delta - 3
         for quotas in ((2,) * (delta - 1), (2,) * (r - 1) + (delta - r + 1,)):
             seeds.clear()
@@ -1930,11 +1938,12 @@ class TestConstructionParity:
 
 
 class TestSearchNumberedCertificates:
-    """The engine builds each part's mask in the clique search's numbering
-    beside its mask in the labels, so no part is translated: on graphs
-    whose numbering is not the labels, every certificate it builds equals
-    the one ``clique_number_within`` searches for, after translating the
-    part's mask, on a fresh equal graph."""
+    """The engine builds each part's one mask in the clique search's
+    numbering, which keys the certificate memo, so no part is translated:
+    on graphs whose numbering is not the labels, every certificate it
+    builds equals the one ``clique_number_within`` searches for, after
+    translating the part's mask, on a fresh equal graph, and is the very
+    entry that ``clique_number_within`` returns on the same graph."""
 
     @staticmethod
     def _non_regular(g):
@@ -1992,8 +2001,21 @@ class TestSearchNumberedCertificates:
     def test_the_numbered_masks_are_the_masks_on_regular_graphs(self):
         g = regular(40, 13, 1)
         assert _search_numbering(g)[2] is None
-        masks, numbered = _dsatur_classes(g).masks
-        assert numbered is masks
+        classes = _dsatur_classes(g)
+        assert classes.masks == list(map(kernels.to_mask, classes))
+
+    def test_engine_and_outside_callers_share_one_entry(self):
+        # a part's label mask, given to clique_number_within, is
+        # translated onto the key the engine filled, so the lookup
+        # returns the engine's own certificate and searches nothing
+        g = self._non_regular(gnp(60, 0.5, 1))
+        for quotas in [(g.max_degree - 1, 2), (2,) * (g.max_degree - 1)]:
+            part = cs.kway_clique_partition(g, quotas)
+            assert part.strategy == "coloring" and len(set(part.parts)) > 1
+            certificates = len(g._memo["certificates"])
+            for cert, members in zip(part.certificates, part.parts):
+                assert clique_number_within(g, kernels.to_mask(members)) is cert
+            assert len(g._memo["certificates"]) == certificates
 
     def test_a_warm_graph_deals_without_translating(self, monkeypatch):
         # the graph's coloring, tables and clique number are built by the
