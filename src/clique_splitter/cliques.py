@@ -15,9 +15,11 @@ graph, and the memo is keyed by each set's mask in that numbering: the
 partition engine builds every part's mask there and hands it to
 ``_certificate``, and only a mask from outside, given to
 ``clique_number_within`` in the labels, is translated. A part dealt
-from colour classes, in a deal that gives some part two or more, also
-hands over its classes, which seed the search's root colouring; the
-clique number is exact whatever they are. The witness, and every
+from colour classes also hands over its classes, which seed the search's
+root colouring; the clique number is exact whatever they are. Each class
+is coloured once per graph, in the tables, and a part whose classes hold
+a clique with a vertex in each is settled by that clique alone. The
+witness, and every
 maximum clique, are then walked from the clique number by decision
 queries in label order. The partition engine's decision queries run in
 the labels, on the per-graph tables of ``_label_tables``. Every
@@ -141,13 +143,15 @@ def _certificate(g: Graph, mask: int, classes: Sequence[int] = ()) -> CliqueCert
     ``_search_numbering(g)``, from g's memo, or searched for and kept
     there: the one place that reads, fills and trims the memo.
 
-    A part the engine dealt from colour classes, when some part of the
-    deal holds two or more, comes with ``classes``, their bitsets in the
-    search numbering, and on a memo miss they seed the search's root
-    colouring, so a part dealt c classes has a colour bound of c at the
-    root. The seeds only steer the search: the clique number is exact
-    whatever they are, so an entry is the same whichever caller filled
-    it."""
+    A part the engine dealt from colour classes comes with ``classes``,
+    their bitsets in the search numbering, and on a memo miss they seed
+    the search's root colouring, so a part dealt c classes has a colour
+    bound of c at the root: each class's colouring is read from the
+    tables' dict of coloured seeds once some search has made it, and a
+    clique with a vertex in each of the c classes settles the part
+    without a branch. The seeds only steer the search: the clique number
+    is exact whatever they are, so an entry is the same whichever caller
+    filled it."""
     try:
         certs = g._memo["certificates"]
     except KeyError:
@@ -198,7 +202,13 @@ def _search_numbering(g: Graph):
 def _coloring_tables(g: Graph):
     """The tables every clique-number search of g reads:
     ``kernels.coloring_tables`` of ``_search_numbering(g)``'s adjacency,
-    over all of g's vertices, in that numbering."""
+    over all of g's vertices, in that numbering.
+
+    Their dict of coloured seeds is kept with them, so each class is
+    coloured once for all of g's quota lists and freed with g. Only the
+    classes ``partition._deal`` hands ``_certificate`` reach it as seeds,
+    each whole, so it holds at most one entry per class of g's one or
+    two colourings, DSatur's and TabuCol's."""
     return kernels.coloring_tables(_search_numbering(g)[1], (1 << g.n) - 1)
 
 

@@ -14,7 +14,10 @@ like its result, depends on the adjacency alone, not on any labels.
 as the colour classes a part was dealt: each set is coloured greedily on
 its own first, so a set with an edge inside takes several colours and
 the result stays the exact clique number whatever the sets are; only
-the cost depends on them.
+the cost depends on them. Each seed is coloured once per tables object,
+which keeps its colouring for later searches, and when the seeds cover
+the mask, one clique with a vertex in every root class settles the
+clique number before any branch.
 ``has_clique_of_size`` runs no search on three kinds of query, each
 answered from the mask: a size up to 1, a mask with fewer than ``size``
 vertices, and a mask of exactly ``size`` vertices, which is answered by
@@ -34,25 +37,40 @@ import operator
 from typing import Iterator, Sequence
 
 
-def coloring_tables(adj: Sequence[int], mask: int) -> tuple[list[int], list[int], list[int]]:
-    """The tables the colouring search reads, each indexed by v + 1, the
-    ``bit_length()`` of a bitset whose top vertex is v: the vertices of
-    ``mask`` that are neither v nor its neighbours, ``adj[v]``, and
-    ``1 << v``. Entry 0 of each is 0."""
+def coloring_tables(adj: Sequence[int], mask: int
+                    ) -> tuple[list[int], list[int], list[int], dict[int, tuple[int, ...]]]:
+    """The three tables the colouring search reads, each indexed by
+    v + 1, the ``bit_length()`` of a bitset whose top vertex is v: the
+    vertices of ``mask`` that are neither v nor its neighbours,
+    ``adj[v]``, and ``1 << v``. Entry 0 of each is 0.
+
+    The fourth entry is a dict, empty at first, from each seed a seeded
+    search has coloured on these tables (a seed less the bits that the
+    mask and the earlier seeds left out) to that colouring, a tuple of
+    class bitsets. Only ``_search``'s own colouring step fills it, and a
+    later search seeded with the same bitset replays it: the colouring
+    step reads nothing but the bitset and these tables. It has no cap:
+    it grows by one entry for each distinct seed, so tables kept for
+    many searches should be seeded from a fixed set of bitsets, as the
+    engine's are by the classes of a graph's colourings.
+    """
     bit = [0, *map((1).__lshift__, range(len(adj)))]
     apart = [0, *[mask & ~(a | b) for a, b in zip(adj, bit[1:])]]
-    return apart, [0, *adj], bit
+    return apart, [0, *adj], bit, {}
 
 
 def max_clique_size(adj: Sequence[int], mask: int,
-                    tables: tuple[list[int], list[int], list[int]] | None = None,
+                    tables: tuple[list[int], list[int], list[int],
+                                  dict[int, tuple[int, ...]]] | None = None,
                     classes: Sequence[int] = ()) -> int:
     """The number of vertices of the largest clique within ``mask``; 0
     for the empty mask.
 
     A caller that searches one graph many times passes the
     ``coloring_tables`` it keeps for it, built for every vertex; without
-    them, they are built for ``mask``.
+    them, they are built for ``mask``. A search seeded on kept tables
+    colours each seed it has not met there before and keeps that
+    colouring in them.
 
     ``classes``, bitsets of vertices, seed the search's root colouring:
     each set, less the bits outside ``mask`` and those an earlier set
@@ -62,7 +80,10 @@ def max_clique_size(adj: Sequence[int], mask: int,
     exact clique number whatever the sets are. A caller that holds a
     proper colouring of the mask in c colours, such as a part dealt
     from colour classes, passes it so the root's colour bound is c from
-    the start rather than whatever greedy colouring finds.
+    the start rather than whatever greedy colouring finds. When the sets
+    cover the mask and one clique takes a vertex from each of the root's
+    c classes, c is the answer, found without a branch; otherwise the
+    search branches from those classes.
     """
     if mask >> len(adj):
         raise _outside(mask, len(adj))
@@ -70,8 +91,8 @@ def max_clique_size(adj: Sequence[int], mask: int,
     return _search(tables, mask, 0, mask.bit_count() + 1, classes)
 
 
-def _search(tables: tuple[list[int], list[int], list[int]], mask: int,
-            best: int, target: int, seeds: Sequence[int] = ()) -> int:
+def _search(tables: tuple[list[int], list[int], list[int], dict[int, tuple[int, ...]]],
+            mask: int, best: int, target: int, seeds: Sequence[int] = ()) -> int:
     """The clique number of ``mask``, or the floor ``best`` if larger;
     the search stops at the first clique of ``target`` vertices.
 
@@ -83,10 +104,17 @@ def _search(tables: tuple[list[int], list[int], list[int]], mask: int,
     XOR with its bit, read from ``tables`` at the class's ``bit_length()``.
     The root colours each of ``seeds`` as ``max_clique_size`` describes,
     then the candidates they leave; every other node starts unseeded.
-    Seeds take the lowest colours, which a floor above 0 would skip
+    Each seed's colouring is read from the tables' dict of coloured
+    seeds, or made by that colouring step and kept there. When the seeds
+    cover the mask, the root's classes are independent sets that cover
+    it, so no clique has more vertices than there are classes: the root
+    first takes the highest vertex of each class, from the highest class
+    down, that neighbours every vertex taken before it, and if every
+    class gives one, that clique is the clique number and no branch is
+    made. Seeds take the lowest colours, which a floor above 0 would skip
     unbranched, so they come with ``best`` 0 alone.
     """
-    apart, nbrs, bit = tables
+    apart, nbrs, bit, colored = tables
     # The seeded root's classes and the candidates they leave, coloured
     # with expand's colouring step.
     seeded = None
@@ -97,13 +125,30 @@ def _search(tables: tuple[list[int], list[int], list[int]], mask: int,
         for seed in seeds:
             seed &= rest
             rest ^= seed
-            while seed:
-                cls = before = seed
-                while cls:
-                    b = cls.bit_length()
-                    cls &= apart[b]
-                    seed ^= bit[b]
-                root.append(before ^ seed)
+            classes = colored.get(seed)
+            if classes is None:
+                classes = []
+                left = seed
+                while left:
+                    cls = before = left
+                    while cls:
+                        b = cls.bit_length()
+                        cls &= apart[b]
+                        left ^= bit[b]
+                    classes.append(before ^ left)
+                colored[seed] = classes = tuple(classes)
+            root += classes
+        if not rest:
+            # one vertex from each class, from the highest down, each a
+            # neighbour of every vertex taken before it
+            cand = mask
+            for cls in reversed(root):
+                cls &= cand
+                if not cls:
+                    break
+                cand &= nbrs[cls.bit_length()]
+            else:
+                return len(root)
         seeded = root, rest
 
     def expand(cand: int, size: int, seeded: tuple[list[int], int] | None = None) -> bool:
@@ -166,7 +211,8 @@ def _search(tables: tuple[list[int], list[int], list[int]], mask: int,
 
 
 def has_clique_of_size(adj: Sequence[int], mask: int, size: int,
-                       tables: tuple[list[int], list[int], list[int]] | None = None) -> bool:
+                       tables: tuple[list[int], list[int], list[int],
+                                     dict[int, tuple[int, ...]]] | None = None) -> bool:
     """True iff ``mask`` contains a clique with at least ``size`` vertices.
 
     Sizes up to 1, and masks with fewer than ``size`` vertices, are
@@ -226,7 +272,8 @@ def maximum_cliques(adj: Sequence[int], mask: int, omega: int,
     return _walk(adj, coloring_tables(adj, mask), label, [], mask, omega)
 
 
-def _walk(adj: Sequence[int], tables: tuple[list[int], list[int], list[int]],
+def _walk(adj: Sequence[int],
+          tables: tuple[list[int], list[int], list[int], dict[int, tuple[int, ...]]],
           label: Sequence[int], found: list[int], cand: int,
           wanted: int) -> Iterator[tuple[int, ...]]:
     """``maximum_cliques``' walk below the clique ``found``, in labels,

@@ -795,15 +795,14 @@ def _deal(g: Graph, classes: _Classes, quotas, strategy: str) -> Partition:
     holding its class, by the class bitsets and class index laid out
     beside the classes (``_Classes``).
 
-    A part dealt two classes or more also hands ``_certify`` its list of
-    class bitsets, so if the memo does not hold the part yet it is
-    searched from its own classes as its root colouring
-    (``kernels.max_clique_size``): a part of c classes starts from a
-    colour bound of c, and its clique number is exact whether or not
-    the coloring is proper. Every quota is at least 2, so the first k
-    classes go one to each part, and no part holds two unless more are
-    dealt: a deal of k classes or fewer, which no seed would shorten,
-    lists none.
+    Every part of a split deal, one dealt a single class included, also
+    hands ``_certify`` its list of class bitsets, built in the same loop,
+    so if the memo does not hold the part yet it is searched from its
+    own classes as its root colouring (``kernels.max_clique_size``): a
+    part of c classes starts from a colour bound of c, each class is
+    coloured once per graph, a clique with a vertex in each of the c
+    classes settles the part, and its clique number is exact whether or
+    not the coloring is proper.
     """
     n, k = g.n, len(quotas)
     if len(classes) <= quotas[0] - 1:
@@ -816,14 +815,11 @@ def _deal(g: Graph, classes: _Classes, quotas, strategy: str) -> Partition:
     part_of = _deal_order(tuple(quotas))
     members: list[list[int]] = [[] for _ in quotas]
     masks = [0] * k
+    seeds: list[list[int]] = [[] for _ in quotas]
     for cls, mask, i in zip(classes, classes.masks, part_of):
         members[i] += cls
         masks[i] |= mask
-    seeds = _UNSEEDED
-    if len(classes) > k:
-        seeds = [[] for _ in quotas]
-        for mask, i in zip(classes.masks, part_of):
-            seeds[i].append(mask)
+        seeds[i].append(mask)
     parts = tuple(tuple(sorted(side)) for side in members)
     return _certify(g, tuple(map(part_of.__getitem__, classes.index)), parts, masks, seeds,
                     strategy)

@@ -706,6 +706,120 @@ class TestMaxCliqueSize:
         assert cs.clique_number(h).omega == 15
 
 
+@st.composite
+def seeded_masks(draw, max_n=130):
+    """A graph of up to ``max_n`` vertices, so masks can sit above bit
+    63, a mask of at most 16 of them, and seed lists for its search: a
+    proper colouring of the mask, which covers it, and the same less
+    some classes; a random split of the mask, whose blocks may hold
+    edges; that split shuffled among overlapping subsets of the mask and
+    the empty set; that split less its first block; and the subsets
+    alone."""
+    adj, mask = draw(masks_in_large_graphs(max_n=max_n, max_members=10))
+    if adj:
+        mask |= kernels.to_mask(draw(st.lists(st.integers(0, len(adj) - 1), max_size=6)))
+    members = draw(st.permutations(kernels.from_mask(mask)))
+    proper: list[int] = []
+    for v in members:  # first fit
+        for c, cls in enumerate(proper):
+            if not cls & adj[v]:
+                proper[c] |= 1 << v
+                break
+        else:
+            proper.append(1 << v)
+    kept = draw(st.integers(min_value=0, max_value=len(proper)))
+    split = [0] * draw(st.integers(min_value=1, max_value=5))
+    for v in members:
+        split[draw(st.integers(0, len(split) - 1))] |= 1 << v
+    subsets = [m & mask for m in draw(st.lists(st.integers(0, mask), max_size=3))]
+    mixed = draw(st.permutations(split + subsets + [0]))
+    return adj, mask, [proper, proper[:kept], split, mixed, split[1:], subsets]
+
+
+class TestColouredSeeds:
+    """A seeded search reads each seed's colouring from the tables' dict,
+    or colours the seed and keeps it there, and when the seeds cover the
+    mask it first tries one clique across the root's classes. Neither
+    moves the clique number, whatever the seeds are."""
+
+    @staticmethod
+    def _check_colored(adj, colored):
+        # each kept colouring is the seed split into independent sets
+        for seed, classes in colored.items():
+            assert type(classes) is tuple and all(classes)
+            assert functools.reduce(operator.or_, classes, 0) == seed
+            assert sum(cls.bit_count() for cls in classes) == seed.bit_count()
+            for cls in classes:
+                assert all(not adj[v] & cls for v in kernels.from_mask(cls))
+
+    @given(seeded_masks(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_the_reference(self, case, data):
+        adj, mask, seed_lists = case
+        full = (1 << len(adj)) - 1
+        omega = brute_mask_omega(adj, mask)
+        shared = kernels.coloring_tables(adj, full)
+        for seeds in seed_lists:
+            for fresh in (None, kernels.coloring_tables(adj, full),
+                          kernels.coloring_tables(adj, mask)):
+                assert kernels.max_clique_size(adj, mask, fresh, seeds) == omega, seeds
+            tables = kernels.coloring_tables(adj, full)
+            assert kernels.max_clique_size(adj, mask, tables, seeds) == omega, seeds
+            colored = dict(tables[3])
+            # the second search of the same seeds reads every colouring
+            # from the dict and adds none
+            assert kernels.max_clique_size(adj, mask, tables, seeds) == omega, seeds
+            assert tables[3] == colored
+            shuffled = data.draw(st.permutations(seeds))
+            assert kernels.max_clique_size(adj, mask, tables, shuffled) == omega, shuffled
+            assert kernels.max_clique_size(adj, mask, shared, seeds) == omega, seeds
+            assert kernels.max_clique_size(adj, mask, shared, shuffled) == omega, shuffled
+            self._check_colored(adj, tables[3])
+        self._check_colored(adj, shared[3])
+
+    def test_a_missed_pass_still_searches(self):
+        # classes {0, 1}, {2, 3} and {4, 5} cover the mask properly, and
+        # 0, 2, 4 is a triangle; the pass takes 5, the highest vertex of
+        # the highest class, then 3, its one neighbour in the class below,
+        # which has no neighbour in {0, 1}, and misses: the search then
+        # finds omega 3, the root's class count
+        edges = [(0, 2), (0, 4), (2, 4), (5, 3), (5, 1)]
+        adj = [0] * 6
+        for u, v in edges:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        seeds = [0b000011, 0b001100, 0b110000]
+        full = 0b111111
+        assert adj[5] & seeds[1] == 0b001000 and not adj[3] & seeds[0]
+        assert brute_mask_omega(adj, full) == 3
+        tables = kernels.coloring_tables(adj, full)
+        for _ in range(2):
+            assert kernels.max_clique_size(adj, full, tables, seeds) == 3
+        assert tables[3] == {seed: (seed,) for seed in seeds}
+        assert kernels.max_clique_size(adj, full, None, seeds) == 3
+        # two classes and no edge: the pass misses, and omega is 1
+        assert kernels.max_clique_size([0, 0], 0b11, None, [0b01, 0b10]) == 1
+
+    @pytest.mark.parametrize("g", [
+        C(5), C(7), petersen(),
+        cs.Graph(6, [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)]),
+    ], ids=["C5", "C7", "petersen", "wheel-5"])
+    def test_an_improper_class_dealt_whole(self, g):
+        # the whole vertex set as one seed: its greedy colouring takes
+        # more colours than the clique number, and the pass takes a
+        # vertex of a class only among the neighbours of those taken, so
+        # it never certifies more than omega, from the dict or not
+        adj = g.adjacency_bits
+        full = (1 << g.n) - 1
+        omega = brute_mask_omega(adj, full)
+        tables = kernels.coloring_tables(adj, full)
+        for _ in range(2):
+            assert kernels.max_clique_size(adj, full, tables, [full]) == omega
+        assert len(tables[3][full]) > omega
+        self._check_colored(adj, tables[3])
+        assert kernels.max_clique_size(adj, full, None, [full]) == omega
+
+
 class TestMasksOutsideTheGraph:
     """A mask that is no set of the graph's vertices raises ValueError
     naming it, instead of looping forever (a negative mask) or raising a

@@ -8,6 +8,7 @@ import pickle
 import random
 import sys
 import tracemalloc
+import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -19,6 +20,7 @@ import clique_splitter as cs
 from clique_splitter import kernels, partition
 from clique_splitter.cliques import (
     CERTIFICATES_PER_GRAPH,
+    _coloring_tables,
     _search_numbering,
     clique_number_within,
 )
@@ -1139,6 +1141,56 @@ class TestGraphMemo:
         full = clique_number_within(g, masks[-1])
         assert full is certs[numbered(masks[-1])] and full.witness == cs.all_maximum_cliques(g)[0]
 
+    def test_each_dealt_class_is_coloured_once_per_graph(self):
+        # the clique search's tables keep each seed's colouring: dealing
+        # one list colours each class dealt once, and other lists dealt
+        # the same classes search their missing parts from those entries
+        g = gnp(60, 0.5, 1)
+        masks = _dsatur_classes(g).masks
+        colored = _coloring_tables(g)[3]
+        balanced = TestOneShotColoring._balanced
+        assert cs.kway_clique_partition(g, balanced(g.max_degree, 5)).strategy == "coloring"
+        assert colored == {mask: (mask,) for mask in masks}
+        kept = dict(colored)
+        certs = len(g._memo["certificates"])
+        for k in (3, 4, 6):
+            assert cs.kway_clique_partition(g, balanced(g.max_degree, k)).strategy == "coloring"
+        assert len(g._memo["certificates"]) > certs
+        assert colored == kept and all(colored[mask] is kept[mask] for mask in kept)
+
+    def test_a_dropped_graph_frees_its_coloured_seeds(self, monkeypatch):
+        # with the cycle collector off, dropping the graph frees the dict
+        # of coloured seeds in each of its tables: no search's closure or
+        # certificate holds one
+        class Colored(dict):
+            """A dict that a weak reference can reach."""
+
+        refs = []
+        build = kernels.coloring_tables
+
+        def built(adj, mask):
+            *tables, colored = build(adj, mask)
+            colored = Colored(colored)
+            refs.append(weakref.ref(colored))
+            return (*tables, colored)
+
+        monkeypatch.setattr(kernels, "coloring_tables", built)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            g = gnp(60, 0.5, 1)
+            quotas = TestOneShotColoring._balanced(g.max_degree, 5)
+            part = cs.kway_clique_partition(g, quotas)
+            assert cs.verify_partition(g, part, cs.PartitionSpec(quotas)).valid
+            assert part.strategy == "coloring" and _coloring_tables(g)[3]
+            assert refs and all(ref() is not None for ref in refs)
+            del g
+            assert all(ref() is None for ref in refs)
+            assert part.certificates[0].witness
+        finally:
+            if enabled:
+                gc.enable()
+
     @pytest.mark.parametrize("g, quotas", [
         (strong(7, 3), (4, 3, 3)),
         (regular(28, 13, 3), (5, 5, 5)),
@@ -1655,10 +1707,12 @@ class TestOneShotColoring:
             g.max_degree - 1, "exact")
         assert seeds and all(classes == [] for classes in seeds.values())
 
-    def test_parts_of_one_class_at_most_are_not_seeded(self, monkeypatch):
+    def test_parts_of_one_class_are_seeded_with_it(self, monkeypatch):
         # every quota is at least 2, so the first k classes go one to a
-        # part: an all-2 list, or a list dealt no more classes than parts,
-        # seeds no search, while one more class seeds every part's
+        # part: on an all-2 list, or a list dealt no more classes than
+        # parts, each part's search is seeded with its one class, and an
+        # empty part's, mask 0, with none; one more class seeds part 0's
+        # search with both of its classes
         g = gnp(60, 0.5, 1)
         seeds = {}
         search = kernels.max_clique_size
@@ -1675,8 +1729,10 @@ class TestOneShotColoring:
         for quotas in ((2,) * (delta - 1), (2,) * (r - 1) + (delta - r + 1,)):
             seeds.clear()
             partition._deal(cs.Graph(g.n, g.edges()), classes, quotas, "coloring")
-            assert set(numbered) <= set(seeds)
-            assert all(dealt == [] for dealt in seeds.values())
+            expected = {mask: [mask] for mask in numbered}
+            if len(quotas) > r:
+                expected[0] = []
+            assert seeds == expected
         # r - 1 parts: part 0 takes class 0 and, second in the deal, class r - 1
         quotas = (3,) + (2,) * (r - 3) + (delta - r + 1,)
         seeds.clear()
