@@ -11,28 +11,31 @@ its witness only when it is first read, since the callers check clique
 numbers and read a witness only to report a violation. The clique
 number's search runs in a numbering of the graph's vertices drawn from
 its structure, not from its labels, on colouring tables built once per
-graph, and the memo is keyed by each set's mask in that numbering: the
-partition engine builds every part's mask there and hands it to
-``_certificate``, and only a mask from outside, given to
-``clique_number_within`` in the labels, is translated. A part dealt
+graph, and the memo is keyed by each set's mask in that numbering. The
+numbering's one translation, members in labels to a mask in it and back,
+is ``_Numbering.mask`` and ``_Numbering.members``: the partition engine
+builds every part's mask there and hands it to ``_certificate``, and
+only a mask from outside, given to ``clique_number_within`` in the
+labels, is translated. A part dealt
 from colour classes also hands over its classes, which seed the search's
 root colouring; the clique number is exact whatever they are. Each class
 is coloured once per graph, in the tables, and a part whose classes hold
 a clique with a vertex in each is settled by that clique alone. The
 witness, and every
 maximum clique, are then walked from the clique number by decision
-queries in label order. The partition engine's decision queries run in
-the labels, on the per-graph tables of ``_label_tables``. Every
-per-graph result here lives in the graph's memo (see ``Graph``), so it
-is freed with the graph, and equal but distinct graphs compute their
-own.
+queries in label order. The partition engine's own decision queries,
+those of its exact search and of ``max_kpfree_partition``, run in the
+numbering too, on the same tables, so each graph has one set of them.
+Every per-graph result here lives in the graph's memo (see ``Graph``),
+so it is freed with the graph, and equal but distinct graphs compute
+their own.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import FrozenInstanceError
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import kernels
 from .graphs import Graph, _per_graph
@@ -116,8 +119,9 @@ def clique_number_within(g: Graph, mask: int) -> CliqueCertificate:
     and runs in ``_search_numbering(g)`` on ``_coloring_tables(g)``, so
     its cost does not depend on how g's vertices happen to be labelled.
     A mask given here is in the labels, and is moved into that numbering
-    bit by bit, where the memo keys it; the partition engine builds each
-    part's mask there itself, so none of its certificates is translated.
+    by ``_Numbering.mask``, bit by bit, where the memo keys it; the
+    partition engine builds each part's mask there itself, so none of its
+    certificates is translated.
     The witness, the first clique of ``kernels.maximum_cliques``' walk
     from omega, is built by decision queries only when it is first read;
     they go in label order, so their cost does depend on the labels, and
@@ -132,10 +136,7 @@ def clique_number_within(g: Graph, mask: int) -> CliqueCertificate:
             raise ValueError(f"mask {mask!r} is not an integer") from None
     if mask >> g.n:
         raise ValueError(f"mask {mask:#x} is not a set of the graph's {g.n} vertices")
-    power = _search_numbering(g)[2]
-    if power is not None:
-        mask = sum(map(power.__getitem__, kernels.from_mask(mask)))
-    return _certificate(g, mask)
+    return _certificate(g, _search_numbering(g).mask(kernels.from_mask(mask)))
 
 
 def _certificate(g: Graph, mask: int, classes: Sequence[int] = ()) -> CliqueCertificate:
@@ -168,58 +169,73 @@ def _certificate(g: Graph, mask: int, classes: Sequence[int] = ()) -> CliqueCert
     return cert
 
 
+class _Numbering(NamedTuple):
+    """A numbering of a graph's vertices: vertex ``labels[i]`` is numbered
+    i, ``adj`` holds the adjacency bitsets in it, and ``power``, each
+    label's bit there (``1 << i`` for ``labels[i]``), is None when the
+    numbering is the labels' own and ``labels`` is ``range(n)``."""
+
+    labels: Sequence[int]
+    adj: tuple[int, ...]
+    power: list[int] | None
+
+    def mask(self, members) -> int:
+        """The bitset in this numbering of ``members``, vertices in the
+        labels: the one translation into it, by ``kernels.to_mask`` when
+        the numbering is the labels' own, which is faster than a sum
+        over ``power``. A repeated member leaves fewer set bits than
+        members either way: ``to_mask`` sets its bit once, and the sum
+        carries it into another."""
+        if self.power is None:
+            return kernels.to_mask(members)
+        return sum(map(self.power.__getitem__, members))
+
+    def members(self, mask: int) -> list[int]:
+        """The labels of the vertices of ``mask``, a bitset in this
+        numbering, ascending: the one translation back."""
+        return sorted(map(self.labels.__getitem__, kernels.from_mask(mask)))
+
+
 @_per_graph
-def _search_numbering(g: Graph):
+def _search_numbering(g: Graph) -> _Numbering:
     """The numbering the clique searches of g run in: its vertices in
-    increasing (degree, sum of the neighbours' degrees, label), their
-    adjacency bitsets with vertex ``labels[i]`` numbered i, and each
-    vertex's bit in that numbering (``1 << i`` for ``labels[i]``);
-    ``(None, g.adjacency_bits, None)`` when that order is the labels'
-    own, as on regular graphs.
+    increasing (degree, sum of the neighbours' degrees, label), as a
+    ``_Numbering``, with labels ``range(n)`` and no ``power`` table when
+    that order is the labels' own, as on regular graphs.
 
     Degree and the neighbours' degree sum do not depend on the labels,
     and on graphs like G(n, p) they tell nearly every vertex apart, so
     relabelling such a graph leaves the searches, and their cost, as they
     were. The label only breaks the ties left.
     """
-    if g.min_degree == g.max_degree:
-        # every key ties up to the label
-        return None, g.adjacency_bits, None
-    nbrs = g.adjacency
-    degree = list(map(len, nbrs))
-    key = [(degree[v], sum(map(degree.__getitem__, nbrs[v])), v) for v in range(g.n)]
-    labels = sorted(range(g.n), key=key.__getitem__)
-    if labels == list(range(g.n)):
-        return None, g.adjacency_bits, None
-    power = [0] * g.n
-    for i, v in enumerate(labels):
-        power[v] = 1 << i
-    adj = tuple(sum(map(power.__getitem__, nbrs[v])) for v in labels)
-    return labels, adj, power
+    # on a regular graph every key ties up to the label
+    if g.min_degree < g.max_degree:
+        nbrs = g.adjacency
+        degree = list(map(len, nbrs))
+        key = [(degree[v], sum(map(degree.__getitem__, nbrs[v])), v) for v in range(g.n)]
+        labels = sorted(range(g.n), key=key.__getitem__)
+        if labels != list(range(g.n)):
+            power = [0] * g.n
+            for i, v in enumerate(labels):
+                power[v] = 1 << i
+            adj = tuple(sum(map(power.__getitem__, nbrs[v])) for v in labels)
+            return _Numbering(labels, adj, power)
+    return _Numbering(range(g.n), g.adjacency_bits, None)
 
 
 @_per_graph
 def _coloring_tables(g: Graph):
-    """The tables every clique-number search of g reads:
-    ``kernels.coloring_tables`` of ``_search_numbering(g)``'s adjacency,
-    over all of g's vertices, in that numbering.
+    """The tables every clique search of g reads, certificates and the
+    partition engine's decision queries alike: ``kernels.coloring_tables``
+    of ``_search_numbering(g)``'s adjacency, over all of g's vertices, in
+    that numbering; the one table set of g.
 
     Their dict of coloured seeds is kept with them, so each class is
     coloured once for all of g's quota lists and freed with g. Only the
     classes ``partition._deal`` hands ``_certificate`` reach it as seeds,
     each whole, so it holds at most one entry per class of g's one or
     two colourings, DSatur's and TabuCol's."""
-    return kernels.coloring_tables(_search_numbering(g)[1], (1 << g.n) - 1)
-
-
-@_per_graph
-def _label_tables(g: Graph):
-    """``kernels.coloring_tables`` of ``g.adjacency_bits`` over all of g's
-    vertices: ``_coloring_tables(g)`` itself when the search numbering is
-    the labels', as on regular graphs, and a table of their own if not."""
-    if _search_numbering(g)[0] is None:
-        return _coloring_tables(g)
-    return kernels.coloring_tables(g.adjacency_bits, (1 << g.n) - 1)
+    return kernels.coloring_tables(_search_numbering(g).adj, (1 << g.n) - 1)
 
 
 def clique_number(g: Graph) -> CliqueCertificate:

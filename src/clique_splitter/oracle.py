@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from .cliques import _certificate, _search_numbering
 from .errors import BudgetExceededError, PreconditionError
 from .graphs import Graph
-from .kernels import to_mask
 from .partition import Partition, PartitionSpec, partition_from_assignment
 
 
@@ -246,10 +245,11 @@ def verify_partition(g: Graph, part: Partition, spec: PartitionSpec) -> Verifica
     and a quota-sized clique witness for every violated part.
 
     Each part's mask is built from its members in the clique search's
-    numbering, through ``cliques._search_numbering``'s ``power`` table
-    when there is one, and its certificate comes from ``g``'s memo under
-    that mask through ``cliques._certificate``, the lookup behind
-    ``clique_number_within``, as the members are checked here already.
+    numbering, by ``cliques._search_numbering``'s ``mask``, the
+    translation the engine's own parts take, and its certificate comes
+    from ``g``'s memo under that mask through ``cliques._certificate``,
+    the lookup behind ``clique_number_within``, as the members are
+    checked here already.
     So a partition the engine has just certified on this graph object is
     checked from the same entries, not searched again; an equal but
     distinct graph has a memo of its own, and is searched. Witnesses are
@@ -285,17 +285,16 @@ def verify_partition(g: Graph, part: Partition, spec: PartitionSpec) -> Verifica
             raise PreconditionError("a part index is not an integer") from None
         if min(indices) < 0 or max(indices) >= k:
             raise PreconditionError("part index out of range")
-    power = _search_numbering(g)[2]
+    numbered = _search_numbering(g).mask
     masks = []
     for i, members in enumerate(part.parts):
         try:
             if members and (min(members) < 0 or max(members) >= g.n):
                 raise PreconditionError(f"part {i} has a vertex out of range for n={g.n}")
-            mask = to_mask(members) if power is None else sum(map(power.__getitem__, members))
+            mask = numbered(members)
         except TypeError:
             raise PreconditionError(f"part {i} has a vertex that is not an integer") from None
-        # a repeated vertex leaves fewer set bits than members: to_mask
-        # sets its bit once, and a sum of powers carries it into another
+        # a repeated vertex leaves fewer set bits than members
         if mask.bit_count() != len(members):
             raise PreconditionError(f"part {i} repeats a vertex")
         if [assignment[v] for v in members].count(i) != len(members):

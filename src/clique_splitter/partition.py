@@ -31,7 +31,7 @@ from . import kernels
 from .cliques import (
     CliqueCertificate,
     _certificate,
-    _label_tables,
+    _coloring_tables,
     _search_numbering,
     all_maximum_cliques,
     clique_number,
@@ -135,18 +135,19 @@ def partition_from_parts(g: Graph, parts, strategy: str | None = None) -> Partit
         missing = [v for v, a in enumerate(assignment) if a == -1]
         raise ValueError(f"vertices {missing[:5]} not assigned to any part")
     return _certify(g, tuple(assignment), tuple(norm),
-                    _part_masks(_search_numbering(g)[2], norm), _UNSEEDED, strategy)
+                    list(map(_search_numbering(g).mask, norm)), _UNSEEDED, strategy)
 
 
 def _certify(g: Graph, assignment: tuple[int, ...], parts: tuple[tuple[int, ...], ...],
              masks, seeds, strategy: str | None) -> Partition:
     """The Partition of ``assignment`` and its sorted ``parts``, with each
     part's certificate read from ``cliques._certificate`` on its mask in
-    the clique search's numbering, ``masks`` (``_part_masks``), so no
-    part is translated. ``seeds`` are each part's seeds for its search on
-    a memo miss, in that numbering: ``_deal`` passes the classes it dealt
-    a part, and every caller with no colouring to pass, or none worth
-    passing, passes ``_UNSEEDED``, so those searches start unseeded.
+    the clique search's numbering, ``masks`` (built by
+    ``cliques._search_numbering(g).mask``), so no part is translated
+    again. ``seeds`` are each part's seeds for its search on a memo miss,
+    in that numbering: ``_deal`` passes the classes it dealt a part, and
+    every caller with no colouring to pass, or none worth passing, passes
+    ``_UNSEEDED``, so those searches start unseeded.
 
     The one constructor of every Partition this module returns. It checks
     nothing: ``partition_from_parts`` and ``partition_from_assignment``
@@ -157,22 +158,12 @@ def _certify(g: Graph, assignment: tuple[int, ...], parts: tuple[tuple[int, ...]
     return Partition(assignment, parts, certs, strategy)
 
 
-def _part_masks(power: list[int] | None, parts) -> list[int]:
-    """Each part's bitset in a graph's clique search numbering, built
-    from its members through that numbering's ``power`` table
-    (``cliques._search_numbering``), or by ``kernels.to_mask`` when
-    ``power`` is None, as the numbering is then the labels'."""
-    if power is None:
-        return list(map(kernels.to_mask, parts))
-    return [sum(map(power.__getitem__, members)) for members in parts]
-
-
 def _certify_assignment(g: Graph, assignment, k: int, strategy: str | None) -> Partition:
     """``_certify`` of a checked assignment into k parts: part i holds the
     vertices the assignment puts in i, ascending."""
     parts = _parts_of(assignment, k)
     return _certify(g, tuple(assignment), tuple(map(tuple, parts)),
-                    _part_masks(_search_numbering(g)[2], parts), _UNSEEDED, strategy)
+                    list(map(_search_numbering(g).mask, parts)), _UNSEEDED, strategy)
 
 
 def partition_from_assignment(g: Graph, assignment, k: int | None = None,
@@ -330,34 +321,35 @@ def _dsatur_classes(g: Graph) -> _Classes:
     Kept in g's memo, like ``cliques.clique_number_within``'s entries, so
     every quota list on one graph object reads one coloring.
     """
-    return _Classes(_dsatur_coloring(g), _search_numbering(g)[2])
+    return _Classes(_dsatur_coloring(g), _search_numbering(g))
 
 
 class _Classes(tuple):
     """The nonempty classes of the coloring ``colors`` of all of a
     graph's vertices, largest first, ties broken by members, with their
     layout beside them, each built when a deal first reads it: ``masks``,
-    ``_part_masks`` of the classes under the given ``power`` table, each
-    class's bitset in the clique search's numbering, and ``index``, each
-    vertex's class index.
+    each class's bitset in the graph's clique search numbering
+    (``cliques._search_numbering``), built by that numbering's ``mask``,
+    and ``index``, each vertex's class index. The numbering holds no
+    reference to the graph, so neither does a coloring kept in its memo.
 
     A coloring kept in a graph's memo carries its layout there, so every
     quota list dealt from it reads one build and no deal hashes the
     classes or translates a part.
     """
 
-    def __new__(cls, colors: list[int], power: list[int] | None) -> _Classes:
+    def __new__(cls, colors: list[int], numbering) -> _Classes:
         classes = [[] for _ in range(max(colors, default=-1) + 1)]
         for v, c in enumerate(colors):
             classes[c].append(v)
         classes.sort(key=lambda members: (-len(members), members))
         self = super().__new__(cls, (tuple(members) for members in classes if members))
-        self._power = power
+        self._numbering = numbering
         return self
 
     @cached_property
     def masks(self) -> list[int]:
-        return _part_masks(self._power, self)
+        return list(map(self._numbering.mask, self))
 
     @cached_property
     def index(self) -> tuple[int, ...]:
@@ -401,17 +393,20 @@ def _component_orders(adj, order: list[int]) -> list[list[int]]:
 @_per_graph
 def _exact_plan(g: Graph) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """The exact search's order of g, one (vertices, twin links) pair per
-    connected component: the component's vertices in descending-degree
-    order, then by index, and for each of them the index in that tuple
-    of its latest earlier true twin, or -1.
+    connected component, in the clique search's numbering
+    (``cliques._search_numbering``): the component's vertices, each by
+    its number, in descending-degree order, then by label, and for each
+    of them the index in that tuple of its latest earlier true twin, or
+    -1. The order and the twins are the labels' own, read through the
+    numbering.
 
     Kept in g's memo, like ``_dsatur_classes``, so every quota list
     searched on one graph object reads one build. The closed
     neighbourhoods that find the twins are n-bit keys and are dropped
     after the build.
     """
-    adj = g.adjacency_bits
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    labels, adj, _ = _search_numbering(g)
+    order = sorted(range(g.n), key=lambda i: (-adj[i].bit_count(), labels[i]))
     plan = []
     for component in _component_orders(adj, order):
         prev_twin = []
@@ -434,7 +429,7 @@ def _exact_partition_assignment(g: Graph, quotas) -> list[int] | None:
     component cannot affect another, so backtracking into an earlier
     component would only retry placements that cannot help. Within a
     component, vertices are placed in descending-degree order, then by
-    index, each into the first part it can join without completing a
+    label, each into the first part it can join without completing a
     clique of that part's quota; of several parts with equal quotas that
     are empty within the component only the first is tried, and
     backtracking resumes at the next part. True twins, vertices with
@@ -456,7 +451,13 @@ def _exact_partition_assignment(g: Graph, quotas) -> list[int] | None:
 
     The order, the component split and the twin links depend on g alone
     and come from ``_exact_plan``, built once per graph object; the earlier
-    parts of equal quota are listed once per call. A part of quota 2
+    parts of equal quota are listed once per call. The search runs in the
+    clique search's numbering (``cliques._search_numbering``), on its
+    adjacency and ``cliques._coloring_tables``, the tables g's
+    certificates read, and each component's assignment goes back to the
+    labels once, when the component is done. Every query answer is
+    exact, so the numbering changes neither the answer nor the nodes
+    visited, only what each query costs. A part of quota 2
     takes v exactly when it holds no neighbour of v, and a part holding
     fewer than p - 1 neighbours of v takes it too, so only the other
     tries call ``kernels.has_clique_of_size``. Of those, a part holding
@@ -467,8 +468,8 @@ def _exact_partition_assignment(g: Graph, quotas) -> list[int] | None:
     """
     quotas = tuple(quotas)
     k = len(quotas)
-    adj = g.adjacency_bits
-    tables = _label_tables(g)
+    labels, adj, _ = _search_numbering(g)
+    tables = _coloring_tables(g)
     # equal[j]: the parts before j with j's quota, in any quota order
     equal = [tuple(h for h in range(j) if quotas[h] == quotas[j]) for j in range(k)]
     assignment = [0] * g.n
@@ -509,7 +510,7 @@ def _exact_partition_assignment(g: Graph, quotas) -> list[int] | None:
             else:
                 return None
         for v, j in zip(component, chosen):
-            assignment[v] = j
+            assignment[labels[v]] = j
     return assignment
 
 
@@ -883,7 +884,7 @@ def _tabucol_classes(g: Graph) -> _Classes | None:
                 conflicting.discard(u)
         conflicts += gain
         best = min(best, conflicts)
-    return None if conflicting else _Classes(color, _search_numbering(g)[2])
+    return None if conflicting else _Classes(color, _search_numbering(g))
 
 
 def _checked(part: Partition, quotas) -> Partition:
@@ -965,23 +966,29 @@ def clique_bipartition(g: Graph, p: int, q: int) -> Partition:
 
 
 def _parts_valid(g: Graph, v1_mask: int, v2_mask: int, p: int, q: int) -> bool:
-    adj = g.adjacency_bits
-    tables = _label_tables(g)
+    """Whether V1 holds no K_p and V2 no K_q, both bitsets in the clique
+    search's numbering, asked on its adjacency and tables."""
+    adj = _search_numbering(g).adj
+    tables = _coloring_tables(g)
     return (not kernels.has_clique_of_size(adj, v1_mask, p, tables)
             and not kernels.has_clique_of_size(adj, v2_mask, q, tables))
 
 
 def _grow_to_local_max(g: Graph, v1: int, v2: int, p: int, q: int) -> tuple[int, int]:
-    """Enlarge V1 while both sides stay valid, V1 and V2 as bitsets. Each
-    round makes the first valid move of one sequence: single pulls, a in
-    V2 ascending, then 2-in-1-out exchanges, (a, b) in combinations of V2
-    ascending, each with c in V1 ascending. Stops when no move applies,
-    or after 400 rounds."""
+    """Enlarge V1 while both sides stay valid, V1 and V2 as bitsets in the
+    clique search's numbering. Each round makes the first valid move of
+    one sequence: single pulls, a in V2 by ascending label, then 2-in-1-out
+    exchanges, (a, b) in combinations of V2 by ascending label, each with c
+    in V1 by ascending label. Each round reads the sides' members back in
+    the labels once, and each member's bit in the numbering, so no query
+    is translated. Stops when no move applies, or after 400 rounds."""
+    numbering = _search_numbering(g)
     for _ in range(400):
-        in1, in2 = kernels.from_mask(v1), kernels.from_mask(v2)
+        # each side's vertices as their bits in the numbering, by label
+        in1, in2 = ([numbering.mask((v,)) for v in numbering.members(side)] for side in (v1, v2))
         moves = itertools.chain(  # (bits into V1, bits out of V1)
-            ((1 << a, 0) for a in in2),
-            ((1 << a | 1 << b, 1 << c) for a, b in itertools.combinations(in2, 2) for c in in1))
+            ((a, 0) for a in in2),
+            ((a | b, c) for a, b in itertools.combinations(in2, 2) for c in in1))
         for into, out in moves:
             w1, w2 = (v1 | into) & ~out, (v2 | out) & ~into
             if _parts_valid(g, w1, w2, p, q):
@@ -997,15 +1004,22 @@ def max_kpfree_partition(g: Graph, p: int, q: int) -> MaxKpfreeResult:
     Deterministic: the result depends on g, p and q alone.
 
     Exhaustive (certificate "exhaustive") up to 14 vertices: subsets are
-    scanned by descending size and lexicographic order, so ties match the
-    oracle's tie-break. Beyond that, a graph with clique number at most
-    p-1 (always so for q = 1) is answered by V1 = V; otherwise the split
-    from clique_bipartition, the two-part case of kway_clique_partition,
-    is grown by single and double vertex moves
-    (certificate "local": no single pull or 2-in-1-out exchange enlarges
-    V1 with both sides valid). AllStrategiesExhausted from
+    scanned by descending size and lexicographic order of their labels,
+    so ties match the oracle's tie-break. Beyond that, a graph with
+    clique number at most p-1 (always so for q = 1) is answered by
+    V1 = V; otherwise the split from clique_bipartition, the two-part
+    case of kway_clique_partition, is grown by single and double vertex
+    moves (certificate "local": no single pull or 2-in-1-out exchange
+    enlarges V1 with both sides valid). AllStrategiesExhausted from
     clique_bipartition is raised unchanged, proof flag and diagnostics
     included.
+
+    Every query of the scan and the growth runs in the clique search's
+    numbering (``cliques._search_numbering``), on the tables g's
+    certificates read: the scan builds each subset's mask there, as
+    ``kernels.to_mask`` would build it in the labels, and the growth
+    starts from the split's parts moved there once, so no query is
+    translated.
     """
     p, q = _integer_pair(p, q)
     if p < 1 or q < 1 or p < q:
@@ -1015,14 +1029,15 @@ def max_kpfree_partition(g: Graph, p: int, q: int) -> MaxKpfreeResult:
             f"p+q={p + q} differs from max degree + 1 = {g.max_degree + 1}")
     cert = _check_omega(g)
     n = g.n
+    numbering = _search_numbering(g)
     if n <= MAXFREE_EXHAUSTIVE_N:
         full = _full_mask(n)
         for size in range(n, -1, -1):
             for combo in itertools.combinations(range(n), size):
-                mask = kernels.to_mask(combo)
+                mask = numbering.mask(combo)
                 if _parts_valid(g, mask, full & ~mask, p, q):
                     part = partition_from_parts(
-                        g, [list(combo), kernels.from_mask(full & ~mask)],
+                        g, [combo, numbering.members(full & ~mask)],
                         strategy="maxfree-exhaustive")
                     return MaxKpfreeResult(part, "exhaustive")
         raise AllStrategiesExhausted(
@@ -1031,7 +1046,7 @@ def max_kpfree_partition(g: Graph, p: int, q: int) -> MaxKpfreeResult:
         part = partition_from_parts(g, [list(range(n)), []], strategy="maxfree-local")
         return MaxKpfreeResult(part, "local")
     bip = clique_bipartition(g, p, q)
-    v1, v2 = _grow_to_local_max(g, *map(kernels.to_mask, bip.parts), p, q)
+    v1, v2 = _grow_to_local_max(g, *map(numbering.mask, bip.parts), p, q)
     part = partition_from_parts(
-        g, [kernels.from_mask(v1), kernels.from_mask(v2)], strategy="maxfree-local")
+        g, [numbering.members(v1), numbering.members(v2)], strategy="maxfree-local")
     return MaxKpfreeResult(part, "local")

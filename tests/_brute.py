@@ -348,6 +348,21 @@ def valid_bipartition_sizes(g: Graph, p: int, q: int) -> list[int]:
     return sizes
 
 
+def maximum_v1s(g: Graph, p: int, q: int) -> list[tuple[int, ...]]:
+    """Every V1 of largest size over valid (K_p-free, K_q-free)
+    bipartitions, each sorted, in lexicographic order, so the first is
+    the one ``max_kpfree_partition``'s subset scan promises by its order,
+    descending |V1|, then lexicographic; empty when none is valid."""
+    everything = set(range(g.n))
+    for size in range(g.n, -1, -1):
+        found = [v1 for v1 in itertools.combinations(range(g.n), size)
+                 if not (has_clique_within(g, v1, p)
+                         or has_clique_within(g, everything.difference(v1), q))]
+        if found:
+            return found
+    return []
+
+
 def brute_first_transversal(g: Graph) -> tuple[tuple[int, ...] | None, int]:
     """The independent transversal of the maximum cliques that
     ``hitting_independent_set``'s search returns, or None, and the nodes

@@ -18,7 +18,6 @@ import clique_splitter.kernels as kernels
 from clique_splitter import partition
 from clique_splitter.cliques import (
     _coloring_tables,
-    _label_tables,
     _search_numbering,
     clique_number_within,
 )
@@ -467,13 +466,20 @@ class TestMaxClique:
     @pytest.mark.parametrize("n, d", [(1, 0), (12, 3), (40, 13), (200, 16)])
     def test_search_numbering_of_a_regular_graph_is_the_labels(self, n, d):
         # Every vertex ties on degree and neighbours' degree sum, so the
-        # labels order them and the graph's own bitsets are searched.
+        # labels order them and the graph's own bitsets are searched:
+        # the numbering is the identity, built without a power table, and
+        # moves a set of labels to the same bitset and back
         from clique_splitter.cliques import _search_numbering
 
         g = cs.generate(cs.GeneratorRecipe("random_regular", {"n": n, "d": d}, seed=4))
-        assert _search_numbering(g) == (None, g.adjacency_bits, None)
-        # the decision queries in the labels share the one table
-        assert _label_tables(g) is _coloring_tables(g)
+        numbering = _search_numbering(g)
+        assert numbering == (range(n), g.adjacency_bits, None)
+        assert numbering.adj is g.adjacency_bits
+        members = list(range(0, n, 3))
+        assert numbering.mask(members) == kernels.to_mask(members)
+        assert numbering.members(kernels.to_mask(members)) == members
+        # the certificates and every decision query read one table set
+        assert _coloring_tables(g)[1][1:] == list(g.adjacency_bits)
 
 
 def _reference_clique(adj, mask, labels) -> tuple[int, ...]:
@@ -570,7 +576,6 @@ class TestMaximumCliquesLarge:
         assert list(found) == sorted(found)
         assert list(found) == _maximum_reference(g.adjacency_bits, (1 << g.n) - 1, range(g.n))
         labels, adj, _ = _search_numbering(g)
-        labels = range(g.n) if labels is None else labels
         for _ in range(20):
             mask = kernels.to_mask(rnd.sample(range(g.n), g.n // 2))
             expected = _maximum_reference(adj, mask, labels)
@@ -671,9 +676,10 @@ class TestMaxCliqueSize:
         # omega with the per-graph tables, with the tables built for the
         # mask and from _brute, and no mask's omega moves with the labels;
         # the decision search finds a clique of omega vertices in each
-        # mask and none of omega + 1, on the same mask in the labels with
-        # _label_tables, and in the search numbering with the tables
-        # built for the mask and with none
+        # mask and none of omega + 1, in the search numbering with the
+        # per-graph tables, with the tables built for the mask and with
+        # none, and on the same mask in the labels with the tables built
+        # for it; the numbering moves each mask to its labels and back
         g = random_graph(120, 0.7, 0)
         perm = list(range(g.n))
         random.Random(1).shuffle(perm)
@@ -689,12 +695,17 @@ class TestMaxCliqueSize:
                 assert kernels.max_clique_size(adj, mask, _coloring_tables(graph)) == omega, mask
                 assert kernels.max_clique_size(adj, mask) == omega, mask
                 omegas[mask] = omega
+            numbering = _search_numbering(graph)
             for mask, omega in omegas.items():
                 labelled = kernels.to_mask(labels[v] for v in kernels.from_mask(mask))
+                assert numbering.members(mask) == list(kernels.from_mask(labelled))
+                assert numbering.mask(numbering.members(mask)) == mask
                 for size in (omega, omega + 1):
                     answers = {
+                        kernels.has_clique_of_size(adj, mask, size, _coloring_tables(graph)),
                         kernels.has_clique_of_size(
-                            graph.adjacency_bits, labelled, size, _label_tables(graph)),
+                            graph.adjacency_bits, labelled, size,
+                            kernels.coloring_tables(graph.adjacency_bits, labelled)),
                         kernels.has_clique_of_size(
                             adj, mask, size, kernels.coloring_tables(adj, mask)),
                         kernels.has_clique_of_size(adj, mask, size),

@@ -289,16 +289,19 @@ class TestVerifyPartition:
         ((0, 1, 0, -2**70), ((0, 2), (1, 3)), "part index out of range"),
     ], ids=["repeat", "misplaced", "two-parts", "index-str", "member-float", "member-str",
             "index-float", "index-fraction", "index-huge", "index-huge-negative"])
-    # C_4 is regular, so its parts' masks are built in the labels; the
-    # path 0-1-2-3 is searched in the numbering 0, 3, 1, 2, so its parts'
-    # masks are built through the numbering's power table
+    # C_4 is regular, so its numbering is the labels' own and its parts'
+    # masks are built by to_mask, with no power table; the path 0-1-2-3
+    # is searched in the numbering 0, 3, 1, 2, so its parts' masks are
+    # built through the numbering's power table
     @pytest.mark.parametrize("g, numbering", [
-        (C(4), None),
+        (C(4), range(4)),
         (P(4), [0, 3, 1, 2]),
     ], ids=["cycle", "path"])
     def test_parts_disagreeing_with_assignment_rejected(self, g, numbering, assignment, parts,
                                                         message):
-        assert _search_numbering(g)[0] == numbering
+        labels, _, power = _search_numbering(g)
+        assert labels == numbering
+        assert (power is None) == (type(numbering) is range)
         part = cs.Partition(assignment, parts, (), None)
         with pytest.raises(cs.PreconditionError, match=message) as err:
             cs.verify_partition(g, part, cs.PartitionSpec((2, 2)))

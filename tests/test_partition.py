@@ -43,6 +43,7 @@ from _brute import (
     is_independent,
     is_proper_coloring,
     is_union_of_classes,
+    maximum_v1s,
     petersen,
     valid_bipartition_sizes,
 )
@@ -1046,19 +1047,24 @@ class TestExactPlan:
         cs.Graph(0),
     ], ids=["C5xK3", "C5xK2+regular30", "empty"])
     def test_plan_holds_the_search_order(self, g):
+        # the plan lists each component by its vertices' numbers in the
+        # search numbering; read back in the labels, it holds them in
+        # descending degree, then label, with the labels' twin links
+        labels, adj, _ = _search_numbering(g)
         order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
         plan = partition._exact_plan(g)
-        assert sorted(v for component, _ in plan for v in component) == list(range(g.n))
-        for component, prev_twin in plan[:g.n]:  # n = 0 has one empty component
+        labelled = [tuple(labels[i] for i in numbered) for numbered, _ in plan]
+        assert sorted(v for component in labelled for v in component) == list(range(g.n))
+        # n = 0 has one empty component
+        for (numbered, prev_twin), component in zip(plan[:g.n], labelled):
             assert list(component) == [v for v in order if v in set(component)]
-            assert partition._component_mask(g.adjacency_bits, component[0]) == \
-                kernels.to_mask(component)
+            assert partition._component_mask(adj, numbered[0]) == kernels.to_mask(numbered)
             closed = [g.adjacency_bits[v] | 1 << v for v in component]
             for i, t in enumerate(prev_twin):
                 twins = [h for h in range(i) if closed[h] == closed[i]]
                 assert t == (twins[-1] if twins else -1)
         # components by their first vertex in the order
-        firsts = [order.index(c[0]) for c, _ in plan[:g.n]]
+        firsts = [order.index(c[0]) for c in labelled[:g.n]]
         assert firsts == sorted(firsts)
 
 
@@ -1187,6 +1193,42 @@ class TestGraphMemo:
             del g
             assert all(ref() is None for ref in refs)
             assert part.certificates[0].witness
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_one_table_set_per_graph(self, monkeypatch):
+        # the exact search, max_kpfree_partition's growth and every
+        # certificate read one kernels.coloring_tables tuple, kept in the
+        # graph's memo, though the search numbering is not the labels';
+        # with the cycle collector off, dropping the graph frees it
+        class Colored(dict):
+            """A dict that a weak reference can reach."""
+
+        build = kernels.coloring_tables
+
+        def built(adj, mask):
+            *tables, colored = build(adj, mask)
+            return (*tables, Colored(colored))
+
+        monkeypatch.setattr(kernels, "coloring_tables", built)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            g = thinned_products(5, 3, 5)[4]
+            assert _search_numbering(g).power is not None
+            part = cs.kway_clique_partition(g, (5, 4))
+            assert part.strategy == "exact"
+            res = cs.max_kpfree_partition(g, 5, 4)
+            assert res.certificate == "local"
+            assert len(res.partition.parts[0]) > len(cs.clique_bipartition(g, 5, 4).parts[0])
+            tables = [entry for entry in g._memo.values()
+                      if type(entry) is tuple and len(entry) == 4 and type(entry[3]) is Colored]
+            assert len(tables) == 1 and tables[0] is _coloring_tables(g)
+            ref = weakref.ref(tables[0][3])
+            del g, tables
+            assert ref() is None
+            assert part.certificates[0].witness and res.partition.certificates[1].witness
         finally:
             if enabled:
                 gc.enable()
@@ -1852,6 +1894,40 @@ class TestMaxKpfreePartition:
             return
         res = cs.max_kpfree_partition(g, p, q)
         assert len(res.partition.parts[0]) == max(sizes)
+
+    # G(n, p) graphs with a power table on which some pair has several
+    # largest V1, so the tie-break decides the answer
+    @pytest.mark.parametrize("n, density, seed", [
+        (10, 0.5, 1), (11, 0.5, 2), (12, 0.5, 2), (12, 0.5, 3), (13, 0.55, 1), (12, 0.25, 0),
+        (14, 0.5, 3),
+    ])
+    def test_scan_returns_the_first_maximum_v1(self, n, density, seed):
+        # the subset scan builds each subset's mask in the search
+        # numbering, yet returns the first valid V1 by descending size,
+        # then lexicographic order of its labels, for every pair: on the
+        # graph and on a relabelled copy, whose ties fall on other labels
+        g = gnp(n, density, seed)
+        perm = list(range(n))
+        random.Random(seed).shuffle(perm)
+        h = cs.Graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
+        delta = g.max_degree
+        assert n <= partition.MAXFREE_EXHAUSTIVE_N
+        assert cs.clique_number(g).omega <= delta - 1
+        for graph in (g, h):
+            assert _search_numbering(graph).power is not None
+            tied = False
+            for q in range(1, (delta + 1) // 2 + 1):
+                p = delta + 1 - q
+                found = maximum_v1s(graph, p, q)
+                if not found:
+                    with pytest.raises(cs.AllStrategiesExhausted):
+                        cs.max_kpfree_partition(graph, p, q)
+                    continue
+                tied |= len(found) > 1
+                res = cs.max_kpfree_partition(graph, p, q)
+                assert res.certificate == "exhaustive"
+                assert res.partition.parts[0] == found[0], (p, q)
+            assert tied
 
     @pytest.mark.parametrize("g,q", [(regular(30, 14, 0), 1), (regular(30, 14, 0), 7),
                                      (strong(7, 3), 1), (strong(7, 3), 2)])
