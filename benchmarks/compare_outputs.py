@@ -46,12 +46,20 @@ standalone tools instead of ``kway_clique_partition``:
 - ``partition_from_parts`` and ``partition_from_assignment`` on six
   small graphs split round-robin into 1 to 4 parts, in several forms,
   and once per malformed input each builder checks (182 calls, 14 of
-  them malformed).
+  them malformed);
+- ``verify_partition`` on Partitions built by hand over the same six
+  graphs: V as one part, as the tuple a builder returns, an equal
+  tuple, a list or an equal graph's tuple, among empty parts given as
+  (), [] and range(0) or beside a part given as 0 or None, with its
+  assignment right or wrong, and each graph's split into even and odd
+  vertices, right, with an empty part added, and in every malformed
+  form ``verify_partition`` checks (1,075 calls: 420 valid reports, 224
+  reports of a violation and 431 raised errors).
 
 A partition is recorded as above, with the certificate string last for
 ``max_kpfree_partition`` and None for ``degree_bounded_bipartition``
-and the builders, and any other result as one plain-data field after
-"solved". A builder's ValueError, OverflowError or TypeError is
+and the builders, and any other result, a verification report
+included, as one plain-data field after "solved". A builder's ValueError, OverflowError or TypeError is
 recorded as a raised error.
 
     # record the outputs of the package under another checkout's src/
@@ -91,6 +99,7 @@ import itertools
 import pickle
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -187,7 +196,7 @@ def _record_tool(cs, name: str, g, args=()) -> tuple:
         return _solved(res.partition, res.certificate)
     if isinstance(res, cs.Partition):
         return _solved(res, None)
-    if isinstance(res, cs.HittingSetResult):
+    if isinstance(res, (cs.HittingSetResult, cs.VerificationReport)):
         res = dataclasses.astuple(res)
     return ("solved", res)
 
@@ -309,24 +318,30 @@ def degree_bounded_graphs(cs):
             yield f"C{length}xK{m}", _cycle_product(cs, length, m)
 
 
+def small_graphs(cs):
+    """The six (label, graph) pairs of the builder and
+    ``verify_partition`` calls: C5, K4, C5 x K2, G(12, 0.5) at seed 3,
+    three isolated vertices and the empty graph."""
+    return [("C5", cs.generate(cs.GeneratorRecipe("cycle", {"n": 5}))),
+            ("K4", cs.generate(cs.GeneratorRecipe("complete", {"n": 4}))),
+            ("C5xK2", _cycle_product(cs, 5, 2)),
+            ("gnp:12,0.5 seed 3", cs.generate(
+                cs.GeneratorRecipe("gnp", {"n": 12, "p": 0.5}, seed=3))),
+            ("edgeless 3", cs.Graph(3)),
+            ("empty", cs.Graph(0))]
+
+
 def builder_calls(cs):
     """(label, graph, builder, arguments after the graph) of the 182
     builder calls.
 
-    Valid: C5, K4, C5 x K2, G(12, 0.5) at seed 3, three isolated vertices
-    and the empty graph, each split round-robin into 1 to 4 parts, given
-    to ``partition_from_parts`` as sorted parts, reversed, with each
-    part's first vertex repeated and with an empty part added, and to
-    ``partition_from_assignment`` with k None, exact and two above the
+    Valid: each of ``small_graphs`` split round-robin into 1 to 4 parts,
+    given to ``partition_from_parts`` as sorted parts, reversed, with
+    each part's first vertex repeated and with an empty part added, and
+    to ``partition_from_assignment`` with k None, exact and two above the
     count. Malformed, on C5 x K2 only: one call per fault each builder
     checks."""
-    graphs = [("C5", cs.generate(cs.GeneratorRecipe("cycle", {"n": 5}))),
-              ("K4", cs.generate(cs.GeneratorRecipe("complete", {"n": 4}))),
-              ("C5xK2", _cycle_product(cs, 5, 2)),
-              ("gnp:12,0.5 seed 3", cs.generate(
-                  cs.GeneratorRecipe("gnp", {"n": 12, "p": 0.5}, seed=3))),
-              ("edgeless 3", cs.Graph(3)),
-              ("empty", cs.Graph(0))]
+    graphs = small_graphs(cs)
     for label, g in graphs:
         n = g.n
         for k in range(1, 5):
@@ -359,6 +374,90 @@ def builder_calls(cs):
         yield f"{label} {fault}", g, "partition_from_assignment", args
 
 
+EMPTY_FORMS = (("()", ()), ("[]", []), ("range(0)", range(0)))
+
+
+def verify_calls(cs):
+    """(label, graph, hand-built Partition, quotas) of the 1,075
+    ``verify_partition`` calls, each graph fresh from ``small_graphs``.
+
+    V as one part, in four forms: the part ``partition_from_parts``
+    returns for it, an equal tuple, a list, and the part it returns for
+    an equal graph. Each form goes in part 1 of 1 to 3 parts and in the
+    last of 2 and 3, with an assignment that is right, puts one vertex
+    in another part, holds an index at k, or holds the right index as a
+    float (the empty graph takes only the right one), and quotas all 2,
+    or all 2 and all 5 when the assignment is right; a right assignment
+    of 2 or 3 parts is tried with the empty parts given as (), [] and
+    range(0). Each form also goes
+    beside a part given as 0 or None. On each graph of at least two
+    vertices, its split into even and odd vertices is given right, with
+    an empty part added in each of those three forms, and once per
+    malformed form: a repeated vertex, a vertex the assignment puts in
+    the other part (in either part), an index that is a string, a
+    float, a Fraction, 2**70, -2**70 or k, and a member that is a float
+    or a string."""
+    for label, g in small_graphs(cs):
+        n = g.n
+        forms = (("built", cs.partition_from_parts(g, [range(n)]).parts[0]),
+                 ("equal", tuple(range(n))),
+                 ("list", list(range(n))),
+                 ("equal graph's",
+                  cs.partition_from_parts(cs.Graph(n, g.edges()), [range(n)]).parts[0]))
+        for name, whole in forms:
+            for k, at in ((1, 0), (2, 0), (2, 1), (3, 0), (3, 2)):
+                faults = [("right", (at,) * n)]
+                if n:
+                    if k > 1:
+                        faults.append(("one elsewhere", (at,) * (n - 1) + ((at + 1) % k,)))
+                    faults += [("index at k", (at,) * (n - 1) + (k,)),
+                               ("float index", (at,) * (n - 1) + (float(at),))]
+                for fault, assignment in faults:
+                    for empty_name, empty in EMPTY_FORMS if fault == "right" and k > 1 \
+                            else EMPTY_FORMS[:1]:
+                        parts = tuple(whole if i == at else empty for i in range(k))
+                        for quotas in ((2,) * k, (5,) * k)[:1 + (fault == "right")]:
+                            yield (f"{label} V as {name} in part {at + 1} of {k}, {fault}, "
+                                   f"empty {empty_name}", g,
+                                   cs.Partition(assignment, parts, (), None), quotas)
+            for odd in (0, None):
+                for at in (0, 1):
+                    parts = (whole, odd) if at == 0 else (odd, whole)
+                    yield (f"{label} V as {name} beside {odd!r}", g,
+                           cs.Partition((at,) * n, parts, (), None), (2, 2))
+        if n < 2:
+            continue
+        evens, odds = tuple(range(0, n, 2)), tuple(range(1, n, 2))
+        assignment = tuple(v % 2 for v in range(n))
+        last, side = n - 1, (n - 1) % 2
+        split = (evens, odds)
+        shapes = [("right", assignment, split)]
+        shapes += [(f"empty {empty_name} added", assignment, split + (empty,))
+                   for empty_name, empty in EMPTY_FORMS]
+
+        def with_last(value):
+            return assignment[:-1] + (value,)
+
+        def with_member(value):
+            return tuple(members[:-1] + (value,) if i == side else members
+                         for i, members in enumerate(split))
+
+        shapes += [("repeat", assignment, (evens + evens[:1], odds)),
+                   ("in part 0, assigned 1", assignment, (evens + odds[:1], odds)),
+                   ("in part 1, assigned 0", assignment, (evens, odds + evens[-1:])),
+                   ("index str", with_last("x"), split),
+                   ("index float", with_last(float(side)), split),
+                   ("index fraction", with_last(Fraction(side)), split),
+                   ("index huge", with_last(2 ** 70), split),
+                   ("index huge negative", with_last(-2 ** 70), split),
+                   ("index at k", with_last(2), split),
+                   ("member float", assignment, with_member(float(last))),
+                   ("member str", assignment, with_member(str(last)))]
+        for shape, assignment_given, parts in shapes:
+            yield (f"{label} split, {shape}", g, cs.Partition(assignment_given, parts, (), None),
+                   (2,) * len(parts))
+
+
 def record_tools(cs) -> list:
     """[(label, arguments after the graph, record)] over the tools corpus."""
     out = [(f"detect_cycle_clique_product {label}", (),
@@ -379,6 +478,9 @@ def record_tools(cs) -> list:
                         _record_tool(cs, "degree_bounded_bipartition", g, (p, delta - p))))
     out += [(f"{name} {label}", args, _record_tool(cs, name, g, args))
             for label, g, name, args in builder_calls(cs)]
+    out += [(f"verify_partition {label}", quotas,
+             _record_tool(cs, "verify_partition", g, (part, cs.PartitionSpec(quotas))))
+            for label, g, part, quotas in verify_calls(cs)]
     return out
 
 

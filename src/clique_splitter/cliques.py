@@ -16,7 +16,8 @@ numbering's one translation, members in labels to a mask in it and back,
 is ``_Numbering.mask`` and ``_Numbering.members``: the partition engine
 builds every part's mask there and hands it to ``_certificate``, and
 only a mask from outside, given to ``clique_number_within`` in the
-labels, is translated. A part dealt
+labels, is translated, by ``_Numbering.from_label_mask``, which leaves it
+as it is when the numbering is the labels' own. A part dealt
 from colour classes also hands over its classes, which seed the search's
 root colouring; the clique number is exact whatever they are. Each class
 is coloured once per graph, in the tables, and a part whose classes hold
@@ -119,9 +120,10 @@ def clique_number_within(g: Graph, mask: int) -> CliqueCertificate:
     and runs in ``_search_numbering(g)`` on ``_coloring_tables(g)``, so
     its cost does not depend on how g's vertices happen to be labelled.
     A mask given here is in the labels, and is moved into that numbering
-    by ``_Numbering.mask``, bit by bit, where the memo keys it; the
-    partition engine builds each part's mask there itself, so none of its
-    certificates is translated.
+    by ``_Numbering.from_label_mask``, where the memo keys it: bit by bit
+    through the ``power`` table, and not at all when the numbering is the
+    labels' own, as on regular graphs; the partition engine builds each
+    part's mask there itself, so none of its certificates is translated.
     The witness, the first clique of ``kernels.maximum_cliques``' walk
     from omega, is built by decision queries only when it is first read;
     they go in label order, so their cost does depend on the labels, and
@@ -136,7 +138,7 @@ def clique_number_within(g: Graph, mask: int) -> CliqueCertificate:
             raise ValueError(f"mask {mask!r} is not an integer") from None
     if mask >> g.n:
         raise ValueError(f"mask {mask:#x} is not a set of the graph's {g.n} vertices")
-    return _certificate(g, _search_numbering(g).mask(kernels.from_mask(mask)))
+    return _certificate(g, _search_numbering(g).from_label_mask(mask))
 
 
 def _certificate(g: Graph, mask: int, classes: Sequence[int] = ()) -> CliqueCertificate:
@@ -189,6 +191,14 @@ class _Numbering(NamedTuple):
         if self.power is None:
             return kernels.to_mask(members)
         return sum(map(self.power.__getitem__, members))
+
+    def from_label_mask(self, mask: int) -> int:
+        """The bitset in this numbering of ``mask``, a bitset in the
+        labels: ``mask`` itself when the numbering is the labels' own,
+        else its members moved bit by bit through ``power``."""
+        if self.power is None:
+            return mask
+        return self.mask(kernels.from_mask(mask))
 
     def members(self, mask: int) -> list[int]:
         """The labels of the vertices of ``mask``, a bitset in this

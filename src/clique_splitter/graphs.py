@@ -35,11 +35,12 @@ class Graph:
     (for the clique kernels). Degree extremes and the edge count are cached.
 
     What the engine computes from the graph alone (its search tables,
-    colorings, exact-search plan and the clique numbers of vertex sets)
-    is kept in ``_memo``, a dict private to this object, so it is freed
-    with the graph. Two equal graphs are two objects and share no entry.
-    The memo takes no part in ``==``, ``hash`` or ``repr``, and a copied
-    or unpickled graph starts with an empty one. Its entries hold no
+    colorings, exact-search plan, the clique numbers of vertex sets, and
+    the vertex tuple and zero assignment of ``_whole``, which a whole-V
+    answer carries) is kept in ``_memo``, a dict private to this object,
+    so it is freed with the graph. Two equal graphs are two objects and
+    share no entry. The memo takes no part in ``==``, ``hash`` or
+    ``repr``, and a copied or unpickled graph starts with an empty one. Its entries hold no
     reference back to the graph. ``cliques.clique_number_within`` keeps
     at most ``cliques.CERTIFICATES_PER_GRAPH`` clique numbers of vertex
     sets in it, dropping the oldest first; every other entry is one per
@@ -152,6 +153,17 @@ def _per_graph(fn):
         return result
 
     return memoized
+
+
+@_per_graph
+def _whole(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """g's vertex tuple ``tuple(range(n))`` and the assignment of every
+    vertex to part 0, ``(0,) * n``, built once per Graph object. Every
+    Partition of the engine with one part holding all of V carries this
+    very tuple as that part, and ``oracle.verify_partition`` recognises
+    it by identity, so a whole-V answer is checked without a pass over
+    its vertices; an equal tuple, or an equal graph's, is not it."""
+    return tuple(range(g.n)), (0,) * g.n
 
 
 # ---------------------------------------------------------------------------

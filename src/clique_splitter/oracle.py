@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .cliques import _certificate, _search_numbering
 from .errors import BudgetExceededError, PreconditionError
-from .graphs import Graph
+from .graphs import Graph, _whole
 from .partition import Partition, PartitionSpec, partition_from_assignment
 
 
@@ -36,6 +36,9 @@ class OracleBudget:
 
 
 DEFAULT_BUDGET = OracleBudget()
+
+# every value a byte holds, in order: the first k are the part indices
+_BYTE_VALUES = bytes(range(256))
 
 
 @dataclass(frozen=True)
@@ -259,7 +262,18 @@ def verify_partition(g: Graph, part: Partition, spec: PartitionSpec) -> Verifica
     each member's assignment is its part's index, no part repeats a
     vertex, and the part sizes sum to n. Together these make the parts
     disjoint and covering, so no vertex is placed by the assignment in a
-    part that lacks it."""
+    part that lacks it.
+
+    Every check is made, in this order, for every part, but two kinds of
+    part are checked without reading their members. A part that is
+    ``graphs._whole(g)``'s vertex tuple, the very object (``is``, since an
+    equal tuple may hold ``1.0``), holds every vertex once, as an int in
+    range, by construction, so only its assignment is checked, by one
+    count of its index over the assignment's bytes, and its mask is the
+    full one, the same in every numbering; the engine hands every answer
+    with a part holding all of V this tuple. An empty part has mask 0.
+    Any other part, an equal tuple, an equal graph's tuple, or a copied or
+    unpickled Partition's included, is read member by member."""
     if len(part.assignment) != g.n:
         raise PreconditionError(
             f"assignment covers {len(part.assignment)} vertices, graph has {g.n}")
@@ -270,26 +284,37 @@ def verify_partition(g: Graph, part: Partition, spec: PartitionSpec) -> Verifica
     assignment = part.assignment
     # bytes takes each index as operator.index does, so 1.0 and
     # Fraction(1) are refused where min, max and == would take them, and
-    # checks 0 <= index < 256 in the same pass, which settles the usual
-    # case; operator.index takes the rest, and the error is worded there.
+    # checks 0 <= index < 256 in the same pass; deleting the bytes 0..k-1
+    # from the row then leaves nothing, which settles the usual case.
+    # operator.index takes the rest, and the error is worded there; past
+    # 256 parts the row is that list, since bytes count no index past 255.
     try:
-        in_range = max(bytes(assignment), default=0) < k
+        row = bytes(assignment)
     except TypeError:
         raise PreconditionError("a part index is not an integer") from None
     except ValueError:  # an index outside 0..255
-        in_range = False
-    if not in_range:
+        row = None
+    if row is None or k > 256 or row.translate(None, _BYTE_VALUES[:k]):
         try:
-            indices = list(map(operator.index, assignment))
+            row = list(map(operator.index, assignment))
         except TypeError:
             raise PreconditionError("a part index is not an integer") from None
-        if min(indices) < 0 or max(indices) >= k:
+        if row and (min(row) < 0 or max(row) >= k):
             raise PreconditionError("part index out of range")
+    whole = _whole(g)[0]
     numbered = _search_numbering(g).mask
     masks = []
     for i, members in enumerate(part.parts):
+        if members is whole:
+            if row.count(i) != g.n:
+                raise PreconditionError(f"part {i} holds a vertex the assignment puts elsewhere")
+            masks.append((1 << g.n) - 1)
+            continue
         try:
-            if members and (min(members) < 0 or max(members) >= g.n):
+            if not len(members):
+                masks.append(0)
+                continue
+            if min(members) < 0 or max(members) >= g.n:
                 raise PreconditionError(f"part {i} has a vertex out of range for n={g.n}")
             mask = numbered(members)
         except TypeError:

@@ -43,7 +43,7 @@ from .errors import (
     PreconditionError,
     SearchFailureError,
 )
-from .graphs import Graph, _mix, _per_graph
+from .graphs import Graph, _mix, _per_graph, _whole
 
 log = logging.getLogger("clique_splitter.partition")
 
@@ -114,9 +114,11 @@ def partition_from_parts(g: Graph, parts, strategy: str | None = None) -> Partit
     naming it, as do the first five in no part, and one in range but no
     integer raises the TypeError of indexing a list with it. A vertex
     listed twice within one part counts once; the parts come back sorted,
-    each vertex as the int it equals, so ``True`` is vertex 1.
-    ``_certify`` then builds the Partition as it builds every one the
-    engine returns, so each certificate's witness is in ``g``'s labels.
+    each vertex as the int it equals, so ``True`` is vertex 1; a part
+    holding all n vertices is ``graphs._whole``'s vertex tuple
+    (``_whole_as_own``). ``_certify`` then builds the Partition as it
+    builds every one the engine returns, so each certificate's witness
+    is in ``g``'s labels.
     """
     n = g.n
     assignment = [-1] * n
@@ -134,8 +136,9 @@ def partition_from_parts(g: Graph, parts, strategy: str | None = None) -> Partit
     if -1 in assignment:
         missing = [v for v, a in enumerate(assignment) if a == -1]
         raise ValueError(f"vertices {missing[:5]} not assigned to any part")
-    return _certify(g, tuple(assignment), tuple(norm),
-                    list(map(_search_numbering(g).mask, norm)), _UNSEEDED, strategy)
+    assignment, norm = _whole_as_own(g, tuple(assignment), tuple(norm))
+    return _certify(g, assignment, norm, list(map(_search_numbering(g).mask, norm)), _UNSEEDED,
+                    strategy)
 
 
 def _certify(g: Graph, assignment: tuple[int, ...], parts: tuple[tuple[int, ...], ...],
@@ -152,7 +155,10 @@ def _certify(g: Graph, assignment: tuple[int, ...], parts: tuple[tuple[int, ...]
     The one constructor of every Partition this module returns. It checks
     nothing: ``partition_from_parts`` and ``partition_from_assignment``
     each check the input they take from outside once, and the engine's
-    parts agree with their assignment and masks by construction.
+    parts agree with their assignment and masks by construction. Each
+    caller passes a part that holds all n vertices as ``graphs._whole``'s
+    vertex tuple, and its zero assignment with it in part 0, so that
+    ``oracle.verify_partition`` checks the part without reading it.
     """
     certs = tuple(map(_certificate, itertools.repeat(g, len(masks)), masks, seeds))
     return Partition(assignment, parts, certs, strategy)
@@ -160,10 +166,24 @@ def _certify(g: Graph, assignment: tuple[int, ...], parts: tuple[tuple[int, ...]
 
 def _certify_assignment(g: Graph, assignment, k: int, strategy: str | None) -> Partition:
     """``_certify`` of a checked assignment into k parts: part i holds the
-    vertices the assignment puts in i, ascending."""
-    parts = _parts_of(assignment, k)
-    return _certify(g, tuple(assignment), tuple(map(tuple, parts)),
-                    list(map(_search_numbering(g).mask, parts)), _UNSEEDED, strategy)
+    vertices the assignment puts in i, ascending, and a part holding all
+    n of them is ``graphs._whole``'s vertex tuple (``_whole_as_own``)."""
+    assignment, parts = _whole_as_own(g, tuple(assignment),
+                                      tuple(map(tuple, _parts_of(assignment, k))))
+    return _certify(g, assignment, parts, list(map(_search_numbering(g).mask, parts)), _UNSEEDED,
+                    strategy)
+
+
+def _whole_as_own(g: Graph, assignment: tuple[int, ...], parts: tuple[tuple[int, ...], ...]):
+    """``assignment`` and ``parts``, agreeing and checked, with a part
+    that holds all n vertices replaced by ``graphs._whole``'s vertex
+    tuple, and the assignment by its zeros when that part is part 0."""
+    if g.n in map(len, parts):
+        whole, zeros = _whole(g)
+        parts = tuple(whole if len(side) == g.n else side for side in parts)
+        if parts[0] is whole:
+            assignment = zeros
+    return assignment, parts
 
 
 def partition_from_assignment(g: Graph, assignment, k: int | None = None,
@@ -789,7 +809,13 @@ def _deal(g: Graph, classes: _Classes, quotas, strategy: str) -> Partition:
     coloring: part i takes at most p_i - 1 classes, so it holds no
     K_{p_i}.
 
-    Classes go to parts whole, so only each part's sort and the
+    When all the classes fit in part 1, V is part 1 and every other part
+    is empty: the answer is ``graphs._whole``'s vertex tuple and zero
+    assignment, built once per graph, so such a deal builds nothing of
+    size n and ``oracle.verify_partition`` checks it without reading
+    its vertices.
+
+    Otherwise classes go to parts whole, so only each part's sort and the
     assignment read single vertices: a part's members are its classes'
     members, sorted once, its mask is the OR of its classes' bitsets in
     the clique search's numbering, and each vertex goes to the part
@@ -810,9 +836,9 @@ def _deal(g: Graph, classes: _Classes, quotas, strategy: str) -> Partition:
         # V is then the one part to certify, and its entry is the one
         # the precondition check has already filled; the full mask is
         # the same in every numbering.
+        whole, zeros = _whole(g)
         masks = (_full_mask(n),) + (0,) * (k - 1)
-        return _certify(g, (0,) * n, (tuple(range(n)),) + ((),) * (k - 1), masks, _UNSEEDED,
-                        strategy)
+        return _certify(g, zeros, (whole,) + ((),) * (k - 1), masks, _UNSEEDED, strategy)
     part_of = _deal_order(tuple(quotas))
     members: list[list[int]] = [[] for _ in quotas]
     masks = [0] * k
@@ -920,9 +946,9 @@ def kway_clique_partition(g: Graph, spec) -> Partition:
             f"{g.max_degree - 1 + spec.k}")
     _check_omega(g)
     if spec.k == 1:
+        whole, zeros = _whole(g)
         full = (_full_mask(g.n),)
-        return _checked(_certify(g, (0,) * g.n, (tuple(range(g.n)),), full, _UNSEEDED, "verify"),
-                        spec.quotas)
+        return _checked(_certify(g, zeros, (whole,), full, _UNSEEDED, "verify"), spec.quotas)
     diags: dict[str, str] = {}
     part = _coloring_strategy(g, spec.quotas, diags)
     if part is not None:

@@ -119,6 +119,42 @@ class TestCliqueNumberWithin:
         cert = clique_number_within(g, kernels.to_mask([2, 6, 7, 8]))
         assert cert.omega == 3 and cert.witness == (6, 7, 8)
 
+    def test_a_label_mask_of_a_regular_graph_is_looked_up_as_it_is(self, monkeypatch):
+        # a regular graph is searched in its labels, so a warm lookup
+        # returns the memo's certificate for the label mask itself and
+        # walks none of its bits
+        g = cs.generate(cs.GeneratorRecipe("random_regular", {"n": 40, "d": 5}, seed=1))
+        assert _search_numbering(g).power is None
+        masks = [random.Random(seed).getrandbits(g.n) for seed in range(20)]
+        masks += [0, 1, (1 << g.n) - 1]
+        certs = [clique_number_within(g, mask) for mask in masks]
+
+        def walked(*args):
+            raise AssertionError("a label mask was translated")
+
+        monkeypatch.setattr(kernels, "from_mask", walked)
+        monkeypatch.setattr(kernels, "to_mask", walked)
+        memo = g._memo["certificates"]
+        for mask, cert in zip(masks, certs):
+            assert clique_number_within(g, mask) is cert is memo[mask]
+        assert clique_number_within(g, True) is memo[1]
+
+    @pytest.mark.parametrize("g, numbering", [
+        (C(4), range(4)),
+        (cs.Graph(4, [(0, 1), (1, 2), (2, 3)]), [0, 3, 1, 2]),
+    ], ids=["cycle", "path"])
+    def test_every_mask_of_c4_and_p4(self, g, numbering):
+        # C_4 is searched in its labels and P_4 through a power table: on
+        # both, each mask's certificate is the induced subgraph's, kept
+        # under the mask of its members in the search numbering
+        assert _search_numbering(g).labels == numbering
+        memo_key = _search_numbering(g).mask
+        for mask in range(1 << g.n):
+            members = kernels.from_mask(mask)
+            cert = clique_number_within(g, mask)
+            assert (cert.omega, cert.witness) == brute_clique_within(g, members)
+            assert g._memo["certificates"][memo_key(members)] is cert
+
 
 class _Unreadable:
     """An ``adj`` of three vertices whose bitsets must not be read; its

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 import clique_splitter as cs
-from clique_splitter.cliques import _search_numbering
+from clique_splitter.cliques import _Numbering, _search_numbering
+from clique_splitter.graphs import _whole
 from _brute import (
     brute_chromatic,
     brute_clique_within,
@@ -287,8 +288,10 @@ class TestVerifyPartition:
         # too large for a machine integer, and out of range
         ((0, 1, 0, 2**70), ((0, 2), (1, 3)), "part index out of range"),
         ((0, 1, 0, -2**70), ((0, 2), (1, 3)), "part index out of range"),
+        # a byte, but no part index
+        ((0, 1, 0, 2), ((0, 2), (1, 3)), "part index out of range"),
     ], ids=["repeat", "misplaced", "two-parts", "index-str", "member-float", "member-str",
-            "index-float", "index-fraction", "index-huge", "index-huge-negative"])
+            "index-float", "index-fraction", "index-huge", "index-huge-negative", "index-at-k"])
     # C_4 is regular, so its numbering is the labels' own and its parts'
     # masks are built by to_mask, with no power table; the path 0-1-2-3
     # is searched in the numbering 0, 3, 1, 2, so its parts' masks are
@@ -306,6 +309,123 @@ class TestVerifyPartition:
         with pytest.raises(cs.PreconditionError, match=message) as err:
             cs.verify_partition(g, part, cs.PartitionSpec((2, 2)))
         assert isinstance(err.value, ValueError)
+
+    # The graph's own vertex tuple (graphs._whole) is checked by its
+    # assignment alone, and an empty part is not read; every other form
+    # of the same parts is read member by member. Each case runs on C_4,
+    # searched in its labels, and on P_4, searched through a power table,
+    # on a fresh graph, and every form must give one report or one error.
+
+    @staticmethod
+    def _whole_forms(g):
+        """The vertex tuple of ``g`` in four forms: g's own object, an
+        equal tuple, a list, and the own tuple of an equal graph."""
+        own = _whole(g)[0]
+        forms = {"own": own, "equal": tuple(range(g.n)), "list": list(range(g.n)),
+                 "equal graph's": _whole(cs.Graph(g.n, g.edges()))[0]}
+        assert all(form == list(own) or form == own for form in forms.values())
+        assert [form is own for form in forms.values()] == [True, False, False, False]
+        return forms
+
+    @staticmethod
+    def _outcome(g, part, spec):
+        try:
+            return cs.verify_partition(g, part, spec)
+        except cs.PreconditionError as err:
+            return str(err)
+
+    @pytest.mark.parametrize("g", [C(4), P(4)], ids=["cycle", "path"])
+    @pytest.mark.parametrize("assignment, outcome", [
+        ((1, 1, 1, 1), None),
+        ((1, 1, 0, 1), "part 1 holds a vertex the assignment puts elsewhere"),
+        ((0, 0, 0, 0), "part 1 holds a vertex the assignment puts elsewhere"),
+        ((1, 1, 2, 1), "part index out of range"),
+        ((1, 1, 1.0, 1), "a part index is not an integer"),
+    ], ids=["valid", "one-in-part-0", "all-in-part-0", "index-at-k", "index-float"])
+    @pytest.mark.parametrize("quotas", [(3, 3), (2, 2)], ids=["within", "violated"])
+    def test_whole_part_reports_alike_in_every_form(self, g, assignment, outcome, quotas):
+        g = cs.Graph(g.n, g.edges())
+        assert (_search_numbering(g).power is None) == (g.min_degree == g.max_degree)
+        spec = cs.PartitionSpec(quotas)
+        got = {name: self._outcome(g, cs.Partition(assignment, ((), form), (), None), spec)
+               for name, form in self._whole_forms(g).items()}
+        if outcome is None:
+            violations = ((1, (0, 1)),) if quotas == (2, 2) else ()
+            outcome = cs.VerificationReport((0, 2), not violations, violations)
+        assert got == dict.fromkeys(got, outcome)
+
+    @pytest.mark.parametrize("g", [C(4), P(4)], ids=["cycle", "path"])
+    @pytest.mark.parametrize("empty", [(), [], range(0)], ids=["tuple", "list", "range"])
+    def test_empty_parts_in_every_form(self, g, empty):
+        g = cs.Graph(g.n, g.edges())
+        spec = cs.PartitionSpec((3, 2, 2))
+        for form in self._whole_forms(g).values():
+            part = cs.Partition((0,) * 4, (form, empty, empty), (), None)
+            assert cs.verify_partition(g, part, spec) == cs.VerificationReport((2, 0, 0), True, ())
+        part = cs.Partition((0, 2, 0, 2), ((0, 2), empty, (1, 3)), (), None)
+        assert cs.verify_partition(g, part, spec) == cs.VerificationReport((1, 0, 1), True, ())
+
+    @pytest.mark.parametrize("g", [C(4), P(4)], ids=["cycle", "path"])
+    @pytest.mark.parametrize("assignment, parts, message", [
+        ((1, 1, 1, 1), (0, "whole"), "part 0 has a vertex that is not an integer"),
+        ((0, 0, 0, 0), ("whole", 0), "part 1 has a vertex that is not an integer"),
+        ((0, 0, 0, 0), ("whole", None), "part 1 has a vertex that is not an integer"),
+    ], ids=["zero-first", "zero-last", "none"])
+    def test_unsized_part_is_a_precondition_error(self, g, assignment, parts, message):
+        g = cs.Graph(g.n, g.edges())
+        for form in self._whole_forms(g).values():
+            part = cs.Partition(assignment, tuple(form if p == "whole" else p for p in parts),
+                                (), None)
+            with pytest.raises(cs.PreconditionError) as err:
+                cs.verify_partition(g, part, cs.PartitionSpec((3, 3)))
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("g", [C(4), P(4)], ids=["cycle", "path"])
+    def test_own_tuple_and_empty_parts_are_not_translated(self, g, monkeypatch):
+        g = cs.Graph(g.n, g.edges())
+        translated = []
+        mask = _Numbering.mask
+
+        def counted(numbering, members):
+            translated.append(members)
+            return mask(numbering, members)
+
+        monkeypatch.setattr(_Numbering, "mask", counted)
+        spec = cs.PartitionSpec((3, 2, 2))
+        for name, form in self._whole_forms(g).items():
+            translated.clear()
+            part = cs.Partition((0,) * 4, (form, (), []), (), None)
+            assert cs.verify_partition(g, part, spec).valid
+            assert translated == ([] if name == "own" else [form])
+        # a built partition with V in part 1 carries the graph's own tuple
+        part = cs.partition_from_parts(g, [range(g.n), [], []])
+        assert part.parts[0] is _whole(g)[0]
+        translated.clear()
+        assert cs.verify_partition(g, part, spec).part_omegas == (2, 0, 0)
+        assert translated == []
+
+    @pytest.mark.parametrize("assignment, outcome", [
+        ((299,) * 3, None),
+        ((0,) * 3, "part 299 holds a vertex the assignment puts elsewhere"),
+        ((299, 299, 300), "part index out of range"),
+    ], ids=["valid", "misplaced", "past-k"])
+    def test_whole_part_past_255(self, assignment, outcome):
+        # k = 300: the count runs over the assignment read as a list
+        g = cs.Graph(3, [(0, 1)])
+        spec = cs.PartitionSpec((3,) * 300)
+        for form in self._whole_forms(g).values():
+            part = cs.Partition(assignment, ((),) * 299 + (form,), (), None)
+            got = self._outcome(g, part, spec)
+            if outcome is None:
+                assert got.valid and got.part_omegas == (0,) * 299 + (2,)
+            else:
+                assert got == outcome
+
+    def test_no_vertices_past_255_parts(self):
+        g = cs.Graph(0)
+        part = cs.Partition((), ((),) * 300, (), None)
+        assert cs.verify_partition(g, part, cs.PartitionSpec((2,) * 300)) == \
+            cs.VerificationReport((0,) * 300, True, ())
 
     @pytest.mark.parametrize("last, message", [
         (299, None),

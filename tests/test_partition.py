@@ -24,6 +24,7 @@ from clique_splitter.cliques import (
     _search_numbering,
     clique_number_within,
 )
+from clique_splitter.graphs import _whole
 from clique_splitter.partition import (
     _coloring_strategy,
     _dsatur_classes,
@@ -1232,6 +1233,48 @@ class TestGraphMemo:
         finally:
             if enabled:
                 gc.enable()
+
+    @pytest.mark.parametrize("g, quotas, strategy", [
+        (regular(28, 13, 3), (12, 2), "coloring"),
+        (regular(28, 13, 3), (13,), "verify"),
+        (strong(5, 3), (7, 2), "exact"),
+        (strong(5, 4), (9, 3), "exact"),
+    ], ids=["coloring", "verify", "exact-C5xK3", "exact-C5xK4"])
+    def test_a_whole_answer_carries_the_graphs_own_vertex_tuple(self, g, quotas, strategy):
+        # an answer with V in part 1 carries the very tuple and zero
+        # assignment kept in the graph's memo, which verify_partition
+        # recognises by identity; a rebuilt equal graph has its own
+        g = cs.Graph(g.n, g.edges())
+        part = cs.kway_clique_partition(g, quotas)
+        whole, zeros = _whole(g)
+        assert part.strategy == strategy
+        assert whole == tuple(range(g.n)) and zeros == (0,) * g.n
+        assert part.parts[0] is whole and part.assignment is zeros
+        assert part.parts[1:] == ((),) * (len(quotas) - 1)
+        assert cs.verify_partition(g, part, cs.PartitionSpec(quotas)).valid
+        h = cs.Graph(g.n, g.edges())
+        again = cs.kway_clique_partition(h, quotas)
+        assert again == part and again.parts[0] is _whole(h)[0]
+        assert _whole(h)[0] is not whole and _whole(h)[1] is not zeros
+
+    def test_the_builders_hand_a_whole_part_the_graphs_own_vertex_tuple(self):
+        g = gnp(12, 0.5, 3)
+        whole, zeros = _whole(g)
+        for part in (cs.partition_from_parts(g, [range(g.n), []]),
+                     cs.partition_from_parts(g, [[True] + list(range(g.n))[::-1]]),
+                     cs.partition_from_assignment(g, [0] * g.n, 3),
+                     cs.partition_from_assignment(g, [False] * g.n)):
+            assert part.parts[0] is whole and part.assignment is zeros
+        # V in a later part: that part is the tuple, and the assignment,
+        # all ones, is not the zeros
+        for part in (cs.partition_from_parts(g, [[], list(range(g.n))]),
+                     cs.partition_from_assignment(g, [1] * g.n)):
+            assert part.parts == ((), whole) and part.parts[1] is whole
+            assert part.assignment == (1,) * g.n
+        part = cs.partition_from_parts(g, [range(g.n - 1), [g.n - 1]])
+        assert part.parts[0] is not whole and part.assignment == (0,) * (g.n - 1) + (1,)
+        empty = cs.Graph(0)
+        assert cs.partition_from_assignment(empty, [], 2).parts == ((), ())
 
     @pytest.mark.parametrize("g, quotas", [
         (strong(7, 3), (4, 3, 3)),
